@@ -45,10 +45,8 @@ from .fock import (
     FockOperator,
     FockVector,
     apply_split_network,
-    beamsplitter_op,
     build_state,
     cat_split_thetas,
-    coherent_mixer,
     coherent_vector,
     default_cutoff,
     density,

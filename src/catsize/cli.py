@@ -2,8 +2,9 @@
 
 Every command prints one JSON result envelope on stdout with sorted keys and
 round-trip floats, so identical inputs produce byte-identical output except
-for the timing field.  Exit codes: 0 success, 1 failed verification check,
-2 invalid flags, 3 domain error, 4 sizing or truncation error, 5 file I/O.
+for the timing field.  Exit codes: 0 success, 1 a failed check row in any
+command, 2 invalid flags, 3 domain error, 4 sizing or truncation error,
+5 file I/O.
 """
 
 from __future__ import annotations
@@ -22,29 +23,12 @@ from . import __version__
 from .closed_forms import (
     CatFamily,
     CatStateSpec,
-    abs2,
-    branch_overlap,
     distill_expected_n,
-    distill_pm,
-    helstrom_success_n_modes,
     mode_loss_offdiag,
     mode_loss_offdiag_mean,
-    number_variance_omega,
-    quadrature_variance_omega,
-    rqfi_bound_bounded,
-    rqfi_bound_quadrature,
 )
 from .errors import DomainError, SizingError, TruncationError
-from .fock import (
-    MAX_JOINT_DIM,
-    MAX_OPERATOR_DIM,
-    FockVector,
-    apply_split_network,
-    build_state,
-    coherent_vector,
-    default_cutoff,
-    tensor,
-)
+from .fock import MAX_OPERATOR_DIM
 from .measures import (
     GeneratorFamily,
     MeasureKind,
@@ -56,29 +40,15 @@ from .measures import (
     mode_loss_size,
     rqfi_size,
     wigner_empirical_size,
-    _coherent_pair_generators,
-    _trace_norm_check,
-    _two_branch_variance,
 )
-from .phase_space import (
-    extract_features,
-    fringe_suppression_check,
-    grid_to_csv,
-    grid_to_json,
-    wigner_cat,
-    wigner_grid,
-    wigner_hcs2,
-    wigner_numeric,
-    wigner_omega,
-)
+from .phase_space import extract_features, grid_to_csv, grid_to_json, wigner_grid
 from .simulate import (
     CollapseProblem,
-    build_distillation_povm,
-    distillation_outcome_distribution,
     simulate_branch_collapse,
     simulate_distillation,
     simulate_mode_loss,
 )
+from .verify import FAST, FULL, _num_check, run as run_verify
 
 
 class _UsageError(Exception):
@@ -89,16 +59,22 @@ class _UsageError(Exception):
 # flag parsing
 # ---------------------------------------------------------------------------
 
+def _finite_float(text: str) -> float:
+    """A float flag value; NaN and infinities are usage errors."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def _complex_flag(text: str) -> complex:
     parts = text.split(",")
-    try:
-        if len(parts) == 1:
-            return complex(float(parts[0]), 0.0)
-        if len(parts) == 2:
-            return complex(float(parts[0]), float(parts[1]))
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"expected RE or RE,IM, got {text!r}")
+    if len(parts) > 2:
+        raise argparse.ArgumentTypeError(f"expected RE or RE,IM, got {text!r}")
+    return complex(*map(_finite_float, parts))
 
 
 def _positive_int(text: str) -> int:
@@ -114,12 +90,11 @@ def _positive_int(text: str) -> int:
 def _grid_flag(text: str) -> tuple[float, float, int]:
     parts = text.split(":")
     if len(parts) == 3:
+        lo, hi = _finite_float(parts[0]), _finite_float(parts[1])
         try:
-            lo, hi, steps = float(parts[0]), float(parts[1]), int(parts[2])
+            steps = int(parts[2])
         except ValueError:
-            raise argparse.ArgumentTypeError(
-                f"expected MIN:MAX:STEPS, got {text!r}"
-            ) from None
+            steps = 0
         if steps >= 2 and hi > lo:
             return lo, hi, steps
     raise argparse.ArgumentTypeError(f"expected MIN:MAX:STEPS, got {text!r}")
@@ -134,14 +109,6 @@ def _slice_flag(text: str) -> complex:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--threads",
-        type=_positive_int,
-        default=1,
-        help="reserved; evaluation is deterministic and single-threaded",
-    )
-
     parser = argparse.ArgumentParser(
         prog="catsize",
         description="Sizes of coherent-branch superpositions, simulated and closed-form.",
@@ -152,15 +119,15 @@ def build_parser() -> argparse.ArgumentParser:
     msub = measure.add_subparsers(dest="subcommand", required=True)
 
     def measure_parser(name: str) -> argparse.ArgumentParser:
-        p = msub.add_parser(name, parents=[common])
+        p = msub.add_parser(name)
         p.add_argument("--modes", type=_positive_int, default=1)
         p.add_argument("--alpha", type=_complex_flag, required=True)
         return p
 
     p = measure_parser("branch-dist")
-    p.add_argument("--delta", type=float, required=True)
+    p.add_argument("--delta", type=_finite_float, required=True)
     p = measure_parser("branch-dist-real")
-    p.add_argument("--delta", type=float, required=True)
+    p.add_argument("--delta", type=_finite_float, required=True)
     p = measure_parser("rqfi")
     p.add_argument("--family", type=str, required=True)
     p.add_argument("--state", choices=("omega", "hcs"), default="omega")
@@ -168,7 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--numeric-check", action="store_true")
     measure_parser("distill")
     p = measure_parser("mode-loss")
-    p.add_argument("--lambda", dest="lam", type=float, required=True)
+    p.add_argument("--lambda", dest="lam", type=_finite_float, required=True)
     p = measure_parser("wigner-empirical")
     p.add_argument("--state", choices=("omega", "even-cat"), default="omega")
 
@@ -176,7 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
     ssub = simulate.add_subparsers(dest="subcommand", required=True)
 
     def simulate_parser(name: str) -> argparse.ArgumentParser:
-        p = ssub.add_parser(name, parents=[common])
+        p = ssub.add_parser(name)
         p.add_argument("--alpha", type=_complex_flag, required=True)
         p.add_argument("--trials", type=_positive_int, default=10000)
         p.add_argument("--seed", type=int, default=0)
@@ -186,7 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--modes", type=_positive_int, required=True)
     p = simulate_parser("mode-loss")
     p.add_argument("--modes", type=_positive_int, required=True)
-    p.add_argument("--lambda", dest="lam", type=float, required=True)
+    p.add_argument("--lambda", dest="lam", type=_finite_float, required=True)
     p = simulate_parser("collapse")
     p.add_argument(
         "--problem",
@@ -194,7 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
     )
 
-    wig = sub.add_parser("wigner", parents=[common], help="phase-space grid export")
+    wig = sub.add_parser("wigner", help="phase-space grid export")
     wig.add_argument(
         "--state",
         choices=("even-cat", "odd-cat", "omega", "hcs2", "coherent"),
@@ -207,8 +174,8 @@ def build_parser() -> argparse.ArgumentParser:
     wig.add_argument("--format", choices=("csv", "json"), default="csv")
     wig.add_argument("--features", action="store_true")
 
-    ver = sub.add_parser("verify", parents=[common], help="cross-validation battery")
-    ver.add_argument("--suite", choices=("fast", "full"), default="fast")
+    ver = sub.add_parser("verify", help="cross-validation battery")
+    ver.add_argument("--suite", choices=(FAST, FULL), default=FAST)
     ver.add_argument("--seed", type=int, default=0)
 
     return parser
@@ -249,17 +216,6 @@ def _envelope(argv, inputs, results, checks, started) -> dict:
     }
 
 
-def _num_check(name: str, observed: float, expected: float, tolerance: float) -> dict:
-    status = "pass" if abs(observed - expected) <= tolerance else "fail"
-    return {
-        "name": name,
-        "status": status,
-        "observed": observed,
-        "expected": expected,
-        "tolerance": tolerance,
-    }
-
-
 # ---------------------------------------------------------------------------
 # measure / simulate / wigner
 # ---------------------------------------------------------------------------
@@ -296,7 +252,6 @@ def _run_measure(args) -> tuple[dict, list, int]:
     for key in ("delta", "lam", "family", "state", "numeric_check"):
         if hasattr(args, key):
             inputs[key] = getattr(args, key)
-    inputs["threads"] = args.threads
     return inputs, {"measure": result}, checks
 
 
@@ -393,14 +348,7 @@ def _run_simulate(args) -> tuple[dict, dict, list]:
         checks.append(_num_check("mean-vs-exact-probability", stats.mean, expected, tol))
         results = {"stats": stats}
         inputs = {"subcommand": sub, "problem": args.problem}
-    inputs.update(
-        {
-            "alpha": args.alpha,
-            "trials": args.trials,
-            "seed": args.seed,
-            "threads": args.threads,
-        }
-    )
+    inputs.update({"alpha": args.alpha, "trials": args.trials, "seed": args.seed})
     return inputs, results, checks
 
 
@@ -467,7 +415,6 @@ def _run_wigner(args) -> tuple[dict, dict, list]:
         "slice": args.slice,
         "format": args.format,
         "features": args.features,
-        "threads": args.threads,
     }
     return inputs, results, []
 
@@ -476,400 +423,13 @@ def _run_wigner(args) -> tuple[dict, dict, list]:
 # verification battery
 # ---------------------------------------------------------------------------
 
-def _random_points(rng, count: int, radius: float) -> np.ndarray:
-    return radius * (
-        rng.uniform(-1.0, 1.0, count) + 1j * rng.uniform(-1.0, 1.0, count)
-    )
-
-
-def _network_coherent_gap(m: int, alpha: complex) -> float:
-    """1 - fidelity of the splitting network output against |alpha>^m."""
-    peak = math.sqrt(m) * abs(alpha)
-    afford = int(MAX_JOINT_DIM ** (1.0 / m)) - 1
-    cutoff = min(default_cutoff(peak), afford)
-    head, _ = coherent_vector(math.sqrt(m) * alpha, cutoff)
-    vacuum = np.zeros(cutoff + 1, dtype=complex)
-    vacuum[0] = 1.0
-    vac = FockVector(cutoff=cutoff, modes=1, amplitudes=vacuum)
-    source = tensor(head, *([vac] * (m - 1)))
-    out = apply_split_network(source)
-    leaf, _ = coherent_vector(alpha, cutoff)
-    target = tensor(*([leaf] * m))
-    overlap = np.vdot(target.amplitudes, out.amplitudes)
-    fid = abs2(overlap) / (target.norm() ** 2 * out.norm() ** 2)
-    return 1.0 - fid
-
-
-def _network_superposition_gap(modes: int, alpha: complex) -> float:
-    peak = math.sqrt(modes) * abs(alpha)
-    cutoff = default_cutoff(peak)
-    prime = CatStateSpec(family=CatFamily.OMEGA_PRIME, modes=modes, alpha=alpha)
-    omega = CatStateSpec(family=CatFamily.OMEGA, modes=modes, alpha=alpha)
-    source, _ = build_state(prime, cutoff=cutoff)
-    target, _ = build_state(omega, cutoff=cutoff)
-    out = apply_split_network(source)
-    overlap = np.vdot(target.amplitudes, out.amplitudes)
-    fid = abs2(overlap) / (target.norm() ** 2 * out.norm() ** 2)
-    return 1.0 - fid
-
-
-def _wigner_gap_cat(rng, alpha: complex, count: int, radius: float, cutoff: int) -> float:
-    spec = CatStateSpec(family=CatFamily.EVEN_CAT, modes=1, alpha=alpha)
-    vec, _ = build_state(spec, cutoff=cutoff)
-    worst = 0.0
-    for gamma in _random_points(rng, count, radius):
-        closed = float(wigner_cat(gamma, alpha, parity=1))
-        numeric = wigner_numeric(vec, [gamma])
-        worst = max(worst, abs(closed - numeric))
-    return worst
-
-
-def _wigner_gap_hcs2(rng, alpha: complex, count: int, radius: float, cutoff: int) -> float:
-    spec = CatStateSpec(family=CatFamily.HCS, modes=2, alpha=alpha)
-    vec, _ = build_state(spec, cutoff=cutoff)
-    pts1 = _random_points(rng, count, radius)
-    pts2 = _random_points(rng, count, radius)
-    worst = 0.0
-    for g1, g2 in zip(pts1, pts2):
-        closed = float(wigner_hcs2(g1, g2, alpha))
-        numeric = wigner_numeric(vec, [g1, g2])
-        worst = max(worst, abs(closed - numeric))
-    return worst
-
-
-def _matched_intensity_beta(modes: int, alpha: complex):
-    """Real amplitude whose squared modulus is bitwise modes*|alpha|^2."""
-    target = modes * abs2(alpha)
-    beta = math.sqrt(target)
-    for _ in range(8):
-        have = abs2(complex(beta))
-        if have == target:
-            return beta
-        beta = math.nextafter(beta, math.inf if have < target else -math.inf)
-    return None
-
-
-def _verify_thunks(suite: str, seed: int) -> list:
-    rng = np.random.default_rng(seed)
-    thunks = []
-
-    def add(name, thunk):
-        thunks.append((name, thunk))
-
-    def helstrom():
-        check = _trace_norm_check(1.0, 2, default_cutoff(1.0))
-        return check["difference"], 0.0, 1e-10
-
-    add("helstrom-closed-vs-trace-norm", helstrom)
-
-    def helstrom_monotone():
-        values = [helstrom_success_n_modes(n, 0.7) for n in range(1, 7)]
-        worst = min(b - a for a, b in zip(values, values[1:]))
-        return max(0.0, -worst), 0.0, 0.0
-
-    add("helstrom-monotone-in-modes", helstrom_monotone)
-
-    def povm_complete():
-        povm = build_distillation_povm(0.9)
-        closure = povm.E1.T @ povm.E1 + povm.E2.T @ povm.E2
-        return float(np.abs(closure - np.eye(2)).max()), 0.0, 1e-12
-
-    add("povm-completeness", povm_complete)
-
-    def povm_effect_form():
-        w = branch_overlap(0.9)
-        povm = build_distillation_povm(0.9)
-        chi = np.array([math.sqrt((1 + w) / 2), math.sqrt((1 - w) / 2)])
-        explicit = math.sqrt(2 * w / (1 + w)) * np.outer(chi, chi)
-        return float(np.abs(povm.E2 - explicit).max()), 0.0, 1e-12
-
-    add("povm-effect2-form", povm_effect_form)
-
-    def povm_branch_prob():
-        alpha = 0.9
-        w = branch_overlap(alpha)
-        s = math.sqrt(1 - w * w)
-        povm = build_distillation_povm(alpha)
-        worst = 0.0
-        for branch in (np.array([1.0, 0.0]), np.array([w, s])):
-            prob = float(np.linalg.norm(povm.E1 @ branch) ** 2)
-            worst = max(worst, abs(prob - (1.0 - w)))
-        return worst, 0.0, 1e-12
-
-    add("povm-branch-probability", povm_branch_prob)
-
-    def collapse_basis():
-        alpha = 1.2
-        w = branch_overlap(alpha)
-        s = math.sqrt(1 - w * w)
-        ket_a = np.array([1.0, 0.0])
-        ket_ma = np.array([w, s])
-        psi_p = (ket_a + ket_ma) / math.sqrt(2 + 2 * w)
-        psi_m = (ket_a - ket_ma) / math.sqrt(2 - 2 * w)
-        xi_p = (psi_p + psi_m) / math.sqrt(2.0)
-        xi_m = (psi_p - psi_m) / math.sqrt(2.0)
-        delta = np.outer(ket_a, ket_a) - np.outer(ket_ma, ket_ma)
-        _, vecs = np.linalg.eigh(delta)
-        gap = max(
-            1.0 - abs(float(np.dot(vecs[:, 1], xi_p))),
-            1.0 - abs(float(np.dot(vecs[:, 0], xi_m))),
-        )
-        return gap, 0.0, 1e-10
-
-    add("collapse-basis-form", collapse_basis)
-
-    def collapse_cat_mixed():
-        stats = simulate_branch_collapse(
-            1.1, 2000, seed, CollapseProblem.CAT_VS_MIXED
-        )
-        return 1.0 - stats.mean, 0.0, 0.0
-
-    add("collapse-cat-vs-mixed", collapse_cat_mixed)
-
-    def collapse_branch_smoke():
-        stats = simulate_branch_collapse(
-            math.sqrt(2.0), 2000, seed, CollapseProblem.BRANCH_VS_BRANCH
-        )
-        return abs(stats.mean - 0.5), 0.0, 5.0 * stats.std_error
-
-    add("collapse-branch-vs-branch-smoke", collapse_branch_smoke)
-
-    def rqfi_unit():
-        state = CatStateSpec(family=CatFamily.OMEGA, modes=1, alpha=0.8)
-        res = rqfi_size(state, GeneratorFamily.bounded_local())
-        return abs(res.value - 1.0), 0.0, 1e-9
-
-    add("rqfi-bounded-unit-at-one-mode", rqfi_unit)
-
-    def rqfi_oracle():
-        state = CatStateSpec(family=CatFamily.OMEGA, modes=2, alpha=1.0)
-        family = GeneratorFamily.quadrature() | GeneratorFamily.number()
-        res = rqfi_size(state, family, oracle_budget=MAX_OPERATOR_DIM)
-        oracle = res.diagnostics["oracle"]
-        return oracle["difference"], 0.0, 1e-7
-
-    add("rqfi-gram-vs-fock", rqfi_oracle)
-
-    def rqfi_quadrature_identity():
-        modes, alpha = 3, 0.8
-        gens = _coherent_pair_generators(complex(alpha), GeneratorFamily.quadrature())
-        var = max(_two_branch_variance(g, modes, 1.0, 1.0) for g in gens)
-        return abs(var - quadrature_variance_omega(modes, alpha)), 0.0, 1e-9
-
-    add("rqfi-quadrature-variance-identity", rqfi_quadrature_identity)
-
-    def rqfi_number_identity():
-        modes, alpha = 3, 0.8
-        gens = _coherent_pair_generators(complex(alpha), GeneratorFamily.number())
-        var = _two_branch_variance(gens[0], modes, 1.0, 1.0)
-        return abs(var - number_variance_omega(modes, alpha)), 0.0, 1e-9
-
-    add("rqfi-number-variance-identity", rqfi_number_identity)
-
-    def marquardt_pmf():
-        state = CatStateSpec(family=CatFamily.OMEGA, modes=2, alpha=1.0)
-        res = marquardt_size(state, numeric_check=True)
-        return res.diagnostics["numeric"]["displaced_max_abs_diff"], 0.0, 1e-10
-
-    add("marquardt-displaced-pmf", marquardt_pmf)
-
-    def marquardt_mean():
-        state = CatStateSpec(family=CatFamily.OMEGA, modes=2, alpha=1.0)
-        res = marquardt_size(state, numeric_check=True)
-        return res.diagnostics["numeric"]["mean_abs_error"], 0.0, 1e-8
-
-    add("marquardt-branch-mean", marquardt_mean)
-
-    for m in (2, 3):
-        add(
-            f"network-coherent-m{m}",
-            lambda m=m: (_network_coherent_gap(m, 0.5), 0.0, 1e-8),
-        )
-
-    add(
-        "wigner-even-cat-closed-vs-numeric",
-        lambda: (_wigner_gap_cat(rng, 1.3, 50, 2.0, 40), 0.0, 1e-6),
-    )
-    add(
-        "wigner-hcs2-closed-vs-numeric",
-        lambda: (_wigner_gap_hcs2(rng, 1.5, 50, 2.0, 40), 0.0, 1e-6),
-    )
-
-    def wigner_vacuum():
-        vacuum = np.zeros(8, dtype=complex)
-        vacuum[0] = 1.0
-        vec = FockVector(cutoff=7, modes=1, amplitudes=vacuum)
-        return abs(wigner_numeric(vec, [0.0]) - 2.0 / math.pi), 0.0, 1e-9
-
-    add("wigner-vacuum-origin", wigner_vacuum)
-
-    def wigner_parity():
-        pts = np.stack(
-            [_random_points(rng, 25, 1.5), _random_points(rng, 25, 1.5)], axis=-1
-        )
-        w_fwd = wigner_omega(pts, 0.9)
-        w_bwd = wigner_omega(-pts, 0.9)
-        return float(np.abs(w_fwd - w_bwd).max()), 0.0, 1e-10
-
-    add("wigner-parity-symmetry", wigner_parity)
-
-    def distill_sum():
-        modes, alpha = 50, math.sqrt(10.0)
-        total = math.fsum(distill_pm(m, modes, alpha) for m in range(1, modes + 1))
-        return abs(total - math.tanh(modes * abs2(alpha))), 0.0, 1e-12
-
-    add("distill-sum-equals-success", distill_sum)
-
-    def distill_dp():
-        modes, alpha = 6, 0.9
-        probs = distillation_outcome_distribution(modes, alpha)
-        mean = float(np.dot(np.arange(probs.size), probs))
-        gap_mean = abs(mean - distill_expected_n(modes, alpha))
-        gap_total = abs(float(probs.sum()) - 1.0)
-        return max(gap_mean, gap_total), 0.0, 1e-10
-
-    add("distill-exact-distribution", distill_dp)
-
-    def distill_smoke():
-        stats = simulate_distillation(4, 0.8, 2000, seed)
-        expected = distill_expected_n(4, 0.8)
-        return abs(stats.mean - expected), 0.0, 5.0 * stats.std_error
-
-    add("simulate-distill-smoke", distill_smoke)
-
-    def mode_loss_extremes():
-        modes, alpha = 5, 0.9
-        big_w = branch_overlap(alpha) ** modes
-        lo = abs(mode_loss_offdiag(modes, alpha, 0.0) - 1.0 / (2.0 + 2.0 * big_w))
-        hi = abs(mode_loss_offdiag(modes, alpha, 1.0) - big_w / (2.0 + 2.0 * big_w))
-        return max(lo, hi), 0.0, 1e-15
-
-    add("mode-loss-rate-extremes", mode_loss_extremes)
-
-    def mode_loss_binomial():
-        modes, alpha, lam = 6, 0.8, 0.3
-        w = branch_overlap(alpha)
-        big_w = w ** modes
-        total = math.fsum(
-            math.comb(modes, k)
-            * lam ** k
-            * (1.0 - lam) ** (modes - k)
-            * w ** k
-            for k in range(modes + 1)
-        ) / (2.0 + 2.0 * big_w)
-        return (
-            abs(total - mode_loss_offdiag_mean(modes, alpha, lam)),
-            0.0,
-            1e-12,
-        )
-
-    add("mode-loss-binomial-mean", mode_loss_binomial)
-
-    def mode_loss_smoke():
-        stats = simulate_mode_loss(6, 1.0, 0.25, 2000, seed)
-        expected = mode_loss_offdiag(6, 1.0, 0.25)
-        return abs(stats.mean - expected), 0.0, 5.0 * stats.std_error
-
-    add("simulate-mode-loss-smoke", mode_loss_smoke)
-
-    def vacuum_axiom():
-        worst = 0.0
-        matched = 0
-        for _ in range(5):
-            modes = int(rng.integers(2, 7))
-            alpha = complex(rng.uniform(0.3, 1.5), rng.uniform(-0.5, 0.5))
-            beta = _matched_intensity_beta(modes, alpha)
-            if beta is None:
-                continue
-            matched += 1
-            omega = CatStateSpec(family=CatFamily.OMEGA, modes=modes, alpha=alpha)
-            single = CatStateSpec(family=CatFamily.EVEN_CAT, modes=1, alpha=beta)
-            gap = abs(
-                branch_dist_size_real(omega, 0.01).value
-                - branch_dist_size_real(single, 0.01).value
-            )
-            worst = max(worst, gap)
-        if matched == 0:
-            raise DomainError("no intensity-matched draws")
-        return worst, 0.0, 0.0
-
-    add("vacuum-mixing-invariance", vacuum_axiom)
-
-    if suite == "full":
-        for m, alpha in ((4, 1.0), (4, 1.5)):
-            add(
-                f"network-coherent-m{m}-alpha{alpha:g}",
-                lambda m=m, alpha=alpha: (_network_coherent_gap(m, alpha), 0.0, 1e-8),
-            )
-        add(
-            "network-superposition-n3",
-            lambda: (_network_superposition_gap(3, 0.8), 0.0, 1e-8),
-        )
-        add(
-            "wigner-hcs2-dense",
-            lambda: (_wigner_gap_hcs2(rng, 1.5, 200, 2.0, 40), 0.0, 1e-6),
-        )
-
-        def hcs2_large():
-            spec = CatStateSpec(family=CatFamily.HCS, modes=2, alpha=3.0)
-            vec, _ = build_state(spec, cutoff=72)
-            worst = 0.0
-            for g1, g2 in ((0.0, 0.0), (3.0, 3.0), (-3.0, 3.0), (1.5, -1.5), (0.5j, 2.0)):
-                closed = float(wigner_hcs2(g1, g2, 3.0))
-                numeric = wigner_numeric(vec, [g1, g2])
-                worst = max(worst, abs(closed - numeric))
-            return worst, 0.0, 1e-6
-
-        add("wigner-hcs2-alpha3-spots", hcs2_large)
-
-        def fringe():
-            report = fringe_suppression_check(1.0)
-            return abs(report["ratio"] - 1.0), 0.0, 0.05
-
-        add("fringe-suppression-coefficient", fringe)
-
-        def eq_bounds():
-            worst = 0.0
-            for modes in (1, 2, 4):
-                state = CatStateSpec(family=CatFamily.OMEGA, modes=modes, alpha=0.9)
-                bounded = rqfi_size(state, GeneratorFamily.bounded_local())
-                fam = GeneratorFamily.quadrature() | GeneratorFamily.number()
-                wide = rqfi_size(state, fam)
-                worst = max(
-                    worst,
-                    rqfi_bound_bounded(modes, 0.9) - bounded.value,
-                    rqfi_bound_quadrature(modes, 0.9) - wide.value,
-                )
-            return max(0.0, worst), 0.0, 1e-9
-
-        add("rqfi-published-bounds", eq_bounds)
-
-    return thunks
-
-
 def _run_verify(args) -> tuple[dict, dict, list]:
-    checks = []
-    for name, thunk in _verify_thunks(args.suite, args.seed):
-        try:
-            observed, expected, tolerance = thunk()
-            checks.append(_num_check(name, observed, expected, tolerance))
-        except Exception as exc:  # a crashed check is a failed check
-            checks.append(
-                {
-                    "name": name,
-                    "status": "fail",
-                    "observed": f"{type(exc).__name__}: {exc}",
-                    "expected": "no exception",
-                    "tolerance": None,
-                }
-            )
+    checks = run_verify(args.suite, args.seed)
     counts = {
-        "pass": sum(1 for c in checks if c["status"] == "pass"),
-        "fail": sum(1 for c in checks if c["status"] == "fail"),
-        "skipped": sum(1 for c in checks if c["status"] == "skipped"),
+        status: sum(1 for c in checks if c["status"] == status)
+        for status in ("pass", "fail", "skipped")
     }
-    inputs = {"suite": args.suite, "seed": args.seed, "threads": args.threads}
-    return inputs, {"summary": counts}, checks
+    return {"suite": args.suite, "seed": args.seed}, {"summary": counts}, checks
 
 
 # ---------------------------------------------------------------------------
@@ -933,7 +493,7 @@ def main(argv=None) -> int:
     envelope = _envelope(argv, inputs, results, checks, started)
     print(json.dumps(envelope, sort_keys=True, indent=2))
     failed = [c for c in envelope["checks"] if c["status"] == "fail"]
-    if args.command == "verify" and failed:
+    if failed:
         print(f"failed: {failed[0]['name']}", file=sys.stderr)
         return 1
     return 0

@@ -28,6 +28,8 @@ MAX_OPERATOR_DIM = 4096
 
 _HERM_TOL = 1e-10
 _DENSITY_TOL = 1e-10
+#: Largest amplitude mass a truncated coherent state may leave beyond its cutoff.
+_TAIL_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -73,16 +75,11 @@ class FockVector:
 
 @dataclass(frozen=True)
 class FockOperator:
-    """Dense operator on the joint truncated basis.
-
-    ``hermitian_hint`` records whether the constructor believes the matrix is
-    Hermitian; consumers that require Hermiticity still verify it.
-    """
+    """Dense operator on the joint truncated basis."""
 
     cutoff: int
     modes: int
     matrix: np.ndarray
-    hermitian_hint: bool = False
 
     def __post_init__(self):
         dim = (self.cutoff + 1) ** self.modes
@@ -110,11 +107,11 @@ def default_cutoff(alpha) -> int:
     return math.ceil(r * r + 8.0 * r + 20.0)
 
 
-def coherent_vector(alpha, cutoff: int, tail_tol: float = 1e-9):
+def coherent_vector(alpha, cutoff: int):
     """Truncated coherent state, built by the stable amplitude recursion.
 
     Returns (FockVector, TruncationReport); raises TruncationError when the
-    amplitude mass beyond the cutoff exceeds ``tail_tol``.
+    amplitude mass beyond the cutoff exceeds 1e-9 (``_TAIL_TOL``).
     """
     alpha = complex(alpha)
     amps = np.zeros(cutoff + 1, dtype=complex)
@@ -122,21 +119,23 @@ def coherent_vector(alpha, cutoff: int, tail_tol: float = 1e-9):
     for n in range(cutoff):
         amps[n + 1] = amps[n] * alpha / math.sqrt(n + 1.0)
     tail = max(0.0, 1.0 - float(np.vdot(amps, amps).real))
-    report = TruncationReport(cutoff_used=cutoff, tail_mass=tail, converged=tail <= tail_tol)
+    report = TruncationReport(
+        cutoff_used=cutoff, tail_mass=tail, converged=tail <= _TAIL_TOL
+    )
     if not report.converged:
         raise TruncationError(
             f"coherent state |alpha| = {abs(alpha):g} keeps tail mass {tail:.3e} "
-            f"beyond cutoff {cutoff} (tolerance {tail_tol:g})",
+            f"beyond cutoff {cutoff} (tolerance {_TAIL_TOL:g})",
             tail_mass=tail,
             cutoff=cutoff,
         )
     return FockVector(cutoff=cutoff, modes=1, amplitudes=amps), report
 
 
-def kitten_vectors(alpha, cutoff: int, tail_tol: float = 1e-9):
+def kitten_vectors(alpha, cutoff: int):
     """Normalized even and odd single-mode superpositions (|a> +- |-a>)/A."""
-    plus, _ = coherent_vector(alpha, cutoff, tail_tol)
-    minus, _ = coherent_vector(-alpha, cutoff, tail_tol)
+    plus, _ = coherent_vector(alpha, cutoff)
+    minus, _ = coherent_vector(-alpha, cutoff)
     a_plus, a_minus = hcs_norms(alpha)
     even = (plus.amplitudes + minus.amplitudes) / a_plus
     odd = (plus.amplitudes - minus.amplitudes) / a_minus
@@ -158,8 +157,8 @@ def mode_ops(cutoff: int):
         cutoff=cutoff,
         annihilation=FockOperator(cutoff, 1, lower),
         creation=FockOperator(cutoff, 1, raise_),
-        number=FockOperator(cutoff, 1, number, hermitian_hint=True),
-        parity=FockOperator(cutoff, 1, parity, hermitian_hint=True),
+        number=FockOperator(cutoff, 1, number),
+        parity=FockOperator(cutoff, 1, parity),
     )
 
 
@@ -175,7 +174,7 @@ class ModeOps:
         """x(phi) = (a e^{-i phi} + a^dag e^{i phi}) / sqrt(2)."""
         a = self.annihilation.matrix
         mat = (a * np.exp(-1j * phi) + a.conj().T * np.exp(1j * phi)) / math.sqrt(2.0)
-        return FockOperator(self.cutoff, 1, mat, hermitian_hint=True)
+        return FockOperator(self.cutoff, 1, mat)
 
 
 def displacement_op(alpha, cutoff: int) -> FockOperator:
@@ -184,21 +183,6 @@ def displacement_op(alpha, cutoff: int) -> FockOperator:
     ops = mode_ops(cutoff)
     gen = alpha * ops.creation.matrix - alpha.conjugate() * ops.annihilation.matrix
     return FockOperator(cutoff, 1, expm(gen))
-
-
-def phase_shifter(phi: float, mode: int, modes: int, cutoff: int) -> FockOperator:
-    """exp(i phi n) on one mode of a joint basis, as a dense diagonal operator.
-
-    The generator is diagonal, so its exponential is the elementwise
-    exponential of the diagonal; no approximation is involved.
-    """
-    _check_mode_index(mode, modes)
-    d = cutoff + 1
-    single = np.exp(1j * phi * np.arange(d))
-    diag = np.ones(1, dtype=complex)
-    for k in range(modes):
-        diag = np.kron(diag, single if k == mode else np.ones(d))
-    return FockOperator(cutoff, modes, np.diag(diag))
 
 
 def beamsplitter_kernel(theta: float, cutoff: int) -> np.ndarray:
@@ -226,12 +210,6 @@ def beamsplitter_kernel(theta: float, cutoff: int) -> np.ndarray:
     return kernel
 
 
-def beamsplitter_op(theta: float, mode_i: int, mode_j: int, modes: int, cutoff: int) -> FockOperator:
-    """Beamsplitter between two modes of a joint basis, as a dense operator."""
-    kernel = beamsplitter_kernel(theta, cutoff)
-    return FockOperator(cutoff, modes, _embed_two_mode(kernel, mode_i, mode_j, modes, cutoff))
-
-
 def coherent_mixer_kernel(theta: float, cutoff: int) -> np.ndarray:
     """Two-mode matrix of P_j(-pi/2) B(theta) P_j(-pi/2).
 
@@ -243,12 +221,6 @@ def coherent_mixer_kernel(theta: float, cutoff: int) -> np.ndarray:
     phase = np.kron(np.ones(d), np.exp(-0.5j * math.pi * np.arange(d)))
     mixed = beamsplitter_kernel(theta, cutoff)
     return (phase[:, None] * mixed) * phase[None, :]
-
-
-def coherent_mixer(theta: float, mode_i: int, mode_j: int, modes: int, cutoff: int) -> FockOperator:
-    """Dense embedding of coherent_mixer_kernel into a joint basis."""
-    kernel = coherent_mixer_kernel(theta, cutoff)
-    return FockOperator(cutoff, modes, _embed_two_mode(kernel, mode_i, mode_j, modes, cutoff))
 
 
 def cat_split_thetas(modes: int) -> list[float]:
@@ -296,20 +268,6 @@ def apply_two_mode(kernel: np.ndarray, state: FockVector, mode_i: int, mode_j: i
     return FockVector(cutoff=state.cutoff, modes=state.modes, amplitudes=t.reshape(-1))
 
 
-def apply_phase(state: FockVector, phi: float, mode: int) -> FockVector:
-    """Apply exp(i phi n) to one mode without building the joint diagonal."""
-    _check_mode_index(mode, state.modes)
-    d = state.cutoff + 1
-    shape = [1] * state.modes
-    shape[mode] = d
-    factor = np.exp(1j * phi * np.arange(d)).reshape(shape)
-    return FockVector(
-        cutoff=state.cutoff,
-        modes=state.modes,
-        amplitudes=(state.as_tensor() * factor).reshape(-1),
-    )
-
-
 def tensor(*parts):
     """Kronecker product of FockVectors (or of FockOperators) with equal cutoffs."""
     if not parts:
@@ -323,8 +281,7 @@ def tensor(*parts):
         return FockVector(cutoff=parts[0].cutoff, modes=modes, amplitudes=amps)
     if all(isinstance(p, FockOperator) for p in parts):
         mat = functools.reduce(np.kron, [p.matrix for p in parts])
-        hint = all(p.hermitian_hint for p in parts)
-        return FockOperator(parts[0].cutoff, modes, mat, hermitian_hint=hint)
+        return FockOperator(parts[0].cutoff, modes, mat)
     raise DomainError("tensor arguments must be all vectors or all operators")
 
 
@@ -334,9 +291,7 @@ def density(state: FockVector) -> FockOperator:
     n2 = float(np.vdot(v, v).real)
     if n2 <= 0.0:
         raise DomainError("cannot normalize the zero vector")
-    return FockOperator(
-        state.cutoff, state.modes, np.outer(v, v.conj()) / n2, hermitian_hint=True
-    )
+    return FockOperator(state.cutoff, state.modes, np.outer(v, v.conj()) / n2)
 
 
 def partial_trace(op: FockOperator, keep) -> FockOperator:
@@ -360,7 +315,7 @@ def partial_trace(op: FockOperator, keep) -> FockOperator:
         t = np.trace(t, axis1=pos, axis2=pos + len(remaining))
         remaining.remove(mode)
     dim = d ** len(remaining)
-    return FockOperator(op.cutoff, len(remaining), t.reshape(dim, dim), hermitian_hint=True)
+    return FockOperator(op.cutoff, len(remaining), t.reshape(dim, dim))
 
 
 def trace_norm(op: FockOperator) -> float:
@@ -394,8 +349,8 @@ def helstrom_povm(rho_a: FockOperator, rho_b: FockOperator) -> HelstromPovm:
     minus = np.eye(rho_a.dim) - plus
     success = 0.5 + 0.25 * float(np.sum(np.abs(vals)))
     return HelstromPovm(
-        plus=FockOperator(rho_a.cutoff, rho_a.modes, plus, hermitian_hint=True),
-        minus=FockOperator(rho_a.cutoff, rho_a.modes, minus, hermitian_hint=True),
+        plus=FockOperator(rho_a.cutoff, rho_a.modes, plus),
+        minus=FockOperator(rho_a.cutoff, rho_a.modes, minus),
         success_probability=success,
     )
 
@@ -426,7 +381,7 @@ def total_photon_pmf(state: FockVector) -> np.ndarray:
     return np.bincount(totals, weights=weights, minlength=state.modes * state.cutoff + 1)
 
 
-def build_state(spec: CatStateSpec, cutoff: int | None = None, tail_tol: float = 1e-9):
+def build_state(spec: CatStateSpec, cutoff: int | None = None):
     """Assemble the truncated vector for a state family.
 
     Returns (FockVector, TruncationReport).  The vector is scaled by the
@@ -442,9 +397,9 @@ def build_state(spec: CatStateSpec, cutoff: int | None = None, tail_tol: float =
         raise SizingError(
             f"joint dimension {dim} exceeds MAX_JOINT_DIM = {MAX_JOINT_DIM}"
         )
-    amps = _assemble(spec, cutoff, tail_tol)
+    amps = _assemble(spec, cutoff)
     if spec.aux is not None:
-        aux_vec, _ = coherent_vector(spec.aux, cutoff, tail_tol)
+        aux_vec, _ = coherent_vector(spec.aux, cutoff)
         amps = np.kron(amps, aux_vec.amplitudes)
         modes = spec.modes + 1
     else:
@@ -452,7 +407,7 @@ def build_state(spec: CatStateSpec, cutoff: int | None = None, tail_tol: float =
     vec = FockVector(cutoff=cutoff, modes=modes, amplitudes=amps)
     tail = max(0.0, 1.0 - vec.norm() ** 2)
     report = TruncationReport(
-        cutoff_used=cutoff, tail_mass=tail, converged=tail <= 100.0 * modes * tail_tol
+        cutoff_used=cutoff, tail_mass=tail, converged=tail <= 100.0 * modes * _TAIL_TOL
     )
     return vec, report
 
@@ -469,26 +424,26 @@ def _kron_power(v: np.ndarray, n: int) -> np.ndarray:
     return functools.reduce(np.kron, [v] * n)
 
 
-def _assemble(spec: CatStateSpec, cutoff: int, tail_tol: float) -> np.ndarray:
+def _assemble(spec: CatStateSpec, cutoff: int) -> np.ndarray:
     alpha = complex(spec.alpha)
     family = spec.family
     if family in (CatFamily.EVEN_CAT, CatFamily.ODD_CAT):
-        even, odd = kitten_vectors(alpha, cutoff, tail_tol)
+        even, odd = kitten_vectors(alpha, cutoff)
         return (even if family is CatFamily.EVEN_CAT else odd).amplitudes
     if family is CatFamily.PRODUCT_COHERENT:
-        one, _ = coherent_vector(alpha, cutoff, tail_tol)
+        one, _ = coherent_vector(alpha, cutoff)
         return _kron_power(one.amplitudes, spec.modes)
     if family is CatFamily.OMEGA:
-        plus, _ = coherent_vector(alpha, cutoff, tail_tol)
-        minus, _ = coherent_vector(-alpha, cutoff, tail_tol)
+        plus, _ = coherent_vector(alpha, cutoff)
+        minus, _ = coherent_vector(-alpha, cutoff)
         branches = _kron_power(plus.amplitudes, spec.modes) + _kron_power(
             minus.amplitudes, spec.modes
         )
         return branches * omega_norm(spec.modes, alpha)
     if family is CatFamily.OMEGA_PRIME:
         root = math.sqrt(spec.modes) * alpha
-        plus, _ = coherent_vector(root, cutoff, tail_tol)
-        minus, _ = coherent_vector(-root, cutoff, tail_tol)
+        plus, _ = coherent_vector(root, cutoff)
+        minus, _ = coherent_vector(-root, cutoff)
         head = (plus.amplitudes + minus.amplitudes) * omega_norm(spec.modes, alpha)
         vac = np.zeros(cutoff + 1, dtype=complex)
         vac[0] = 1.0
@@ -496,14 +451,14 @@ def _assemble(spec: CatStateSpec, cutoff: int, tail_tol: float) -> np.ndarray:
             return head
         return np.kron(head, _kron_power(vac, spec.modes - 1))
     if family is CatFamily.HCS:
-        even, odd = kitten_vectors(alpha, cutoff, tail_tol)
+        even, odd = kitten_vectors(alpha, cutoff)
         return (
             _kron_power(even.amplitudes, spec.modes)
             + _kron_power(odd.amplitudes, spec.modes)
         ) / math.sqrt(2.0)
     if family is CatFamily.GHZ_DISTILLED:
-        plus, _ = coherent_vector(alpha, cutoff, tail_tol)
-        minus, _ = coherent_vector(-alpha, cutoff, tail_tol)
+        plus, _ = coherent_vector(alpha, cutoff)
+        minus, _ = coherent_vector(-alpha, cutoff)
         w = branch_overlap(alpha)
         ortho = (minus.amplitudes - w * plus.amplitudes) / math.sqrt(1.0 - w * w)
         return (
@@ -538,24 +493,3 @@ def _check_density(mat: np.ndarray):
     floor = float(np.linalg.eigvalsh(mat)[0])
     if floor < -_DENSITY_TOL:
         raise DomainError(f"density has negative eigenvalue {floor:.3e}")
-
-
-def _embed_two_mode(
-    kernel: np.ndarray, mode_i: int, mode_j: int, modes: int, cutoff: int
-) -> np.ndarray:
-    _check_mode_pair(mode_i, mode_j, modes)
-    dim = (cutoff + 1) ** modes
-    if dim > MAX_OPERATOR_DIM:
-        raise SizingError(
-            f"operator dimension {dim} exceeds MAX_OPERATOR_DIM = {MAX_OPERATOR_DIM}"
-        )
-    if modes == 2 and (mode_i, mode_j) == (0, 1):
-        return np.asarray(kernel, dtype=complex)
-    d = cutoff + 1
-    rest = [k for k in range(modes) if k not in (mode_i, mode_j)]
-    full = np.kron(kernel, np.eye(d ** len(rest)))
-    src_order = [mode_i, mode_j] + rest
-    perm = [src_order.index(m) for m in range(modes)]
-    t = full.reshape((d,) * (2 * modes))
-    t = np.transpose(t, perm + [p + modes for p in perm])
-    return t.reshape(dim, dim)

@@ -108,6 +108,9 @@ _KIND_ORDER = (
     GeneratorKind.SPIN_SANDWICH,
 )
 
+#: Quadrature phases tried per family, evenly spaced over [base, base + pi).
+_QUADRATURE_PHASES = 16
+
 
 @dataclass(frozen=True)
 class GeneratorFamily:
@@ -119,7 +122,6 @@ class GeneratorFamily:
     """
 
     kinds: frozenset
-    n_phases: int = 16
 
     def __post_init__(self):
         if not self.kinds:
@@ -135,8 +137,8 @@ class GeneratorFamily:
         return cls(kinds=frozenset({GeneratorKind.BOUNDED_LOCAL}))
 
     @classmethod
-    def quadrature(cls, n_phases: int = 16) -> "GeneratorFamily":
-        return cls(kinds=frozenset({GeneratorKind.QUADRATURE}), n_phases=n_phases)
+    def quadrature(cls) -> "GeneratorFamily":
+        return cls(kinds=frozenset({GeneratorKind.QUADRATURE}))
 
     @classmethod
     def number(cls) -> "GeneratorFamily":
@@ -162,10 +164,7 @@ class GeneratorFamily:
         return cls(kinds=frozenset(kinds))
 
     def __or__(self, other: "GeneratorFamily") -> "GeneratorFamily":
-        return GeneratorFamily(
-            kinds=self.kinds | other.kinds,
-            n_phases=max(self.n_phases, other.n_phases),
-        )
+        return GeneratorFamily(kinds=self.kinds | other.kinds)
 
     def label(self) -> str:
         return "+".join(k.value for k in _KIND_ORDER if k in self.kinds)
@@ -299,14 +298,14 @@ def _coherent_pair_generators(alpha, family: GeneratorFamily) -> list[ModeGenera
         )
     if GeneratorKind.QUADRATURE in family.kinds:
         base = cmath.phase(alpha) if alpha != 0 else 0.0
-        for k in range(family.n_phases):
-            phi = base + k * math.pi / family.n_phases
+        for k in range(_QUADRATURE_PHASES):
+            phi = base + k * math.pi / _QUADRATURE_PHASES
             rot = alpha * cmath.exp(-1j * phi)
             mean_u = math.sqrt(2.0) * rot.real
             sq = 2.0 * (rot * rot).real
             gens.append(
                 ModeGenerator(
-                    label=f"quadrature(phi=base+{k}pi/{family.n_phases})",
+                    label=f"quadrature(phi=base+{k}pi/{_QUADRATURE_PHASES})",
                     kind=GeneratorKind.QUADRATURE,
                     g=w,
                     a_uu=mean_u,
@@ -371,8 +370,8 @@ def _kitten_pair_generators(alpha, family: GeneratorFamily) -> list[ModeGenerato
         )
     if GeneratorKind.QUADRATURE in family.kinds:
         base = cmath.phase(alpha) if alpha != 0 else 0.0
-        for k in range(family.n_phases):
-            phi = base + k * math.pi / family.n_phases
+        for k in range(_QUADRATURE_PHASES):
+            phi = base + k * math.pi / _QUADRATURE_PHASES
             rot = alpha * cmath.exp(-1j * phi)
             sq = 2.0 * (rot * rot).real
             x2_uu = (sq + 2.0 * n_u + 1.0) / 2.0
@@ -384,7 +383,7 @@ def _kitten_pair_generators(alpha, family: GeneratorFamily) -> list[ModeGenerato
             ) / math.sqrt(2.0)
             gens.append(
                 ModeGenerator(
-                    label=f"quadrature(phi=base+{k}pi/{family.n_phases})",
+                    label=f"quadrature(phi=base+{k}pi/{_QUADRATURE_PHASES})",
                     kind=GeneratorKind.QUADRATURE,
                     g=0.0,
                     a_uu=0.0,
@@ -509,9 +508,7 @@ def _trace_norm_check(alpha, n_check: int, cutoff: int) -> dict:
     minus, _ = coherent_vector(-alpha, cutoff)
     rho_p = density(tensor(*([plus] * n_check)))
     rho_m = density(tensor(*([minus] * n_check)))
-    diff = FockOperator(
-        cutoff, n_check, rho_p.matrix - rho_m.matrix, hermitian_hint=True
-    )
+    diff = FockOperator(cutoff, n_check, rho_p.matrix - rho_m.matrix)
     numeric = 0.5 + 0.25 * trace_norm(diff)
     closed = helstrom_success_n_modes(n_check, alpha)
     return {
@@ -654,9 +651,7 @@ def _rqfi_oracle(state: CatStateSpec, gen: ModeGenerator, budget: int) -> dict:
     }
 
 
-def marquardt_size(
-    state: CatStateSpec, numeric_check: bool = False, cutoff: int | None = None
-) -> MeasureResult:
+def marquardt_size(state: CatStateSpec, numeric_check: bool = False) -> MeasureResult:
     """Mean of the Poissonian transfer distribution, s = N |alpha|^2.
 
     The numeric route conjugates the branch step by per-mode displacements:
@@ -676,15 +671,15 @@ def marquardt_size(
     method = Method.CLOSED_FORM
     if numeric_check:
         shifted = complex(state.alpha) * 2.0
-        use_cutoff = cutoff if cutoff is not None else default_cutoff(shifted)
+        cutoff = default_cutoff(shifted)
         spec_big = CatStateSpec(
             family=CatFamily.PRODUCT_COHERENT, modes=state.modes, alpha=shifted
         )
         spec_branch = CatStateSpec(
             family=CatFamily.PRODUCT_COHERENT, modes=state.modes, alpha=state.alpha
         )
-        vec_big, _ = build_state(spec_big, cutoff=use_cutoff)
-        vec_branch, _ = build_state(spec_branch, cutoff=use_cutoff)
+        vec_big, _ = build_state(spec_big, cutoff=cutoff)
+        vec_branch, _ = build_state(spec_branch, cutoff=cutoff)
         pmf_big = total_photon_pmf(vec_big)
         pmf_branch = total_photon_pmf(vec_branch)
         grid = np.arange(pmf_big.size)
@@ -696,7 +691,7 @@ def marquardt_size(
         )
         mean_branch = float(np.dot(grid, pmf_branch))
         diagnostics["numeric"] = {
-            "cutoff": use_cutoff,
+            "cutoff": cutoff,
             "displaced_max_abs_diff": float(np.abs(pmf_big - ref_big).max()),
             "branch_max_abs_diff": float(np.abs(pmf_branch - ref_branch).max()),
             "branch_mean": mean_branch,

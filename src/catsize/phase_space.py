@@ -21,6 +21,7 @@ import numpy as np
 from .closed_forms import CatFamily, CatStateSpec, abs2, branch_overlap, hcs_norms
 from .errors import DomainError, ResolutionError, TruncationError
 from .fock import (
+    _HERM_TOL,
     FockOperator,
     FockVector,
     apply_single_mode,
@@ -33,7 +34,12 @@ from .fock import (
 
 CONVENTION = "W(gamma) = (2/pi)^m <D(gamma) P_tot D(-gamma)>"
 
-_HERM_TOL = 1e-10
+#: Largest mass the displaced vector may keep in its top three Fock levels.
+_HEADROOM_TOL = 1e-6
+#: Fraction of the global |W| maximum an extremum must reach to count.
+_SIGNIFICANCE = 0.25
+#: Feature grids must step no coarser than pi / (_NYQUIST_FACTOR |alpha|).
+_NYQUIST_FACTOR = 16.0
 
 
 # ---------------------------------------------------------------------------
@@ -127,13 +133,14 @@ def wigner_hcs2(gamma1, gamma2, alpha):
 # numeric route
 # ---------------------------------------------------------------------------
 
-def wigner_numeric(vec: FockVector, gammas, headroom_tol: float = 1e-6) -> float:
+def wigner_numeric(vec: FockVector, gammas) -> float:
     """Displaced-parity value of a truncated joint vector at one point.
 
     Displacement can push amplitude toward the cutoff, where the truncated
     operator is no longer unitary; the guard requires the displaced vector to
-    keep its top three Fock levels on every mode below ``headroom_tol`` of
-    the total mass.  The parity sum of probabilities is real by construction.
+    keep its top three Fock levels on every mode below 1e-6 of the total mass
+    (``_HEADROOM_TOL``).  The parity sum of probabilities is real by
+    construction.
     """
     points = [complex(g) for g in np.atleast_1d(np.asarray(gammas, dtype=complex))]
     if len(points) != vec.modes:
@@ -153,10 +160,10 @@ def wigner_numeric(vec: FockVector, gammas, headroom_tol: float = 1e-6) -> float
     for mode in range(vec.modes):
         marginal = np.moveaxis(probs, mode, 0).reshape(d, -1).sum(axis=1)
         tail = float(marginal[d - top:].sum()) / total
-        if tail > headroom_tol:
+        if tail > _HEADROOM_TOL:
             raise TruncationError(
                 f"displaced amplitude reaches the cutoff on mode {mode}: "
-                f"top-{top} mass {tail:.3e} exceeds {headroom_tol:.1e}",
+                f"top-{top} mass {tail:.3e} exceeds {_HEADROOM_TOL:.1e}",
                 tail,
                 vec.cutoff,
             )
@@ -360,16 +367,14 @@ def wigner_grid(state: CatStateSpec, axes) -> WignerGrid:
     )
 
 
-def extract_features(
-    grid: WignerGrid, significance: float = 0.25, nyquist_factor: float = 16.0
-) -> PhaseSpaceFeatures:
+def extract_features(grid: WignerGrid) -> PhaseSpaceFeatures:
     """Locate significant extrema and the fringe wavelength on a 2-D slice.
 
     Exactly two axes must vary.  Each varying axis must step no coarser than
-    pi / (nyquist_factor |alpha|), or the fringes alias and extraction is
-    refused.  Extrema are strict local maxima and minima over the interior
-    eight-neighborhoods, kept when |W| reaches the significance fraction of
-    the global |W| maximum.
+    pi / (16 |alpha|), or the fringes alias and extraction is refused.
+    Extrema are strict local maxima and minima over the interior
+    eight-neighborhoods, kept when |W| reaches a quarter of the global |W|
+    maximum.
     """
     varying = [i for i, ax in enumerate(grid.axes) if ax.values.size > 1]
     if len(varying) != 2:
@@ -381,10 +386,10 @@ def extract_features(
     for i in varying:
         ax = grid.axes[i]
         step = float(np.max(np.diff(ax.values)))
-        if mod > 0.0 and step > math.pi / (nyquist_factor * mod):
+        if mod > 0.0 and step > math.pi / (_NYQUIST_FACTOR * mod):
             raise ResolutionError(
-                f"axis {ax.name} steps {step:.5f} > pi/({nyquist_factor:g}|alpha|)"
-                f" = {math.pi / (nyquist_factor * mod):.5f}; refine the grid"
+                f"axis {ax.name} steps {step:.5f} > pi/({_NYQUIST_FACTOR:g}|alpha|)"
+                f" = {math.pi / (_NYQUIST_FACTOR * mod):.5f}; refine the grid"
             )
     # collapse the singleton axes
     index = tuple(
@@ -405,7 +410,7 @@ def extract_features(
     ]
     is_max = np.all([interior > nb for nb in neighbors], axis=0)
     is_min = np.all([interior < nb for nb in neighbors], axis=0)
-    keep = (is_max | is_min) & (np.abs(interior) >= significance * peak)
+    keep = (is_max | is_min) & (np.abs(interior) >= _SIGNIFICANCE * peak)
     rows, cols = np.nonzero(keep)
 
     locations = []

@@ -16,12 +16,6 @@ import numpy as np
 import pytest
 from scipy import stats as scipy_stats
 
-from catsize.cli import (
-    _matched_intensity_beta,
-    _network_coherent_gap,
-    _network_superposition_gap,
-    _wigner_gap_hcs2,
-)
 from catsize.closed_forms import (
     CatFamily,
     CatStateSpec,
@@ -63,6 +57,13 @@ from catsize.simulate import (
     simulate_branch_collapse,
     simulate_distillation,
     simulate_mode_loss,
+)
+from catsize.verify import (
+    matched_intensity_beta,
+    network_coherent_gap,
+    network_superposition_gap,
+    wigner_gap_hcs2,
+    wigner_gap_hcs2_spots,
 )
 
 SEED = 2026
@@ -123,12 +124,7 @@ def test_criterion_02_pure_state_trace_norm_identity():
         cutoff = default_cutoff(alpha)
         plus, _ = coherent_vector(alpha, cutoff)
         minus, _ = coherent_vector(-alpha, cutoff)
-        diff = FockOperator(
-            cutoff,
-            1,
-            density(plus).matrix - density(minus).matrix,
-            hermitian_hint=True,
-        )
+        diff = FockOperator(cutoff, 1, density(plus).matrix - density(minus).matrix)
         numeric = trace_norm(diff)
         closed = 2.0 * math.sqrt(-math.expm1(-4.0 * alpha**2))
         assert abs(numeric - closed) <= 1e-10, f"alpha={alpha}"
@@ -138,10 +134,10 @@ def test_criterion_02_pure_state_trace_norm_identity():
 def test_criterion_03_splitting_network_fidelities():
     worst = 0.0
     for m, alpha in itertools.product((2, 3, 4), (0.5, 1.0, 1.5)):
-        gap = _network_coherent_gap(m, alpha)
+        gap = network_coherent_gap(m, alpha)
         worst = max(worst, gap)
         assert gap <= 1e-8, f"M={m}, alpha={alpha}: fidelity gap {gap:.3e}"
-    cat_gap = _network_superposition_gap(3, 0.8)
+    cat_gap = network_superposition_gap(3, 0.8)
     assert cat_gap <= 1e-8, f"cat-splitting fidelity gap {cat_gap:.3e}"
     print(
         "criterion 03: PASS - worst coherent gap "
@@ -259,19 +255,13 @@ def test_criterion_08_collapse_protocols():
 
 def test_criterion_09_hierarchical_wigner_oracle():
     rng = np.random.default_rng(SEED)
-    gap = _wigner_gap_hcs2(rng, 1.5, 200, 2.0, 40)
+    gap = wigner_gap_hcs2(rng, 1.5, 200, 2.0, 40)
     assert gap <= 1e-6, f"200-point gap {gap:.3e}"
 
-    from catsize.phase_space import wigner_hcs2, wigner_numeric
-
-    spec = CatStateSpec(family=CatFamily.HCS, modes=2, alpha=3.0)
-    vec, _ = build_state(spec, cutoff=72)
-    spot_gap = 0.0
-    for g1, g2 in ((0.0, 0.0), (3.0, 3.0), (-3.0, 3.0), (1.5, -1.5), (0.5j, 2.0)):
-        closed = float(wigner_hcs2(g1, g2, 3.0))
-        spot_gap = max(spot_gap, abs(closed - wigner_numeric(vec, [g1, g2])))
+    spot_gap = wigner_gap_hcs2_spots()
     assert spot_gap <= 1e-6, f"alpha=3 spot gap {spot_gap:.3e}"
 
+    spec = CatStateSpec(family=CatFamily.HCS, modes=2, alpha=3.0)
     line = np.linspace(-5.0, 5.0, 201)
     grid = wigner_grid(spec, {"re1": line, "im1": line, "re2": 0.0, "im2": 0.0})
     feats = extract_features(grid)
@@ -400,7 +390,7 @@ def test_criterion_11_intensity_matched_sizes_agree_exactly():
         modes = int(rng.integers(2, 7))
         alpha = complex(rng.uniform(0.3, 1.5), rng.uniform(-0.5, 0.5))
         delta = float(np.exp(rng.uniform(np.log(1e-5), np.log(0.2))))
-        beta = _matched_intensity_beta(modes, alpha)
+        beta = matched_intensity_beta(modes, alpha)
         if beta is None:
             continue
         matched += 1

@@ -15,6 +15,7 @@ import jsonschema
 import pytest
 
 import catsize
+from catsize.cli import main
 
 SCHEMA_PATH = Path(catsize.__file__).parent / "data" / "envelope.schema.json"
 
@@ -289,6 +290,40 @@ def test_verify_fast_all_pass():
 )
 def test_invalid_flags_exit_2(args):
     assert run_cli(*args).returncode == 2
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("measure", "branch-dist", "--modes", "3", "--alpha", "nan",
+         "--delta", "0.01"),
+        ("simulate", "distill", "--modes", "3", "--alpha", "inf", "--trials", "10"),
+        ("measure", "distill", "--modes", "3", "--alpha", "1,-inf"),
+        ("wigner", "--state", "hcs2", "--alpha", "1", "--slice", "gamma2=nan",
+         "--grid", "-2:2:5"),
+        ("wigner", "--state", "even-cat", "--alpha", "1", "--grid=-inf:inf:5"),
+        ("wigner", "--state", "even-cat", "--alpha", "1", "--grid", "0:1e400:5"),
+        ("measure", "branch-dist", "--modes", "3", "--alpha", "1", "--delta", "nan"),
+        ("measure", "mode-loss", "--modes", "3", "--alpha", "1", "--lambda", "inf"),
+        ("simulate", "mode-loss", "--modes", "3", "--alpha", "1", "--lambda", "nan",
+         "--trials", "10"),
+    ],
+    ids=["alpha", "alpha-inf", "alpha-imag", "slice", "grid", "grid-overflow",
+         "delta", "measure-lambda", "simulate-lambda"],
+)
+def test_non_finite_flag_values_exit_2(args, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(list(args))
+    assert exc.value.code == 2
+    assert "expected a finite number" in capsys.readouterr().err
+
+
+def test_failed_check_exits_1_outside_verify(capsys):
+    code = main(["simulate", "mode-loss", "--modes", "6", "--alpha", "1e200",
+                 "--lambda", "0.25", "--trials", "10", "--seed", "1"])
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert "fail" in [c["status"] for c in checks]
+    assert code == 1
 
 
 def test_delta_outside_interval_exits_3_naming_it():
