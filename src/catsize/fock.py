@@ -2,20 +2,21 @@
 
 Everything lives on a joint basis of ``modes`` oscillators truncated at a
 shared per-mode photon cutoff.  One mechanism serves every unitary in the
-package: the matrix exponential of the truncated generator (scipy's
-scaling-and-squaring expm).  The beamsplitter exponential is taken per
-total-photon block, which is still the same mechanism, just applied to the
-invariant subspaces the generator already has.
+package: the exponential of the truncated Hermitian generator, taken from
+its eigendecomposition.  Both generators reduce to real symmetric
+tridiagonal matrices: the displacement generator is a phase-rotated
+quadrature, and the beamsplitter generator splits into one hopping block per
+total photon count.
 """
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .closed_forms import CatFamily, CatStateSpec, abs2, branch_overlap, hcs_norms, omega_norm
 from .errors import DomainError, SizingError, TruncationError
@@ -178,33 +179,50 @@ class ModeOps:
 
 
 def displacement_op(alpha, cutoff: int) -> FockOperator:
-    """D(alpha) = expm(alpha a^dag - conj(alpha) a) on the truncated basis."""
+    """D(alpha) = exp(alpha a^dag - conj(alpha) a) on the truncated basis.
+
+    With alpha = r e^{i phi} the truncated generator equals
+    Phi (-i sqrt(2) r x) Phi^dag, where x = (a + a^dag)/sqrt(2) and
+    Phi = diag((i e^{i phi})^n), so D = W diag(e^{-i sqrt(2) r lambda}) W^dag
+    with W = Phi V and (lambda, V) the eigenpairs of the truncated x.
+    """
     alpha = complex(alpha)
-    ops = mode_ops(cutoff)
-    gen = alpha * ops.creation.matrix - alpha.conjugate() * ops.annihilation.matrix
-    return FockOperator(cutoff, 1, expm(gen))
+    vals, vecs = _quadrature_eigh(cutoff)
+    rotation = (1j * np.exp(1j * cmath.phase(alpha))) ** np.arange(cutoff + 1)
+    w = rotation[:, None] * vecs
+    phases = np.exp(-1j * math.sqrt(2.0) * abs(alpha) * vals)
+    return FockOperator(cutoff, 1, (w * phases) @ w.conj().T)
+
+
+@functools.lru_cache(maxsize=64)
+def _quadrature_eigh(cutoff: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only eigenpairs of the truncated quadrature (a + a^dag)/sqrt(2)."""
+    vals, vecs = _hopping_eigh(np.sqrt(np.arange(1.0, cutoff + 1) / 2.0))
+    vals.flags.writeable = False
+    vecs.flags.writeable = False
+    return vals, vecs
+
+
+def _hopping_eigh(hop: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of the real symmetric tridiagonal matrix with zero diagonal
+    and off-diagonal ``hop``."""
+    return np.linalg.eigh(np.diag(hop, 1) + np.diag(hop, -1))
 
 
 def beamsplitter_kernel(theta: float, cutoff: int) -> np.ndarray:
-    """Two-mode matrix of expm(i theta (a^dag b + b^dag a)).
+    """Two-mode matrix of exp(i theta (a^dag b + b^dag a)).
 
     The generator conserves total photon number, so the exponential is taken
-    block by block: the block at total count n is a tridiagonal (n+1) sized
-    matrix, which keeps the cost linear in the number of blocks instead of
-    cubic in the full two-mode dimension.
+    block by block: the block at total count n is theta times a real
+    symmetric tridiagonal hopping matrix H_n of size at most cutoff + 1, and
+    exp(i theta H_n) = V e^{i theta Lambda} V^T from its eigenpairs.
     """
     d = cutoff + 1
     kernel = np.zeros((d * d, d * d), dtype=complex)
     for n in range(2 * cutoff + 1):
         ks = np.arange(max(0, n - cutoff), min(n, cutoff) + 1)
-        size = ks.size
-        gen = np.zeros((size, size), dtype=complex)
-        if size > 1:
-            hop = np.sqrt((ks[:-1] + 1.0) * (n - ks[:-1]))
-            rows = np.arange(size - 1)
-            gen[rows + 1, rows] = 1j * theta * hop
-            gen[rows, rows + 1] = 1j * theta * hop
-        block = expm(gen) if size > 1 else np.ones((1, 1), dtype=complex)
+        vals, vecs = _hopping_eigh(np.sqrt((ks[:-1] + 1.0) * (n - ks[:-1])))
+        block = (vecs * np.exp(1j * theta * vals)) @ vecs.T
         idx = ks * d + (n - ks)
         kernel[np.ix_(idx, idx)] = block
     return kernel
@@ -479,9 +497,10 @@ def _check_mode_pair(mode_i: int, mode_j: int, modes: int):
         raise DomainError("mode indices must differ")
 
 
-def _check_hermitian(mat: np.ndarray, tol: float = _HERM_TOL):
+def _check_hermitian(mat: np.ndarray):
+    """Require max|M - M^dag| <= 1e-10 * max(1, max|M|)."""
     dev = float(np.max(np.abs(mat - mat.conj().T)))
-    if dev > tol:
+    if dev > _HERM_TOL * max(1.0, float(np.max(np.abs(mat)))):
         raise DomainError(f"operator is not Hermitian (deviation {dev:.3e})")
 
 

@@ -21,7 +21,7 @@ import numpy as np
 from .closed_forms import CatFamily, CatStateSpec, abs2, branch_overlap, hcs_norms
 from .errors import DomainError, ResolutionError, TruncationError
 from .fock import (
-    _HERM_TOL,
+    _check_hermitian,
     FockOperator,
     FockVector,
     apply_single_mode,
@@ -181,10 +181,7 @@ def wigner_numeric_rho(op: FockOperator, gammas) -> tuple[float, float]:
     differences and unnormalized blocks of density operators are accepted.
     Returns ``(value, imag_residue)``.
     """
-    mat = op.matrix
-    scale = max(1.0, float(np.abs(mat).max()))
-    if float(np.abs(mat - mat.conj().T).max()) > _HERM_TOL * scale:
-        raise DomainError("displaced-parity averages need a Hermitian operator")
+    _check_hermitian(op.matrix)
     points = [complex(g) for g in np.atleast_1d(np.asarray(gammas, dtype=complex))]
     if len(points) != op.modes:
         raise DomainError(
@@ -197,7 +194,7 @@ def wigner_numeric_rho(op: FockOperator, gammas) -> tuple[float, float]:
         shift = displacement_op(gamma, op.cutoff).matrix
         kernels.append(shift @ parity @ shift.conj().T)
     kernel = reduce(np.kron, kernels)
-    val = complex(np.sum(mat * kernel.T)) * (2.0 / math.pi) ** op.modes
+    val = complex(np.sum(op.matrix * kernel.T)) * (2.0 / math.pi) ** op.modes
     return val.real, abs(val.imag)
 
 

@@ -81,6 +81,14 @@ def test_negative_alpha_token_parses():
     assert env["command"].endswith("--alpha -2 --grid -4:4:81")
 
 
+def test_cli_import_loads_no_scipy():
+    # scipy costs several tenths of a second per CLI start; numpy is the only runtime dependency
+    probe = "import sys, catsize.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 # ---------------------------------------------------------------------------
 # measure envelopes
 # ---------------------------------------------------------------------------

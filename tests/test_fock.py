@@ -14,7 +14,7 @@ from catsize.closed_forms import (
     marquardt_pd,
     omega_norm,
 )
-from catsize.errors import DomainError, SizingError, TruncationError
+from catsize.errors import SizingError, TruncationError
 from catsize.fock import (
     MAX_JOINT_DIM,
     FockOperator,
@@ -105,6 +105,42 @@ def test_displacement_generates_coherent_state():
     assert np.abs(moved - target.amplitudes).max() < 1e-10
     unitary = disp.matrix @ disp.matrix.conj().T
     assert np.abs(unitary[:30, :30] - np.eye(30)).max() < 1e-9
+
+
+def taylor_expm(gen: np.ndarray) -> np.ndarray:
+    """exp(gen) by scaling and squaring a 30-term Taylor series."""
+    norm = float(np.abs(gen).sum(axis=1).max())
+    squarings = max(0, math.ceil(math.log2(norm)) + 1)
+    scaled = gen / 2.0**squarings
+    term = out = np.eye(gen.shape[0], dtype=complex)
+    for k in range(1, 30):
+        term = term @ scaled / k
+        out = out + term
+    for _ in range(squarings):
+        out = out @ out
+    return out
+
+
+@pytest.mark.parametrize(
+    "alpha, cutoff", [(0.9 + 0.2j, 40), (3 + 3j, 72), (-4.2 - 0.3j, 72)]
+)
+def test_displacement_is_exponential_of_truncated_generator(alpha, cutoff):
+    ops = mode_ops(cutoff)
+    gen = alpha * ops.creation.matrix - np.conj(alpha) * ops.annihilation.matrix
+    disp = displacement_op(alpha, cutoff).matrix
+    assert np.abs(disp - taylor_expm(gen)).max() < 1e-12
+    assert np.abs(disp @ disp.conj().T - np.eye(cutoff + 1)).max() < 1e-12
+
+
+@pytest.mark.parametrize("theta, cutoff", [(0.3, 6), (math.pi / 4, 12), (1.1, 20)])
+def test_beamsplitter_kernel_moves_one_photon(theta, cutoff):
+    d = cutoff + 1
+    kernel = beamsplitter_kernel(theta, cutoff)
+    expected = np.zeros(d * d, dtype=complex)
+    expected[1 * d + 0] = math.cos(theta)  # |1,0>
+    expected[0 * d + 1] = 1j * math.sin(theta)  # |0,1>
+    assert np.abs(kernel[:, 1 * d + 0] - expected).max() < 1e-14
+    assert np.abs(kernel @ kernel.conj().T - np.eye(d * d)).max() < 1e-12
 
 
 def test_kitten_vectors_are_orthonormal_ladder():

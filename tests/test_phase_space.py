@@ -11,7 +11,6 @@ from catsize.fock import (
     FockOperator,
     build_state,
     coherent_vector,
-    default_cutoff,
     density,
 )
 from catsize.phase_space import (
