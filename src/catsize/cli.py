@@ -3,8 +3,9 @@
 Every command prints one JSON result envelope on stdout with sorted keys and
 round-trip floats, so identical inputs produce byte-identical output except
 for the timing field.  Exit codes: 0 success, 1 a failed check row in any
-command, 2 invalid flags, 3 domain error, 4 sizing or truncation error,
-5 file I/O.
+command, 2 invalid flags (including a non-finite number or an amplitude
+whose squared modulus overflows), 3 domain error, 4 sizing or truncation
+error, 5 I/O failure (an unwritable output file or a closed stdout).
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import dataclasses
 import enum
 import json
 import math
+import os
 import sys
 import time
 
@@ -71,10 +73,16 @@ def _finite_float(text: str) -> float:
 
 
 def _complex_flag(text: str) -> complex:
+    """A complex flag value RE or RE,IM whose squared modulus is finite."""
     parts = text.split(",")
     if len(parts) > 2:
         raise argparse.ArgumentTypeError(f"expected RE or RE,IM, got {text!r}")
-    return complex(*map(_finite_float, parts))
+    value = complex(*map(_finite_float, parts))
+    if not math.isfinite(abs(value) * abs(value)):
+        raise argparse.ArgumentTypeError(
+            f"expected a finite squared modulus, got {text!r}"
+        )
+    return value
 
 
 def _positive_int(text: str) -> int:
@@ -491,7 +499,15 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 5
     envelope = _envelope(argv, inputs, results, checks, started)
-    print(json.dumps(envelope, sort_keys=True, indent=2))
+    try:
+        print(json.dumps(envelope, sort_keys=True, indent=2))
+        sys.stdout.flush()
+    except BrokenPipeError as exc:
+        # the reader is gone; send what is still buffered to devnull so the
+        # flush at interpreter exit does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: {exc}", file=sys.stderr)
+        return 5
     failed = [c for c in envelope["checks"] if c["status"] == "fail"]
     if failed:
         print(f"failed: {failed[0]['name']}", file=sys.stderr)

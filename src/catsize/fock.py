@@ -6,7 +6,9 @@ package: the exponential of the truncated Hermitian generator, taken from
 its eigendecomposition.  Both generators reduce to real symmetric
 tridiagonal matrices: the displacement generator is a phase-rotated
 quadrature, and the beamsplitter generator splits into one hopping block per
-total photon count.
+total photon count.  Two-mode unitaries conserve that count, so they are
+stored and applied as those blocks (``TwoModeKernel``, O(d^3) entries); no
+(d^2 x d^2) matrix is ever built.
 """
 
 from __future__ import annotations
@@ -209,36 +211,68 @@ def _hopping_eigh(hop: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.linalg.eigh(np.diag(hop, 1) + np.diag(hop, -1))
 
 
-def beamsplitter_kernel(theta: float, cutoff: int) -> np.ndarray:
-    """Two-mode matrix of exp(i theta (a^dag b + b^dag a)).
+@dataclass(frozen=True)
+class TwoModeKernel:
+    """Number-conserving two-mode unitary stored as photon-number blocks.
+
+    ``blocks[n]`` acts on the states |k, n - k> for k in ``ks[n]``: entry
+    (r, c) is the amplitude from |ks[n][c], n - ks[n][c]> to
+    |ks[n][r], n - ks[n][r]>.  The blocks partition every pair of counts up to
+    the cutoff, so the unitary holds O(d^3) entries instead of d^4.
+    """
+
+    cutoff: int
+    ks: tuple
+    blocks: tuple
+
+    @property
+    def size(self) -> int:
+        """Number of stored entries."""
+        return sum(block.size for block in self.blocks)
+
+
+def beamsplitter_kernel(theta: float, cutoff: int) -> TwoModeKernel:
+    """Photon-number blocks of exp(i theta (a^dag b + b^dag a)).
 
     The generator conserves total photon number, so the exponential is taken
     block by block: the block at total count n is theta times a real
     symmetric tridiagonal hopping matrix H_n of size at most cutoff + 1, and
     exp(i theta H_n) = V e^{i theta Lambda} V^T from its eigenpairs.
+    Refuses cutoffs whose blocks would hold more than MAX_JOINT_DIM entries.
     """
     d = cutoff + 1
-    kernel = np.zeros((d * d, d * d), dtype=complex)
-    for n in range(2 * cutoff + 1):
-        ks = np.arange(max(0, n - cutoff), min(n, cutoff) + 1)
-        vals, vecs = _hopping_eigh(np.sqrt((ks[:-1] + 1.0) * (n - ks[:-1])))
-        block = (vecs * np.exp(1j * theta * vals)) @ vecs.T
-        idx = ks * d + (n - ks)
-        kernel[np.ix_(idx, idx)] = block
-    return kernel
+    entries = d * (2 * d * d + 1) // 3
+    if entries > MAX_JOINT_DIM:
+        raise SizingError(
+            f"two-mode kernel of {entries} entries exceeds "
+            f"MAX_JOINT_DIM = {MAX_JOINT_DIM}"
+        )
+    ks = [
+        np.arange(max(0, n - cutoff), min(n, cutoff) + 1)
+        for n in range(2 * cutoff + 1)
+    ]
+    blocks = []
+    for n, k in enumerate(ks):
+        vals, vecs = _hopping_eigh(np.sqrt((k[:-1] + 1.0) * (n - k[:-1])))
+        blocks.append((vecs * np.exp(1j * theta * vals)) @ vecs.T)
+    return TwoModeKernel(cutoff, tuple(ks), tuple(blocks))
 
 
-def coherent_mixer_kernel(theta: float, cutoff: int) -> np.ndarray:
-    """Two-mode matrix of P_j(-pi/2) B(theta) P_j(-pi/2).
+def coherent_mixer_kernel(theta: float, cutoff: int) -> TwoModeKernel:
+    """Photon-number blocks of P_j(-pi/2) B(theta) P_j(-pi/2).
 
     Sends |u>|v> to |u cos(theta) + v sin(theta)> |u sin(theta) - v cos(theta)>
     with no stray phases, which is the mixing convention the splitting
-    network is stated in.
+    network is stated in.  The phase (-i)^v of the second mode is diagonal,
+    so it scales the rows and columns of each block.
     """
-    d = cutoff + 1
-    phase = np.kron(np.ones(d), np.exp(-0.5j * math.pi * np.arange(d)))
-    mixed = beamsplitter_kernel(theta, cutoff)
-    return (phase[:, None] * mixed) * phase[None, :]
+    phase = np.exp(-0.5j * math.pi * np.arange(cutoff + 1))
+    splitter = beamsplitter_kernel(theta, cutoff)
+    blocks = tuple(
+        (phase[n - k][:, None] * block) * phase[n - k][None, :]
+        for n, (k, block) in enumerate(zip(splitter.ks, splitter.blocks))
+    )
+    return TwoModeKernel(cutoff, splitter.ks, blocks)
 
 
 def cat_split_thetas(modes: int) -> list[float]:
@@ -276,14 +310,27 @@ def apply_single_mode(kernel: np.ndarray, state: FockVector, mode: int) -> FockV
     return FockVector(cutoff=state.cutoff, modes=state.modes, amplitudes=t.reshape(-1))
 
 
-def apply_two_mode(kernel: np.ndarray, state: FockVector, mode_i: int, mode_j: int) -> FockVector:
-    """Apply a (d^2 x d^2) matrix to a pair of modes of a joint state."""
+def apply_two_mode(
+    kernel: TwoModeKernel, state: FockVector, mode_i: int, mode_j: int
+) -> FockVector:
+    """Apply a number-conserving two-mode unitary to modes (mode_i, mode_j).
+
+    Each block at total count n reads the anti-diagonal t[ks, n - ks] of the
+    (mode_i, mode_j) slice and writes the same anti-diagonal of the output,
+    so one application costs O(d^3) per amplitude of the other modes.
+    """
     _check_mode_pair(mode_i, mode_j, state.modes)
-    d = state.cutoff + 1
-    k4 = np.asarray(kernel, dtype=complex).reshape(d, d, d, d)
-    t = np.tensordot(k4, state.as_tensor(), axes=([2, 3], [mode_i, mode_j]))
-    t = np.moveaxis(t, [0, 1], [mode_i, mode_j])
-    return FockVector(cutoff=state.cutoff, modes=state.modes, amplitudes=t.reshape(-1))
+    if kernel.cutoff != state.cutoff:
+        raise DomainError(
+            f"kernel cutoff {kernel.cutoff} does not match state cutoff {state.cutoff}"
+        )
+    t = np.moveaxis(state.as_tensor(), [mode_i, mode_j], [0, 1])
+    out = np.empty_like(state.as_tensor())
+    # the blocks partition all (k, n - k) pairs, so every output entry is written
+    view = np.moveaxis(out, [mode_i, mode_j], [0, 1])
+    for n, (ks, block) in enumerate(zip(kernel.ks, kernel.blocks)):
+        view[ks, n - ks] = np.tensordot(block, t[ks, n - ks], axes=1)
+    return FockVector(state.cutoff, state.modes, out.reshape(-1))
 
 
 def tensor(*parts):

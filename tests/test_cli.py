@@ -326,8 +326,26 @@ def test_non_finite_flag_values_exit_2(args, capsys):
     assert "expected a finite number" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("simulate", "mode-loss", "--modes", "6", "--alpha", "1e200",
+         "--lambda", "0.25", "--trials", "10", "--seed", "1"),
+        ("measure", "branch-dist", "--modes", "4", "--alpha", "1e200",
+         "--delta", "1e-3"),
+    ],
+    ids=["simulate-mode-loss", "measure-branch-dist"],
+)
+def test_overflowing_squared_amplitude_exits_2(args):
+    proc = run_cli(*args)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "expected a finite squared modulus" in proc.stderr
+
+
 def test_failed_check_exits_1_outside_verify(capsys):
-    code = main(["simulate", "mode-loss", "--modes", "6", "--alpha", "1e200",
+    # ten trials at alpha = 30 all lose a mode, so the arithmetic mean misses
+    code = main(["simulate", "mode-loss", "--modes", "6", "--alpha", "30",
                  "--lambda", "0.25", "--trials", "10", "--seed", "1"])
     checks = json.loads(capsys.readouterr().out)["checks"]
     assert "fail" in [c["status"] for c in checks]
@@ -360,3 +378,19 @@ def test_unwritable_output_exits_5(tmp_path):
     proc = run_cli("wigner", "--state", "even-cat", "--alpha", "1",
                    "--grid", "-3:3:41", "--out", str(tmp_path / "no" / "f.csv"))
     assert proc.returncode == 5
+
+
+def test_closed_stdout_exits_5_without_traceback():
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "catsize.cli", "measure", "distill",
+         "--modes", "5", "--alpha", "0.8"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    proc.stdout.close()  # the reader leaves before the envelope is written
+    stderr = proc.stderr.read()
+    assert proc.wait() == 5
+    assert "Broken pipe" in stderr
+    assert "Traceback" not in stderr
+    assert "Exception ignored" not in stderr

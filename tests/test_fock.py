@@ -14,7 +14,7 @@ from catsize.closed_forms import (
     marquardt_pd,
     omega_norm,
 )
-from catsize.errors import SizingError, TruncationError
+from catsize.errors import DomainError, SizingError, TruncationError
 from catsize.fock import (
     MAX_JOINT_DIM,
     FockOperator,
@@ -134,13 +134,59 @@ def test_displacement_is_exponential_of_truncated_generator(alpha, cutoff):
 
 @pytest.mark.parametrize("theta, cutoff", [(0.3, 6), (math.pi / 4, 12), (1.1, 20)])
 def test_beamsplitter_kernel_moves_one_photon(theta, cutoff):
-    d = cutoff + 1
     kernel = beamsplitter_kernel(theta, cutoff)
-    expected = np.zeros(d * d, dtype=complex)
-    expected[1 * d + 0] = math.cos(theta)  # |1,0>
-    expected[0 * d + 1] = 1j * math.sin(theta)  # |0,1>
-    assert np.abs(kernel[:, 1 * d + 0] - expected).max() < 1e-14
-    assert np.abs(kernel @ kernel.conj().T - np.eye(d * d)).max() < 1e-12
+    assert list(kernel.ks[1]) == [0, 1]  # the n = 1 block acts on |0,1>, |1,0>
+    expected = np.array([1j * math.sin(theta), math.cos(theta)])
+    assert np.abs(kernel.blocks[1][:, 1] - expected).max() < 1e-14  # from |1,0>
+    for block in kernel.blocks:
+        assert np.abs(block @ block.conj().T - np.eye(len(block))).max() < 1e-12
+
+
+def dense(kernel, cutoff: int) -> np.ndarray:
+    """The (d^2 x d^2) matrix of a block-stored two-mode unitary."""
+    d = cutoff + 1
+    out = np.zeros((d * d, d * d), dtype=complex)
+    for n, (ks, block) in enumerate(zip(kernel.ks, kernel.blocks)):
+        idx = ks * d + (n - ks)
+        out[np.ix_(idx, idx)] = block
+    return out
+
+
+@pytest.mark.parametrize("mode_i, mode_j", [(0, 1), (2, 0), (1, 2)])
+def test_two_mode_blocks_match_dense_generator(mode_i, mode_j):
+    theta, cutoff = 0.7, 6
+    d = cutoff + 1
+    ops = mode_ops(cutoff)
+    a, adag = ops.annihilation.matrix, ops.creation.matrix
+    gen = 1j * theta * (np.kron(adag, a) + np.kron(a, adag))
+    phase = np.kron(np.eye(d), np.diag((-1j) ** np.arange(d)))
+    reference = taylor_expm(gen)
+    mixer_reference = phase @ reference @ phase
+    splitter = beamsplitter_kernel(theta, cutoff)
+    mixer = coherent_mixer_kernel(theta, cutoff)
+    assert np.abs(dense(splitter, cutoff) - reference).max() < 1e-12
+    assert np.abs(dense(mixer, cutoff) - mixer_reference).max() < 1e-12
+
+    rng = np.random.default_rng(11)
+    amps = rng.normal(size=d**3) + 1j * rng.normal(size=d**3)
+    state = FockVector(cutoff=cutoff, modes=3, amplitudes=amps)
+    t = np.tensordot(
+        mixer_reference.reshape(d, d, d, d),
+        state.as_tensor(),
+        axes=([2, 3], [mode_i, mode_j]),
+    )
+    expected = np.moveaxis(t, [0, 1], [mode_i, mode_j]).reshape(-1)
+    out = apply_two_mode(mixer, state, mode_i, mode_j)
+    assert np.abs(out.amplitudes - expected).max() < 1e-12
+    with pytest.raises(DomainError):
+        apply_two_mode(beamsplitter_kernel(theta, cutoff + 1), state, mode_i, mode_j)
+
+
+def test_two_mode_kernel_stores_cubic_entries():
+    # a dense (d^2 x d^2) kernel at cutoff 44 would hold 45**4 entries
+    assert coherent_mixer_kernel(math.pi / 4, 44).size <= 45**3
+    with pytest.raises(SizingError):
+        beamsplitter_kernel(0.3, 200)
 
 
 def test_kitten_vectors_are_orthonormal_ladder():
