@@ -51,10 +51,8 @@ from .fock import (
     default_cutoff,
     density,
     displacement_op,
-    helstrom_povm,
     kitten_vectors,
     mode_ops,
-    partial_trace,
     tensor,
     total_photon_pmf,
     trace_norm,
@@ -85,7 +83,6 @@ from .phase_space import (
     wigner_grid,
     wigner_hcs2,
     wigner_numeric,
-    wigner_numeric_rho,
     wigner_omega,
 )
 from .simulate import (

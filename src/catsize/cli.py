@@ -323,8 +323,6 @@ def _run_simulate(args) -> tuple[dict, dict, list]:
         results = {"stats": stats, "expected_n_closed": expected}
         inputs = {"subcommand": sub, "modes": args.modes}
     elif sub == "mode-loss":
-        if not 0.0 <= args.lam <= 1.0:
-            raise DomainError(f"lambda must lie in [0, 1], got {args.lam}")
         stats = simulate_mode_loss(
             args.modes, args.alpha, args.lam, args.trials, args.seed
         )

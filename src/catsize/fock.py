@@ -30,7 +30,6 @@ MAX_JOINT_DIM = 1 << 22
 MAX_OPERATOR_DIM = 4096
 
 _HERM_TOL = 1e-10
-_DENSITY_TOL = 1e-10
 #: Largest amplitude mass a truncated coherent state may leave beyond its cutoff.
 _TAIL_TOL = 1e-9
 
@@ -55,11 +54,7 @@ class FockVector:
     def __post_init__(self):
         if self.cutoff < 0 or self.modes < 1:
             raise DomainError("cutoff must be >= 0 and modes >= 1")
-        dim = (self.cutoff + 1) ** self.modes
-        if dim > MAX_JOINT_DIM:
-            raise SizingError(
-                f"joint dimension {dim} exceeds MAX_JOINT_DIM = {MAX_JOINT_DIM}"
-            )
+        dim = _check_joint_dim((self.cutoff + 1) ** self.modes)
         amps = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
         if amps.size != dim:
             raise DomainError(f"expected {dim} amplitudes, got {amps.size}")
@@ -85,11 +80,7 @@ class FockOperator:
     matrix: np.ndarray
 
     def __post_init__(self):
-        dim = (self.cutoff + 1) ** self.modes
-        if dim > MAX_OPERATOR_DIM:
-            raise SizingError(
-                f"operator dimension {dim} exceeds MAX_OPERATOR_DIM = {MAX_OPERATOR_DIM}"
-            )
+        dim = _check_operator_dim((self.cutoff + 1) ** self.modes)
         mat = np.asarray(self.matrix, dtype=complex)
         if mat.shape != (dim, dim):
             raise DomainError(f"expected a {dim} x {dim} matrix, got {mat.shape}")
@@ -333,25 +324,25 @@ def apply_two_mode(
     return FockVector(state.cutoff, state.modes, out.reshape(-1))
 
 
-def tensor(*parts):
-    """Kronecker product of FockVectors (or of FockOperators) with equal cutoffs."""
+def tensor(*parts: FockVector) -> FockVector:
+    """Kronecker product of FockVectors with equal cutoffs."""
     if not parts:
         raise DomainError("tensor needs at least one argument")
+    if not all(isinstance(p, FockVector) for p in parts):
+        raise DomainError("tensor arguments must be FockVectors")
     cutoffs = {p.cutoff for p in parts}
     if len(cutoffs) != 1:
         raise DomainError(f"tensor requires a shared cutoff, got {sorted(cutoffs)}")
     modes = sum(p.modes for p in parts)
-    if all(isinstance(p, FockVector) for p in parts):
-        amps = functools.reduce(np.kron, [p.amplitudes for p in parts])
-        return FockVector(cutoff=parts[0].cutoff, modes=modes, amplitudes=amps)
-    if all(isinstance(p, FockOperator) for p in parts):
-        mat = functools.reduce(np.kron, [p.matrix for p in parts])
-        return FockOperator(parts[0].cutoff, modes, mat)
-    raise DomainError("tensor arguments must be all vectors or all operators")
+    # refuse before the kron products allocate the full vector
+    _check_joint_dim((parts[0].cutoff + 1) ** modes)
+    amps = functools.reduce(np.kron, [p.amplitudes for p in parts])
+    return FockVector(cutoff=parts[0].cutoff, modes=modes, amplitudes=amps)
 
 
 def density(state: FockVector) -> FockOperator:
     """Projector |psi><psi| / <psi|psi> as a dense operator."""
+    _check_operator_dim(state.dim)
     v = state.amplitudes
     n2 = float(np.vdot(v, v).real)
     if n2 <= 0.0:
@@ -359,82 +350,10 @@ def density(state: FockVector) -> FockOperator:
     return FockOperator(state.cutoff, state.modes, np.outer(v, v.conj()) / n2)
 
 
-def partial_trace(op: FockOperator, keep) -> FockOperator:
-    """Trace out all modes not listed in ``keep`` from a density operator.
-
-    The input must be a density operator: Hermitian, unit trace and positive
-    semidefinite, each within 1e-10.  Kept modes stay in their original
-    relative order.
-    """
-    keep = sorted(set(int(k) for k in keep))
-    for k in keep:
-        _check_mode_index(k, op.modes)
-    if not keep:
-        raise DomainError("must keep at least one mode")
-    _check_density(op.matrix)
-    d = op.cutoff + 1
-    remaining = list(range(op.modes))
-    t = op.matrix.reshape((d,) * (2 * op.modes))
-    for mode in sorted(set(range(op.modes)) - set(keep), reverse=True):
-        pos = remaining.index(mode)
-        t = np.trace(t, axis1=pos, axis2=pos + len(remaining))
-        remaining.remove(mode)
-    dim = d ** len(remaining)
-    return FockOperator(op.cutoff, len(remaining), t.reshape(dim, dim))
-
-
 def trace_norm(op: FockOperator) -> float:
     """Sum of absolute eigenvalues of a Hermitian operator."""
     _check_hermitian(op.matrix)
     return float(np.sum(np.abs(np.linalg.eigvalsh(op.matrix))))
-
-
-@dataclass(frozen=True)
-class HelstromPovm:
-    """Two-outcome measurement that best distinguishes a pair of states."""
-
-    plus: FockOperator
-    minus: FockOperator
-    success_probability: float
-
-
-def helstrom_povm(rho_a: FockOperator, rho_b: FockOperator) -> HelstromPovm:
-    """Projectors onto the positive and negative parts of rho_a - rho_b.
-
-    The success probability for equal priors is 1/2 + (1/4) ||rho_a - rho_b||_1.
-    """
-    if rho_a.dim != rho_b.dim or rho_a.modes != rho_b.modes:
-        raise DomainError("states must live on the same basis")
-    _check_density(rho_a.matrix)
-    _check_density(rho_b.matrix)
-    delta = rho_a.matrix - rho_b.matrix
-    vals, vecs = np.linalg.eigh(delta)
-    pos = vecs[:, vals >= 0.0]
-    plus = pos @ pos.conj().T
-    minus = np.eye(rho_a.dim) - plus
-    success = 0.5 + 0.25 * float(np.sum(np.abs(vals)))
-    return HelstromPovm(
-        plus=FockOperator(rho_a.cutoff, rho_a.modes, plus),
-        minus=FockOperator(rho_a.cutoff, rho_a.modes, minus),
-        success_probability=success,
-    )
-
-
-def expectation(op: FockOperator, state: FockVector) -> complex:
-    """<psi|M|psi> / <psi|psi>."""
-    v = state.amplitudes
-    n2 = float(np.vdot(v, v).real)
-    return complex(np.vdot(v, op.matrix @ v) / n2)
-
-
-def variance(op: FockOperator, state: FockVector) -> float:
-    """<M^2> - <M>^2 for a Hermitian M."""
-    _check_hermitian(op.matrix)
-    v = state.amplitudes / np.linalg.norm(state.amplitudes)
-    mv = op.matrix @ v
-    e1 = float(np.vdot(v, mv).real)
-    e2 = float(np.vdot(mv, mv).real)
-    return e2 - e1 * e1
 
 
 def total_photon_pmf(state: FockVector) -> np.ndarray:
@@ -456,12 +375,8 @@ def build_state(spec: CatStateSpec, cutoff: int | None = None):
     if cutoff is None:
         cutoff = default_cutoff(_peak_amplitude(spec))
     modes_out = spec.modes + (1 if spec.aux is not None else 0)
-    dim = (cutoff + 1) ** modes_out
-    if dim > MAX_JOINT_DIM:
-        # refuse before assembly; the kron products allocate the full vector
-        raise SizingError(
-            f"joint dimension {dim} exceeds MAX_JOINT_DIM = {MAX_JOINT_DIM}"
-        )
+    # refuse before assembly; the kron products allocate the full vector
+    _check_joint_dim((cutoff + 1) ** modes_out)
     amps = _assemble(spec, cutoff)
     if spec.aux is not None:
         aux_vec, _ = coherent_vector(spec.aux, cutoff)
@@ -532,6 +447,22 @@ def _assemble(spec: CatStateSpec, cutoff: int) -> np.ndarray:
     raise DomainError(f"unknown family {family}")
 
 
+def _check_joint_dim(dim: int) -> int:
+    if dim > MAX_JOINT_DIM:
+        raise SizingError(
+            f"joint dimension {dim} exceeds MAX_JOINT_DIM = {MAX_JOINT_DIM}"
+        )
+    return dim
+
+
+def _check_operator_dim(dim: int) -> int:
+    if dim > MAX_OPERATOR_DIM:
+        raise SizingError(
+            f"operator dimension {dim} exceeds MAX_OPERATOR_DIM = {MAX_OPERATOR_DIM}"
+        )
+    return dim
+
+
 def _check_mode_index(mode: int, modes: int):
     if not 0 <= mode < modes:
         raise DomainError(f"mode index {mode} out of range for {modes} modes")
@@ -549,13 +480,3 @@ def _check_hermitian(mat: np.ndarray):
     dev = float(np.max(np.abs(mat - mat.conj().T)))
     if dev > _HERM_TOL * max(1.0, float(np.max(np.abs(mat)))):
         raise DomainError(f"operator is not Hermitian (deviation {dev:.3e})")
-
-
-def _check_density(mat: np.ndarray):
-    _check_hermitian(mat)
-    tr = complex(np.trace(mat))
-    if abs(tr - 1.0) > _DENSITY_TOL:
-        raise DomainError(f"density trace deviates from 1 by {abs(tr - 1.0):.3e}")
-    floor = float(np.linalg.eigvalsh(mat)[0])
-    if floor < -_DENSITY_TOL:
-        raise DomainError(f"density has negative eigenvalue {floor:.3e}")

@@ -14,22 +14,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
 from .closed_forms import CatFamily, CatStateSpec, abs2, branch_overlap, hcs_norms
 from .errors import DomainError, ResolutionError, TruncationError
 from .fock import (
-    _check_hermitian,
-    FockOperator,
     FockVector,
     apply_single_mode,
     build_state,
     coherent_vector,
-    density,
     displacement_op,
-    partial_trace,
 )
 
 CONVENTION = "W(gamma) = (2/pi)^m <D(gamma) P_tot D(-gamma)>"
@@ -136,6 +131,9 @@ def wigner_hcs2(gamma1, gamma2, alpha):
 def wigner_numeric(vec: FockVector, gammas) -> float:
     """Displaced-parity value of a truncated joint vector at one point.
 
+    ``gammas`` holds one coordinate for each of the first k <= ``modes``
+    modes; the value is that of the reduced state of those k modes, the
+    probabilities of the displaced vector summed over the remaining modes.
     Displacement can push amplitude toward the cutoff, where the truncated
     operator is no longer unitary; the guard requires the displaced vector to
     keep its top three Fock levels on every mode below 1e-6 of the total mass
@@ -143,7 +141,7 @@ def wigner_numeric(vec: FockVector, gammas) -> float:
     construction.
     """
     points = [complex(g) for g in np.atleast_1d(np.asarray(gammas, dtype=complex))]
-    if len(points) != vec.modes:
+    if not 1 <= len(points) <= vec.modes:
         raise DomainError(
             f"state has {vec.modes} modes but {len(points)} coordinates were given"
         )
@@ -169,33 +167,9 @@ def wigner_numeric(vec: FockVector, gammas) -> float:
             )
     signs = np.where(np.arange(d) % 2 == 0, 1.0, -1.0)
     acc = probs
-    for _ in range(vec.modes):
+    for _ in points:
         acc = np.tensordot(signs, acc, axes=([0], [0]))
-    return (2.0 / math.pi) ** vec.modes * float(acc) / total
-
-
-def wigner_numeric_rho(op: FockOperator, gammas) -> tuple[float, float]:
-    """Displaced-parity value of a joint operator, with its imaginary residue.
-
-    The operator must be Hermitian but is not required to have unit trace;
-    differences and unnormalized blocks of density operators are accepted.
-    Returns ``(value, imag_residue)``.
-    """
-    _check_hermitian(op.matrix)
-    points = [complex(g) for g in np.atleast_1d(np.asarray(gammas, dtype=complex))]
-    if len(points) != op.modes:
-        raise DomainError(
-            f"operator has {op.modes} modes but {len(points)} coordinates were given"
-        )
-    d = op.cutoff + 1
-    parity = np.diag(np.where(np.arange(d) % 2 == 0, 1.0 + 0j, -1.0 + 0j))
-    kernels = []
-    for gamma in points:
-        shift = displacement_op(gamma, op.cutoff).matrix
-        kernels.append(shift @ parity @ shift.conj().T)
-    kernel = reduce(np.kron, kernels)
-    val = complex(np.sum(op.matrix * kernel.T)) * (2.0 / math.pi) ** op.modes
-    return val.real, abs(val.imag)
+    return (2.0 / math.pi) ** len(points) * float(acc.sum()) / total
 
 
 # ---------------------------------------------------------------------------
@@ -210,38 +184,31 @@ def partial_trace_fringe_suppression(modes: int, n_traced: int, alpha) -> float:
     return math.exp(-2.0 * n_traced * abs2(alpha))
 
 
-def fringe_suppression_check(alpha, cutoff: int | None = None) -> dict:
+def fringe_suppression_check(alpha) -> dict:
     """Measure the interference suppression numerically on a two-mode state.
 
-    Builds the two-mode superposition, traces out the second mode, and reads
-    the origin interference amplitude as the difference between the reduced
-    Wigner value and the branch-diagonal reference.  The measured coefficient
-    is compared against the closed form exp(-2|alpha|^2); the implied decay
-    exponent is reported next to the candidate exponents rather than decided
-    here.
+    Builds the two-mode superposition, evaluates the Wigner function of its
+    first mode at the origin (the second mode traced out), and reads the
+    interference amplitude as the difference between that value and the
+    branch-diagonal reference.  The measured coefficient is compared against
+    the closed form exp(-2|alpha|^2); the implied decay exponent is reported
+    next to the candidate exponents rather than decided here.
     """
     a = abs2(alpha)
     if a == 0.0:
         raise DomainError("suppression is trivial at alpha = 0")
     spec = CatStateSpec(family=CatFamily.OMEGA, modes=2, alpha=alpha)
-    vec, _ = build_state(spec, cutoff=cutoff)
-    red_op = partial_trace(density(vec), keep=(0,))
+    vec, _ = build_state(spec)
     plus, _ = coherent_vector(alpha, vec.cutoff)
     minus, _ = coherent_vector(-alpha, vec.cutoff)
-    big_w = branch_overlap(alpha) ** 2
-    scale = 2.0 + 2.0 * big_w
-    rho_diag = (
-        np.outer(plus.amplitudes, plus.amplitudes.conj())
-        + np.outer(minus.amplitudes, minus.amplitudes.conj())
-    ) / scale
-    diag_op = FockOperator(vec.cutoff, 1, rho_diag)
-    w_red, _ = wigner_numeric_rho(red_op, [0.0])
-    w_diag, _ = wigner_numeric_rho(diag_op, [0.0])
+    scale = 2.0 + 2.0 * branch_overlap(alpha) ** 2
+    w_red = wigner_numeric(vec, [0.0])
+    w_diag = (wigner_numeric(plus, [0.0]) + wigner_numeric(minus, [0.0])) / scale
     # at the origin the unit-coefficient cross block contributes 2/scale
     # (per branch-ordering) times the kernel value 1, times 2/pi
     unit_cross = (2.0 / math.pi) * 2.0 / scale
     measured = (w_red - w_diag) / unit_cross
-    predicted = math.exp(-2.0 * a)
+    predicted = partial_trace_fringe_suppression(2, 1, alpha)
     return {
         "alpha": complex(alpha),
         "modes": 2,

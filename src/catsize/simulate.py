@@ -42,12 +42,18 @@ class TrajectoryStats:
 
 
 def _stats_fields(samples) -> tuple[float, float, float]:
+    """Mean, unbiased variance and standard error; DomainError if they overflow."""
     n = len(samples)
-    mean = math.fsum(samples) / n
-    if n > 1:
-        var = math.fsum((x - mean) ** 2 for x in samples) / (n - 1)
-    else:
-        var = 0.0
+    try:
+        mean = math.fsum(samples) / n
+        if n > 1:
+            var = math.fsum((x - mean) ** 2 for x in samples) / (n - 1)
+        else:
+            var = 0.0
+    except OverflowError:
+        mean = var = math.inf
+    if not (math.isfinite(mean) and math.isfinite(var)):
+        raise DomainError("trajectory statistics overflow a float; reduce |alpha|")
     return mean, var, math.sqrt(var / n)
 
 

@@ -360,6 +360,26 @@ def test_delta_outside_interval_exits_3_naming_it():
     assert "8.387269160402486e-05" in proc.stderr
 
 
+def test_lambda_outside_unit_interval_exits_3():
+    proc = run_cli("simulate", "mode-loss", "--modes", "3", "--alpha", "1",
+                   "--lambda", "1.5", "--trials", "10")
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr == "error: lambda must lie in [0, 1], got 1.5\n"
+
+
+@pytest.mark.parametrize("alpha", ["1e100", "1e154"])
+def test_overflowing_statistics_exit_3_without_traceback(alpha):
+    # |alpha|^2 is finite, but the log-amplitude spread (1e100) or the
+    # log-amplitudes themselves (1e154) overflow a float
+    proc = run_cli("simulate", "mode-loss", "--modes", "6", "--alpha", alpha,
+                   "--lambda", "0.25", "--trials", "10", "--seed", "1")
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
+
+
 def test_coarse_feature_grid_exits_3():
     proc = run_cli("wigner", "--state", "even-cat", "--alpha", "2",
                    "--grid", "-1:1:3", "--features")

@@ -1,6 +1,7 @@
 """Truncated Fock-space infrastructure: states, operators, networks."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from catsize.closed_forms import (
     CatStateSpec,
     abs2,
     branch_overlap,
-    helstrom_success_n_modes,
     marquardt_pd,
     omega_norm,
 )
@@ -30,15 +30,11 @@ from catsize.fock import (
     default_cutoff,
     density,
     displacement_op,
-    expectation,
-    helstrom_povm,
     kitten_vectors,
     mode_ops,
-    partial_trace,
     tensor,
     total_photon_pmf,
     trace_norm,
-    variance,
 )
 
 
@@ -201,37 +197,41 @@ def test_kitten_vectors_are_orthonormal_ladder():
     assert np.abs(a @ odd.amplitudes - (alpha / t) * even.amplitudes).max() < 1e-12
 
 
-def test_expectation_and_variance():
-    alpha = 1.1
-    vec, _ = coherent_vector(alpha, 40)
-    number = mode_ops(40).number
-    assert complex(expectation(number, vec)).real == pytest.approx(abs2(alpha), rel=1e-10)
-    assert variance(number, vec) == pytest.approx(abs2(alpha), rel=1e-9)
-
-
 # ---------------------------------------------------------------------------
-# composition, reduction, discrimination
+# composition and dense operators
 # ---------------------------------------------------------------------------
 
-def test_tensor_and_partial_trace_roundtrip():
+def test_tensor_joins_vectors_and_refuses_operators():
     a, _ = coherent_vector(0.8, 12)
     b, _ = coherent_vector(-0.3, 12)
     joint = tensor(a, b)
     assert joint.modes == 2
-    rho = density(joint)
-    reduced = partial_trace(rho, keep=(0,))
-    direct = density(a)
-    assert np.abs(reduced.matrix - direct.matrix).max() < 1e-12
-    assert complex(np.trace(reduced.matrix)).real == pytest.approx(1.0, abs=1e-12)
+    assert np.array_equal(joint.as_tensor(), np.outer(a.amplitudes, b.amplitudes))
+    with pytest.raises(DomainError):
+        tensor(density(a), density(b))
 
 
-def test_partial_trace_of_entangled_state_is_mixed():
-    spec = CatStateSpec(family=CatFamily.OMEGA, modes=2, alpha=1.0)
-    vec, _ = build_state(spec)
-    reduced = partial_trace(density(vec), keep=(1,))
-    purity = complex(np.trace(reduced.matrix @ reduced.matrix)).real
-    assert purity < 0.999
-    assert complex(np.trace(reduced.matrix)).real == pytest.approx(1.0, abs=1e-10)
+def traced_peak(call) -> int:
+    """Peak bytes traced by tracemalloc while ``call`` raises SizingError."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizingError):
+            call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_density_refuses_size_before_allocating():
+    # 65**2 = 4225 > MAX_OPERATOR_DIM; the outer product would take 285 MB
+    vec = FockVector(64, 2, np.ones(65 ** 2))
+    assert traced_peak(lambda: density(vec)) < 5_000_000
+
+
+def test_tensor_refuses_size_before_allocating():
+    # 201**3 > MAX_JOINT_DIM; the Kronecker product would take 131 MB
+    one, _ = coherent_vector(0.5, 200)
+    assert traced_peak(lambda: tensor(one, one, one)) < 5_000_000
 
 
 def test_trace_norm_of_known_difference():
@@ -242,15 +242,11 @@ def test_trace_norm_of_known_difference():
     assert trace_norm(diff) == pytest.approx(2 * math.sqrt(1 - w * w), rel=1e-10)
 
 
-def test_helstrom_povm_reaches_closed_form_success():
-    plus, _ = coherent_vector(0.9, 30)
-    minus, _ = coherent_vector(-0.9, 30)
-    povm = helstrom_povm(density(plus), density(minus))
-    assert povm.success_probability == pytest.approx(
-        helstrom_success_n_modes(1, 0.9), abs=1e-10
-    )
-    closure = povm.plus.matrix + povm.minus.matrix
-    assert np.abs(closure - np.eye(31)).max() < 1e-10
+def test_trace_norm_rejects_non_hermitian():
+    mat = np.zeros((11, 11), dtype=complex)
+    mat[0, 1] = 1.0
+    with pytest.raises(DomainError):
+        trace_norm(FockOperator(10, 1, mat))
 
 
 # ---------------------------------------------------------------------------

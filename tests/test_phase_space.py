@@ -7,12 +7,7 @@ import pytest
 
 from catsize.closed_forms import CatFamily, CatStateSpec, abs2
 from catsize.errors import DomainError, ResolutionError, TruncationError
-from catsize.fock import (
-    FockOperator,
-    build_state,
-    coherent_vector,
-    density,
-)
+from catsize.fock import build_state, coherent_vector
 from catsize.phase_space import (
     CONVENTION,
     default_feature_window,
@@ -26,7 +21,6 @@ from catsize.phase_space import (
     wigner_grid,
     wigner_hcs2,
     wigner_numeric,
-    wigner_numeric_rho,
     wigner_omega,
 )
 
@@ -216,32 +210,29 @@ def test_numeric_coordinate_count_is_checked():
     vec, _ = coherent_vector(0.5, 10)
     with pytest.raises(DomainError):
         wigner_numeric(vec, [0.1, 0.2])
-
-
-def test_numeric_rho_rejects_non_hermitian():
-    mat = np.zeros((11, 11), dtype=complex)
-    mat[0, 1] = 1.0
     with pytest.raises(DomainError):
-        wigner_numeric_rho(FockOperator(10, 1, mat), [0.0])
+        wigner_numeric(vec, [])
 
 
-def test_numeric_rho_handles_traceless_differences():
-    cutoff = 24
-    alpha = 1.1
-    plus, _ = coherent_vector(alpha, cutoff)
-    minus, _ = coherent_vector(-alpha, cutoff)
-    delta = FockOperator(
-        cutoff, 1, density(plus).matrix - density(minus).matrix
+def test_numeric_reduced_state_of_two_mode_omega():
+    # tracing the second mode leaves (|a><a| + |-a><-a| + w(|a><-a| + h.c.))
+    # / (2 + 2w^2) with w = <a|-a> = exp(-2|a|^2)
+    alpha = 0.8 + 0.6j
+    vec, _ = build_state(
+        CatStateSpec(family=CatFamily.OMEGA, modes=2, alpha=alpha), cutoff=56
     )
-    rng = np.random.default_rng(81)
-    for _ in range(8):
-        gamma = complex(0.5 * rng.normal(), 0.5 * rng.normal())
-        value, residue = wigner_numeric_rho(delta, [gamma])
-        closed = float(
-            wigner_coherent(gamma, alpha) - wigner_coherent(gamma, -alpha)
-        )
-        assert value == pytest.approx(closed, abs=1e-9)
-        assert residue < 1e-10
+    w = math.exp(-2.0 * abs2(alpha))
+    rng = np.random.default_rng(407)
+    for _ in range(20):
+        gamma = complex(rng.normal(), rng.normal())
+        g_plus = math.exp(-2.0 * abs2(gamma - alpha))
+        g_minus = math.exp(-2.0 * abs2(gamma + alpha))
+        env = math.exp(-2.0 * abs2(gamma))
+        theta = 4.0 * (alpha.conjugate() * gamma).imag
+        closed = TWO_OVER_PI * (
+            g_plus + g_minus + 2.0 * w * env * math.cos(theta)
+        ) / (2.0 + 2.0 * w * w)
+        assert wigner_numeric(vec, [gamma]) == pytest.approx(closed, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
