@@ -3,9 +3,10 @@
 Every command prints one JSON result envelope on stdout with sorted keys and
 round-trip floats, so identical inputs produce byte-identical output except
 for the timing field.  Exit codes: 0 success, 1 a failed check row in any
-command, 2 invalid flags (including a non-finite number or an amplitude
-whose squared modulus overflows), 3 domain error, 4 sizing or truncation
-error, 5 I/O failure (an unwritable output file or a closed stdout).
+command, 2 invalid flags (including a non-finite number, an amplitude
+whose squared modulus overflows, or a seed outside [0, 2**64)), 3 domain
+error, 4 sizing or truncation error, 5 I/O failure (an unwritable output
+file or a closed stdout).
 """
 
 from __future__ import annotations
@@ -95,6 +96,17 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _seed_flag(text: str) -> int:
+    """A seed in [0, 2**64), the range of the Philox key word it becomes."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if not 0 <= value < 1 << 64:
+        raise argparse.ArgumentTypeError(f"expected a seed in [0, 2**64), got {value}")
+    return value
+
+
 def _grid_flag(text: str) -> tuple[float, float, int]:
     parts = text.split(":")
     if len(parts) == 3:
@@ -154,7 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = ssub.add_parser(name)
         p.add_argument("--alpha", type=_complex_flag, required=True)
         p.add_argument("--trials", type=_positive_int, default=10000)
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=_seed_flag, default=0)
         return p
 
     p = simulate_parser("distill")
@@ -184,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ver = sub.add_parser("verify", help="cross-validation battery")
     ver.add_argument("--suite", choices=(FAST, FULL), default=FAST)
-    ver.add_argument("--seed", type=int, default=0)
+    ver.add_argument("--seed", type=_seed_flag, default=0)
 
     return parser
 

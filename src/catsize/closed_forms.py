@@ -284,16 +284,6 @@ def rqfi_bound_quadrature(modes: int, alpha) -> float:
     return modes * a * math.tanh(modes * a) + a + 0.5 / modes
 
 
-def quadrature_variance_omega_bound(modes: int, alpha) -> float:
-    """Quoted cap N^2 a tanh(N a) + N a + 1/2 on the total-quadrature variance.
-
-    The cap is tight only at N = 1; see quadrature_variance_omega for the
-    exact value, which exceeds this expression for N >= 2.
-    """
-    a = abs2(alpha)
-    return modes * modes * a * math.tanh(modes * a) + modes * a + 0.5
-
-
 def quadrature_variance_omega(modes: int, alpha) -> float:
     """Exact variance of the optimally phased total quadrature in the superposition.
 
@@ -349,29 +339,6 @@ def distill_expected_n(modes: int, alpha) -> float:
     return modes * (-math.expm1(-2.0 * a)) / (1.0 + math.exp(-2.0 * modes * a))
 
 
-def distill_pn_as_printed(n: int, modes: int, alpha) -> float:
-    """Commonly quoted weight for ending with exactly n splitting outcomes.
-
-    binom(N, n) exp(-(N-1) a) (e^{2a} - 1) sinh(a) / cosh(N a).  Retained
-    verbatim for reference but flagged: it carries no n-dependence beyond the
-    binomial coefficient and does not sum to one over n (N = 2, a = 1 gives
-    about 2.94), so it is not a probability distribution.  The sequential
-    simulator is the trusted source for the distribution of n; the expected
-    value distill_expected_n is exact.
-    """
-    if not 0 <= n <= modes:
-        raise DomainError(f"n must lie in [0, {modes}], got {n}")
-    a = abs2(alpha)
-    if a == 0.0:
-        return 0.0
-    log_term = (
-        math.lgamma(modes + 1) - math.lgamma(n + 1) - math.lgamma(modes - n + 1)
-        - (modes - 1) * a + math.log(math.expm1(2.0 * a))
-        + log_sinh(a) - log_cosh(modes * a)
-    )
-    return math.exp(log_term)
-
-
 # ---------------------------------------------------------------------------
 # probabilistic mode loss
 # ---------------------------------------------------------------------------
@@ -398,18 +365,6 @@ def mode_loss_offdiag_mean(modes: int, alpha, lam: float) -> float:
     a = abs2(alpha)
     base = (1.0 - lam) + lam * math.exp(-2.0 * a)
     return base ** modes / (2.0 + 2.0 * math.exp(-2.0 * modes * a))
-
-
-def mode_loss_offdiag_rewrite(modes: int, alpha, lam: float) -> float:
-    """Single-exponent rewrite (1/2) exp(-2 N lam a - log(1 + exp(-2 N lam a))).
-
-    Retained verbatim for reference but flagged: the loss rate appears inside
-    the log term, so this disagrees with mode_loss_offdiag whenever lam < 1
-    (the unrewritten denominator carries exp(-2 N a) with no lam).
-    """
-    _check_lam(lam)
-    x = -2.0 * modes * lam * abs2(alpha)
-    return 0.5 * math.exp(x - math.log1p(math.exp(x)))
 
 
 def ghz_mode_loss_offdiag(modes: int, lam: float) -> float:

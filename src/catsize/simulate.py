@@ -5,6 +5,20 @@ Every state touched here lives in the two-dimensional span of one mode's
 frame for that span: |alpha> = (1, 0) and |-alpha> = (w, s) with
 w = exp(-2|alpha|^2) and s = sqrt(1 - w^2).  Trajectories over many modes
 never build a joint Fock space; mode counts in the hundreds are cheap.
+
+Trajectory t of a run seeded with ``seed`` draws its uniforms from the stream
+of ``numpy.random.Generator(numpy.random.Philox(key=(seed, t)))``.  Philox4x64-10
+is a pure function of key and counter (Salmon et al., "Parallel random
+numbers: as easy as 1, 2, 3", SC'11), so ``_uniform_columns`` computes those
+streams for a whole batch of trajectories at once in numpy uint64 arithmetic,
+bit for bit, and yields them one draw index (one column) at a time.  Each
+protocol updates per-trajectory state column by column, and the statistics
+come from the histogram of outcomes, so memory depends on neither ``trials``
+nor ``modes``.  On a 2-vCPU x86 VM the kernel costs about 45 ns per draw,
+against about 20 us per trajectory for building a Generator and drawing from
+it, so it is faster up to roughly 500 draws per trajectory and slower beyond:
+``simulate mode-loss --modes 1000 --trials 20000`` takes about 1.35 s of CLI
+wall time, against 1.0 s with one Generator per trajectory.
 """
 
 from __future__ import annotations
@@ -20,11 +34,62 @@ from .errors import DomainError
 
 SEED_SCHEME = "philox(key=(seed, trajectory_index))"
 
+# Trajectories advanced together; bounds the kernel's working memory.
+_BATCH = 1 << 14
 
-def _trajectory_rng(seed: int, index: int) -> np.random.Generator:
-    """Independent stream per trajectory, reproducible under any execution order."""
-    key = np.array([seed, index], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+# Philox4x64-10 multipliers and Weyl key increments, as in numpy's Philox.
+# Operands are np.uint64 throughout: numpy 1.x turns a np.uint64 scalar
+# mixed with a Python int into float64.
+_PHILOX_M0 = np.uint64(0xD2E7470EE14C6C93)
+_PHILOX_M1 = np.uint64(0xCA5A826395121157)
+_PHILOX_W0 = 0x9E3779B97F4A7C15
+_PHILOX_W1 = np.uint64(0xBB67AE8584CAA73B)
+_MASK64 = (1 << 64) - 1
+_LOW32 = np.uint64(0xFFFFFFFF)
+_32 = np.uint64(32)
+_11 = np.uint64(11)
+
+
+def _mulhilo(a: np.ndarray, m: np.uint64) -> tuple[np.ndarray, np.ndarray]:
+    """High and low 64-bit words of the 128-bit products a * m, from 32-bit
+    halves (Warren, Hacker's Delight, mulhu); no partial sum overflows."""
+    a_lo, a_hi = a & _LOW32, a >> _32
+    m_lo, m_hi = m & _LOW32, m >> _32
+    mid = a_hi * m_lo + ((a_lo * m_lo) >> _32)
+    low_mid = a_lo * m_hi + (mid & _LOW32)
+    return a_hi * m_hi + (mid >> _32) + (low_mid >> _32), a * m
+
+
+def _uniform_columns(seed: int, rows: np.ndarray, draws: int):
+    """Yield draws 0 .. draws-1 of the trajectories ``rows`` (uint64 indices),
+    one array per draw, equal bit for bit to
+    ``Generator(Philox(key=(seed, t))).random(draws)`` for each t in rows."""
+    for block in range(-(-draws // 4)):
+        # numpy's Philox steps its counter before each block of four words,
+        # so block b comes from counter (b + 1, 0, 0, 0).  The counter words
+        # are the same for every row and broadcast against the row keys.
+        x0, x1, x2, x3 = (np.array([w], np.uint64) for w in (block + 1, 0, 0, 0))
+        k0, k1 = seed, rows
+        for _ in range(10):
+            hi0, lo0 = _mulhilo(x0, _PHILOX_M0)
+            hi1, lo1 = _mulhilo(x2, _PHILOX_M1)
+            x0, x1, x2, x3 = hi1 ^ x1 ^ np.uint64(k0), lo1, hi0 ^ x3 ^ k1, lo0
+            k0, k1 = (k0 + _PHILOX_W0) & _MASK64, k1 + _PHILOX_W1
+        for x in (x0, x1, x2, x3)[: draws - 4 * block]:
+            yield (x >> _11) * 2.0**-53
+
+
+def _batches(trials: int):
+    """Trajectory indices 0 .. trials-1 in consecutive uint64 batches."""
+    for start in range(0, trials, _BATCH):
+        yield np.arange(start, min(start + _BATCH, trials), dtype=np.uint64)
+
+
+def _tally(counts: dict, values: np.ndarray) -> None:
+    """Add the occurrences of each non-negative integer in ``values`` to ``counts``."""
+    hits = np.bincount(values)
+    for k in np.flatnonzero(hits).tolist():
+        counts[k] = counts.get(k, 0) + int(hits[k])
 
 
 @dataclass(frozen=True)
@@ -41,16 +106,26 @@ class TrajectoryStats:
     extra: dict = field(default_factory=dict)
 
 
-def _stats_fields(samples) -> tuple[float, float, float]:
-    """Mean, unbiased variance and standard error; DomainError if they overflow."""
-    n = len(samples)
+def _stats_fields(tally: list) -> tuple[float, float, float]:
+    """Mean, unbiased variance and standard error of the samples that ``tally``
+    lists as (value, count) pairs; DomainError if they overflow.
+
+    Each sum is taken exactly over Fractions and rounded once, so it equals
+    ``math.fsum`` over the expanded samples bit for bit.  (fsum also raises
+    when a partial sum of mixed signs overflows; every tally here has one
+    sign, so both overflow alike.)
+    """
+    from fractions import Fraction
+
+    n = sum(c for _, c in tally)
     try:
-        mean = math.fsum(samples) / n
+        mean = float(sum(Fraction(x) * c for x, c in tally)) / n
         if n > 1:
-            var = math.fsum((x - mean) ** 2 for x in samples) / (n - 1)
+            var = float(sum(Fraction((x - mean) ** 2) * c for x, c in tally)) / (n - 1)
         else:
             var = 0.0
-    except OverflowError:
+    except (OverflowError, ValueError):
+        # Fraction refuses infinities (OverflowError) and NaN (ValueError).
         mean = var = math.inf
     if not (math.isfinite(mean) and math.isfinite(var)):
         raise DomainError("trajectory statistics overflow a float; reduce |alpha|")
@@ -147,26 +222,21 @@ def simulate_distillation(modes: int, alpha, trials: int, seed: int) -> Trajecto
     if alpha == 0:
         raise DomainError("the branch span degenerates at alpha = 0")
     w = branch_overlap(alpha)
+    p_after = 1.0 - w
     counts: dict[int, int] = {}
     first_counts: dict[int, int] = {}
-    samples = []
-    for t in range(trials):
-        draws = _trajectory_rng(seed, t).random(modes)
-        split = False
-        n = 0
-        first = 0
-        for j in range(modes):
-            rem = modes - j
-            p_split = (1.0 - w) if split else (1.0 - w) / (1.0 + w ** rem)
-            if draws[j] < p_split:
-                n += 1
-                if not split:
-                    first = j + 1
-                split = True
-        samples.append(n)
-        counts[n] = counts.get(n, 0) + 1
-        first_counts[first] = first_counts.get(first, 0) + 1
-    mean, var, se = _stats_fields(samples)
+    for rows in _batches(trials):
+        split = np.zeros(rows.shape, bool)
+        n = np.zeros(rows.shape, np.int64)
+        first = np.zeros(rows.shape, np.int64)
+        for j, u in enumerate(_uniform_columns(seed, rows, modes)):
+            hit = u < np.where(split, p_after, p_after / (1.0 + w ** (modes - j)))
+            n += hit
+            first[hit & ~split] = j + 1
+            split |= hit
+        _tally(counts, n)
+        _tally(first_counts, first)
+    mean, var, se = _stats_fields(list(counts.items()))
     return TrajectoryStats(
         trials=trials,
         histogram=dict(sorted(counts.items())),
@@ -209,16 +279,15 @@ def simulate_mode_loss(
     big_w = math.exp(-2.0 * modes * a)
     log_norm = math.log(2.0 + 2.0 * big_w)
     counts: dict[int, int] = {}
-    logs = []
-    amps = []
-    ghz = []
-    for t in range(trials):
-        lost = int(np.count_nonzero(_trajectory_rng(seed, t).random(modes) < lam))
-        counts[lost] = counts.get(lost, 0) + 1
-        log_amp = -2.0 * lost * a - log_norm
-        logs.append(log_amp)
-        amps.append(math.exp(log_amp))
-        ghz.append(0.5 if lost == 0 else 0.0)
+    for rows in _batches(trials):
+        lost = np.zeros(rows.shape, np.int64)
+        for u in _uniform_columns(seed, rows, modes):
+            lost += u < lam
+        _tally(counts, lost)
+    logs = [(-2.0 * lost * a - log_norm, c) for lost, c in counts.items()]
+    amps = [(math.exp(x), c) for x, c in logs]
+    no_loss = counts.get(0, 0)
+    ghz = [(0.5, no_loss), (0.0, trials - no_loss)]
     log_mean, log_var, _ = _stats_fields(logs)
     mean = math.exp(log_mean)
     variance = mean * mean * log_var
@@ -301,12 +370,12 @@ def simulate_branch_collapse(
     p_plus = float(np.dot(vec_plus, psi_plus) ** 2)
 
     if problem is not CollapseProblem.CAT_VS_BRANCH:
-        counts = {labels[0]: 0, labels[1]: 0}
-        for t in range(trials):
-            u = _trajectory_rng(seed, t).random()
-            counts[labels[0] if u < p_plus else labels[1]] += 1
-        samples = [1.0] * counts[labels[0]] + [0.0] * counts[labels[1]]
-        mean, var, se = _stats_fields(samples)
+        n_first = 0
+        for rows in _batches(trials):
+            (u,) = _uniform_columns(seed, rows, 1)
+            n_first += int(np.count_nonzero(u < p_plus))
+        counts = {labels[0]: n_first, labels[1]: trials - n_first}
+        mean, var, se = _stats_fields([(1.0, n_first), (0.0, trials - n_first)])
         extra = {
             "p_first_outcome_exact": p_plus,
             "fidelity_with_alpha": {
@@ -336,21 +405,17 @@ def simulate_branch_collapse(
     p_alpha_given_cat = float(np.dot(tilde_a, vec_plus) ** 2)
     n_cat = 0
     n_alpha = 0
-    n_other = 0
-    for t in range(trials):
-        u1, u2 = _trajectory_rng(seed, t).random(2)
-        if u1 < p_plus:
-            n_cat += 1
-        elif u2 < p_alpha_given_branch:
-            n_alpha += 1
-        else:
-            n_other += 1
+    for rows in _batches(trials):
+        u1, u2 = _uniform_columns(seed, rows, 2)
+        cat = u1 < p_plus
+        n_cat += int(np.count_nonzero(cat))
+        n_alpha += int(np.count_nonzero(~cat & (u2 < p_alpha_given_branch)))
+    n_other = trials - n_cat - n_alpha
     continued = n_alpha + n_other
-    samples = [1.0] * n_alpha + [0.0] * n_other
     if continued == 0:
         mean, var, se = 0.0, 0.0, 0.0
     else:
-        mean, var, se = _stats_fields(samples)
+        mean, var, se = _stats_fields([(1.0, n_alpha), (0.0, n_other)])
     return TrajectoryStats(
         trials=continued,
         histogram={"alpha": n_alpha, "minus_alpha": n_other},

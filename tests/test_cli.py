@@ -343,6 +343,28 @@ def test_overflowing_squared_amplitude_exits_2(args):
     assert "expected a finite squared modulus" in proc.stderr
 
 
+@pytest.mark.parametrize("seed", ["-1", "18446744073709551616"], ids=["negative", "2**64"])
+@pytest.mark.parametrize(
+    "command",
+    [("simulate", "distill", "--modes", "3", "--alpha", "1", "--trials", "10"),
+     ("verify", "--suite", "fast")],
+    ids=["simulate", "verify"],
+)
+def test_seed_outside_key_range_exits_2(command, seed):
+    proc = run_cli(*command, "--seed", seed)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "expected a seed in [0, 2**64)" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_largest_seed_is_accepted(capsys):
+    code = main(["simulate", "distill", "--modes", "3", "--alpha", "1",
+                 "--trials", "10", "--seed", str(2**64 - 1)])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["inputs"]["seed"] == 2**64 - 1
+
+
 def test_failed_check_exits_1_outside_verify(capsys):
     # ten trials at alpha = 30 all lose a mode, so the arithmetic mean misses
     code = main(["simulate", "mode-loss", "--modes", "6", "--alpha", "30",

@@ -21,28 +21,70 @@ from catsize.closed_forms import (
     delta_validity_interval,
     distill_expected_n,
     distill_pm,
-    distill_pn_as_printed,
     equivalent_ghz_size,
     ghz_mode_loss_offdiag,
     hcs_norms,
     helstrom_success_n_modes,
+    log_cosh,
+    log_sinh,
     marquardt_pd,
     marquardt_s,
     mode_loss_offdiag,
     mode_loss_offdiag_mean,
-    mode_loss_offdiag_rewrite,
     n_eff_integer,
     n_eff_real,
     number_variance_omega,
     omega_norm,
     overlap,
     quadrature_variance_omega,
-    quadrature_variance_omega_bound,
     rdm_particle_trace,
     rqfi_bound_bounded,
     rqfi_bound_quadrature,
 )
 from catsize.errors import DomainError
+
+
+# ---------------------------------------------------------------------------
+# errata: expressions as quoted in the literature, kept here to show that
+# they are wrong; the package ships only the corrected forms
+# ---------------------------------------------------------------------------
+
+def quadrature_variance_omega_bound(modes, alpha):
+    """Quoted cap N^2 a tanh(N a) + N a + 1/2 on the total-quadrature variance.
+
+    The cap is tight only at N = 1; quadrature_variance_omega gives the
+    exact value, which exceeds this expression for N >= 2.
+    """
+    a = abs2(alpha)
+    return modes * modes * a * math.tanh(modes * a) + modes * a + 0.5
+
+
+def distill_pn_as_printed(n, modes, alpha):
+    """Commonly quoted weight for ending with exactly n splitting outcomes.
+
+    binom(N, n) exp(-(N-1) a) (e^{2a} - 1) sinh(a) / cosh(N a).  It carries
+    no n-dependence beyond the binomial coefficient and does not sum to one
+    over n (N = 2, a = 1 gives about 2.94), so it is not a probability
+    distribution; simulate.distillation_outcome_distribution is exact.
+    """
+    a = abs2(alpha)
+    log_term = (
+        math.lgamma(modes + 1) - math.lgamma(n + 1) - math.lgamma(modes - n + 1)
+        - (modes - 1) * a + math.log(math.expm1(2.0 * a))
+        + log_sinh(a) - log_cosh(modes * a)
+    )
+    return math.exp(log_term)
+
+
+def mode_loss_offdiag_rewrite(modes, alpha, lam):
+    """Single-exponent rewrite (1/2) exp(-2 N lam a - log(1 + exp(-2 N lam a))).
+
+    The loss rate appears inside the log term, so this disagrees with
+    mode_loss_offdiag whenever lam < 1 (the unrewritten denominator carries
+    exp(-2 N a) with no lam).
+    """
+    x = -2.0 * modes * lam * abs2(alpha)
+    return 0.5 * math.exp(x - math.log1p(math.exp(x)))
 
 
 def test_abs2_matches_manual_product():

@@ -1,6 +1,7 @@
 """Monte Carlo protocols: measurement elements, trajectories, statistics."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,13 +16,140 @@ from catsize.closed_forms import (
 )
 from catsize.errors import DomainError
 from catsize.simulate import (
+    _BATCH,
     CollapseProblem,
+    _batches,
+    _stats_fields,
+    _uniform_columns,
     build_distillation_povm,
     distillation_outcome_distribution,
     simulate_branch_collapse,
     simulate_distillation,
     simulate_mode_loss,
 )
+
+
+# ---------------------------------------------------------------------------
+# trajectory streams and statistics
+# ---------------------------------------------------------------------------
+
+def _generator_draws(seed, t, draws):
+    """The per-trajectory stream that SEED_SCHEME names, drawn by numpy."""
+    key = np.array([seed, t], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key)).random(draws)
+
+
+def _kernel_draws(seed, rows, draws):
+    return np.stack(list(_uniform_columns(seed, rows, draws)), axis=1)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**64 - 1])
+@pytest.mark.parametrize("draws", range(1, 10))
+def test_kernel_matches_numpy_philox_bitwise(seed, draws):
+    rows = np.arange(5000, 5013, dtype=np.uint64)
+    got = _kernel_draws(seed, rows, draws)
+    want = np.stack([_generator_draws(seed, int(t), draws) for t in rows])
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_kernel_streams_cross_a_batch_boundary():
+    trials = _BATCH + 3
+    got = np.concatenate([_kernel_draws(13, rows, 5) for rows in _batches(trials)])
+    assert got.shape == (trials, 5)
+    for t in (0, _BATCH - 2, _BATCH - 1, _BATCH, trials - 1):
+        want = _generator_draws(13, t, 5)
+        assert np.array_equal(got[t].view(np.uint64), want.view(np.uint64))
+
+
+def _fsum_stats(samples):
+    """Reference: the statistics as math.fsum gives them on every sample."""
+    n = len(samples)
+    mean = math.fsum(samples) / n
+    var = math.fsum((x - mean) ** 2 for x in samples) / (n - 1) if n > 1 else 0.0
+    return mean, var, math.sqrt(var / n)
+
+
+def test_histogram_statistics_equal_fsum_bitwise():
+    rng = np.random.default_rng(2024)
+    for _ in range(300):
+        modes = int(rng.integers(1, 40))
+        a = float(10.0 ** rng.uniform(-3, 3))
+        log_norm = math.log(2.0 + 2.0 * math.exp(-2.0 * modes * a))
+        bins = int(rng.integers(1, 6))
+        lost = [int(k) for k in rng.integers(0, modes + 1, size=bins)]
+        counts = [int(c) for c in rng.integers(1, 400, size=bins)]
+        logs = [(-2.0 * k * a - log_norm, c) for k, c in zip(lost, counts)]
+        for tally in (logs, [(math.exp(x), c) for x, c in logs], list(zip(lost, counts))):
+            samples = [x for x, c in tally for _ in range(c)]
+            got = _stats_fields(tally)
+            want = _fsum_stats(samples)
+            assert [v.hex() for v in got] == [v.hex() for v in want]
+
+
+def test_statistics_overflow_is_a_domain_error():
+    with pytest.raises(DomainError):
+        _stats_fields([(-1e200, 3), (-2e200, 4)])
+    with pytest.raises(DomainError):
+        _stats_fields([(-math.inf, 1), (0.0, 2)])
+
+
+# Captured with one numpy Generator per trajectory, for the README commands.
+README_GOLDENS = {
+    "distill": (
+        lambda: simulate_distillation(5, 0.8, 200000, 42),
+        {0: 634, 1: 4342, 2: 22347, 3: 58213, 4: 75263, 5: 39201},
+        "0x1.cd44bb1af3a15p+1",
+        "0x1.05e5ee5a2f5b6p+0",
+    ),
+    "mode-loss": (
+        lambda: simulate_mode_loss(6, 1.0, 0.25, 100000, 42),
+        {0: 17909, 1: 35603, 2: 29634, 3: 13233, 4: 3168, 5: 433, 6: 20},
+        "0x1.9bbad150e570ap-6",
+        "0x1.727419882505ep-9",
+    ),
+    "collapse": (
+        lambda: simulate_branch_collapse(
+            3.1622776601683795, 200000, 42, CollapseProblem.CAT_VS_BRANCH
+        ),
+        {"alpha": 25059, "minus_alpha": 4288},
+        "0x1.b530945d44bf6p-1",
+        "0x1.ff0d893168e91p-4",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", README_GOLDENS)
+def test_readme_commands_reproduce_goldens(name):
+    run, histogram, mean, variance = README_GOLDENS[name]
+    stats = run()
+    assert stats.histogram == histogram
+    assert list(stats.histogram) == list(histogram)
+    assert stats.mean.hex() == mean
+    assert stats.variance.hex() == variance
+    if name == "distill":
+        assert stats.extra["first_split_histogram"] == {
+            0: 634, 1: 144210, 2: 40090, 3: 11058, 4: 3133, 5: 875,
+        }
+    elif name == "mode-loss":
+        assert stats.extra["arithmetic_mean"].hex() == "0x1.dd4347dcb6880p-4"
+        assert stats.extra["ghz_mean"].hex() == "0x1.6ec6bce8533b1p-4"
+    else:
+        assert stats.extra["joint_histogram"]["cat_outcome"] == 170653
+
+
+@pytest.mark.parametrize(
+    "modes, trials", [(300, 20000), (6, 1_000_000)], ids=["many-modes", "many-trials"]
+)
+def test_mode_loss_memory_is_bounded(modes, trials):
+    """Neither a samples list nor a (trials, modes) array of draws is built."""
+    tracemalloc.start()
+    try:
+        stats = simulate_mode_loss(modes, 0.4, 0.01, trials, 5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sum(stats.histogram.values()) == trials
+    assert peak < 4_000_000
 
 
 # ---------------------------------------------------------------------------
