@@ -5,8 +5,9 @@ round-trip floats, so identical inputs produce byte-identical output except
 for the timing field.  Exit codes: 0 success, 1 a failed check row in any
 command, 2 invalid flags (including a non-finite number, an amplitude
 whose squared modulus overflows, or a seed outside [0, 2**64)), 3 domain
-error, 4 sizing or truncation error, 5 I/O failure (an unwritable output
-file or a closed stdout).
+error (including a result that overflows to a NaN or an infinity, which
+strict JSON cannot encode), 4 sizing or truncation error, 5 I/O failure (an
+unwritable output file or a closed stdout).
 """
 
 from __future__ import annotations
@@ -44,9 +45,16 @@ from .measures import (
     rqfi_size,
     wigner_empirical_size,
 )
-from .phase_space import extract_features, grid_to_csv, grid_to_json, wigner_grid
+from .phase_space import (
+    extract_features,
+    grid_line,
+    grid_to_csv,
+    grid_to_json,
+    wigner_grid,
+)
 from .simulate import (
     CollapseProblem,
+    _check_seed,
     simulate_branch_collapse,
     simulate_distillation,
     simulate_mode_loss,
@@ -102,9 +110,10 @@ def _seed_flag(text: str) -> int:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if not 0 <= value < 1 << 64:
-        raise argparse.ArgumentTypeError(f"expected a seed in [0, 2**64), got {value}")
-    return value
+    try:
+        return _check_seed(value)
+    except DomainError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _grid_flag(text: str) -> tuple[float, float, int]:
@@ -206,6 +215,10 @@ def build_parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------------------
 
 def _jsonify(obj):
+    # floats are most leaves (a JSON grid holds one per point): return them
+    # before the dataclass and isinstance tests
+    if type(obj) is float:
+        return obj
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return _jsonify(dataclasses.asdict(obj))
     if isinstance(obj, dict):
@@ -223,6 +236,18 @@ def _jsonify(obj):
     if isinstance(obj, np.ndarray):
         return [_jsonify(v) for v in obj.tolist()]
     return obj
+
+
+def _dumps(obj) -> str:
+    """Strict JSON text of ``obj``: a NaN or an infinity is a DomainError,
+    never the non-standard ``NaN``/``Infinity`` tokens."""
+    try:
+        return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError:
+        raise DomainError(
+            "the result holds a NaN or an infinity, which strict JSON cannot "
+            "encode; reduce |alpha|"
+        ) from None
 
 
 def _envelope(argv, inputs, results, checks, started) -> dict:
@@ -381,7 +406,7 @@ _WIGNER_FAMILIES = {
 
 def _run_wigner(args) -> tuple[dict, dict, list]:
     lo, hi, steps = args.grid
-    line = np.linspace(lo, hi, steps)
+    line = grid_line(lo, hi, steps)
     family = _WIGNER_FAMILIES[args.state]
     single = args.state in ("even-cat", "odd-cat", "coherent")
     if single:
@@ -419,8 +444,7 @@ def _run_wigner(args) -> tuple[dict, dict, list]:
         if args.format == "csv":
             payload = grid_to_csv(grid)
         else:
-            payload = json.dumps(_jsonify(grid_to_json(grid)), sort_keys=True, indent=2)
-            payload += "\n"
+            payload = _dumps(_jsonify(grid_to_json(grid))) + "\n"
         with open(args.out, "w", encoding="ascii") as handle:
             handle.write(payload)
         results["out"] = args.out
@@ -496,6 +520,8 @@ def main(argv=None) -> int:
             inputs, results, checks = _run_wigner(args)
         else:
             inputs, results, checks = _run_verify(args)
+        envelope = _envelope(argv, inputs, results, checks, started)
+        text = _dumps(envelope)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
@@ -508,9 +534,8 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 5
-    envelope = _envelope(argv, inputs, results, checks, started)
     try:
-        print(json.dumps(envelope, sort_keys=True, indent=2))
+        print(text)
         sys.stdout.flush()
     except BrokenPipeError as exc:
         # the reader is gone; send what is still buffered to devnull so the

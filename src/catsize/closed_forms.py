@@ -162,12 +162,17 @@ def helstrom_success_n_modes(n: float, alpha) -> float:
 
 
 def n_eff_real(delta: float, alpha) -> float:
-    """Real-valued number of modes at which the success probability hits 1 - delta."""
+    """Real-valued number of modes at which the success probability hits 1 - delta.
+
+    Dividing by -4 and by |alpha|^2 in turn gives the same bits as dividing
+    by -4|alpha|^2, which would overflow to infinity (and the count to 0)
+    for a finite |alpha|^2 above a quarter of the float range.
+    """
     _check_delta(delta)
     a = abs2(alpha)
     if a == 0.0:
         raise DomainError("branch distinguishability is undefined at alpha = 0")
-    return math.log(4.0 * delta * (1.0 - delta)) / (-4.0 * a)
+    return math.log(4.0 * delta * (1.0 - delta)) / -4.0 / a
 
 
 def n_eff_integer(delta: float, alpha) -> int:

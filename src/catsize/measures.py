@@ -45,22 +45,20 @@ from .closed_forms import (
 from .errors import DomainError, ResolutionError
 from .fock import (
     MAX_OPERATOR_DIM,
-    FockOperator,
     FockVector,
     apply_single_mode,
     build_state,
     coherent_vector,
     default_cutoff,
-    density,
     kitten_vectors,
     mode_ops,
     tensor,
     total_photon_pmf,
-    trace_norm,
 )
 from .phase_space import (
     default_feature_window,
     extract_features,
+    grid_line,
     widest_separation,
     wigner_grid,
 )
@@ -474,7 +472,10 @@ def branch_dist_size(state: CatStateSpec, delta: float) -> MeasureResult:
 
     Delegates the interval enforcement and the ceiling to the closed forms;
     cross-checks the optimal success probability against the trace-norm
-    oracle whenever a joint density of n_eff (capped at 2) modes fits.
+    oracle on n_eff (capped at 2) modes whenever their joint dimension fits
+    MAX_OPERATOR_DIM.  The oracle takes the trace norm of the rank-2
+    difference of the truncated branch projectors from its 2 x 2
+    compression onto the span of the two branch vectors (``_trace_norm_check``).
     """
     _require_family(state, (CatFamily.OMEGA,))
     value = cat_size_C(delta, state.modes, state.alpha)
@@ -504,12 +505,21 @@ def branch_dist_size(state: CatStateSpec, delta: float) -> MeasureResult:
 
 
 def _trace_norm_check(alpha, n_check: int, cutoff: int) -> dict:
+    """Helstrom success 1/2 + ||rho_+ - rho_-||_1 / 4 of the n_check-mode
+    branch pair on the truncated basis, against the closed form.
+
+    rho_+ - rho_- has rank 2 with range span{psi_+, psi_-}, so its nonzero
+    eigenvalues are those of its compression Q^dag (rho_+ - rho_-) Q onto an
+    orthonormal basis Q of that span.  With Q R the QR factorization of the
+    normalized pair, Q^dag psi_+- are the columns of R, so the 2 x 2
+    compression comes from R alone and no dense operator is built.
+    """
     plus, _ = coherent_vector(alpha, cutoff)
     minus, _ = coherent_vector(-alpha, cutoff)
-    rho_p = density(tensor(*([plus] * n_check)))
-    rho_m = density(tensor(*([minus] * n_check)))
-    diff = FockOperator(cutoff, n_check, rho_p.matrix - rho_m.matrix)
-    numeric = 0.5 + 0.25 * trace_norm(diff)
+    pair = np.stack([tensor(*([v] * n_check)).amplitudes for v in (plus, minus)], axis=1)
+    r = np.linalg.qr(pair / np.linalg.norm(pair, axis=0), mode="r")
+    compression = np.outer(r[:, 0], r[:, 0].conj()) - np.outer(r[:, 1], r[:, 1].conj())
+    numeric = 0.5 + 0.25 * float(np.sum(np.abs(np.linalg.eigvalsh(compression))))
     closed = helstrom_success_n_modes(n_check, alpha)
     return {
         "modes_checked": n_check,
@@ -577,6 +587,9 @@ def rqfi_size(
             var = _two_branch_variance(gen, modes, c1, c2)
             if var > best_var:
                 best_var, best_gen = var, gen
+        if best_gen is None:
+            # every variance is NaN: the bracket tables overflowed
+            raise DomainError("no generator variance is finite; reduce |alpha|")
         if family.kinds == {GeneratorKind.SPIN_SANDWICH}:
             denom = 0.5 * max(g.var_u for g in gens) + 0.5 * max(
                 g.var_v for g in gens
@@ -783,7 +796,7 @@ def wigner_empirical_size(state: CatStateSpec, steps: int | None = None) -> Meas
         )
     lo, hi, default_steps = default_feature_window(state.alpha)
     count = steps if steps is not None else default_steps
-    line = np.linspace(lo, hi, count)
+    line = grid_line(lo, hi, count)
     if state.modes == 1:
         grid = wigner_grid(state, {"re": line, "im": line})
     else:

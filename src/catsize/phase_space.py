@@ -18,8 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .closed_forms import CatFamily, CatStateSpec, abs2, branch_overlap, hcs_norms
-from .errors import DomainError, ResolutionError, TruncationError
+from .errors import DomainError, ResolutionError, SizingError, TruncationError
 from .fock import (
+    MAX_JOINT_DIM,
     FockVector,
     apply_single_mode,
     build_state,
@@ -261,6 +262,22 @@ def default_feature_window(alpha) -> tuple[float, float, int]:
     return -half, half, steps
 
 
+def grid_line(lo: float, hi: float, steps: int) -> np.ndarray:
+    """``steps`` evenly spaced values on [lo, hi], the shared line of a grid
+    that varies two axes over it.
+
+    Refuses with SizingError, before allocating the line, when that grid
+    would exceed MAX_JOINT_DIM points.
+    """
+    _check_grid_points(steps * steps)
+    return np.linspace(lo, hi, steps)
+
+
+def _check_grid_points(points: int) -> None:
+    if points > MAX_JOINT_DIM:
+        raise SizingError(f"grid of {points} points exceeds MAX_JOINT_DIM = {MAX_JOINT_DIM}")
+
+
 def _axis_array(value) -> np.ndarray:
     arr = np.atleast_1d(np.asarray(value, dtype=float))
     if arr.ndim != 1:
@@ -272,7 +289,9 @@ def wigner_grid(state: CatStateSpec, axes) -> WignerGrid:
     """Evaluate the closed-form Wigner function over a rectangular grid.
 
     ``axes`` maps axis names to value arrays or fixed scalars: ``re``/``im``
-    for one mode, ``re1``/``im1``/``re2``/``im2`` for two.
+    for one mode, ``re1``/``im1``/``re2``/``im2`` for two.  Grids of more
+    than MAX_JOINT_DIM points are refused with SizingError before the mesh
+    is allocated.
     """
     if state.modes == 1:
         names = ("re", "im")
@@ -284,6 +303,7 @@ def wigner_grid(state: CatStateSpec, axes) -> WignerGrid:
     if missing:
         raise DomainError(f"missing grid axes: {', '.join(missing)}")
     arrays = [_axis_array(axes[n]) for n in names]
+    _check_grid_points(math.prod(a.size for a in arrays))
     mesh = np.meshgrid(*arrays, indexing="ij")
     if state.modes == 1:
         gamma = mesh[0] + 1j * mesh[1]
@@ -471,11 +491,16 @@ def grid_to_csv(grid: WignerGrid) -> str:
         header = "re,im,w"
     else:
         header = ",".join([ax.name for ax in axes] + ["w"])
-    mesh = np.meshgrid(*[ax.values for ax in axes], indexing="ij")
-    cols = [m.ravel() for m in mesh] + [grid.values.ravel()]
+    # each axis value is formatted once and the C-order coordinate prefixes
+    # are joined from those strings, so each row formats only its W value;
+    # the last axis is joined lazily, so only the finished rows are kept
+    texts = [[repr(v) + "," for v in ax.values.tolist()] for ax in axes]
+    outer = [""]
+    for column in texts[:-1]:
+        outer = [p + t for p in outer for t in column]
+    prefixes = (p + t for p in outer for t in texts[-1])
     lines = [header]
-    for row in zip(*cols):
-        lines.append(",".join(repr(float(x)) for x in row))
+    lines += [p + repr(w) for p, w in zip(prefixes, grid.values.ravel().tolist())]
     return "\n".join(lines) + "\n"
 
 

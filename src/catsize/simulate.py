@@ -217,6 +217,7 @@ def simulate_distillation(modes: int, alpha, trials: int, seed: int) -> Trajecto
     number of unmeasured modes; that is what each trajectory tracks.
     """
     _check_trials(trials)
+    _check_seed(seed)
     if modes < 1:
         raise DomainError(f"modes must be >= 1, got {modes}")
     if alpha == 0:
@@ -271,6 +272,7 @@ def simulate_mode_loss(
     iff no mode is lost) are reported under ``extra``.
     """
     _check_trials(trials)
+    _check_seed(seed)
     if modes < 1:
         raise DomainError(f"modes must be >= 1, got {modes}")
     if not 0.0 <= lam <= 1.0:
@@ -349,6 +351,7 @@ def simulate_branch_collapse(
     |alpha> frequency among them.
     """
     _check_trials(trials)
+    _check_seed(seed)
     if alpha == 0:
         raise DomainError("the branch span degenerates at alpha = 0")
     problem = CollapseProblem(problem)
@@ -444,3 +447,10 @@ def simulate_branch_collapse(
 def _check_trials(trials: int):
     if trials < 1:
         raise DomainError(f"trials must be >= 1, got {trials}")
+
+
+def _check_seed(seed: int) -> int:
+    """Require 0 <= seed < 2**64, the range of the Philox key word it becomes."""
+    if not 0 <= seed < 1 << 64:
+        raise DomainError(f"expected a seed in [0, 2**64), got {seed}")
+    return seed

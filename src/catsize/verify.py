@@ -59,6 +59,7 @@ from .phase_space import (
 )
 from .simulate import (
     CollapseProblem,
+    _check_seed,
     build_distillation_povm,
     distillation_outcome_distribution,
     simulate_branch_collapse,
@@ -108,7 +109,12 @@ def _num_check(name: str, observed: float, expected: float, tolerance: float) ->
 
 
 def run(suite: str, seed: int) -> list[dict]:
-    """Check rows of ``suite``; a check that raises is a failed row."""
+    """Check rows of ``suite``; a check that raises is a failed row.
+
+    A seed outside [0, 2**64), which the simulator rows cannot key their
+    streams with, raises DomainError before any row runs.
+    """
+    _check_seed(seed)
     rng = np.random.default_rng(seed)
     rows = []
     for check in checks(suite):

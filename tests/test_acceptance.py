@@ -38,6 +38,7 @@ from catsize.fock import (
     coherent_vector,
     default_cutoff,
     density,
+    tensor,
     total_photon_pmf,
     trace_norm,
 )
@@ -106,14 +107,19 @@ def test_criterion_01_integer_size_matches_trace_norm_scan():
             f"at alpha={alpha:.6f}, delta={delta:.3e}"
         )
         assert 1 <= brute <= modes
-    # the span reduction itself against the full-matrix route
+    # the span reduction itself against the full-matrix route, and the
+    # oracle's 2 x 2 compression against both
     for alpha in (0.5, 1.0, 1.5):
         cutoff = default_cutoff(alpha)
         plus, _ = coherent_vector(alpha, cutoff)
         minus, _ = coherent_vector(-alpha, cutoff)
         g1 = complex(np.vdot(plus.amplitudes, minus.amplitudes))
-        full = _trace_norm_check(alpha, 2, cutoff)["numeric"]
+        diff = density(tensor(plus, plus)).matrix - density(tensor(minus, minus)).matrix
+        full = 0.5 + 0.25 * trace_norm(FockOperator(cutoff, 2, diff))
         assert abs((1.0 - _pure_pair_failure(2, g1)) - full) <= 1e-9
+        compressed = _trace_norm_check(alpha, 2, cutoff)["numeric"]
+        assert abs((1.0 - _pure_pair_failure(2, g1)) - compressed) <= 1e-9
+        assert abs(full - compressed) <= 1e-9
     print("criterion 01: PASS - 50/50 integer sizes match the scanned minimum")
 
 

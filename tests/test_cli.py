@@ -15,7 +15,8 @@ import jsonschema
 import pytest
 
 import catsize
-from catsize.cli import main
+from catsize.cli import _dumps, main
+from catsize.errors import DomainError
 
 SCHEMA_PATH = Path(catsize.__file__).parent / "data" / "envelope.schema.json"
 
@@ -400,6 +401,56 @@ def test_overflowing_statistics_exit_3_without_traceback(alpha):
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: ")
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("measure", "distill", "--modes", "10", "--alpha", "1e154"),
+        ("measure", "marquardt", "--modes", "3", "--alpha", "1e154"),
+        ("measure", "mode-loss", "--modes", "10", "--alpha", "1e154",
+         "--lambda", "0.3"),
+        ("measure", "rqfi", "--modes", "3", "--alpha", "1e154",
+         "--family", "quadrature"),
+        ("measure", "branch-dist-real", "--modes", "10", "--alpha", "1e154",
+         "--delta", "0.1"),
+    ],
+    ids=["distill", "marquardt", "mode-loss", "rqfi", "branch-dist-real"],
+)
+def test_non_finite_result_exits_3_with_empty_stdout(args, capsys):
+    # |alpha|^2 = 1e308 is finite, but the results overflow to NaN or
+    # infinity (or, for rqfi, every generator variance is NaN)
+    code = main(list(args))
+    out, err = capsys.readouterr()
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+def test_non_finite_value_is_refused_by_the_serializer():
+    with pytest.raises(DomainError, match="strict JSON"):
+        _dumps({"grid": {"values": [0.5, math.inf]}})
+    assert _dumps({"v": [0.5, -0.0]}) == json.dumps(
+        {"v": [0.5, -0.0]}, sort_keys=True, indent=2
+    )
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("wigner", "--state", "even-cat", "--alpha", "1", "--grid=-4:4:100000"),
+        ("measure", "wigner-empirical", "--alpha", "1e6"),
+        ("measure", "wigner-empirical", "--alpha", "1e154"),
+    ],
+    ids=["wigner-grid", "empirical-1e6", "empirical-1e154"],
+)
+def test_oversized_grid_exits_4_before_allocating(args, capsys):
+    code = main(list(args))
+    out, err = capsys.readouterr()
+    assert code == 4
+    assert out == ""
+    assert err.startswith("error: grid of ")
+    assert "exceeds MAX_JOINT_DIM" in err
 
 
 def test_coarse_feature_grid_exits_3():

@@ -155,6 +155,19 @@ def test_n_eff_snaps_at_interval_endpoints():
         assert n_eff_real(hi, alpha) == pytest.approx(1.0, rel=1e-12)
 
 
+def test_n_eff_survives_squared_amplitudes_near_the_float_limit():
+    # 4|alpha|^2 overflows at |alpha| = 1e154; the count must stay >= 1
+    assert 0.0 < n_eff_real(0.1, 1e154) < 1e-300
+    assert n_eff_integer(0.1, 1e154) == 1
+    # the two-step division keeps the bits of the one-step form elsewhere
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        alpha = 10.0 ** rng.uniform(-3, 3) * np.exp(1j * rng.uniform(0, 2 * np.pi))
+        delta = 10.0 ** rng.uniform(-12, math.log10(0.49))
+        one_step = math.log(4.0 * delta * (1.0 - delta)) / (-4.0 * abs2(alpha))
+        assert n_eff_real(delta, alpha) == one_step
+
+
 def test_validity_interval_frozen():
     lo, hi = delta_validity_interval(2, 1.0)
     assert lo == pytest.approx(8.387269160402486e-05, rel=1e-12)

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +17,15 @@ from catsize.closed_forms import (
     rqfi_bound_bounded,
 )
 from catsize.errors import DomainError, ResolutionError
-from catsize.fock import MAX_OPERATOR_DIM
+from catsize.fock import (
+    MAX_OPERATOR_DIM,
+    FockOperator,
+    coherent_vector,
+    default_cutoff,
+    density,
+    tensor,
+    trace_norm,
+)
 from catsize.measures import (
     GeneratorFamily,
     Method,
@@ -29,6 +38,7 @@ from catsize.measures import (
     mode_loss_size,
     rqfi_size,
     wigner_empirical_size,
+    _trace_norm_check,
 )
 from catsize.phase_space import extract_features, wigner_grid
 
@@ -102,6 +112,39 @@ def test_branch_dist_integer_measure():
     oracle = res.diagnostics["oracle"]
     assert oracle["modes_checked"] == 2
     assert oracle["difference"] <= 1e-8
+
+
+@pytest.mark.parametrize("n_check", [1, 2])
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0, 3.0])
+def test_trace_norm_oracle_matches_dense_projectors(alpha, n_check):
+    # the rank-2 compression against the full (d^n, d^n) projector route
+    cutoff = default_cutoff(alpha)
+    plus, _ = coherent_vector(alpha, cutoff)
+    minus, _ = coherent_vector(-alpha, cutoff)
+    rho_p = density(tensor(*([plus] * n_check)))
+    rho_m = density(tensor(*([minus] * n_check)))
+    dense = 0.5 + 0.25 * trace_norm(
+        FockOperator(cutoff, n_check, rho_p.matrix - rho_m.matrix)
+    )
+    oracle = _trace_norm_check(alpha, n_check, cutoff)
+    assert abs(oracle["numeric"] - dense) <= 1e-13
+    assert oracle["modes_checked"] == n_check
+    assert oracle["cutoff"] == cutoff
+    assert oracle["closed"] == helstrom_success_n_modes(n_check, alpha)
+    assert oracle["difference"] == abs(oracle["closed"] - oracle["numeric"])
+
+
+def test_branch_dist_oracle_builds_no_dense_operator():
+    # the dense route peaked at 42.6 MB here (two 729 x 729 projectors)
+    branch_dist_size(omega(6, 0.626427), 5.19265e-05)
+    tracemalloc.start()
+    try:
+        res = branch_dist_size(omega(6, 0.626427), 5.19265e-05)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.diagnostics["oracle"]["modes_checked"] == 2
+    assert peak < 1_000_000
 
 
 def test_branch_dist_outside_validity_interval():

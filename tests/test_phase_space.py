@@ -1,18 +1,22 @@
 """Wigner kernels, the displaced-parity oracle, grids, and feature extraction."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from catsize.closed_forms import CatFamily, CatStateSpec, abs2
-from catsize.errors import DomainError, ResolutionError, TruncationError
-from catsize.fock import build_state, coherent_vector
+from catsize.errors import DomainError, ResolutionError, SizingError, TruncationError
+from catsize.fock import MAX_JOINT_DIM, build_state, coherent_vector
 from catsize.phase_space import (
     CONVENTION,
+    AxisSpec,
+    WignerGrid,
     default_feature_window,
     extract_features,
     fringe_suppression_check,
+    grid_line,
     grid_to_csv,
     grid_to_json,
     partial_trace_fringe_suppression,
@@ -292,6 +296,23 @@ def test_grid_rejects_unsupported_family():
         wigner_grid(spec, {"re": np.linspace(-1, 1, 5), "im": 0.0})
 
 
+def test_grids_above_the_point_budget_are_refused_before_allocating():
+    # 3000**2 > MAX_JOINT_DIM: the line would fit, the 72 MB mesh would not
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizingError, match="grid of 9000000 points"):
+            grid_line(-4.0, 4.0, 3000)
+        line = np.linspace(-4.0, 4.0, 3000)
+        with pytest.raises(SizingError, match="exceeds MAX_JOINT_DIM"):
+            wigner_grid(even_cat(1.0), {"re": line, "im": line})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    edge = math.isqrt(MAX_JOINT_DIM)
+    assert np.array_equal(grid_line(-1.0, 1.0, edge), np.linspace(-1.0, 1.0, edge))
+
+
 def test_grid_covers_at_most_two_modes():
     with pytest.raises(DomainError):
         wigner_grid(even_cat(1.0, modes=3), {})
@@ -447,6 +468,70 @@ def test_csv_values_round_trip():
     rows = grid_to_csv(grid).strip().split("\n")[1:]
     parsed = np.array([float(r.split(",")[2]) for r in rows])
     np.testing.assert_array_equal(parsed, grid.values.ravel())
+
+
+def _reference_csv(grid):
+    """The row-by-row formatter grid_to_csv replaced: one repr per cell."""
+    axes = list(grid.axes)
+    if len(axes) == 4:
+        first = axes[0].values.size > 1 or axes[1].values.size > 1
+        second = axes[2].values.size > 1 or axes[3].values.size > 1
+        if first != second:
+            axes = axes[0:2] if first else axes[2:4]
+    if len(axes) == 2:
+        header = "re,im,w"
+    else:
+        header = ",".join([ax.name for ax in axes] + ["w"])
+    mesh = np.meshgrid(*[ax.values for ax in axes], indexing="ij")
+    cols = [m.ravel() for m in mesh] + [grid.values.ravel()]
+    lines = [header]
+    for row in zip(*cols):
+        lines.append(",".join(repr(float(x)) for x in row))
+    return "\n".join(lines) + "\n"
+
+
+def _odd_values_grid(names, shape):
+    """A grid whose axes and values hold -0.0, subnormals and extreme floats."""
+    specials = np.array([-0.0, 5e-324, -2.2250738585072014e-308, 1e-310,
+                         1.7976931348623157e308, 0.1, -1.0 / 3.0])
+    axes = tuple(
+        AxisSpec(name=n, values=np.resize(np.roll(specials, i), k))
+        for i, (n, k) in enumerate(zip(names, shape))
+    )
+    values = np.resize(specials[::-1], math.prod(shape)).reshape(shape)
+    return WignerGrid("test", CONVENTION, axes, values, {})
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: wigner_grid(even_cat(1.3), {"re": np.linspace(-3.3, 3.3, 41),
+                                            "im": np.linspace(-3.3, 3.3, 37)}),
+        lambda: wigner_grid(
+            CatStateSpec(family=CatFamily.HCS, modes=2, alpha=1.5),
+            {"re1": np.linspace(-2.0, 2.0, 23), "im1": np.linspace(-2.0, 2.0, 19),
+             "re2": 0.3, "im2": -0.7},
+        ),
+        lambda: wigner_grid(
+            CatStateSpec(family=CatFamily.HCS, modes=2, alpha=1.5),
+            {"re1": 0.0, "im1": -0.0, "re2": np.linspace(-2.0, 2.0, 15),
+             "im2": np.linspace(-1.0, 1.0, 9)},
+        ),
+        lambda: wigner_grid(
+            even_cat(0.9, modes=2),
+            {"re1": np.linspace(-2.0, 2.0, 7), "im1": np.linspace(-1.0, 1.0, 3),
+             "re2": np.linspace(-2.0, 2.0, 5), "im2": np.linspace(-1.0, 1.0, 4)},
+        ),
+        lambda: _odd_values_grid(("re", "im"), (7, 5)),
+        lambda: _odd_values_grid(("re1", "im1", "re2", "im2"), (6, 5, 1, 1)),
+        lambda: _odd_values_grid(("re1", "im1", "re2", "im2"), (3, 1, 7, 2)),
+    ],
+    ids=["single-mode", "slice-first-mode", "slice-second-mode", "joint-4-axis",
+         "odd-floats-single", "odd-floats-slice", "odd-floats-joint"],
+)
+def test_csv_is_byte_identical_to_the_row_formatter(make):
+    grid = make()
+    assert grid_to_csv(grid) == _reference_csv(grid)
 
 
 def test_json_payload_structure():

@@ -86,6 +86,23 @@ def test_histogram_statistics_equal_fsum_bitwise():
             assert [v.hex() for v in got] == [v.hex() for v in want]
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64])
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda seed: simulate_distillation(5, 0.8, 100, seed),
+        lambda seed: simulate_mode_loss(5, 0.8, 0.25, 100, seed),
+        lambda seed: simulate_branch_collapse(
+            1.0, 100, seed, CollapseProblem.CAT_VS_BRANCH
+        ),
+    ],
+    ids=["distill", "mode-loss", "collapse"],
+)
+def test_seed_outside_key_range_is_a_domain_error(run, seed):
+    with pytest.raises(DomainError, match=r"expected a seed in \[0, 2\*\*64\)"):
+        run(seed)
+
+
 def test_statistics_overflow_is_a_domain_error():
     with pytest.raises(DomainError):
         _stats_fields([(-1e200, 3), (-2e200, 4)])
