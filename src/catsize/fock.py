@@ -8,7 +8,11 @@ tridiagonal matrices: the displacement generator is a phase-rotated
 quadrature, and the beamsplitter generator splits into one hopping block per
 total photon count.  Two-mode unitaries conserve that count, so they are
 stored and applied as those blocks (``TwoModeKernel``, O(d^3) entries); no
-(d^2 x d^2) matrix is ever built.
+(d^2 x d^2) matrix is ever built.  A block multiplies only the columns of the
+other modes that hold a nonzero amplitude, so a mixer that meets modes still
+in vacuum costs in proportion to the occupied part of the state; the test is
+exact zero, with no tolerance.  The block eigenpairs do not depend on the
+mixing angle and are cached per cutoff.
 """
 
 from __future__ import annotations
@@ -228,7 +232,8 @@ def beamsplitter_kernel(theta: float, cutoff: int) -> TwoModeKernel:
     The generator conserves total photon number, so the exponential is taken
     block by block: the block at total count n is theta times a real
     symmetric tridiagonal hopping matrix H_n of size at most cutoff + 1, and
-    exp(i theta H_n) = V e^{i theta Lambda} V^T from its eigenpairs.
+    exp(i theta H_n) = V e^{i theta Lambda} V^T from its eigenpairs, which do
+    not depend on theta and are cached per cutoff (``_block_eigh``).
     Refuses cutoffs whose blocks would hold more than MAX_JOINT_DIM entries.
     """
     d = cutoff + 1
@@ -238,15 +243,29 @@ def beamsplitter_kernel(theta: float, cutoff: int) -> TwoModeKernel:
             f"two-mode kernel of {entries} entries exceeds "
             f"MAX_JOINT_DIM = {MAX_JOINT_DIM}"
         )
-    ks = [
-        np.arange(max(0, n - cutoff), min(n, cutoff) + 1)
-        for n in range(2 * cutoff + 1)
-    ]
-    blocks = []
-    for n, k in enumerate(ks):
+    ks, eigenpairs = _block_eigh(cutoff)
+    blocks = tuple(
+        (vecs * np.exp(1j * theta * vals)) @ vecs.T for vals, vecs in eigenpairs
+    )
+    return TwoModeKernel(cutoff, ks, blocks)
+
+
+@functools.lru_cache(maxsize=8)
+def _block_eigh(cutoff: int) -> tuple[tuple, tuple]:
+    """Read-only index ranges ks[n] and hopping-block eigenpairs per total count n.
+
+    H_n couples |k, n - k> to |k + 1, n - k - 1> with amplitude
+    sqrt((k + 1)(n - k)), for the k in ks[n] that keep both counts <= cutoff.
+    """
+    ks, eigenpairs = [], []
+    for n in range(2 * cutoff + 1):
+        k = np.arange(max(0, n - cutoff), min(n, cutoff) + 1)
         vals, vecs = _hopping_eigh(np.sqrt((k[:-1] + 1.0) * (n - k[:-1])))
-        blocks.append((vecs * np.exp(1j * theta * vals)) @ vecs.T)
-    return TwoModeKernel(cutoff, tuple(ks), tuple(blocks))
+        for arr in (k, vals, vecs):
+            arr.flags.writeable = False
+        ks.append(k)
+        eigenpairs.append((vals, vecs))
+    return tuple(ks), tuple(eigenpairs)
 
 
 def coherent_mixer_kernel(theta: float, cutoff: int) -> TwoModeKernel:
@@ -284,13 +303,15 @@ def cat_split_thetas(modes: int) -> list[float]:
 
 
 def apply_split_network(state: FockVector) -> FockVector:
-    """Run the even-splitting mixer chain over all adjacent mode pairs."""
-    thetas = cat_split_thetas(state.modes)
-    out = state
-    for q, theta in enumerate(thetas, start=1):
+    """Run the even-splitting mixer chain over all adjacent mode pairs.
+
+    Each mixer's input is dropped as soon as its output exists, so at most
+    two joint vectors are alive at once.
+    """
+    for q, theta in enumerate(cat_split_thetas(state.modes), start=1):
         kernel = coherent_mixer_kernel(theta, state.cutoff)
-        out = apply_two_mode(kernel, out, q - 1, q)
-    return out
+        state = apply_two_mode(kernel, state, q - 1, q)
+    return state
 
 
 def apply_single_mode(kernel: np.ndarray, state: FockVector, mode: int) -> FockVector:
@@ -307,8 +328,14 @@ def apply_two_mode(
     """Apply a number-conserving two-mode unitary to modes (mode_i, mode_j).
 
     Each block at total count n reads the anti-diagonal t[ks, n - ks] of the
-    (mode_i, mode_j) slice and writes the same anti-diagonal of the output,
-    so one application costs O(d^3) per amplitude of the other modes.
+    (mode_i, mode_j) slice as a (len(ks), rest) matrix, one column per basis
+    state of the other modes, and writes the same anti-diagonal of the output.
+    A column that is exactly zero maps to zero, so only the columns holding a
+    nonzero amplitude go through the block product; the output starts as
+    zeros.  The cost is O(d^3) per nonzero column rather than per amplitude
+    of the other modes.  In the splitting network the mixer on modes
+    (q - 1, q), counted from 0, meets modes q + 1 .. M - 1 still in vacuum,
+    so it multiplies at most d^(q-1) of the d^(M-2) columns.
     """
     _check_mode_pair(mode_i, mode_j, state.modes)
     if kernel.cutoff != state.cutoff:
@@ -316,11 +343,15 @@ def apply_two_mode(
             f"kernel cutoff {kernel.cutoff} does not match state cutoff {state.cutoff}"
         )
     t = np.moveaxis(state.as_tensor(), [mode_i, mode_j], [0, 1])
-    out = np.empty_like(state.as_tensor())
-    # the blocks partition all (k, n - k) pairs, so every output entry is written
+    rest = t.shape[2:]
+    out = np.zeros(state.as_tensor().shape, dtype=complex)
     view = np.moveaxis(out, [mode_i, mode_j], [0, 1])
     for n, (ks, block) in enumerate(zip(kernel.ks, kernel.blocks)):
-        view[ks, n - ks] = np.tensordot(block, t[ks, n - ks], axes=1)
+        x = t[ks, n - ks].reshape(len(ks), -1)
+        cols = np.flatnonzero(x.any(axis=0))
+        if cols.size:
+            other = np.unravel_index(cols, rest) if rest else ()
+            view[(ks[:, None], (n - ks)[:, None], *other)] = block @ x[:, cols]
     return FockVector(state.cutoff, state.modes, out.reshape(-1))
 
 

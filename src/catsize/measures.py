@@ -207,18 +207,20 @@ def _two_branch_variance(gen: ModeGenerator, modes: int, c1: complex, c2: comple
     norm_sq = 0.0 + 0j
     e1 = 0.0 + 0j
     e2 = 0.0 + 0j
-    for x in range(2):
-        for y in range(2):
-            weight = coeff[x].conjugate() * coeff[y]
-            gxy = gram[x, y]
-            norm_sq += weight * gxy ** n
-            e1 += weight * n * first[x, y] * gxy ** (n - 1)
-            term = n * second[x, y] * gxy ** (n - 1)
-            if n >= 2:
-                term += n * (n - 1) * first[x, y] ** 2 * gxy ** (n - 2)
-            e2 += weight * term
-    mean = e1 / norm_sq
-    return float((e2 / norm_sq).real - (mean.real ** 2 - mean.imag ** 2))
+    # overflowing bracket tables give a NaN variance, which the caller refuses
+    with np.errstate(over="ignore", invalid="ignore"):
+        for x in range(2):
+            for y in range(2):
+                weight = coeff[x].conjugate() * coeff[y]
+                gxy = gram[x, y]
+                norm_sq += weight * gxy ** n
+                e1 += weight * n * first[x, y] * gxy ** (n - 1)
+                term = n * second[x, y] * gxy ** (n - 1)
+                if n >= 2:
+                    term += n * (n - 1) * first[x, y] ** 2 * gxy ** (n - 2)
+                e2 += weight * term
+        mean = e1 / norm_sq
+        return float((e2 / norm_sq).real - (mean.real ** 2 - mean.imag ** 2))
 
 
 # ---------------------------------------------------------------------------

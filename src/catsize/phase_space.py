@@ -44,7 +44,9 @@ _NYQUIST_FACTOR = 16.0
 
 def _gauss(gamma, center):
     g = np.asarray(gamma, dtype=complex)
-    return np.exp(-2.0 * (np.abs(g - center) ** 2))
+    # a squared distance that overflows to inf gives exp(-inf) = 0, as it should
+    with np.errstate(over="ignore"):
+        return np.exp(-2.0 * (np.abs(g - center) ** 2))
 
 
 def _envelope(gamma):

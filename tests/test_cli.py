@@ -427,6 +427,28 @@ def test_non_finite_result_exits_3_with_empty_stdout(args, capsys):
     assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "args, code",
+    [
+        (("wigner", "--state", "even-cat", "--alpha", "1e154", "--grid=-4:4:11"), 0),
+        (("measure", "rqfi", "--modes", "3", "--alpha", "1e154",
+          "--family", "quadrature"), 3),
+    ],
+    ids=["wigner-gauss", "rqfi-variance"],
+)
+def test_extreme_alpha_prints_no_numpy_warning(args, code):
+    # the overflowing intermediates are expected and their results handled,
+    # so stderr holds nothing or the one error line
+    proc = run_cli(*args)
+    assert proc.returncode == code
+    if code == 0:
+        assert proc.stderr == ""
+    else:
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: ")
+        assert proc.stderr.count("\n") == 1
+
+
 def test_non_finite_value_is_refused_by_the_serializer():
     with pytest.raises(DomainError, match="strict JSON"):
         _dumps({"grid": {"values": [0.5, math.inf]}})

@@ -36,6 +36,7 @@ from catsize.fock import (
     total_photon_pmf,
     trace_norm,
 )
+from catsize.verify import network_coherent_gap
 
 
 def vacuum(cutoff: int) -> FockVector:
@@ -148,16 +149,31 @@ def dense(kernel, cutoff: int) -> np.ndarray:
     return out
 
 
-@pytest.mark.parametrize("mode_i, mode_j", [(0, 1), (2, 0), (1, 2)])
-def test_two_mode_blocks_match_dense_generator(mode_i, mode_j):
-    theta, cutoff = 0.7, 6
+def dense_references(theta: float, cutoff: int):
+    """Dense beamsplitter and coherent mixer from the truncated generator."""
     d = cutoff + 1
     ops = mode_ops(cutoff)
     a, adag = ops.annihilation.matrix, ops.creation.matrix
     gen = 1j * theta * (np.kron(adag, a) + np.kron(a, adag))
     phase = np.kron(np.eye(d), np.diag((-1j) ** np.arange(d)))
     reference = taylor_expm(gen)
-    mixer_reference = phase @ reference @ phase
+    return reference, phase @ reference @ phase
+
+
+def apply_dense(matrix, state: FockVector, mode_i: int, mode_j: int) -> np.ndarray:
+    """Amplitudes after a dense (d^2 x d^2) two-mode matrix acts on a pair."""
+    d = state.cutoff + 1
+    t = np.tensordot(
+        matrix.reshape(d, d, d, d), state.as_tensor(), axes=([2, 3], [mode_i, mode_j])
+    )
+    return np.moveaxis(t, [0, 1], [mode_i, mode_j]).reshape(-1)
+
+
+@pytest.mark.parametrize("mode_i, mode_j", [(0, 1), (2, 0), (1, 2)])
+def test_two_mode_blocks_match_dense_generator(mode_i, mode_j):
+    theta, cutoff = 0.7, 6
+    d = cutoff + 1
+    reference, mixer_reference = dense_references(theta, cutoff)
     splitter = beamsplitter_kernel(theta, cutoff)
     mixer = coherent_mixer_kernel(theta, cutoff)
     assert np.abs(dense(splitter, cutoff) - reference).max() < 1e-12
@@ -166,16 +182,85 @@ def test_two_mode_blocks_match_dense_generator(mode_i, mode_j):
     rng = np.random.default_rng(11)
     amps = rng.normal(size=d**3) + 1j * rng.normal(size=d**3)
     state = FockVector(cutoff=cutoff, modes=3, amplitudes=amps)
-    t = np.tensordot(
-        mixer_reference.reshape(d, d, d, d),
-        state.as_tensor(),
-        axes=([2, 3], [mode_i, mode_j]),
-    )
-    expected = np.moveaxis(t, [0, 1], [mode_i, mode_j]).reshape(-1)
+    expected = apply_dense(mixer_reference, state, mode_i, mode_j)
     out = apply_two_mode(mixer, state, mode_i, mode_j)
     assert np.abs(out.amplitudes - expected).max() < 1e-12
     with pytest.raises(DomainError):
         apply_two_mode(beamsplitter_kernel(theta, cutoff + 1), state, mode_i, mode_j)
+
+
+def every_column_applier(kernel, state, mode_i, mode_j):
+    """The applier apply_two_mode replaced: every block times every column,
+    zero or not."""
+    t = np.moveaxis(state.as_tensor(), [mode_i, mode_j], [0, 1])
+    out = np.empty_like(state.as_tensor())
+    view = np.moveaxis(out, [mode_i, mode_j], [0, 1])
+    for n, (ks, block) in enumerate(zip(kernel.ks, kernel.blocks)):
+        view[ks, n - ks] = np.tensordot(block, t[ks, n - ks], axes=1)
+    return FockVector(state.cutoff, state.modes, out.reshape(-1))
+
+
+def sparse_state(kind: str, cutoff: int, mode_i: int, mode_j: int) -> FockVector:
+    """Three-mode test states with exactly-zero columns or blocks."""
+    d = cutoff + 1
+    rng = np.random.default_rng(23)
+    amps = rng.normal(size=(d,) * 3) + 1j * rng.normal(size=(d,) * 3)
+    pair = np.moveaxis(amps, [mode_i, mode_j], [0, 1])  # a view into amps
+    if kind == "head-vacuum":
+        head = rng.normal(size=d) + 1j * rng.normal(size=d)
+        amps = np.kron(head, np.eye(d * d)[0])
+    elif kind == "zeroed-slices":
+        pair[:, :, rng.random(d) < 0.6] = 0.0
+    elif kind == "zero-blocks":
+        for n in range(0, 2 * cutoff + 1, 3):
+            ks = np.arange(max(0, n - cutoff), min(n, cutoff) + 1)
+            pair[ks, n - ks] = 0.0
+    return FockVector(cutoff=cutoff, modes=3, amplitudes=amps)
+
+
+@pytest.mark.parametrize("mode_i, mode_j", [(0, 1), (1, 2), (0, 2), (2, 0)])
+@pytest.mark.parametrize("kind", ["dense", "head-vacuum", "zeroed-slices", "zero-blocks"])
+def test_zero_columns_are_skipped_without_changing_the_result(kind, mode_i, mode_j):
+    theta, cutoff = 0.7, 6
+    d = cutoff + 1
+    mixer = coherent_mixer_kernel(theta, cutoff)
+    state = sparse_state(kind, cutoff, mode_i, mode_j)
+    out = apply_two_mode(mixer, state, mode_i, mode_j).amplitudes
+    old = every_column_applier(mixer, state, mode_i, mode_j).amplitudes
+    # a zero column maps to an exactly zero column
+    assert np.all(out[old == 0] == 0)
+    if kind in ("dense", "zero-blocks"):
+        # every block product keeps its shape, so the arithmetic is unchanged
+        assert np.array_equal(out, old)
+    else:
+        # BLAS may round a column differently when fewer columns share the
+        # product, so allow a few ulps of each length-d dot product
+        scale = np.abs(state.amplitudes).max()
+        assert np.abs(out - old).max() <= 8 * d * np.finfo(float).eps * scale
+
+    _, mixer_reference = dense_references(theta, cutoff)
+    expected = apply_dense(mixer_reference, state, mode_i, mode_j)
+    assert np.abs(out - expected).max() < 1e-12
+
+
+def test_split_network_keeps_two_joint_vectors_alive():
+    # at m = 4 and alpha = 1.5 each joint vector is 45**4 amplitudes, 65.6 MB;
+    # holding the network input through every mixer peaked near 200 MB
+    tracemalloc.start()
+    try:
+        network_coherent_gap(4, 1.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 150_000_000
+
+
+def test_block_index_ranges_are_cached_read_only():
+    # the eigenpairs behind them do not depend on theta; callers share them
+    splitter, mixer = beamsplitter_kernel(0.3, 12), coherent_mixer_kernel(1.1, 12)
+    assert splitter.ks is mixer.ks
+    with pytest.raises(ValueError):
+        splitter.ks[3][0] = 1
 
 
 def test_two_mode_kernel_stores_cubic_entries():
