@@ -8,11 +8,14 @@ tridiagonal matrices: the displacement generator is a phase-rotated
 quadrature, and the beamsplitter generator splits into one hopping block per
 total photon count.  Two-mode unitaries conserve that count, so they are
 stored and applied as those blocks (``TwoModeKernel``, O(d^3) entries); no
-(d^2 x d^2) matrix is ever built.  A block multiplies only the columns of the
-other modes that hold a nonzero amplitude, so a mixer that meets modes still
-in vacuum costs in proportion to the occupied part of the state; the test is
-exact zero, with no tolerance.  The block eigenpairs do not depend on the
-mixing angle and are cached per cutoff.
+(d^2 x d^2) matrix is ever built.  One in-place core (``_mix_in_place``)
+applies them: a block multiplies only the columns of the other modes that
+hold a nonzero amplitude (exact zero, no tolerance) and writes its result
+back over the amplitudes it read.  ``apply_two_mode`` runs that core on a
+copy; the splitting network runs it on the one buffer it owns, which it
+grows from the one-mode head by a vacuum mode before each mixer, so no
+mixer ever scans modes still in vacuum.  The block eigenpairs do not depend
+on the mixing angle and are cached per cutoff.
 """
 
 from __future__ import annotations
@@ -302,16 +305,28 @@ def cat_split_thetas(modes: int) -> list[float]:
     return thetas
 
 
-def apply_split_network(state: FockVector) -> FockVector:
-    """Run the even-splitting mixer chain over all adjacent mode pairs.
+def apply_split_network(head: FockVector, modes: int) -> FockVector:
+    """Feed ``head`` and ``modes`` - 1 vacuum modes through the even-splitting
+    mixer chain over the adjacent mode pairs.
 
-    Each mixer's input is dropped as soon as its output exists, so at most
-    two joint vectors are alive at once.
+    The state is grown as the protocol runs: before the mixer on modes
+    (q - 1, q) it gets mode q in vacuum, and the mixer acts in place on that
+    buffer, so mixer q only meets the d^(q-1) columns of the modes before it.
+    The final size is checked against MAX_JOINT_DIM before the first buffer
+    is allocated, and at most one joint vector of ``modes`` modes is alive.
     """
-    for q, theta in enumerate(cat_split_thetas(state.modes), start=1):
-        kernel = coherent_mixer_kernel(theta, state.cutoff)
-        state = apply_two_mode(kernel, state, q - 1, q)
-    return state
+    if head.modes != 1:
+        raise DomainError(f"the network head must be one mode, got {head.modes}")
+    d = head.cutoff + 1
+    # refuse before the first buffer; the last one is the largest
+    _check_joint_dim(d**modes)
+    state = head.amplitudes
+    for q, theta in enumerate(cat_split_thetas(modes), start=1):
+        grown = np.zeros((d,) * (q + 1), dtype=complex)
+        grown[..., 0] = state
+        state = grown
+        _mix_in_place(coherent_mixer_kernel(theta, head.cutoff), state, q - 1, q)
+    return FockVector(head.cutoff, modes, state.reshape(-1))
 
 
 def apply_single_mode(kernel: np.ndarray, state: FockVector, mode: int) -> FockVector:
@@ -327,32 +342,38 @@ def apply_two_mode(
 ) -> FockVector:
     """Apply a number-conserving two-mode unitary to modes (mode_i, mode_j).
 
-    Each block at total count n reads the anti-diagonal t[ks, n - ks] of the
-    (mode_i, mode_j) slice as a (len(ks), rest) matrix, one column per basis
-    state of the other modes, and writes the same anti-diagonal of the output.
-    A column that is exactly zero maps to zero, so only the columns holding a
-    nonzero amplitude go through the block product; the output starts as
-    zeros.  The cost is O(d^3) per nonzero column rather than per amplitude
-    of the other modes.  In the splitting network the mixer on modes
-    (q - 1, q), counted from 0, meets modes q + 1 .. M - 1 still in vacuum,
-    so it multiplies at most d^(q-1) of the d^(M-2) columns.
+    Runs ``_mix_in_place`` on a copy of the amplitudes, so ``state`` is left
+    unchanged.
     """
     _check_mode_pair(mode_i, mode_j, state.modes)
     if kernel.cutoff != state.cutoff:
         raise DomainError(
             f"kernel cutoff {kernel.cutoff} does not match state cutoff {state.cutoff}"
         )
-    t = np.moveaxis(state.as_tensor(), [mode_i, mode_j], [0, 1])
-    rest = t.shape[2:]
-    out = np.zeros(state.as_tensor().shape, dtype=complex)
-    view = np.moveaxis(out, [mode_i, mode_j], [0, 1])
+    out = state.amplitudes.copy()
+    _mix_in_place(kernel, out.reshape(state.as_tensor().shape), mode_i, mode_j)
+    return FockVector(state.cutoff, state.modes, out)
+
+
+def _mix_in_place(kernel: TwoModeKernel, t: np.ndarray, mode_i: int, mode_j: int):
+    """Overwrite the joint tensor ``t`` with the kernel applied to (mode_i, mode_j).
+
+    Each block at total count n reads the anti-diagonal t[ks, n - ks] of the
+    (mode_i, mode_j) slice as a (len(ks), rest) matrix, one column per basis
+    state of the other modes, and writes the product back to the same
+    positions.  The blocks partition the (mode_i, mode_j) pairs, so no block
+    reads what another has written.  A column that is exactly zero maps to
+    zero and is left as it is; only the columns holding a nonzero amplitude
+    go through the block product, at O(d^3) per column.
+    """
+    view = np.moveaxis(t, [mode_i, mode_j], [0, 1])
+    rest = view.shape[2:]
     for n, (ks, block) in enumerate(zip(kernel.ks, kernel.blocks)):
-        x = t[ks, n - ks].reshape(len(ks), -1)
+        x = view[ks, n - ks].reshape(len(ks), -1)
         cols = np.flatnonzero(x.any(axis=0))
         if cols.size:
             other = np.unravel_index(cols, rest) if rest else ()
             view[(ks[:, None], (n - ks)[:, None], *other)] = block @ x[:, cols]
-    return FockVector(state.cutoff, state.modes, out.reshape(-1))
 
 
 def tensor(*parts: FockVector) -> FockVector:

@@ -268,11 +268,16 @@ def grid_line(lo: float, hi: float, steps: int) -> np.ndarray:
     """``steps`` evenly spaced values on [lo, hi], the shared line of a grid
     that varies two axes over it.
 
-    Refuses with SizingError, before allocating the line, when that grid
-    would exceed MAX_JOINT_DIM points.
+    On a symmetric window with an odd count the middle sample is exactly 0,
+    which ``np.linspace`` can miss by a rounding step; every other sample is
+    as ``np.linspace`` gives it.  Refuses with SizingError, before
+    allocating the line, when that grid would exceed MAX_JOINT_DIM points.
     """
     _check_grid_points(steps * steps)
-    return np.linspace(lo, hi, steps)
+    line = np.linspace(lo, hi, steps)
+    if steps % 2 and lo == -hi:
+        line[steps // 2] = 0.0
+    return line
 
 
 def _check_grid_points(points: int) -> None:

@@ -39,7 +39,6 @@ from .fock import (
     build_state,
     coherent_vector,
     default_cutoff,
-    tensor,
 )
 from .measures import (
     GeneratorFamily,
@@ -152,19 +151,25 @@ def _fidelity_gap(out: FockVector, target: FockVector) -> float:
 
 
 def network_coherent_gap(m: int, alpha: complex) -> float:
-    """1 - fidelity of the splitting network output against |alpha>^m."""
+    """1 - fidelity of the splitting network output against |alpha>^m.
+
+    The overlap with the product target is contracted one mode at a time
+    against conj(leaf), and the target norm is ||leaf||^(2m), so the target
+    vector is never built.
+    """
     peak = math.sqrt(m) * abs(alpha)
     afford = int(MAX_JOINT_DIM ** (1.0 / m)) - 1
     cutoff = min(default_cutoff(peak), afford)
     head, _ = coherent_vector(math.sqrt(m) * alpha, cutoff)
-    vacuum = np.zeros(cutoff + 1, dtype=complex)
-    vacuum[0] = 1.0
-    vac = FockVector(cutoff=cutoff, modes=1, amplitudes=vacuum)
-    # the network runs before the target exists: at m = 4 each joint vector
-    # is up to MAX_JOINT_DIM amplitudes
-    out = apply_split_network(tensor(head, *([vac] * (m - 1))))
-    leaf, _ = coherent_vector(alpha, cutoff)
-    return _fidelity_gap(out, tensor(*([leaf] * m)))
+    out = apply_split_network(head, m).amplitudes
+    leaf = coherent_vector(alpha, cutoff)[0].amplitudes
+    bra = leaf.conj()
+    overlap = out.reshape((cutoff + 1,) * m)
+    for _ in range(m):
+        overlap = overlap @ bra
+    leaf_norm2 = float(np.vdot(leaf, leaf).real)
+    fid = abs2(complex(overlap)) / (leaf_norm2**m * float(np.vdot(out, out).real))
+    return 1.0 - fid
 
 
 def network_superposition_gap(modes: int, alpha: complex) -> float:
@@ -174,7 +179,8 @@ def network_superposition_gap(modes: int, alpha: complex) -> float:
     omega = CatStateSpec(family=CatFamily.OMEGA, modes=modes, alpha=alpha)
     source, _ = build_state(prime, cutoff=cutoff)
     target, _ = build_state(omega, cutoff=cutoff)
-    return _fidelity_gap(apply_split_network(source), target)
+    head = FockVector(cutoff, 1, source.as_tensor()[(slice(None),) + (0,) * (modes - 1)])
+    return _fidelity_gap(apply_split_network(head, modes), target)
 
 
 def wigner_gap(spec: CatStateSpec, cutoff: int, closed, points) -> float:

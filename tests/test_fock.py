@@ -200,6 +200,22 @@ def every_column_applier(kernel, state, mode_i, mode_j):
     return FockVector(state.cutoff, state.modes, out.reshape(-1))
 
 
+def zeros_output_applier(kernel, state, mode_i, mode_j):
+    """The applier the in-place core replaced: the same gather, zero-column
+    skip and block product, written into a fresh array of zeros."""
+    t = np.moveaxis(state.as_tensor(), [mode_i, mode_j], [0, 1])
+    rest = t.shape[2:]
+    out = np.zeros(state.as_tensor().shape, dtype=complex)
+    view = np.moveaxis(out, [mode_i, mode_j], [0, 1])
+    for n, (ks, block) in enumerate(zip(kernel.ks, kernel.blocks)):
+        x = t[ks, n - ks].reshape(len(ks), -1)
+        cols = np.flatnonzero(x.any(axis=0))
+        if cols.size:
+            other = np.unravel_index(cols, rest) if rest else ()
+            view[(ks[:, None], (n - ks)[:, None], *other)] = block @ x[:, cols]
+    return FockVector(state.cutoff, state.modes, out.reshape(-1))
+
+
 def sparse_state(kind: str, cutoff: int, mode_i: int, mode_j: int) -> FockVector:
     """Three-mode test states with exactly-zero columns or blocks."""
     d = cutoff + 1
@@ -225,7 +241,12 @@ def test_zero_columns_are_skipped_without_changing_the_result(kind, mode_i, mode
     d = cutoff + 1
     mixer = coherent_mixer_kernel(theta, cutoff)
     state = sparse_state(kind, cutoff, mode_i, mode_j)
+    before = state.amplitudes.copy()
     out = apply_two_mode(mixer, state, mode_i, mode_j).amplitudes
+    # apply_two_mode mixes a copy in place; its input is left as it was
+    assert np.array_equal(state.amplitudes.view(np.float64), before.view(np.float64))
+    zeros_out = zeros_output_applier(mixer, state, mode_i, mode_j).amplitudes
+    assert np.array_equal(out.view(np.float64), zeros_out.view(np.float64))
     old = every_column_applier(mixer, state, mode_i, mode_j).amplitudes
     # a zero column maps to an exactly zero column
     assert np.all(out[old == 0] == 0)
@@ -243,16 +264,60 @@ def test_zero_columns_are_skipped_without_changing_the_result(kind, mode_i, mode
     assert np.abs(out - expected).max() < 1e-12
 
 
-def test_split_network_keeps_two_joint_vectors_alive():
-    # at m = 4 and alpha = 1.5 each joint vector is 45**4 amplitudes, 65.6 MB;
-    # holding the network input through every mixer peaked near 200 MB
+def head_vacuum_chain(head: FockVector, modes: int) -> FockVector:
+    """The network the grown one replaced: the full head x vacuum product,
+    then every mixer on all modes."""
+    state = tensor(head, *([vacuum(head.cutoff)] * (modes - 1)))
+    for q, theta in enumerate(cat_split_thetas(modes), start=1):
+        kernel = coherent_mixer_kernel(theta, head.cutoff)
+        state = zeros_output_applier(kernel, state, q - 1, q)
+    return state
+
+
+@pytest.mark.parametrize("modes, cutoff", [(2, 9), (3, 9), (4, 6), (4, 9)])
+def test_grown_network_matches_the_head_vacuum_chain_bitwise(modes, cutoff):
+    rng = np.random.default_rng(modes * 100 + cutoff)
+    head = FockVector(cutoff, 1, rng.normal(size=cutoff + 1) + 1j * rng.normal(size=cutoff + 1))
+    out = apply_split_network(head, modes)
+    assert out.modes == modes
+    ref = head_vacuum_chain(head, modes).amplitudes
+    assert np.array_equal(out.amplitudes.view(np.float64), ref.view(np.float64))
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_contracted_overlap_matches_the_dense_target(m):
+    alpha = 0.4 + 0.3j
+    cutoff = default_cutoff(math.sqrt(m) * alpha)
+    head, _ = coherent_vector(math.sqrt(m) * alpha, cutoff)
+    leaf, _ = coherent_vector(alpha, cutoff)
+    dense_gap = 1.0 - fidelity(apply_split_network(head, m), tensor(*([leaf] * m)))
+    assert abs(network_coherent_gap(m, alpha) - dense_gap) <= 1e-15
+
+
+def coherent_network_peak() -> int:
+    """Peak bytes traced by tracemalloc over network_coherent_gap(4, 1.5)."""
     tracemalloc.start()
     try:
         network_coherent_gap(4, 1.5)
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 150_000_000
+
+
+def test_split_network_keeps_two_joint_vectors_alive():
+    # at m = 4 and alpha = 1.5 each joint vector is 45**4 amplitudes, 65.6 MB;
+    # holding the network input through every mixer peaked near 200 MB
+    assert coherent_network_peak() < 150_000_000
+
+
+def test_split_network_holds_one_joint_vector():
+    # neither the head x vacuum input nor the |alpha>^4 target is built
+    assert coherent_network_peak() < 80_000_000
+
+
+def test_split_network_takes_a_one_mode_head():
+    with pytest.raises(DomainError):
+        apply_split_network(tensor(vacuum(4), vacuum(4)), 3)
 
 
 def test_block_index_ranges_are_cached_read_only():
@@ -317,6 +382,12 @@ def test_tensor_refuses_size_before_allocating():
     # 201**3 > MAX_JOINT_DIM; the Kronecker product would take 131 MB
     one, _ = coherent_vector(0.5, 200)
     assert traced_peak(lambda: tensor(one, one, one)) < 5_000_000
+
+
+def test_split_network_refuses_size_before_allocating():
+    # 65**4 > MAX_JOINT_DIM; the last buffer would take 285 MB
+    head, _ = coherent_vector(1.0, 64)
+    assert traced_peak(lambda: apply_split_network(head, 4)) < 5_000_000
 
 
 def test_trace_norm_of_known_difference():
@@ -425,8 +496,7 @@ def test_split_network_fans_out_coherent_state(modes):
     alpha = 0.5
     cutoff = default_cutoff(math.sqrt(modes) * alpha)
     head, _ = coherent_vector(math.sqrt(modes) * alpha, cutoff)
-    source = tensor(head, *([vacuum(cutoff)] * (modes - 1)))
-    out = apply_split_network(source)
+    out = apply_split_network(head, modes)
     leaf, _ = coherent_vector(alpha, cutoff)
     target = tensor(*([leaf] * modes))
     assert fidelity(out, target) >= 1.0 - 1e-8
@@ -439,7 +509,8 @@ def test_split_network_carries_superposition():
     omega = CatStateSpec(family=CatFamily.OMEGA, modes=modes, alpha=alpha)
     source, _ = build_state(prime, cutoff=cutoff)
     target, _ = build_state(omega, cutoff=cutoff)
-    assert fidelity(apply_split_network(source), target) >= 1.0 - 1e-8
+    head = FockVector(cutoff, 1, source.as_tensor()[:, 0, 0])
+    assert fidelity(apply_split_network(head, modes), target) >= 1.0 - 1e-8
 
 
 def test_apply_single_mode_acts_on_named_mode_only():

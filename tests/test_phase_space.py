@@ -332,6 +332,25 @@ def test_default_window_keeps_center_on_grid():
         assert 0.0 in np.linspace(lo, hi, steps)
 
 
+def test_grid_line_puts_the_window_centre_at_zero():
+    # np.linspace lands 4.44e-16 off zero at alpha = 1.35, and the origin
+    # maximum and the lobes were reported there
+    lo, hi, steps = default_feature_window(1.35)
+    assert steps == 169
+    plain = np.linspace(lo, hi, steps)
+    assert plain[84] != 0.0
+    line = grid_line(lo, hi, steps)
+    assert line[84] == 0.0
+    assert np.array_equal(np.delete(line, 84), np.delete(plain, 84))
+    grid = wigner_grid(even_cat(1.35), {"re": line, "im": line})
+    locations = [z for loc in extract_features(grid).peak_locations for z in loc]
+    assert 0j in locations
+    assert all(z.real == 0.0 or z.imag == 0.0 for z in locations)
+    # an even count or an asymmetric window is left as np.linspace gives it
+    assert np.array_equal(grid_line(lo, hi, 168), np.linspace(lo, hi, 168))
+    assert np.array_equal(grid_line(-1.0, 2.0, 169), np.linspace(-1.0, 2.0, 169))
+
+
 def test_features_need_two_varying_axes():
     grid = wigner_grid(even_cat(1.0), {"re": np.linspace(-3, 3, 151), "im": 0.0})
     with pytest.raises(DomainError):
