@@ -42,20 +42,17 @@ from .errors import (
     TruncationError,
 )
 from .fock import (
-    FockOperator,
     FockVector,
     apply_split_network,
     build_state,
     cat_split_thetas,
     coherent_vector,
     default_cutoff,
-    density,
     displacement_op,
     kitten_vectors,
     mode_ops,
     tensor,
     total_photon_pmf,
-    trace_norm,
 )
 from .measures import (
     GeneratorFamily,

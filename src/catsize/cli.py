@@ -32,7 +32,6 @@ from .closed_forms import (
     mode_loss_offdiag_mean,
 )
 from .errors import DomainError, SizingError, TruncationError
-from .fock import MAX_OPERATOR_DIM
 from .measures import (
     GeneratorFamily,
     MeasureKind,
@@ -271,8 +270,7 @@ def _run_measure(args) -> tuple[dict, list, int]:
         family = GeneratorFamily.from_label(args.family)
         fam = CatFamily.HCS if args.state == "hcs" else CatFamily.OMEGA
         state = CatStateSpec(family=fam, modes=args.modes, alpha=args.alpha)
-        budget = MAX_OPERATOR_DIM if args.modes <= 2 else 0
-        result = rqfi_size(state, family, oracle_budget=budget)
+        result = rqfi_size(state, family, oracle=True)
     elif sub == "wigner-empirical":
         fam = CatFamily.EVEN_CAT if args.state == "even-cat" else CatFamily.OMEGA
         state = CatStateSpec(family=fam, modes=args.modes, alpha=args.alpha)

@@ -16,6 +16,10 @@ copy; the splitting network runs it on the one buffer it owns, which it
 grows from the one-mode head by a vacuum mode before each mixer, so no
 mixer ever scans modes still in vacuum.  The block eigenpairs do not depend
 on the mixing angle and are cached per cutoff.
+
+States are ``FockVector``s of at most MAX_JOINT_DIM amplitudes, and
+single-mode operators are plain (d, d) arrays (``mode_ops``,
+``displacement_op``); no operator on more than one mode is ever built.
 """
 
 from __future__ import annotations
@@ -33,10 +37,6 @@ from .errors import DomainError, SizingError, TruncationError
 #: Largest joint dimension for state vectors ((cutoff+1)**modes).
 MAX_JOINT_DIM = 1 << 22
 
-#: Largest dimension for dense operators.
-MAX_OPERATOR_DIM = 4096
-
-_HERM_TOL = 1e-10
 #: Largest amplitude mass a truncated coherent state may leave beyond its cutoff.
 _TAIL_TOL = 1e-9
 
@@ -78,34 +78,18 @@ class FockVector:
         return float(np.linalg.norm(self.amplitudes))
 
 
-@dataclass(frozen=True)
-class FockOperator:
-    """Dense operator on the joint truncated basis."""
-
-    cutoff: int
-    modes: int
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        dim = _check_operator_dim((self.cutoff + 1) ** self.modes)
-        mat = np.asarray(self.matrix, dtype=complex)
-        if mat.shape != (dim, dim):
-            raise DomainError(f"expected a {dim} x {dim} matrix, got {mat.shape}")
-        object.__setattr__(self, "matrix", mat)
-
-    @property
-    def dim(self) -> int:
-        return (self.cutoff + 1) ** self.modes
-
-
 def default_cutoff(alpha) -> int:
     """Cutoff heuristic ceil(|alpha|^2 + 8|alpha| + 20).
 
     Eight standard deviations of headroom above the Poisson mean plus a
     floor of twenty keeps per-mode tail mass far below 1e-9 for |alpha| <= 4.
+    Raises SizingError where |alpha|^2 overflows a float.
     """
     r = abs(complex(alpha))
-    return math.ceil(r * r + 8.0 * r + 20.0)
+    levels = r * r + 8.0 * r + 20.0
+    if math.isinf(levels):
+        raise SizingError(f"no finite cutoff holds |alpha| = {r:g}")
+    return math.ceil(levels)
 
 
 def coherent_vector(alpha, cutoff: int):
@@ -146,52 +130,29 @@ def kitten_vectors(alpha, cutoff: int):
     )
 
 
-def mode_ops(cutoff: int):
-    """Single-mode ladder, number, parity operators and the quadrature builder."""
+def mode_ops(cutoff: int) -> np.ndarray:
+    """Truncated single-mode lowering operator a as a (d, d) array, d = cutoff + 1."""
     d = cutoff + 1
     lower = np.zeros((d, d), dtype=complex)
     lower[np.arange(d - 1), np.arange(1, d)] = np.sqrt(np.arange(1, d))
-    raise_ = lower.conj().T
-    number = np.diag(np.arange(d, dtype=float)).astype(complex)
-    parity = np.diag((-1.0) ** np.arange(d)).astype(complex)
-    return ModeOps(
-        cutoff=cutoff,
-        annihilation=FockOperator(cutoff, 1, lower),
-        creation=FockOperator(cutoff, 1, raise_),
-        number=FockOperator(cutoff, 1, number),
-        parity=FockOperator(cutoff, 1, parity),
-    )
+    return lower
 
 
-@dataclass(frozen=True)
-class ModeOps:
-    cutoff: int
-    annihilation: FockOperator
-    creation: FockOperator
-    number: FockOperator
-    parity: FockOperator
-
-    def quadrature(self, phi: float) -> FockOperator:
-        """x(phi) = (a e^{-i phi} + a^dag e^{i phi}) / sqrt(2)."""
-        a = self.annihilation.matrix
-        mat = (a * np.exp(-1j * phi) + a.conj().T * np.exp(1j * phi)) / math.sqrt(2.0)
-        return FockOperator(self.cutoff, 1, mat)
-
-
-def displacement_op(alpha, cutoff: int) -> FockOperator:
+def displacement_op(alpha, cutoff: int) -> np.ndarray:
     """D(alpha) = exp(alpha a^dag - conj(alpha) a) on the truncated basis.
 
     With alpha = r e^{i phi} the truncated generator equals
     Phi (-i sqrt(2) r x) Phi^dag, where x = (a + a^dag)/sqrt(2) and
     Phi = diag((i e^{i phi})^n), so D = W diag(e^{-i sqrt(2) r lambda}) W^dag
     with W = Phi V and (lambda, V) the eigenpairs of the truncated x.
+    Returns the (d, d) array.
     """
     alpha = complex(alpha)
     vals, vecs = _quadrature_eigh(cutoff)
     rotation = (1j * np.exp(1j * cmath.phase(alpha))) ** np.arange(cutoff + 1)
     w = rotation[:, None] * vecs
     phases = np.exp(-1j * math.sqrt(2.0) * abs(alpha) * vals)
-    return FockOperator(cutoff, 1, (w * phases) @ w.conj().T)
+    return (w * phases) @ w.conj().T
 
 
 @functools.lru_cache(maxsize=64)
@@ -392,22 +353,6 @@ def tensor(*parts: FockVector) -> FockVector:
     return FockVector(cutoff=parts[0].cutoff, modes=modes, amplitudes=amps)
 
 
-def density(state: FockVector) -> FockOperator:
-    """Projector |psi><psi| / <psi|psi> as a dense operator."""
-    _check_operator_dim(state.dim)
-    v = state.amplitudes
-    n2 = float(np.vdot(v, v).real)
-    if n2 <= 0.0:
-        raise DomainError("cannot normalize the zero vector")
-    return FockOperator(state.cutoff, state.modes, np.outer(v, v.conj()) / n2)
-
-
-def trace_norm(op: FockOperator) -> float:
-    """Sum of absolute eigenvalues of a Hermitian operator."""
-    _check_hermitian(op.matrix)
-    return float(np.sum(np.abs(np.linalg.eigvalsh(op.matrix))))
-
-
 def total_photon_pmf(state: FockVector) -> np.ndarray:
     """Probability of each total photon count, length modes*cutoff + 1."""
     d = state.cutoff + 1
@@ -507,14 +452,6 @@ def _check_joint_dim(dim: int) -> int:
     return dim
 
 
-def _check_operator_dim(dim: int) -> int:
-    if dim > MAX_OPERATOR_DIM:
-        raise SizingError(
-            f"operator dimension {dim} exceeds MAX_OPERATOR_DIM = {MAX_OPERATOR_DIM}"
-        )
-    return dim
-
-
 def _check_mode_index(mode: int, modes: int):
     if not 0 <= mode < modes:
         raise DomainError(f"mode index {mode} out of range for {modes} modes")
@@ -525,10 +462,3 @@ def _check_mode_pair(mode_i: int, mode_j: int, modes: int):
     _check_mode_index(mode_j, modes)
     if mode_i == mode_j:
         raise DomainError("mode indices must differ")
-
-
-def _check_hermitian(mat: np.ndarray):
-    """Require max|M - M^dag| <= 1e-10 * max(1, max|M|)."""
-    dev = float(np.max(np.abs(mat - mat.conj().T)))
-    if dev > _HERM_TOL * max(1.0, float(np.max(np.abs(mat)))):
-        raise DomainError(f"operator is not Hermitian (deviation {dev:.3e})")

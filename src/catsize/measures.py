@@ -5,7 +5,12 @@ and provenance.  Variances of mode-summed generators over two-branch
 superpositions are evaluated exactly through the Gram reduction: a state
 c1 |u>^N + c2 |v>^N needs only the 2x2 tables <x|A|y>, <x|A^2|y> and the
 overlap g = <u|v>, with the mode count entering through powers of g.  The
-truncated Fock oracle re-derives the same numbers at small mode counts.
+truncated Fock oracles re-derive the same numbers from truncated amplitudes:
+the branch-dist oracle from the single-mode Gram matrix of |+-alpha>, whose
+n-th power is the Gram matrix of the n-mode branches, so it checks n_eff
+itself; the rqfi oracle on the joint vector, wherever that vector and its
+(d, d) single-mode generator fit MAX_JOINT_DIM.  Neither builds an operator
+on more than one mode.
 """
 
 from __future__ import annotations
@@ -44,7 +49,7 @@ from .closed_forms import (
 )
 from .errors import DomainError, ResolutionError
 from .fock import (
-    MAX_OPERATOR_DIM,
+    MAX_JOINT_DIM,
     FockVector,
     apply_single_mode,
     build_state,
@@ -52,7 +57,6 @@ from .fock import (
     default_cutoff,
     kitten_vectors,
     mode_ops,
-    tensor,
     total_photon_pmf,
 )
 from .phase_space import (
@@ -105,9 +109,6 @@ _KIND_ORDER = (
     GeneratorKind.NUMBER,
     GeneratorKind.SPIN_SANDWICH,
 )
-
-#: Quadrature phases tried per family, evenly spaced over [base, base + pi).
-_QUADRATURE_PHASES = 16
 
 
 @dataclass(frozen=True)
@@ -242,11 +243,17 @@ def _pseudo_sigma_z_builder(alpha):
 
 
 def _quadrature_builder(phi):
-    return lambda cutoff: mode_ops(cutoff).quadrature(phi).matrix
+    """x(phi) = (a e^{-i phi} + a^dag e^{i phi}) / sqrt(2)."""
+
+    def build(cutoff: int) -> np.ndarray:
+        a = mode_ops(cutoff)
+        return (a * np.exp(-1j * phi) + a.conj().T * np.exp(1j * phi)) / math.sqrt(2.0)
+
+    return build
 
 
 def _number_builder(cutoff: int) -> np.ndarray:
-    return mode_ops(cutoff).number.matrix
+    return np.diag(np.arange(cutoff + 1, dtype=float)).astype(complex)
 
 
 def _kitten_sigma_z_builder(alpha):
@@ -267,10 +274,24 @@ def _sandwich_builder(alpha, axis: str):
             core = np.outer(e, e.conj()) - np.outer(o, o.conj())
         else:
             core = np.outer(e, o.conj()) + np.outer(o, e.conj())
-        ops = mode_ops(cutoff)
-        return ops.creation.matrix @ core @ ops.annihilation.matrix
+        a = mode_ops(cutoff)
+        return a.conj().T @ core @ a
 
     return build
+
+
+def _principal_quadratures(alpha) -> list[tuple[str, float]]:
+    """Labels and phases of x(phi) along alpha's axis and at right angles to it.
+
+    The variance of the mode-summed x(phi) is a sinusoid in 2 phi, and
+    reflection about alpha's axis maps every rqfi state to itself, so the
+    variance peaks at one of these two phases.
+    """
+    base = cmath.phase(alpha) if alpha != 0 else 0.0
+    return [
+        (f"quadrature(phi={label})", base + k * math.pi / 2.0)
+        for k, label in enumerate(("base", "base+pi/2"))
+    ]
 
 
 def _coherent_pair_generators(alpha, family: GeneratorFamily) -> list[ModeGenerator]:
@@ -297,15 +318,13 @@ def _coherent_pair_generators(alpha, family: GeneratorFamily) -> list[ModeGenera
             )
         )
     if GeneratorKind.QUADRATURE in family.kinds:
-        base = cmath.phase(alpha) if alpha != 0 else 0.0
-        for k in range(_QUADRATURE_PHASES):
-            phi = base + k * math.pi / _QUADRATURE_PHASES
+        for label, phi in _principal_quadratures(alpha):
             rot = alpha * cmath.exp(-1j * phi)
             mean_u = math.sqrt(2.0) * rot.real
             sq = 2.0 * (rot * rot).real
             gens.append(
                 ModeGenerator(
-                    label=f"quadrature(phi=base+{k}pi/{_QUADRATURE_PHASES})",
+                    label=label,
                     kind=GeneratorKind.QUADRATURE,
                     g=w,
                     a_uu=mean_u,
@@ -369,9 +388,7 @@ def _kitten_pair_generators(alpha, family: GeneratorFamily) -> list[ModeGenerato
             )
         )
     if GeneratorKind.QUADRATURE in family.kinds:
-        base = cmath.phase(alpha) if alpha != 0 else 0.0
-        for k in range(_QUADRATURE_PHASES):
-            phi = base + k * math.pi / _QUADRATURE_PHASES
+        for label, phi in _principal_quadratures(alpha):
             rot = alpha * cmath.exp(-1j * phi)
             sq = 2.0 * (rot * rot).real
             x2_uu = (sq + 2.0 * n_u + 1.0) / 2.0
@@ -383,7 +400,7 @@ def _kitten_pair_generators(alpha, family: GeneratorFamily) -> list[ModeGenerato
             ) / math.sqrt(2.0)
             gens.append(
                 ModeGenerator(
-                    label=f"quadrature(phi=base+{k}pi/{_QUADRATURE_PHASES})",
+                    label=label,
                     kind=GeneratorKind.QUADRATURE,
                     g=0.0,
                     a_uu=0.0,
@@ -473,11 +490,10 @@ def branch_dist_size(state: CatStateSpec, delta: float) -> MeasureResult:
     """Integer-mode distinguishability size N / n_eff.
 
     Delegates the interval enforcement and the ceiling to the closed forms;
-    cross-checks the optimal success probability against the trace-norm
-    oracle on n_eff (capped at 2) modes whenever their joint dimension fits
-    MAX_OPERATOR_DIM.  The oracle takes the trace norm of the rank-2
-    difference of the truncated branch projectors from its 2 x 2
-    compression onto the span of the two branch vectors (``_trace_norm_check``).
+    cross-checks the optimal success probability at n_eff modes against the
+    trace-norm oracle (``_trace_norm_check``), which takes the truncated
+    branch amplitudes of one mode and the Helstrom step on their n-mode
+    Gram matrix.
     """
     _require_family(state, (CatFamily.OMEGA,))
     value = cat_size_C(delta, state.modes, state.alpha)
@@ -488,20 +504,14 @@ def branch_dist_size(state: CatStateSpec, delta: float) -> MeasureResult:
         "n_eff_integer": n_int,
         "validity_interval": (lo, hi),
         "success_at_n_eff": helstrom_success_n_modes(n_int, state.alpha),
+        "oracle": _trace_norm_check(state.alpha, n_int, default_cutoff(state.alpha)),
     }
-    method = Method.CLOSED_FORM
-    cutoff = default_cutoff(state.alpha)
-    for n_check in range(min(n_int, 2), 0, -1):
-        if (cutoff + 1) ** n_check <= MAX_OPERATOR_DIM:
-            diagnostics["oracle"] = _trace_norm_check(state.alpha, n_check, cutoff)
-            method = Method.HYBRID
-            break
     return MeasureResult(
         measure=MeasureKind.BRANCH_DIST_INT,
         value=value,
         params=MeasureParams(delta=delta),
         state=state,
-        method=method,
+        method=Method.HYBRID,
         diagnostics=diagnostics,
     )
 
@@ -510,17 +520,28 @@ def _trace_norm_check(alpha, n_check: int, cutoff: int) -> dict:
     """Helstrom success 1/2 + ||rho_+ - rho_-||_1 / 4 of the n_check-mode
     branch pair on the truncated basis, against the closed form.
 
+    The Gram matrix of the n-mode branches psi_+- is the elementwise n-th
+    power of the single-mode one, so the normalized pair has the overlap
+    g = g_1^n, with g_1 the overlap of the normalized truncated |+-alpha>.
+    Their amplitudes differ in sign only, so g_1 is real and
+    1 - g_1 = ||u_+ - u_-||^2 / 2 comes from the odd amplitudes alone;
+    g = exp(n log1p(-(1 - g_1))) then keeps full relative precision at the
+    n ~ 1 / |alpha|^2 of small amplitudes.
+
     rho_+ - rho_- has rank 2 with range span{psi_+, psi_-}, so its nonzero
-    eigenvalues are those of its compression Q^dag (rho_+ - rho_-) Q onto an
-    orthonormal basis Q of that span.  With Q R the QR factorization of the
-    normalized pair, Q^dag psi_+- are the columns of R, so the 2 x 2
-    compression comes from R alone and no dense operator is built.
+    eigenvalues are those of its compression onto an orthonormal basis of
+    that span.  In the basis where the Gram factor is
+    r = [[1, g], [0, sqrt(1 - g^2)]] the branches are the columns of r, and
+    the compression is r_0 r_0^T - r_1 r_1^T; no n-mode vector is built.
     """
     plus, _ = coherent_vector(alpha, cutoff)
     minus, _ = coherent_vector(-alpha, cutoff)
-    pair = np.stack([tensor(*([v] * n_check)).amplitudes for v in (plus, minus)], axis=1)
-    r = np.linalg.qr(pair / np.linalg.norm(pair, axis=0), mode="r")
-    compression = np.outer(r[:, 0], r[:, 0].conj()) - np.outer(r[:, 1], r[:, 1].conj())
+    gap = (plus.amplitudes - minus.amplitudes) / plus.norm()
+    one_minus_g1 = 0.5 * float(np.vdot(gap, gap).real)
+    # g_1 rounds to 0 or below only where g_1^n underflows anyway
+    g = math.exp(n_check * math.log1p(-one_minus_g1)) if one_minus_g1 < 1.0 else 0.0
+    r = np.array([[1.0, g], [0.0, math.sqrt(max(0.0, 1.0 - g * g))]])
+    compression = np.outer(r[:, 0], r[:, 0]) - np.outer(r[:, 1], r[:, 1])
     numeric = 0.5 + 0.25 * float(np.sum(np.abs(np.linalg.eigvalsh(compression))))
     closed = helstrom_success_n_modes(n_check, alpha)
     return {
@@ -557,7 +578,7 @@ def rqfi_size(
     state: CatStateSpec,
     family: GeneratorFamily,
     n_list=None,
-    oracle_budget: int = 0,
+    oracle: bool = False,
 ) -> MeasureResult:
     """Fisher-information size: best family variance over the mean branch cap.
 
@@ -566,8 +587,9 @@ def rqfi_size(
     denominator); the sandwich kind divides by the mean of the two branches'
     best per-mode variances.  Either way the value is a lower bound to the
     unrestricted maximization, and is exact for every mode count through the
-    Gram reduction; ``oracle_budget`` > 0 additionally rebuilds the achieving
-    generator in a truncated Fock space when the joint dimension fits.
+    Gram reduction; ``oracle`` additionally recomputes the achieving
+    variance on the truncated joint vector (``_rqfi_oracle``), or reports
+    why that vector does not fit.
     """
     _require_family(state, _RQFI_FAMILIES)
     if state.alpha == 0:
@@ -615,8 +637,8 @@ def rqfi_size(
         diagnostics["sweep"] = {
             str(n): evaluate(int(n))[0] for n in n_list
         }
-    if oracle_budget > 0:
-        diagnostics["oracle"] = _rqfi_oracle(state, achieving, oracle_budget)
+    if oracle:
+        diagnostics["oracle"] = _rqfi_oracle(state, achieving)
     return MeasureResult(
         measure=MeasureKind.RQFI,
         value=value,
@@ -627,14 +649,19 @@ def rqfi_size(
     )
 
 
-def _rqfi_oracle(state: CatStateSpec, gen: ModeGenerator, budget: int) -> dict:
-    """Recompute the achieving variance on a truncated joint vector."""
+def _rqfi_oracle(state: CatStateSpec, gen: ModeGenerator) -> dict:
+    """Recompute the achieving variance on a truncated joint vector.
+
+    Both the joint vector (d^modes amplitudes) and the (d, d) single-mode
+    generator must fit MAX_JOINT_DIM, the budget of every joint vector; the
+    check is skipped where that leaves less than the state's default cutoff.
+    """
     floor = default_cutoff(state.alpha)
-    afford = int(budget ** (1.0 / state.modes)) - 1
+    afford = int(MAX_JOINT_DIM ** (1.0 / max(state.modes, 2))) - 1
     if afford < floor:
         return {
             "status": "skipped",
-            "reason": f"budget {budget} allows cutoff {afford} < required {floor}",
+            "reason": f"budget {MAX_JOINT_DIM} allows cutoff {afford} < required {floor}",
         }
     cutoff = min(floor + 8, afford)
     vec, _ = build_state(state, cutoff=cutoff)
@@ -650,7 +677,7 @@ def _rqfi_oracle(state: CatStateSpec, gen: ModeGenerator, budget: int) -> dict:
             )
     summed = np.zeros_like(vec.amplitudes)
     for mode in range(state.modes):
-        summed = summed + apply_single_mode(mat, vec, mode).amplitudes
+        summed += apply_single_mode(mat, vec, mode).amplitudes
     e1 = float(np.vdot(vec.amplitudes, summed).real)
     e2 = float(np.vdot(summed, summed).real)
     numeric = e2 - e1 * e1

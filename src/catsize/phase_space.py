@@ -151,8 +151,7 @@ def wigner_numeric(vec: FockVector, gammas) -> float:
     d = vec.cutoff + 1
     work = vec
     for mode, gamma in enumerate(points):
-        shift = displacement_op(-gamma, vec.cutoff)
-        work = apply_single_mode(shift.matrix, work, mode)
+        work = apply_single_mode(displacement_op(-gamma, vec.cutoff), work, mode)
     probs = np.abs(work.as_tensor()) ** 2
     total = float(probs.sum())
     if total <= 0.0:

@@ -14,6 +14,7 @@ import sys
 
 import numpy as np
 import pytest
+from dense_reference import projector, trace_norm
 
 from catsize.closed_forms import (
     CatFamily,
@@ -32,15 +33,11 @@ from catsize.closed_forms import (
 )
 from catsize.errors import ResolutionError
 from catsize.fock import (
-    MAX_OPERATOR_DIM,
-    FockOperator,
     build_state,
     coherent_vector,
     default_cutoff,
-    density,
     tensor,
     total_photon_pmf,
-    trace_norm,
 )
 from catsize.measures import (
     GeneratorFamily,
@@ -114,8 +111,10 @@ def test_criterion_01_integer_size_matches_trace_norm_scan():
         plus, _ = coherent_vector(alpha, cutoff)
         minus, _ = coherent_vector(-alpha, cutoff)
         g1 = complex(np.vdot(plus.amplitudes, minus.amplitudes))
-        diff = density(tensor(plus, plus)).matrix - density(tensor(minus, minus)).matrix
-        full = 0.5 + 0.25 * trace_norm(FockOperator(cutoff, 2, diff))
+        diff = projector(tensor(plus, plus).amplitudes) - projector(
+            tensor(minus, minus).amplitudes
+        )
+        full = 0.5 + 0.25 * trace_norm(diff)
         assert abs((1.0 - _pure_pair_failure(2, g1)) - full) <= 1e-9
         compressed = _trace_norm_check(alpha, 2, cutoff)["numeric"]
         assert abs((1.0 - _pure_pair_failure(2, g1)) - compressed) <= 1e-9
@@ -128,8 +127,7 @@ def test_criterion_02_pure_state_trace_norm_identity():
         cutoff = default_cutoff(alpha)
         plus, _ = coherent_vector(alpha, cutoff)
         minus, _ = coherent_vector(-alpha, cutoff)
-        diff = FockOperator(cutoff, 1, density(plus).matrix - density(minus).matrix)
-        numeric = trace_norm(diff)
+        numeric = trace_norm(projector(plus.amplitudes) - projector(minus.amplitudes))
         closed = 2.0 * math.sqrt(-math.expm1(-4.0 * alpha**2))
         assert abs(numeric - closed) <= 1e-10, f"alpha={alpha}"
     print("criterion 02: PASS - trace norms within 1e-10 at alpha 0.5, 1, 2")
@@ -189,7 +187,7 @@ def test_criterion_05_rqfi_ratios_and_scaling():
         confirmed = rqfi_size(
             omega(modes, alpha),
             GeneratorFamily.quadrature() | GeneratorFamily.number(),
-            oracle_budget=MAX_OPERATOR_DIM,
+            oracle=True,
         )
         oracle = confirmed.diagnostics["oracle"]
         assert oracle["status"] == "ok"

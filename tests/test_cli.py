@@ -131,15 +131,33 @@ def test_rqfi_small_modes_carries_oracle_check():
     assert check["tolerance"] == 1e-6
 
 
-def test_rqfi_large_modes_skips_oracle():
+def test_rqfi_three_modes_carries_oracle_check():
     env = envelope(
         run_cli("measure", "rqfi", "--modes", "3", "--alpha", "0.9",
                 "--family", "bounded-local")
     )
-    assert env["checks"] == []
+    (check,) = env["checks"]
+    assert check["name"] == "variance-closed-vs-fock"
+    assert check["status"] == "pass"
     assert env["results"]["measure"]["value"] == pytest.approx(
         2.906892867351495, abs=1e-12
     )
+
+
+def test_rqfi_large_modes_skips_oracle():
+    # 21**5 is the largest joint vector within MAX_JOINT_DIM, below cutoff 29
+    env = envelope(
+        run_cli("measure", "rqfi", "--modes", "5", "--alpha", "0.9",
+                "--family", "bounded-local")
+    )
+    assert env["checks"] == [{
+        "name": "oracle",
+        "status": "skipped",
+        "observed": "budget 4194304 allows cutoff 20 < required 29",
+        "expected": None,
+        "tolerance": None,
+    }]
+    assert env["results"]["measure"]["diagnostics"]["oracle"]["status"] == "skipped"
 
 
 def test_wigner_empirical_measure_cli():
@@ -487,6 +505,16 @@ def test_oversized_numeric_check_exits_4():
                    "--numeric-check")
     assert proc.returncode == 4
     assert "MAX_JOINT_DIM" in proc.stderr
+
+
+def test_overflowing_numeric_check_exits_4(capsys):
+    # the displaced branch 2 alpha has a squared modulus beyond the float range
+    code = main(["measure", "marquardt", "--modes", "1", "--alpha", "1e154",
+                 "--numeric-check"])
+    out, err = capsys.readouterr()
+    assert code == 4
+    assert out == ""
+    assert err == "error: no finite cutoff holds |alpha| = 2e+154\n"
 
 
 def test_unwritable_output_exits_5(tmp_path):

@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from dense_reference import projector, trace_norm
 
 from catsize.closed_forms import (
     CatFamily,
@@ -17,7 +18,6 @@ from catsize.closed_forms import (
 from catsize.errors import DomainError, SizingError, TruncationError
 from catsize.fock import (
     MAX_JOINT_DIM,
-    FockOperator,
     FockVector,
     apply_single_mode,
     apply_split_network,
@@ -28,13 +28,11 @@ from catsize.fock import (
     coherent_mixer_kernel,
     coherent_vector,
     default_cutoff,
-    density,
     displacement_op,
     kitten_vectors,
     mode_ops,
     tensor,
     total_photon_pmf,
-    trace_norm,
 )
 from catsize.verify import network_coherent_gap
 
@@ -79,28 +77,31 @@ def test_default_cutoff_grows_with_amplitude():
     assert default_cutoff(2.0) > default_cutoff(1.0)
 
 
+def test_default_cutoff_refuses_an_overflowing_amplitude():
+    # |2e154|^2 overflows; math.ceil(inf) would raise OverflowError
+    with pytest.raises(SizingError, match="no finite cutoff"):
+        default_cutoff(2e154)
+
+
 def test_mode_ops_algebra():
-    ops = mode_ops(25)
-    a = ops.annihilation.matrix
-    adag = ops.creation.matrix
+    a = mode_ops(25)
+    assert isinstance(a, np.ndarray) and a.shape == (26, 26)
+    adag = a.conj().T
     comm = a @ adag - adag @ a
     # canonical commutator away from the truncation edge
     assert np.abs(comm[:-1, :-1] - np.eye(25)).max() < 1e-12
-    assert np.abs(ops.number.matrix - adag @ a).max() < 1e-12
-    parity = ops.parity.matrix
-    assert np.abs(parity @ parity - np.eye(26)).max() < 1e-12
-    x0 = ops.quadrature(0.0).matrix
-    assert np.abs(x0 - (a + adag) / math.sqrt(2)).max() < 1e-12
+    assert np.abs(np.diag(np.arange(26.0)) - adag @ a).max() < 1e-12
 
 
 def test_displacement_generates_coherent_state():
     alpha = 0.9 + 0.2j
     cutoff = 40
     disp = displacement_op(alpha, cutoff)
+    assert isinstance(disp, np.ndarray) and disp.shape == (cutoff + 1, cutoff + 1)
     target, _ = coherent_vector(alpha, cutoff)
-    moved = disp.matrix @ vacuum(cutoff).amplitudes
+    moved = disp @ vacuum(cutoff).amplitudes
     assert np.abs(moved - target.amplitudes).max() < 1e-10
-    unitary = disp.matrix @ disp.matrix.conj().T
+    unitary = disp @ disp.conj().T
     assert np.abs(unitary[:30, :30] - np.eye(30)).max() < 1e-9
 
 
@@ -122,9 +123,9 @@ def taylor_expm(gen: np.ndarray) -> np.ndarray:
     "alpha, cutoff", [(0.9 + 0.2j, 40), (3 + 3j, 72), (-4.2 - 0.3j, 72)]
 )
 def test_displacement_is_exponential_of_truncated_generator(alpha, cutoff):
-    ops = mode_ops(cutoff)
-    gen = alpha * ops.creation.matrix - np.conj(alpha) * ops.annihilation.matrix
-    disp = displacement_op(alpha, cutoff).matrix
+    a = mode_ops(cutoff)
+    gen = alpha * a.conj().T - np.conj(alpha) * a
+    disp = displacement_op(alpha, cutoff)
     assert np.abs(disp - taylor_expm(gen)).max() < 1e-12
     assert np.abs(disp @ disp.conj().T - np.eye(cutoff + 1)).max() < 1e-12
 
@@ -152,8 +153,8 @@ def dense(kernel, cutoff: int) -> np.ndarray:
 def dense_references(theta: float, cutoff: int):
     """Dense beamsplitter and coherent mixer from the truncated generator."""
     d = cutoff + 1
-    ops = mode_ops(cutoff)
-    a, adag = ops.annihilation.matrix, ops.creation.matrix
+    a = mode_ops(cutoff)
+    adag = a.conj().T
     gen = 1j * theta * (np.kron(adag, a) + np.kron(a, adag))
     phase = np.kron(np.eye(d), np.diag((-1j) ** np.arange(d)))
     reference = taylor_expm(gen)
@@ -342,13 +343,13 @@ def test_kitten_vectors_are_orthonormal_ladder():
     assert odd.norm() == pytest.approx(1.0, abs=1e-10)
     assert abs(np.vdot(even.amplitudes, odd.amplitudes)) < 1e-12
     t = math.sqrt(math.tanh(abs2(alpha)))
-    a = mode_ops(40).annihilation.matrix
+    a = mode_ops(40)
     assert np.abs(a @ even.amplitudes - alpha * t * odd.amplitudes).max() < 1e-12
     assert np.abs(a @ odd.amplitudes - (alpha / t) * even.amplitudes).max() < 1e-12
 
 
 # ---------------------------------------------------------------------------
-# composition and dense operators
+# composition and size guards
 # ---------------------------------------------------------------------------
 
 def test_tensor_joins_vectors_and_refuses_operators():
@@ -358,7 +359,9 @@ def test_tensor_joins_vectors_and_refuses_operators():
     assert joint.modes == 2
     assert np.array_equal(joint.as_tensor(), np.outer(a.amplitudes, b.amplitudes))
     with pytest.raises(DomainError):
-        tensor(density(a), density(b))
+        tensor(projector(a.amplitudes), projector(b.amplitudes))
+    with pytest.raises(DomainError):
+        tensor(a, b.amplitudes)
 
 
 def traced_peak(call) -> int:
@@ -370,12 +373,6 @@ def traced_peak(call) -> int:
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-
-
-def test_density_refuses_size_before_allocating():
-    # 65**2 = 4225 > MAX_OPERATOR_DIM; the outer product would take 285 MB
-    vec = FockVector(64, 2, np.ones(65 ** 2))
-    assert traced_peak(lambda: density(vec)) < 5_000_000
 
 
 def test_tensor_refuses_size_before_allocating():
@@ -393,16 +390,9 @@ def test_split_network_refuses_size_before_allocating():
 def test_trace_norm_of_known_difference():
     plus, _ = coherent_vector(1.0, 30)
     minus, _ = coherent_vector(-1.0, 30)
-    diff = FockOperator(30, 1, density(plus).matrix - density(minus).matrix)
+    diff = projector(plus.amplitudes) - projector(minus.amplitudes)
     w = branch_overlap(1.0)
     assert trace_norm(diff) == pytest.approx(2 * math.sqrt(1 - w * w), rel=1e-10)
-
-
-def test_trace_norm_rejects_non_hermitian():
-    mat = np.zeros((11, 11), dtype=complex)
-    mat[0, 1] = 1.0
-    with pytest.raises(DomainError):
-        trace_norm(FockOperator(10, 1, mat))
 
 
 # ---------------------------------------------------------------------------
@@ -518,7 +508,7 @@ def test_apply_single_mode_acts_on_named_mode_only():
     a, _ = coherent_vector(0.6, cutoff)
     b, _ = coherent_vector(-0.9, cutoff)
     joint = tensor(a, b)
-    number = mode_ops(cutoff).number.matrix
+    number = np.diag(np.arange(cutoff + 1.0))
     bumped = apply_single_mode(number, joint, 1)
     val = complex(np.vdot(joint.amplitudes, bumped.amplitudes)).real
     assert val == pytest.approx(abs2(-0.9), rel=1e-9)

@@ -6,6 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from dense_reference import projector, trace_norm
 
 from catsize.closed_forms import (
     CatFamily,
@@ -14,17 +15,17 @@ from catsize.closed_forms import (
     distill_pm,
     ghz_mode_loss_offdiag,
     helstrom_success_n_modes,
+    n_eff_integer,
     rqfi_bound_bounded,
 )
 from catsize.errors import DomainError, ResolutionError
 from catsize.fock import (
-    MAX_OPERATOR_DIM,
-    FockOperator,
+    MAX_JOINT_DIM,
+    build_state,
     coherent_vector,
     default_cutoff,
-    density,
+    mode_ops,
     tensor,
-    trace_norm,
 )
 from catsize.measures import (
     GeneratorFamily,
@@ -110,28 +111,46 @@ def test_branch_dist_integer_measure():
         helstrom_success_n_modes(4, 0.5), rel=1e-15
     )
     oracle = res.diagnostics["oracle"]
-    assert oracle["modes_checked"] == 2
+    assert oracle["modes_checked"] == 4
     assert oracle["difference"] <= 1e-8
 
 
 @pytest.mark.parametrize("n_check", [1, 2])
 @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0, 3.0])
 def test_trace_norm_oracle_matches_dense_projectors(alpha, n_check):
-    # the rank-2 compression against the full (d^n, d^n) projector route
+    # the Gram-power compression against the full (d^n, d^n) projector route
     cutoff = default_cutoff(alpha)
     plus, _ = coherent_vector(alpha, cutoff)
     minus, _ = coherent_vector(-alpha, cutoff)
-    rho_p = density(tensor(*([plus] * n_check)))
-    rho_m = density(tensor(*([minus] * n_check)))
-    dense = 0.5 + 0.25 * trace_norm(
-        FockOperator(cutoff, n_check, rho_p.matrix - rho_m.matrix)
-    )
+    rho_p = projector(tensor(*([plus] * n_check)).amplitudes)
+    rho_m = projector(tensor(*([minus] * n_check)).amplitudes)
+    dense = 0.5 + 0.25 * trace_norm(rho_p - rho_m)
     oracle = _trace_norm_check(alpha, n_check, cutoff)
     assert abs(oracle["numeric"] - dense) <= 1e-13
     assert oracle["modes_checked"] == n_check
     assert oracle["cutoff"] == cutoff
     assert oracle["closed"] == helstrom_success_n_modes(n_check, alpha)
     assert oracle["difference"] == abs(oracle["closed"] - oracle["numeric"])
+
+
+@pytest.mark.parametrize(
+    "modes, alpha, delta, n_eff",
+    [(10, 0.5, 0.01, 4), (100, 0.2, 1e-6, 78), (1000, 0.05, 1e-4, 783)],
+)
+def test_branch_dist_oracle_checks_n_eff_modes(modes, alpha, delta, n_eff):
+    res = branch_dist_size(omega(modes, alpha), delta)
+    oracle = res.diagnostics["oracle"]
+    assert oracle["modes_checked"] == n_eff == n_eff_integer(delta, alpha)
+    assert oracle["closed"] == helstrom_success_n_modes(n_eff, alpha)
+    assert oracle["difference"] <= 1e-13
+
+
+def test_branch_dist_oracle_keeps_precision_at_small_alpha():
+    # n_eff = 43,588,346,786: g_1^n from a rounded 1 - g_1 would miss by ~1e-5
+    res = branch_dist_size(omega(10**11, 1e-6), 0.3)
+    oracle = res.diagnostics["oracle"]
+    assert oracle["modes_checked"] == 43_588_346_786
+    assert oracle["difference"] <= 1e-12
 
 
 def test_branch_dist_oracle_builds_no_dense_operator():
@@ -143,7 +162,7 @@ def test_branch_dist_oracle_builds_no_dense_operator():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert res.diagnostics["oracle"]["modes_checked"] == 2
+    assert res.diagnostics["oracle"]["modes_checked"] == 6
     assert peak < 1_000_000
 
 
@@ -249,7 +268,7 @@ def test_rqfi_sweep_matches_fresh_evaluations():
 
 
 def test_rqfi_oracle_recomputes_the_achieving_variance():
-    res = rqfi_size(omega(2, 1.0), QN, oracle_budget=MAX_OPERATOR_DIM)
+    res = rqfi_size(omega(2, 1.0), QN, oracle=True)
     oracle = res.diagnostics["oracle"]
     assert oracle["status"] == "ok"
     assert oracle["generator"] == res.diagnostics["achieving_generator"]
@@ -259,11 +278,79 @@ def test_rqfi_oracle_recomputes_the_achieving_variance():
     )
 
 
+@pytest.mark.parametrize(
+    "state, family",
+    [(omega(3, 1.0), QN), (hcs(3, 0.8), GeneratorFamily.spin_sandwich()),
+     (omega(4, 0.5), GeneratorFamily.bounded_local())],
+)
+def test_rqfi_oracle_runs_wherever_the_joint_vector_fits(state, family):
+    res = rqfi_size(state, family, oracle=True)
+    oracle = res.diagnostics["oracle"]
+    assert oracle["status"] == "ok"
+    assert oracle["generator"] == res.diagnostics["achieving_generator"]
+    assert (oracle["cutoff"] + 1) ** state.modes <= MAX_JOINT_DIM
+    assert oracle["difference"] <= 1e-7
+
+
 def test_rqfi_oracle_reports_unaffordable_budgets():
-    res = rqfi_size(omega(3, 1.0), QN, oracle_budget=MAX_OPERATOR_DIM)
+    res = rqfi_size(omega(5, 1.0), QN, oracle=True)
     oracle = res.diagnostics["oracle"]
     assert oracle["status"] == "skipped"
-    assert "budget" in oracle["reason"]
+    assert oracle["reason"] == "budget 4194304 allows cutoff 20 < required 29"
+    # one mode: the (d, d) generator, not the vector, sets the budget
+    single = rqfi_size(omega(1, 45.0), QN, oracle=True).diagnostics["oracle"]
+    assert single["reason"] == "budget 4194304 allows cutoff 2047 < required 2405"
+
+
+def test_rqfi_without_oracle_has_no_oracle_entry():
+    assert "oracle" not in rqfi_size(omega(2, 1.0), QN).diagnostics
+
+
+def _numeric_quadrature_variances(spec: CatStateSpec, phases) -> np.ndarray:
+    """Variance of sum_i x_i(phi) on the truncated state, from plain arrays."""
+    cutoff = default_cutoff(math.sqrt(spec.modes) * abs(spec.alpha)) + 10
+    vec, _ = build_state(spec, cutoff=cutoff)
+    psi = vec.as_tensor() / vec.norm()
+    a = mode_ops(cutoff)
+    x = (a + a.conj().T) / math.sqrt(2.0)
+    p = 1j * (a.conj().T - a) / math.sqrt(2.0)
+    moved = {}
+    for name, op in (("x", x), ("p", p)):
+        moved[name] = sum(
+            np.moveaxis(np.tensordot(op, psi, axes=([1], [mode])), 0, mode)
+            for mode in range(spec.modes)
+        )
+    out = []
+    for phi in phases:
+        # x(phi) = cos(phi) x + sin(phi) p
+        v = math.cos(phi) * moved["x"] + math.sin(phi) * moved["p"]
+        mean = float(np.vdot(psi, v).real)
+        out.append(float(np.vdot(v, v).real) - mean * mean)
+    return np.array(out)
+
+
+def _quadrature_draws(count: int):
+    rng = np.random.default_rng(20261018)
+    families = (CatFamily.OMEGA, CatFamily.HCS, CatFamily.EVEN_CAT, CatFamily.ODD_CAT)
+    for _ in range(count):
+        family = families[int(rng.integers(len(families)))]
+        modes = int(rng.integers(1, 3)) if family in families[:2] else 1
+        alpha = rng.uniform(0.2, 2.5) * cmath.exp(1j * rng.uniform(-math.pi, math.pi))
+        yield CatStateSpec(family=family, modes=modes, alpha=alpha)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    list(_quadrature_draws(16)),
+    ids=lambda s: f"{s.family.value}-{s.modes}-{abs(s.alpha):.3f}",
+)
+def test_two_principal_quadratures_reach_the_phase_scan_maximum(spec):
+    res = rqfi_size(spec, GeneratorFamily.quadrature())
+    assert res.diagnostics["achieving_generator"] in (
+        "quadrature(phi=base)", "quadrature(phi=base+pi/2)",
+    )
+    scan = _numeric_quadrature_variances(spec, np.linspace(0.0, math.pi, 256, endpoint=False))
+    assert float(scan.max()) <= res.diagnostics["variance"] + 1e-9
 
 
 # ---------------------------------------------------------------------------
