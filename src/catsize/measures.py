@@ -652,12 +652,13 @@ def rqfi_size(
 def _rqfi_oracle(state: CatStateSpec, gen: ModeGenerator) -> dict:
     """Recompute the achieving variance on a truncated joint vector.
 
-    Both the joint vector (d^modes amplitudes) and the (d, d) single-mode
-    generator must fit MAX_JOINT_DIM, the budget of every joint vector; the
-    check is skipped where that leaves less than the state's default cutoff.
+    Both the joint vector (d^modes amplitudes) and the d^3 work of building
+    and norm-checking the (d, d) single-mode generator must fit MAX_JOINT_DIM,
+    the budget of every joint vector, so d <= 161 below four modes; the check
+    is skipped where that leaves less than the state's default cutoff.
     """
     floor = default_cutoff(state.alpha)
-    afford = int(MAX_JOINT_DIM ** (1.0 / max(state.modes, 2))) - 1
+    afford = int(MAX_JOINT_DIM ** (1.0 / max(state.modes, 3))) - 1
     if afford < floor:
         return {
             "status": "skipped",

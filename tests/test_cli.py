@@ -144,6 +144,23 @@ def test_rqfi_three_modes_carries_oracle_check():
     )
 
 
+@pytest.mark.parametrize(
+    "argv, floor",
+    [(("--modes", "2", "--alpha", "40", "--family", "quadrature"), 1940),
+     (("--modes", "1", "--alpha", "50", "--family", "quadrature"), 2920),
+     (("--modes", "2", "--alpha", "38", "--family", "spin-sandwich",
+       "--state", "hcs"), 1768)],
+    ids=["two-modes", "one-mode", "sandwich"],
+)
+def test_rqfi_large_alpha_skips_oracle(argv, floor):
+    # exp(-|alpha|^2 / 2) underflows from |alpha| ~ 38.3, so no truncated
+    # amplitudes could be built; the budget skips the row long before that
+    env = envelope(run_cli("measure", "rqfi", *argv))
+    (check,) = env["checks"]
+    assert check["status"] == "skipped"
+    assert check["observed"] == f"budget 4194304 allows cutoff 160 < required {floor}"
+
+
 def test_rqfi_large_modes_skips_oracle():
     # 21**5 is the largest joint vector within MAX_JOINT_DIM, below cutoff 29
     env = envelope(

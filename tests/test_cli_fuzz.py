@@ -26,9 +26,9 @@ SCHEMA = json.loads(
 BAD = ("nan", "inf", "-inf", "abc", "", "1e400", "2.5", "-1")
 ALPHAS = ("0", "-0", "1e-300", "5e-324", "1e-6", "0.05", "0.5", "1", "-0.7", "2.5",
           "30", "1e154", "1e200", "1e308", "0.3,0.4", "-0.8,0.2", "1,1e-300")
-# rqfi checks its oracle at up to 2048 levels per mode; 30 would take seconds
-RQFI_ALPHAS = ("1e-300", "1e-6", "0.5", "1", "-0.7", "2.5", "0.3,0.4", "1e154",
-               "1e200")
+# 8 runs the rqfi oracle at its top cutoff below four modes; 40 skips it
+RQFI_ALPHAS = ("1e-300", "1e-6", "0.5", "1", "-0.7", "2.5", "8", "40", "0.3,0.4",
+               "1e154", "1e200")
 MODES = ("1", "2", "3", "10", "1000", "100000000000")
 DELTAS = ("0.01", "1e-6", "0.3", "0.5", "0", "1", "-0.1", "1e-300", "5e-324")
 LAMBDAS = ("0", "0.25", "1", "1.5", "-0.1")

@@ -297,9 +297,15 @@ def test_rqfi_oracle_reports_unaffordable_budgets():
     oracle = res.diagnostics["oracle"]
     assert oracle["status"] == "skipped"
     assert oracle["reason"] == "budget 4194304 allows cutoff 20 < required 29"
-    # one mode: the (d, d) generator, not the vector, sets the budget
-    single = rqfi_size(omega(1, 45.0), QN, oracle=True).diagnostics["oracle"]
-    assert single["reason"] == "budget 4194304 allows cutoff 2047 < required 2405"
+    # below four modes the d^3 generator work, not the vector, sets the budget
+    for modes in (1, 2):
+        for alpha, floor in ((8.5, 161), (45.0, 2405)):
+            low = rqfi_size(omega(modes, alpha), QN, oracle=True).diagnostics["oracle"]
+            assert low["reason"] == (
+                f"budget 4194304 allows cutoff 160 < required {floor}"
+            )
+    top = rqfi_size(omega(2, 8.1), QN, oracle=True).diagnostics["oracle"]
+    assert top["status"] == "ok" and top["cutoff"] == 159
 
 
 def test_rqfi_without_oracle_has_no_oracle_entry():
