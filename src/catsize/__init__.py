@@ -28,7 +28,6 @@ from .closed_forms import (
     n_eff_real,
     number_variance_omega,
     omega_norm,
-    overlap,
     quadrature_variance_omega,
     rdm_particle_trace,
     rqfi_bound_bounded,

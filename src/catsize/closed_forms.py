@@ -9,7 +9,6 @@ precision instead of overflowing.
 
 from __future__ import annotations
 
-import cmath
 import enum
 import math
 from dataclasses import dataclass
@@ -18,21 +17,15 @@ from .errors import DomainError
 
 LN2 = math.log(2.0)
 
-#: Trace of the mode-defined single-mode reduced density matrix (always 1,
-#: in contrast with rdm_particle_trace which counts excitations).
-RDM_MODE_TRACE = 1.0
-
 
 class CatFamily(enum.Enum):
     """State families the package knows how to build and measure."""
 
     OMEGA = "omega"                      # (|a>^N + |-a>^N) / sqrt(2+2e^{-2N|a|^2})
-    OMEGA_PRIME = "omega-prime"          # single-mode superposition times vacuums
     HCS = "hcs"                          # even-kitten product + odd-kitten product
     EVEN_CAT = "even-cat"                # (|a> + |-a>) / A_plus
     ODD_CAT = "odd-cat"                  # (|a> - |-a>) / A_minus
     PRODUCT_COHERENT = "product-coherent"
-    GHZ_DISTILLED = "ghz-distilled"      # (|a>^N + |e2>^N) / sqrt(2)
 
 
 class GeneratorKind(enum.Enum):
@@ -63,19 +56,10 @@ class CatStateSpec:
     def __post_init__(self):
         if self.modes < 1:
             raise DomainError(f"modes must be >= 1, got {self.modes}")
-        degenerate = (CatFamily.ODD_CAT, CatFamily.HCS, CatFamily.GHZ_DISTILLED)
-        if self.family in degenerate and self.alpha == 0:
-            raise DomainError(
-                f"{self.family.value} is degenerate at alpha = 0 "
-                "(a branch normalization vanishes)"
-            )
+        if self.family in (CatFamily.ODD_CAT, CatFamily.HCS):
+            hcs_norms(self.alpha)  # refuses where the odd branch degenerates
         if self.family in _SINGLE_MODE_FAMILIES and self.modes != 1:
             raise DomainError(f"{self.family.value} is a single-mode family")
-
-    @property
-    def intensity(self) -> float:
-        """Per-mode mean photon number |alpha|^2 of a branch."""
-        return abs2(self.alpha)
 
 
 @dataclass(frozen=True)
@@ -115,13 +99,6 @@ def log_cosh(x: float) -> float:
     return x + math.log1p(math.exp(-2.0 * x)) - LN2
 
 
-def overlap(alpha, beta) -> complex:
-    """Coherent-state overlap <alpha|beta> = exp(-|a|^2/2 - |b|^2/2 + conj(a) b)."""
-    alpha = complex(alpha)
-    beta = complex(beta)
-    return cmath.exp(-0.5 * abs2(alpha) - 0.5 * abs2(beta) + alpha.conjugate() * beta)
-
-
 def branch_overlap(alpha) -> float:
     """w = <alpha|-alpha> = exp(-2|alpha|^2), the single-mode branch overlap."""
     return math.exp(-2.0 * abs2(alpha))
@@ -137,11 +114,21 @@ def omega_norm(modes: int, alpha) -> float:
 
 
 def hcs_norms(alpha) -> tuple[float, float]:
-    """Kitten normalizations (A_plus, A_minus) = sqrt(2 +- 2 exp(-2|alpha|^2))."""
-    if alpha == 0:
-        raise DomainError("A_minus vanishes at alpha = 0")
+    """Kitten normalizations (A_plus, A_minus) = sqrt(2 +- 2 exp(-2|alpha|^2)).
+
+    Refuses, as the one check every odd-branch route goes through, where
+    A_minus is 0: at alpha = 0, and wherever w = exp(-2|alpha|^2) rounds to 1
+    (|alpha|^2 below about 1e-16), since |alpha> and |-alpha> are then the
+    same vector and the odd branch |alpha> - |-alpha> vanishes.
+    """
     w = branch_overlap(alpha)
-    return math.sqrt(2.0 + 2.0 * w), math.sqrt(2.0 - 2.0 * w)
+    a_minus = math.sqrt(2.0 - 2.0 * w)
+    if a_minus == 0.0:
+        raise DomainError(
+            f"the odd branch |alpha> - |-alpha> degenerates at |alpha| = "
+            f"{abs(complex(alpha)):g}: its norm sqrt(2 - 2 exp(-2|alpha|^2)) is 0"
+        )
+    return math.sqrt(2.0 + 2.0 * w), a_minus
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +300,7 @@ def rdm_particle_trace(modes: int, alpha) -> float:
     """Trace N a tanh(N a) of the creation/annihilation-defined 1-RDM.
 
     Equal to the expected total photon number of the superposition; the
-    mode-defined 1-RDM has unit trace instead (RDM_MODE_TRACE).
+    mode-defined 1-RDM has unit trace instead.
     """
     s = modes * abs2(alpha)
     return s * math.tanh(s)

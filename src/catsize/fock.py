@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .closed_forms import CatFamily, CatStateSpec, abs2, branch_overlap, hcs_norms, omega_norm
+from .closed_forms import CatFamily, CatStateSpec, abs2, hcs_norms, omega_norm
 from .errors import DomainError, SizingError, TruncationError
 
 #: Largest joint dimension for state vectors ((cutoff+1)**modes).
@@ -39,15 +39,6 @@ MAX_JOINT_DIM = 1 << 22
 
 #: Largest amplitude mass a truncated coherent state may leave beyond its cutoff.
 _TAIL_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class TruncationReport:
-    """How much amplitude a truncated construction left behind."""
-
-    cutoff_used: int
-    tail_mass: float
-    converged: bool
 
 
 @dataclass(frozen=True)
@@ -66,10 +57,6 @@ class FockVector:
         if amps.size != dim:
             raise DomainError(f"expected {dim} amplitudes, got {amps.size}")
         object.__setattr__(self, "amplitudes", amps)
-
-    @property
-    def dim(self) -> int:
-        return (self.cutoff + 1) ** self.modes
 
     def as_tensor(self) -> np.ndarray:
         return self.amplitudes.reshape((self.cutoff + 1,) * self.modes)
@@ -92,11 +79,11 @@ def default_cutoff(alpha) -> int:
     return math.ceil(levels)
 
 
-def coherent_vector(alpha, cutoff: int):
+def coherent_vector(alpha, cutoff: int) -> FockVector:
     """Truncated coherent state, built by the stable amplitude recursion.
 
-    Returns (FockVector, TruncationReport); raises TruncationError when the
-    amplitude mass beyond the cutoff exceeds 1e-9 (``_TAIL_TOL``).
+    Raises TruncationError when the amplitude mass beyond the cutoff exceeds
+    1e-9 (``_TAIL_TOL``).
     """
     alpha = complex(alpha)
     amps = np.zeros(cutoff + 1, dtype=complex)
@@ -104,23 +91,20 @@ def coherent_vector(alpha, cutoff: int):
     for n in range(cutoff):
         amps[n + 1] = amps[n] * alpha / math.sqrt(n + 1.0)
     tail = max(0.0, 1.0 - float(np.vdot(amps, amps).real))
-    report = TruncationReport(
-        cutoff_used=cutoff, tail_mass=tail, converged=tail <= _TAIL_TOL
-    )
-    if not report.converged:
+    if tail > _TAIL_TOL:
         raise TruncationError(
             f"coherent state |alpha| = {abs(alpha):g} keeps tail mass {tail:.3e} "
             f"beyond cutoff {cutoff} (tolerance {_TAIL_TOL:g})",
             tail_mass=tail,
             cutoff=cutoff,
         )
-    return FockVector(cutoff=cutoff, modes=1, amplitudes=amps), report
+    return FockVector(cutoff=cutoff, modes=1, amplitudes=amps)
 
 
 def kitten_vectors(alpha, cutoff: int):
     """Normalized even and odd single-mode superpositions (|a> +- |-a>)/A."""
-    plus, _ = coherent_vector(alpha, cutoff)
-    minus, _ = coherent_vector(-alpha, cutoff)
+    plus = coherent_vector(alpha, cutoff)
+    minus = coherent_vector(-alpha, cutoff)
     a_plus, a_minus = hcs_norms(alpha)
     even = (plus.amplitudes + minus.amplitudes) / a_plus
     odd = (plus.amplitudes - minus.amplitudes) / a_minus
@@ -362,12 +346,12 @@ def total_photon_pmf(state: FockVector) -> np.ndarray:
     return np.bincount(totals, weights=weights, minlength=state.modes * state.cutoff + 1)
 
 
-def build_state(spec: CatStateSpec, cutoff: int | None = None):
+def build_state(spec: CatStateSpec, cutoff: int | None = None) -> FockVector:
     """Assemble the truncated vector for a state family.
 
-    Returns (FockVector, TruncationReport).  The vector is scaled by the
-    closed-form normalization, so any deviation of its numeric norm from one
-    is truncation loss; that loss is reported, not silently renormalized.
+    The vector is scaled by the closed-form normalization, so any deviation
+    of its numeric norm from one is truncation loss, left in place rather
+    than silently renormalized.
     """
     if cutoff is None:
         cutoff = default_cutoff(_peak_amplitude(spec))
@@ -376,22 +360,11 @@ def build_state(spec: CatStateSpec, cutoff: int | None = None):
     _check_joint_dim((cutoff + 1) ** modes_out)
     amps = _assemble(spec, cutoff)
     if spec.aux is not None:
-        aux_vec, _ = coherent_vector(spec.aux, cutoff)
-        amps = np.kron(amps, aux_vec.amplitudes)
-        modes = spec.modes + 1
-    else:
-        modes = spec.modes
-    vec = FockVector(cutoff=cutoff, modes=modes, amplitudes=amps)
-    tail = max(0.0, 1.0 - vec.norm() ** 2)
-    report = TruncationReport(
-        cutoff_used=cutoff, tail_mass=tail, converged=tail <= 100.0 * modes * _TAIL_TOL
-    )
-    return vec, report
+        amps = np.kron(amps, coherent_vector(spec.aux, cutoff).amplitudes)
+    return FockVector(cutoff=cutoff, modes=modes_out, amplitudes=amps)
 
 
 def _peak_amplitude(spec: CatStateSpec) -> complex:
-    if spec.family is CatFamily.OMEGA_PRIME:
-        return math.sqrt(spec.modes) * abs(complex(spec.alpha))
     if spec.aux is not None and abs(complex(spec.aux)) > abs(complex(spec.alpha)):
         return spec.aux
     return spec.alpha
@@ -408,38 +381,19 @@ def _assemble(spec: CatStateSpec, cutoff: int) -> np.ndarray:
         even, odd = kitten_vectors(alpha, cutoff)
         return (even if family is CatFamily.EVEN_CAT else odd).amplitudes
     if family is CatFamily.PRODUCT_COHERENT:
-        one, _ = coherent_vector(alpha, cutoff)
-        return _kron_power(one.amplitudes, spec.modes)
+        return _kron_power(coherent_vector(alpha, cutoff).amplitudes, spec.modes)
     if family is CatFamily.OMEGA:
-        plus, _ = coherent_vector(alpha, cutoff)
-        minus, _ = coherent_vector(-alpha, cutoff)
+        plus = coherent_vector(alpha, cutoff)
+        minus = coherent_vector(-alpha, cutoff)
         branches = _kron_power(plus.amplitudes, spec.modes) + _kron_power(
             minus.amplitudes, spec.modes
         )
         return branches * omega_norm(spec.modes, alpha)
-    if family is CatFamily.OMEGA_PRIME:
-        root = math.sqrt(spec.modes) * alpha
-        plus, _ = coherent_vector(root, cutoff)
-        minus, _ = coherent_vector(-root, cutoff)
-        head = (plus.amplitudes + minus.amplitudes) * omega_norm(spec.modes, alpha)
-        vac = np.zeros(cutoff + 1, dtype=complex)
-        vac[0] = 1.0
-        if spec.modes == 1:
-            return head
-        return np.kron(head, _kron_power(vac, spec.modes - 1))
     if family is CatFamily.HCS:
         even, odd = kitten_vectors(alpha, cutoff)
         return (
             _kron_power(even.amplitudes, spec.modes)
             + _kron_power(odd.amplitudes, spec.modes)
-        ) / math.sqrt(2.0)
-    if family is CatFamily.GHZ_DISTILLED:
-        plus, _ = coherent_vector(alpha, cutoff)
-        minus, _ = coherent_vector(-alpha, cutoff)
-        w = branch_overlap(alpha)
-        ortho = (minus.amplitudes - w * plus.amplitudes) / math.sqrt(1.0 - w * w)
-        return (
-            _kron_power(plus.amplitudes, spec.modes) + _kron_power(ortho, spec.modes)
         ) / math.sqrt(2.0)
     raise DomainError(f"unknown family {family}")
 

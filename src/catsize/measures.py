@@ -37,7 +37,6 @@ from .closed_forms import (
     distill_pm,
     equivalent_ghz_size,
     ghz_mode_loss_offdiag,
-    hcs_norms,
     helstrom_success_n_modes,
     marquardt_pd,
     marquardt_s,
@@ -103,14 +102,6 @@ class MeasureResult:
 # generator families
 # ---------------------------------------------------------------------------
 
-_KIND_ORDER = (
-    GeneratorKind.BOUNDED_LOCAL,
-    GeneratorKind.QUADRATURE,
-    GeneratorKind.NUMBER,
-    GeneratorKind.SPIN_SANDWICH,
-)
-
-
 @dataclass(frozen=True)
 class GeneratorFamily:
     """A finite menu of per-mode generators to maximize over.
@@ -156,7 +147,7 @@ class GeneratorFamily:
             try:
                 kinds.add(GeneratorKind(part))
             except ValueError:
-                allowed = ", ".join(k.value for k in _KIND_ORDER)
+                allowed = ", ".join(k.value for k in GeneratorKind)
                 raise DomainError(
                     f"unknown generator kind {part!r}; expected one of {allowed}"
                 ) from None
@@ -166,7 +157,7 @@ class GeneratorFamily:
         return GeneratorFamily(kinds=self.kinds | other.kinds)
 
     def label(self) -> str:
-        return "+".join(k.value for k in _KIND_ORDER if k in self.kinds)
+        return "+".join(k.value for k in GeneratorKind if k in self.kinds)
 
 
 @dataclass(frozen=True)
@@ -229,14 +220,12 @@ def _two_branch_variance(gen: ModeGenerator, modes: int, c1: complex, c2: comple
 # ---------------------------------------------------------------------------
 
 def _pseudo_sigma_z_builder(alpha):
+    """|xi_+><xi_+| - |xi_-><xi_-| with xi_+- = (even +- odd) / sqrt(2)."""
+
     def build(cutoff: int) -> np.ndarray:
-        plus, _ = coherent_vector(alpha, cutoff)
-        minus, _ = coherent_vector(-alpha, cutoff)
-        a_plus, a_minus = hcs_norms(alpha)
-        even = (plus.amplitudes + minus.amplitudes) / a_plus
-        odd = (plus.amplitudes - minus.amplitudes) / a_minus
-        xi_p = (even + odd) / math.sqrt(2.0)
-        xi_m = (even - odd) / math.sqrt(2.0)
+        even, odd = kitten_vectors(alpha, cutoff)
+        xi_p = (even.amplitudes + odd.amplitudes) / math.sqrt(2.0)
+        xi_m = (even.amplitudes - odd.amplitudes) / math.sqrt(2.0)
         return np.outer(xi_p, xi_p.conj()) - np.outer(xi_m, xi_m.conj())
 
     return build
@@ -256,26 +245,27 @@ def _number_builder(cutoff: int) -> np.ndarray:
     return np.diag(np.arange(cutoff + 1, dtype=float)).astype(complex)
 
 
-def _kitten_sigma_z_builder(alpha):
+def _kitten_builder(alpha, axis: str):
+    """|e><e| - |o><o| (axis "z") or |e><o| + |o><e| (axis "x") over the
+    truncated even and odd kittens."""
+
     def build(cutoff: int) -> np.ndarray:
         even, odd = kitten_vectors(alpha, cutoff)
-        return np.outer(even.amplitudes, even.amplitudes.conj()) - np.outer(
-            odd.amplitudes, odd.amplitudes.conj()
-        )
+        e, o = even.amplitudes, odd.amplitudes
+        if axis == "z":
+            return np.outer(e, e.conj()) - np.outer(o, o.conj())
+        return np.outer(e, o.conj()) + np.outer(o, e.conj())
 
     return build
 
 
 def _sandwich_builder(alpha, axis: str):
+    """The kitten core of ``axis`` sandwiched as a^dag core a."""
+    core = _kitten_builder(alpha, axis)
+
     def build(cutoff: int) -> np.ndarray:
-        even, odd = kitten_vectors(alpha, cutoff)
-        e, o = even.amplitudes, odd.amplitudes
-        if axis == "z":
-            core = np.outer(e, e.conj()) - np.outer(o, o.conj())
-        else:
-            core = np.outer(e, o.conj()) + np.outer(o, e.conj())
         a = mode_ops(cutoff)
-        return a.conj().T @ core @ a
+        return a.conj().T @ core(cutoff) @ a
 
     return build
 
@@ -384,7 +374,7 @@ def _kitten_pair_generators(alpha, family: GeneratorFamily) -> list[ModeGenerato
                 a2_vv=1.0,
                 var_u=0.0,
                 var_v=0.0,
-                builder=_kitten_sigma_z_builder(alpha),
+                builder=_kitten_builder(alpha, "z"),
             )
         )
     if GeneratorKind.QUADRATURE in family.kinds:
@@ -534,8 +524,8 @@ def _trace_norm_check(alpha, n_check: int, cutoff: int) -> dict:
     r = [[1, g], [0, sqrt(1 - g^2)]] the branches are the columns of r, and
     the compression is r_0 r_0^T - r_1 r_1^T; no n-mode vector is built.
     """
-    plus, _ = coherent_vector(alpha, cutoff)
-    minus, _ = coherent_vector(-alpha, cutoff)
+    plus = coherent_vector(alpha, cutoff)
+    minus = coherent_vector(-alpha, cutoff)
     gap = (plus.amplitudes - minus.amplitudes) / plus.norm()
     one_minus_g1 = 0.5 * float(np.vdot(gap, gap).real)
     # g_1 rounds to 0 or below only where g_1^n underflows anyway
@@ -575,10 +565,7 @@ def branch_dist_size_real(state: CatStateSpec, delta: float) -> MeasureResult:
 
 
 def rqfi_size(
-    state: CatStateSpec,
-    family: GeneratorFamily,
-    n_list=None,
-    oracle: bool = False,
+    state: CatStateSpec, family: GeneratorFamily, oracle: bool = False
 ) -> MeasureResult:
     """Fisher-information size: best family variance over the mean branch cap.
 
@@ -603,26 +590,22 @@ def rqfi_size(
         )
     gens = _generators_for(state, family)
     c1, c2 = _superposition_coeffs(state)
-
-    def evaluate(modes: int) -> tuple[float, ModeGenerator, float]:
-        best_var = -math.inf
-        best_gen = None
-        for gen in gens:
-            var = _two_branch_variance(gen, modes, c1, c2)
-            if var > best_var:
-                best_var, best_gen = var, gen
-        if best_gen is None:
-            # every variance is NaN: the bracket tables overflowed
-            raise DomainError("no generator variance is finite; reduce |alpha|")
-        if family.kinds == {GeneratorKind.SPIN_SANDWICH}:
-            denom = 0.5 * max(g.var_u for g in gens) + 0.5 * max(
-                g.var_v for g in gens
-            )
-        else:
-            denom = 1.0
-        return best_var / (modes * denom), best_gen, denom
-
-    value, achieving, denominator = evaluate(state.modes)
+    best_var = -math.inf
+    achieving = None
+    for gen in gens:
+        var = _two_branch_variance(gen, state.modes, c1, c2)
+        if var > best_var:
+            best_var, achieving = var, gen
+    if achieving is None:
+        # every variance is NaN: the bracket tables overflowed
+        raise DomainError("no generator variance is finite; reduce |alpha|")
+    if family.kinds == {GeneratorKind.SPIN_SANDWICH}:
+        denominator = 0.5 * max(g.var_u for g in gens) + 0.5 * max(
+            g.var_v for g in gens
+        )
+    else:
+        denominator = 1.0
+    value = best_var / (state.modes * denominator)
     diagnostics = {
         "family": family.label(),
         "achieving_generator": achieving.label,
@@ -633,16 +616,12 @@ def rqfi_size(
             "v": max(g.var_v for g in gens),
         },
     }
-    if n_list:
-        diagnostics["sweep"] = {
-            str(n): evaluate(int(n))[0] for n in n_list
-        }
     if oracle:
         diagnostics["oracle"] = _rqfi_oracle(state, achieving)
     return MeasureResult(
         measure=MeasureKind.RQFI,
         value=value,
-        params=MeasureParams(family=tuple(k for k in _KIND_ORDER if k in family.kinds)),
+        params=MeasureParams(family=tuple(k for k in GeneratorKind if k in family.kinds)),
         state=state,
         method=Method.LOWER_BOUND,
         diagnostics=diagnostics,
@@ -665,7 +644,7 @@ def _rqfi_oracle(state: CatStateSpec, gen: ModeGenerator) -> dict:
             "reason": f"budget {MAX_JOINT_DIM} allows cutoff {afford} < required {floor}",
         }
     cutoff = min(floor + 8, afford)
-    vec, _ = build_state(state, cutoff=cutoff)
+    vec = build_state(state, cutoff=cutoff)
     vec = FockVector(
         cutoff=vec.cutoff, modes=vec.modes, amplitudes=vec.amplitudes / vec.norm()
     )
@@ -721,8 +700,8 @@ def marquardt_size(state: CatStateSpec, numeric_check: bool = False) -> MeasureR
         spec_branch = CatStateSpec(
             family=CatFamily.PRODUCT_COHERENT, modes=state.modes, alpha=state.alpha
         )
-        vec_big, _ = build_state(spec_big, cutoff=cutoff)
-        vec_branch, _ = build_state(spec_branch, cutoff=cutoff)
+        vec_big = build_state(spec_big, cutoff=cutoff)
+        vec_branch = build_state(spec_branch, cutoff=cutoff)
         pmf_big = total_photon_pmf(vec_big)
         pmf_branch = total_photon_pmf(vec_branch)
         grid = np.arange(pmf_big.size)

@@ -25,6 +25,7 @@ from .fock import (
     apply_single_mode,
     build_state,
     coherent_vector,
+    default_cutoff,
     displacement_op,
 )
 
@@ -49,11 +50,6 @@ def _gauss(gamma, center):
         return np.exp(-2.0 * (np.abs(g - center) ** 2))
 
 
-def _envelope(gamma):
-    g = np.asarray(gamma, dtype=complex)
-    return np.exp(-2.0 * (np.abs(g) ** 2))
-
-
 def _fringe_phase(gamma, alpha):
     g = np.asarray(gamma, dtype=complex)
     return 4.0 * (np.conjugate(alpha) * g).imag
@@ -67,11 +63,11 @@ def wigner_cat(gamma, alpha, parity: int = 1):
     """Single-mode even (parity=+1) or odd (parity=-1) branch superposition."""
     if parity not in (1, -1):
         raise DomainError(f"parity must be +1 or -1, got {parity}")
-    if parity == -1 and alpha == 0:
-        raise DomainError("the odd superposition degenerates at alpha = 0")
+    if parity == -1:
+        hcs_norms(alpha)  # refuses where the odd branch degenerates
     w = branch_overlap(alpha)
     norm_sq = 2.0 + 2.0 * parity * w
-    cross = 2.0 * _envelope(gamma) * np.cos(_fringe_phase(gamma, alpha))
+    cross = 2.0 * _gauss(gamma, 0.0) * np.cos(_fringe_phase(gamma, alpha))
     num = _gauss(gamma, alpha) + _gauss(gamma, -alpha) + parity * cross
     return (2.0 / math.pi) * num / norm_sq
 
@@ -91,7 +87,7 @@ def wigner_omega(gammas, alpha, modes: int | None = None):
     norm_sq = 2.0 + 2.0 * w ** n
     plus = np.prod(_gauss(g, alpha), axis=-1)
     minus = np.prod(_gauss(g, -alpha), axis=-1)
-    cross = 2.0 * np.prod(_envelope(g), axis=-1) * np.cos(
+    cross = 2.0 * np.prod(_gauss(g, 0.0), axis=-1) * np.cos(
         np.sum(_fringe_phase(g, alpha), axis=-1)
     )
     return (2.0 / math.pi) ** n * (plus + minus + cross) / norm_sq
@@ -104,15 +100,13 @@ def wigner_hcs2(gamma1, gamma2, alpha):
     blocks plus one cross block; the cross block's real part combines the
     Gaussian differences with a product of fringe sines.
     """
-    if alpha == 0:
-        raise DomainError("the odd branch degenerates at alpha = 0")
     w = branch_overlap(alpha)
     a_plus, a_minus = hcs_norms(alpha)
 
     def pieces(gamma):
         gp = _gauss(gamma, alpha)
         gm = _gauss(gamma, -alpha)
-        env = _envelope(gamma)
+        env = _gauss(gamma, 0.0)
         theta = _fringe_phase(gamma, alpha)
         num_e = gp + gm + 2.0 * env * np.cos(theta)
         num_o = gp + gm - 2.0 * env * np.cos(theta)
@@ -130,6 +124,21 @@ def wigner_hcs2(gamma1, gamma2, alpha):
 # ---------------------------------------------------------------------------
 # numeric route
 # ---------------------------------------------------------------------------
+
+def wigner_cutoff(peak, gammas) -> int:
+    """Cutoff for ``wigner_numeric`` of a state whose branches reach per-mode
+    amplitude ``peak``, at the coordinates ``gammas`` (any shape).
+
+    Displacing by -gamma moves a branch to amplitude at most
+    r = |peak| + max|gamma|, whose photon count is Poisson with mean r^2 and
+    standard deviation r.  For r from 0.5 to 12, ceil(r^2 + 5r + 6) is zero
+    to three levels above the smallest cutoff at which that law leaves less
+    than the headroom guard's 1e-6 in the top three levels.  The result never
+    drops below default_cutoff(peak), which the undisplaced state needs.
+    """
+    r = abs(complex(peak)) + float(np.abs(np.asarray(gammas, dtype=complex)).max())
+    return max(default_cutoff(peak), math.ceil(r * r + 5.0 * r + 6.0))
+
 
 def wigner_numeric(vec: FockVector, gammas) -> float:
     """Displaced-parity value of a truncated joint vector at one point.
@@ -200,9 +209,9 @@ def fringe_suppression_check(alpha) -> dict:
     if a == 0.0:
         raise DomainError("suppression is trivial at alpha = 0")
     spec = CatStateSpec(family=CatFamily.OMEGA, modes=2, alpha=alpha)
-    vec, _ = build_state(spec)
-    plus, _ = coherent_vector(alpha, vec.cutoff)
-    minus, _ = coherent_vector(-alpha, vec.cutoff)
+    vec = build_state(spec)
+    plus = coherent_vector(alpha, vec.cutoff)
+    minus = coherent_vector(-alpha, vec.cutoff)
     scale = 2.0 + 2.0 * branch_overlap(alpha) ** 2
     w_red = wigner_numeric(vec, [0.0])
     w_diag = (wigner_numeric(plus, [0.0]) + wigner_numeric(minus, [0.0])) / scale

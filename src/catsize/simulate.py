@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .closed_forms import abs2, branch_overlap
+from .closed_forms import abs2, branch_overlap, hcs_norms
 from .errors import DomainError
 
 SEED_SCHEME = "philox(key=(seed, trajectory_index))"
@@ -142,14 +142,10 @@ class DistillationPOVM:
 
     Coordinates are in the orthonormal frame {e1, e2} with e1 = |alpha> and
     e2 proportional to |-alpha> - w|alpha>.  E1 swaps the branches onto the
-    orthonormal pair (up to the scale k s); E2 maps both branches to the same
-    vector, postponing the split.
+    orthonormal pair (up to a scale k s, k fixed by making E2 rank one); E2
+    maps both branches to the same vector, postponing the split.
     """
 
-    alpha: complex
-    e1: np.ndarray
-    e2: np.ndarray
-    k: float
     E1: np.ndarray
     E2: np.ndarray
 
@@ -172,9 +168,7 @@ def build_distillation_povm(alpha) -> DistillationPOVM:
     vals, vecs = np.linalg.eigh(residual)
     chi = vecs[:, -1]
     effect_2 = math.sqrt(max(float(vals[-1]), 0.0)) * np.outer(chi, chi)
-    return DistillationPOVM(
-        alpha=complex(alpha), e1=e1, e2=e2, k=k, E1=effect_1, E2=effect_2
-    )
+    return DistillationPOVM(E1=effect_1, E2=effect_2)
 
 
 def distillation_outcome_distribution(modes: int, alpha) -> np.ndarray:
@@ -326,12 +320,11 @@ class CollapseProblem(enum.Enum):
 
 
 def _span_frame(alpha):
+    a_plus, a_minus = hcs_norms(alpha)
     w = branch_overlap(alpha)
     s = math.sqrt(1.0 - w * w)
     ket_a = np.array([1.0, 0.0])
     ket_ma = np.array([w, s])
-    a_plus = math.sqrt(2.0 + 2.0 * w)
-    a_minus = math.sqrt(2.0 - 2.0 * w)
     psi_plus = (ket_a + ket_ma) / a_plus
     psi_minus = (ket_a - ket_ma) / a_minus
     return w, ket_a, ket_ma, psi_plus, psi_minus
@@ -352,8 +345,6 @@ def simulate_branch_collapse(
     """
     _check_trials(trials)
     _check_seed(seed)
-    if alpha == 0:
-        raise DomainError("the branch span degenerates at alpha = 0")
     problem = CollapseProblem(problem)
     w, ket_a, ket_ma, psi_plus, psi_minus = _span_frame(alpha)
     rho_cat = np.outer(psi_plus, psi_plus)

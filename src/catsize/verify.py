@@ -27,6 +27,7 @@ from .closed_forms import (
     mode_loss_offdiag,
     mode_loss_offdiag_mean,
     number_variance_omega,
+    omega_norm,
     quadrature_variance_omega,
     rqfi_bound_bounded,
     rqfi_bound_quadrature,
@@ -52,6 +53,7 @@ from .measures import (
 from .phase_space import (
     fringe_suppression_check,
     wigner_cat,
+    wigner_cutoff,
     wigner_hcs2,
     wigner_numeric,
     wigner_omega,
@@ -160,9 +162,9 @@ def network_coherent_gap(m: int, alpha: complex) -> float:
     peak = math.sqrt(m) * abs(alpha)
     afford = int(MAX_JOINT_DIM ** (1.0 / m)) - 1
     cutoff = min(default_cutoff(peak), afford)
-    head, _ = coherent_vector(math.sqrt(m) * alpha, cutoff)
+    head = coherent_vector(math.sqrt(m) * alpha, cutoff)
     out = apply_split_network(head, m).amplitudes
-    leaf = coherent_vector(alpha, cutoff)[0].amplitudes
+    leaf = coherent_vector(alpha, cutoff).amplitudes
     bra = leaf.conj()
     overlap = out.reshape((cutoff + 1,) * m)
     for _ in range(m):
@@ -173,23 +175,31 @@ def network_coherent_gap(m: int, alpha: complex) -> float:
 
 
 def network_superposition_gap(modes: int, alpha: complex) -> float:
-    """1 - fidelity of the split one-mode cat against the ``modes``-mode cat."""
+    """1 - fidelity of the split one-mode cat against the ``modes``-mode cat.
+
+    The head is the one-mode cat at +-sqrt(modes) alpha, scaled by the
+    ``modes``-mode normalization, so the network output should equal the
+    target vector itself.
+    """
     cutoff = default_cutoff(math.sqrt(modes) * abs(alpha))
-    prime = CatStateSpec(family=CatFamily.OMEGA_PRIME, modes=modes, alpha=alpha)
+    root = math.sqrt(modes) * complex(alpha)
+    plus = coherent_vector(root, cutoff).amplitudes
+    minus = coherent_vector(-root, cutoff).amplitudes
+    head = FockVector(cutoff, 1, (plus + minus) * omega_norm(modes, alpha))
     omega = CatStateSpec(family=CatFamily.OMEGA, modes=modes, alpha=alpha)
-    source, _ = build_state(prime, cutoff=cutoff)
-    target, _ = build_state(omega, cutoff=cutoff)
-    head = FockVector(cutoff, 1, source.as_tensor()[(slice(None),) + (0,) * (modes - 1)])
+    target = build_state(omega, cutoff=cutoff)
     return _fidelity_gap(apply_split_network(head, modes), target)
 
 
-def wigner_gap(spec: CatStateSpec, cutoff: int, closed, points) -> float:
+def wigner_gap(spec: CatStateSpec, closed, points) -> float:
     """Largest |closed - numeric| Wigner value over ``points``.
 
     Each point holds one coordinate per mode; ``closed`` takes them as
-    separate arguments.
+    separate arguments.  The state is built at the cutoff ``wigner_cutoff``
+    picks from its amplitude and the points.
     """
-    vec, _ = build_state(spec, cutoff=cutoff)
+    points = list(points)
+    vec = build_state(spec, cutoff=wigner_cutoff(spec.alpha, points))
     worst = 0.0
     for point in points:
         numeric = wigner_numeric(vec, list(point))
@@ -197,24 +207,20 @@ def wigner_gap(spec: CatStateSpec, cutoff: int, closed, points) -> float:
     return worst
 
 
-def wigner_gap_hcs2(
-    rng, alpha: complex, count: int, radius: float, cutoff: int
-) -> float:
+def wigner_gap_hcs2(rng, alpha: complex, count: int, radius: float) -> float:
     """Closed-vs-numeric gap of the two-mode hierarchical state at random points."""
     spec = CatStateSpec(family=CatFamily.HCS, modes=2, alpha=alpha)
     points = zip(_random_points(rng, count, radius), _random_points(rng, count, radius))
-    return wigner_gap(spec, cutoff, lambda g1, g2: wigner_hcs2(g1, g2, alpha), points)
+    return wigner_gap(spec, lambda g1, g2: wigner_hcs2(g1, g2, alpha), points)
 
 
 HCS2_ALPHA3_SPOTS = ((0.0, 0.0), (3.0, 3.0), (-3.0, 3.0), (1.5, -1.5), (0.5j, 2.0))
 
 
 def wigner_gap_hcs2_spots() -> float:
-    """Closed-vs-numeric gap of the hierarchical state at alpha = 3, cutoff 72."""
+    """Closed-vs-numeric gap of the hierarchical state at alpha = 3 at fixed spots."""
     spec = CatStateSpec(family=CatFamily.HCS, modes=2, alpha=3.0)
-    return wigner_gap(
-        spec, 72, lambda g1, g2: wigner_hcs2(g1, g2, 3.0), HCS2_ALPHA3_SPOTS
-    )
+    return wigner_gap(spec, lambda g1, g2: wigner_hcs2(g1, g2, 3.0), HCS2_ALPHA3_SPOTS)
 
 
 def matched_intensity_beta(modes: int, alpha: complex):
@@ -361,11 +367,11 @@ _check("network-coherent-m3")(lambda rng, seed: (network_coherent_gap(3, 0.5), 1
 def _wigner_even_cat(rng, seed):
     spec = CatStateSpec(family=CatFamily.EVEN_CAT, modes=1, alpha=1.3)
     points = [(g,) for g in _random_points(rng, 50, 2.0)]
-    return wigner_gap(spec, 40, lambda g: wigner_cat(g, 1.3, parity=1), points), 1e-6
+    return wigner_gap(spec, lambda g: wigner_cat(g, 1.3, parity=1), points), 1e-6
 
 
 _check("wigner-hcs2-closed-vs-numeric")(
-    lambda rng, seed: (wigner_gap_hcs2(rng, 1.5, 50, 2.0, 40), 1e-6)
+    lambda rng, seed: (wigner_gap_hcs2(rng, 1.5, 50, 2.0), 1e-6)
 )
 
 
@@ -478,7 +484,7 @@ _check("network-superposition-n3", FULL)(
     lambda rng, seed: (network_superposition_gap(3, 0.8), 1e-8)
 )
 _check("wigner-hcs2-dense", FULL)(
-    lambda rng, seed: (wigner_gap_hcs2(rng, 1.5, 200, 2.0, 40), 1e-6)
+    lambda rng, seed: (wigner_gap_hcs2(rng, 1.5, 200, 2.0), 1e-6)
 )
 _check("wigner-hcs2-alpha3-spots", FULL)(
     lambda rng, seed: (wigner_gap_hcs2_spots(), 1e-6)

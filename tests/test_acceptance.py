@@ -89,8 +89,8 @@ def test_criterion_01_integer_size_matches_trace_norm_scan():
         modes = int(rng.integers(2, 13))
         lo, hi = delta_validity_interval(modes, alpha)
         delta = float(np.exp(rng.uniform(np.log(lo * 1.1), np.log(hi * 0.9))))
-        plus, _ = coherent_vector(alpha, default_cutoff(alpha))
-        minus, _ = coherent_vector(-alpha, default_cutoff(alpha))
+        plus = coherent_vector(alpha, default_cutoff(alpha))
+        minus = coherent_vector(-alpha, default_cutoff(alpha))
         g1 = complex(np.vdot(plus.amplitudes, minus.amplitudes))
         brute = None
         for n in range(1, modes + 3):
@@ -108,8 +108,8 @@ def test_criterion_01_integer_size_matches_trace_norm_scan():
     # oracle's 2 x 2 compression against both
     for alpha in (0.5, 1.0, 1.5):
         cutoff = default_cutoff(alpha)
-        plus, _ = coherent_vector(alpha, cutoff)
-        minus, _ = coherent_vector(-alpha, cutoff)
+        plus = coherent_vector(alpha, cutoff)
+        minus = coherent_vector(-alpha, cutoff)
         g1 = complex(np.vdot(plus.amplitudes, minus.amplitudes))
         diff = projector(tensor(plus, plus).amplitudes) - projector(
             tensor(minus, minus).amplitudes
@@ -125,8 +125,8 @@ def test_criterion_01_integer_size_matches_trace_norm_scan():
 def test_criterion_02_pure_state_trace_norm_identity():
     for alpha in (0.5, 1.0, 2.0):
         cutoff = default_cutoff(alpha)
-        plus, _ = coherent_vector(alpha, cutoff)
-        minus, _ = coherent_vector(-alpha, cutoff)
+        plus = coherent_vector(alpha, cutoff)
+        minus = coherent_vector(-alpha, cutoff)
         numeric = trace_norm(projector(plus.amplitudes) - projector(minus.amplitudes))
         closed = 2.0 * math.sqrt(-math.expm1(-4.0 * alpha**2))
         assert abs(numeric - closed) <= 1e-10, f"alpha={alpha}"
@@ -149,7 +149,7 @@ def test_criterion_03_splitting_network_fidelities():
 
 def test_criterion_04_transfer_distribution_is_poissonian():
     spec = CatStateSpec(family=CatFamily.PRODUCT_COHERENT, modes=2, alpha=2.0)
-    vec, _ = build_state(spec)
+    vec = build_state(spec)
     pmf = total_photon_pmf(vec)
     mean = 2 * abs2(2.0)
     reference = np.array(
@@ -259,7 +259,7 @@ def test_criterion_08_collapse_protocols():
 
 def test_criterion_09_hierarchical_wigner_oracle():
     rng = np.random.default_rng(SEED)
-    gap = wigner_gap_hcs2(rng, 1.5, 200, 2.0, 40)
+    gap = wigner_gap_hcs2(rng, 1.5, 200, 2.0)
     assert gap <= 1e-6, f"200-point gap {gap:.3e}"
 
     spot_gap = wigner_gap_hcs2_spots()

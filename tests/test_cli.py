@@ -463,17 +463,41 @@ def test_non_finite_result_exits_3_with_empty_stdout(args, capsys):
 
 
 @pytest.mark.parametrize(
-    "args, code",
+    "args, code, needle",
     [
-        (("wigner", "--state", "even-cat", "--alpha", "1e154", "--grid=-4:4:11"), 0),
+        (("wigner", "--state", "even-cat", "--alpha", "1e154", "--grid=-4:4:11"), 0, ""),
         (("measure", "rqfi", "--modes", "3", "--alpha", "1e154",
-          "--family", "quadrature"), 3),
+          "--family", "quadrature"), 3, ""),
+        (("wigner", "--state", "hcs2", "--alpha", "1", "--slice", "gamma2=1e154",
+          "--grid=-2:2:5"), 0, ""),
+        # below |alpha|^2 ~ 1e-16, exp(-2|alpha|^2) rounds to 1 and the odd
+        # branch |alpha> - |-alpha> is 0, as at alpha = 0
+        (("measure", "rqfi", "--state", "hcs", "--modes", "2", "--alpha", "1e-200",
+          "--family", "number"), 3, "odd branch"),
+        (("measure", "rqfi", "--modes", "2", "--alpha", "1e-9",
+          "--family", "bounded-local"), 3, "odd branch"),
+        (("measure", "rqfi", "--state", "hcs", "--modes", "2", "--alpha", "1e-9",
+          "--family", "bounded-local"), 3, "odd branch"),
+        (("wigner", "--state", "odd-cat", "--alpha", "5e-324", "--grid=-2:2:5"), 3,
+         "odd branch"),
+        (("wigner", "--state", "odd-cat", "--alpha", "1e-9", "--grid=-2:2:5"), 3,
+         "odd branch"),
+        (("wigner", "--state", "hcs2", "--alpha", "1e-200", "--grid=-2:2:5"), 3,
+         "odd branch"),
+        (("simulate", "collapse", "--problem", "cat-vs-branch", "--alpha", "1e-200",
+          "--trials", "10"), 3, "odd branch"),
     ],
-    ids=["wigner-gauss", "rqfi-variance"],
+    ids=[
+        "wigner-gauss", "rqfi-variance", "wigner-slice-gauss", "rqfi-hcs-tiny-alpha",
+        "rqfi-bounded-tiny-alpha", "rqfi-hcs-bounded-tiny-alpha",
+        "wigner-odd-cat-subnormal-alpha", "wigner-odd-cat-tiny-alpha",
+        "wigner-hcs2-tiny-alpha", "collapse-tiny-alpha",
+    ],
 )
-def test_extreme_alpha_prints_no_numpy_warning(args, code):
+def test_extreme_alpha_prints_no_numpy_warning(args, code, needle):
     # the overflowing intermediates are expected and their results handled,
-    # so stderr holds nothing or the one error line
+    # and a degenerate odd branch is refused, so stderr holds nothing or the
+    # one error line
     proc = run_cli(*args)
     assert proc.returncode == code
     if code == 0:
@@ -482,6 +506,7 @@ def test_extreme_alpha_prints_no_numpy_warning(args, code):
         assert proc.stdout == ""
         assert proc.stderr.startswith("error: ")
         assert proc.stderr.count("\n") == 1
+        assert needle in proc.stderr
 
 
 def test_non_finite_value_is_refused_by_the_serializer():

@@ -35,7 +35,6 @@ from catsize.closed_forms import (
     n_eff_real,
     number_variance_omega,
     omega_norm,
-    overlap,
     quadrature_variance_omega,
     rdm_particle_trace,
     rqfi_bound_bounded,
@@ -92,12 +91,6 @@ def test_abs2_matches_manual_product():
     assert abs2(z) == z.real * z.real + z.imag * z.imag
     assert abs2(0.0) == 0.0
     assert abs2(-3.0) == 9.0
-
-
-@pytest.mark.parametrize("beta,gamma", [(0.5, 0.5), (1.0, -1.0), (0.8 + 0.3j, -0.2 + 1.1j)])
-def test_overlap_formula(beta, gamma):
-    expected = np.exp(-abs(beta) ** 2 / 2 - abs(gamma) ** 2 / 2 + np.conj(beta) * gamma)
-    assert overlap(beta, gamma) == pytest.approx(complex(expected), abs=1e-15)
 
 
 def test_branch_overlap_is_squared_exponential():
@@ -416,22 +409,30 @@ def test_ghz_reference():
 # specs and parameters
 # ---------------------------------------------------------------------------
 
-def test_state_spec_intensity():
-    spec = CatStateSpec(family=CatFamily.OMEGA, modes=3, alpha=1.0 + 1.0j)
-    assert spec.intensity == pytest.approx(2.0, rel=1e-15)
-
-
-@pytest.mark.parametrize(
-    "family", [CatFamily.ODD_CAT, CatFamily.HCS, CatFamily.GHZ_DISTILLED]
-)
+@pytest.mark.parametrize("family", [CatFamily.ODD_CAT, CatFamily.HCS])
 def test_degenerate_families_reject_vacuum(family):
     with pytest.raises(DomainError):
         CatStateSpec(family=family, modes=2, alpha=0.0)
 
 
+@pytest.mark.parametrize("alpha", [0.0, 5e-324, 1e-200, 1e-9, 1e-9j])
+def test_hcs_norms_refuse_where_the_odd_branch_vanishes(alpha):
+    # exp(-2|alpha|^2) rounds to 1 below |alpha|^2 ~ 1e-16, so A_minus is 0
+    with pytest.raises(DomainError, match="odd branch"):
+        hcs_norms(alpha)
+    with pytest.raises(DomainError, match="odd branch"):
+        CatStateSpec(family=CatFamily.HCS, modes=2, alpha=alpha)
+
+
+def test_hcs_norms_just_above_the_degenerate_range():
+    a_plus, a_minus = hcs_norms(1e-7)
+    assert a_plus == pytest.approx(2.0, rel=1e-13)
+    assert a_minus == math.sqrt(2.0 - 2.0 * branch_overlap(1e-7)) > 0.0
+
+
 def test_even_cat_at_vacuum_is_allowed():
     spec = CatStateSpec(family=CatFamily.EVEN_CAT, modes=1, alpha=0.0)
-    assert spec.intensity == 0.0
+    assert spec.alpha == 0.0
 
 
 def test_measure_params_validation():

@@ -120,8 +120,8 @@ def test_branch_dist_integer_measure():
 def test_trace_norm_oracle_matches_dense_projectors(alpha, n_check):
     # the Gram-power compression against the full (d^n, d^n) projector route
     cutoff = default_cutoff(alpha)
-    plus, _ = coherent_vector(alpha, cutoff)
-    minus, _ = coherent_vector(-alpha, cutoff)
+    plus = coherent_vector(alpha, cutoff)
+    minus = coherent_vector(-alpha, cutoff)
     rho_p = projector(tensor(*([plus] * n_check)).amplitudes)
     rho_m = projector(tensor(*([minus] * n_check)).amplitudes)
     dense = 0.5 + 0.25 * trace_norm(rho_p - rho_m)
@@ -257,14 +257,13 @@ def test_rqfi_degenerate_alpha_rejected():
         rqfi_size(omega(2, 0.0), QN)
 
 
-def test_rqfi_sweep_matches_fresh_evaluations():
-    res = rqfi_size(omega(2, 1.5), QN, n_list=(2, 4))
-    sweep = res.diagnostics["sweep"]
-    assert sweep["2"] == pytest.approx(res.value, rel=1e-15)
-    assert sweep["4"] == pytest.approx(
-        rqfi_size(omega(4, 1.5), QN).value, rel=1e-15
+def test_rqfi_quadrature_number_values_at_two_and_four_modes():
+    assert rqfi_size(omega(2, 1.5), QN).value == pytest.approx(
+        9.498889448816122, rel=1e-12
     )
-    assert sweep["4"] == pytest.approx(18.499999725860373, rel=1e-12)
+    assert rqfi_size(omega(4, 1.5), QN).value == pytest.approx(
+        18.499999725860373, rel=1e-12
+    )
 
 
 def test_rqfi_oracle_recomputes_the_achieving_variance():
@@ -315,7 +314,7 @@ def test_rqfi_without_oracle_has_no_oracle_entry():
 def _numeric_quadrature_variances(spec: CatStateSpec, phases) -> np.ndarray:
     """Variance of sum_i x_i(phi) on the truncated state, from plain arrays."""
     cutoff = default_cutoff(math.sqrt(spec.modes) * abs(spec.alpha)) + 10
-    vec, _ = build_state(spec, cutoff=cutoff)
+    vec = build_state(spec, cutoff=cutoff)
     psi = vec.as_tensor() / vec.norm()
     a = mode_ops(cutoff)
     x = (a + a.conj().T) / math.sqrt(2.0)

@@ -170,7 +170,7 @@ def test_numeric_matches_closed_form_single_mode():
     rng = np.random.default_rng(404)
     for alpha, parity in ((1.2, 1), (1.2, -1)):
         fam = CatFamily.EVEN_CAT if parity == 1 else CatFamily.ODD_CAT
-        vec, _ = build_state(
+        vec = build_state(
             CatStateSpec(family=fam, modes=1, alpha=alpha), cutoff=60
         )
         for _ in range(20):
@@ -182,7 +182,7 @@ def test_numeric_matches_closed_form_single_mode():
 
 def test_numeric_matches_closed_form_two_mode():
     rng = np.random.default_rng(405)
-    vec, _ = build_state(
+    vec = build_state(
         CatStateSpec(family=CatFamily.OMEGA, modes=2, alpha=1.0), cutoff=56
     )
     for _ in range(12):
@@ -194,7 +194,7 @@ def test_numeric_matches_closed_form_two_mode():
 
 def test_numeric_matches_closed_form_hidden_pair():
     rng = np.random.default_rng(406)
-    vec, _ = build_state(
+    vec = build_state(
         CatStateSpec(family=CatFamily.HCS, modes=2, alpha=1.5), cutoff=40
     )
     for _ in range(12):
@@ -205,13 +205,13 @@ def test_numeric_matches_closed_form_hidden_pair():
 
 
 def test_numeric_guards_cutoff_headroom():
-    vec, _ = coherent_vector(1.0, 12)
+    vec = coherent_vector(1.0, 12)
     with pytest.raises(TruncationError):
         wigner_numeric(vec, [3.0 + 3.0j])
 
 
 def test_numeric_coordinate_count_is_checked():
-    vec, _ = coherent_vector(0.5, 10)
+    vec = coherent_vector(0.5, 10)
     with pytest.raises(DomainError):
         wigner_numeric(vec, [0.1, 0.2])
     with pytest.raises(DomainError):
@@ -222,7 +222,7 @@ def test_numeric_reduced_state_of_two_mode_omega():
     # tracing the second mode leaves (|a><a| + |-a><-a| + w(|a><-a| + h.c.))
     # / (2 + 2w^2) with w = <a|-a> = exp(-2|a|^2)
     alpha = 0.8 + 0.6j
-    vec, _ = build_state(
+    vec = build_state(
         CatStateSpec(family=CatFamily.OMEGA, modes=2, alpha=alpha), cutoff=56
     )
     w = math.exp(-2.0 * abs2(alpha))
@@ -291,7 +291,7 @@ def test_grid_requires_every_axis():
 
 
 def test_grid_rejects_unsupported_family():
-    spec = CatStateSpec(family=CatFamily.GHZ_DISTILLED, modes=1, alpha=1.0)
+    spec = CatStateSpec(family=CatFamily.HCS, modes=1, alpha=1.0)
     with pytest.raises(DomainError):
         wigner_grid(spec, {"re": np.linspace(-1, 1, 5), "im": 0.0})
 

@@ -36,3 +36,14 @@ def test_vacuum_mixing_row_redraws_unmatched_intensities(seed):
     assert vacuum["status"] == "pass"
     assert vacuum["observed"] == 0.0 and vacuum["tolerance"] == 0.0
     assert all(r["status"] == "pass" for r in rows)
+
+
+@pytest.mark.parametrize(
+    "suite, seed",
+    [("fast", 2283172114), ("fast", 838334454), ("fast", 1833313030), ("full", 779890653)],
+)
+def test_wigner_rows_take_their_cutoff_from_the_drawn_points(suite, seed):
+    # at a fixed cutoff of 40 a drawn point pushed the displaced amplitude
+    # into the top Fock levels and the headroom guard raised TruncationError
+    rows = run(suite, seed)
+    assert [r["name"] for r in rows if r["status"] != "pass"] == []
