@@ -54,7 +54,6 @@ from .fock import (
     total_photon_pmf,
 )
 from .measures import (
-    GeneratorFamily,
     MeasureKind,
     MeasureResult,
     Method,

@@ -33,7 +33,6 @@ from .closed_forms import (
 )
 from .errors import DomainError, SizingError, TruncationError
 from .measures import (
-    GeneratorFamily,
     MeasureKind,
     MeasureResult,
     branch_dist_size,
@@ -267,10 +266,9 @@ def _envelope(argv, inputs, results, checks, started) -> dict:
 def _run_measure(args) -> tuple[dict, list, int]:
     sub = args.subcommand
     if sub == "rqfi":
-        family = GeneratorFamily.from_label(args.family)
         fam = CatFamily.HCS if args.state == "hcs" else CatFamily.OMEGA
         state = CatStateSpec(family=fam, modes=args.modes, alpha=args.alpha)
-        result = rqfi_size(state, family, oracle=True)
+        result = rqfi_size(state, args.family, oracle=True)
     elif sub == "wigner-empirical":
         fam = CatFamily.EVEN_CAT if args.state == "even-cat" else CatFamily.OMEGA
         state = CatStateSpec(family=fam, modes=args.modes, alpha=args.alpha)

@@ -42,16 +42,11 @@ _SINGLE_MODE_FAMILIES = (CatFamily.EVEN_CAT, CatFamily.ODD_CAT)
 
 @dataclass(frozen=True)
 class CatStateSpec:
-    """Symbolic description of a state: family, mode count, per-mode amplitude.
-
-    ``aux`` is the amplitude of the optional auxiliary mode used by the
-    photon-transfer size construction; it never affects any size value.
-    """
+    """Symbolic description of a state: family, mode count, per-mode amplitude."""
 
     family: CatFamily
     modes: int
     alpha: complex
-    aux: complex | None = None
 
     def __post_init__(self):
         if self.modes < 1:
@@ -64,13 +59,12 @@ class CatStateSpec:
 
 @dataclass(frozen=True)
 class MeasureParams:
-    """Parameters a measure may need: precision delta, loss rate lam,
-    generator family and quadrature phase."""
+    """Parameters a measure may need: precision delta, loss rate lam and
+    generator family."""
 
     delta: float | None = None
     lam: float | None = None
     family: GeneratorKind | tuple[GeneratorKind, ...] | None = None
-    phi: float | None = None
 
     def __post_init__(self):
         if self.delta is not None and not 0.0 < self.delta < 0.5:

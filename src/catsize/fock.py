@@ -354,20 +354,10 @@ def build_state(spec: CatStateSpec, cutoff: int | None = None) -> FockVector:
     than silently renormalized.
     """
     if cutoff is None:
-        cutoff = default_cutoff(_peak_amplitude(spec))
-    modes_out = spec.modes + (1 if spec.aux is not None else 0)
+        cutoff = default_cutoff(spec.alpha)
     # refuse before assembly; the kron products allocate the full vector
-    _check_joint_dim((cutoff + 1) ** modes_out)
-    amps = _assemble(spec, cutoff)
-    if spec.aux is not None:
-        amps = np.kron(amps, coherent_vector(spec.aux, cutoff).amplitudes)
-    return FockVector(cutoff=cutoff, modes=modes_out, amplitudes=amps)
-
-
-def _peak_amplitude(spec: CatStateSpec) -> complex:
-    if spec.aux is not None and abs(complex(spec.aux)) > abs(complex(spec.alpha)):
-        return spec.aux
-    return spec.alpha
+    _check_joint_dim((cutoff + 1) ** spec.modes)
+    return FockVector(cutoff=cutoff, modes=spec.modes, amplitudes=_assemble(spec, cutoff))
 
 
 def _kron_power(v: np.ndarray, n: int) -> np.ndarray:
@@ -385,16 +375,17 @@ def _assemble(spec: CatStateSpec, cutoff: int) -> np.ndarray:
     if family is CatFamily.OMEGA:
         plus = coherent_vector(alpha, cutoff)
         minus = coherent_vector(-alpha, cutoff)
-        branches = _kron_power(plus.amplitudes, spec.modes) + _kron_power(
-            minus.amplitudes, spec.modes
-        )
-        return branches * omega_norm(spec.modes, alpha)
+        # in place: _kron_power(v, 1) is v itself, which only this call holds
+        branches = _kron_power(plus.amplitudes, spec.modes)
+        branches += _kron_power(minus.amplitudes, spec.modes)
+        branches *= omega_norm(spec.modes, alpha)
+        return branches
     if family is CatFamily.HCS:
         even, odd = kitten_vectors(alpha, cutoff)
-        return (
-            _kron_power(even.amplitudes, spec.modes)
-            + _kron_power(odd.amplitudes, spec.modes)
-        ) / math.sqrt(2.0)
+        branches = _kron_power(even.amplitudes, spec.modes)
+        branches += _kron_power(odd.amplitudes, spec.modes)
+        branches /= math.sqrt(2.0)
+        return branches
     raise DomainError(f"unknown family {family}")
 
 

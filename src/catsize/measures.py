@@ -49,8 +49,6 @@ from .closed_forms import (
 from .errors import DomainError, ResolutionError
 from .fock import (
     MAX_JOINT_DIM,
-    FockVector,
-    apply_single_mode,
     build_state,
     coherent_vector,
     default_cutoff,
@@ -99,80 +97,20 @@ class MeasureResult:
 
 
 # ---------------------------------------------------------------------------
-# generator families
+# generators
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class GeneratorFamily:
-    """A finite menu of per-mode generators to maximize over.
-
-    The sandwich generators are normalized differently from the three
-    capped families (their single-branch information grows with |alpha|),
-    so they do not combine with the others in one maximization.
-    """
-
-    kinds: frozenset
-
-    def __post_init__(self):
-        if not self.kinds:
-            raise DomainError("a generator family needs at least one kind")
-        if GeneratorKind.SPIN_SANDWICH in self.kinds and len(self.kinds) > 1:
-            raise DomainError(
-                "sandwich generators use a branch-variance denominator and "
-                "cannot be mixed with the capped families"
-            )
-
-    @classmethod
-    def bounded_local(cls) -> "GeneratorFamily":
-        return cls(kinds=frozenset({GeneratorKind.BOUNDED_LOCAL}))
-
-    @classmethod
-    def quadrature(cls) -> "GeneratorFamily":
-        return cls(kinds=frozenset({GeneratorKind.QUADRATURE}))
-
-    @classmethod
-    def number(cls) -> "GeneratorFamily":
-        return cls(kinds=frozenset({GeneratorKind.NUMBER}))
-
-    @classmethod
-    def spin_sandwich(cls) -> "GeneratorFamily":
-        return cls(kinds=frozenset({GeneratorKind.SPIN_SANDWICH}))
-
-    @classmethod
-    def from_label(cls, label: str) -> "GeneratorFamily":
-        """Parse 'quadrature', 'quadrature+number', etc."""
-        kinds = set()
-        for part in label.split("+"):
-            part = part.strip()
-            try:
-                kinds.add(GeneratorKind(part))
-            except ValueError:
-                allowed = ", ".join(k.value for k in GeneratorKind)
-                raise DomainError(
-                    f"unknown generator kind {part!r}; expected one of {allowed}"
-                ) from None
-        return cls(kinds=frozenset(kinds))
-
-    def __or__(self, other: "GeneratorFamily") -> "GeneratorFamily":
-        return GeneratorFamily(kinds=self.kinds | other.kinds)
-
-    def label(self) -> str:
-        return "+".join(k.value for k in GeneratorKind if k in self.kinds)
-
 
 @dataclass(frozen=True)
 class ModeGenerator:
     """One per-mode generator with its exact 2x2 bracket tables.
 
-    g is the branch overlap <u|v>; the a_* entries are <x|A|y> and the
-    a2_* entries <x|A^2|y> over the branch pair; var_u, var_v are the
-    single-mode variances on each branch.  ``builder`` produces the truncated
-    matrix for the Fock oracle.
+    The a_* entries are <x|A|y> and the a2_* entries <x|A^2|y> over the
+    branch pair; var_u, var_v are the single-mode variances on each branch.
+    ``builder`` produces the truncated matrix for the Fock oracle.
     """
 
     label: str
     kind: GeneratorKind
-    g: complex
     a_uu: complex
     a_uv: complex
     a_vv: complex
@@ -184,10 +122,13 @@ class ModeGenerator:
     builder: Callable[[int], np.ndarray]
 
 
-def _two_branch_variance(gen: ModeGenerator, modes: int, c1: complex, c2: complex) -> float:
-    """Variance of the mode sum of ``gen`` over c1 |u>^N + c2 |v>^N."""
+def _two_branch_variance(
+    gen: ModeGenerator, modes: int, g: complex, c1: complex, c2: complex
+) -> float:
+    """Variance of the mode sum of ``gen`` over c1 |u>^N + c2 |v>^N, where
+    g = <u|v> is the branch overlap."""
     n = modes
-    g = complex(gen.g)
+    g = complex(g)
     gram = np.array([[1.0 + 0j, g], [g.conjugate(), 1.0 + 0j]])
     first = np.array(
         [[gen.a_uu, gen.a_uv], [complex(gen.a_uv).conjugate(), gen.a_vv]]
@@ -284,177 +225,150 @@ def _principal_quadratures(alpha) -> list[tuple[str, float]]:
     ]
 
 
-def _coherent_pair_generators(alpha, family: GeneratorFamily) -> list[ModeGenerator]:
-    """Brackets over u = |alpha>, v = |-alpha>."""
+def _coherent_pair_generators(alpha) -> list[ModeGenerator]:
+    """Every generator's brackets over u = |alpha>, v = |-alpha>."""
     a = abs2(alpha)
     w = branch_overlap(alpha)
     s = math.sqrt(1.0 - w * w)
-    gens = []
-    if GeneratorKind.BOUNDED_LOCAL in family.kinds:
-        gens.append(
+    quadratures = []
+    for label, phi in _principal_quadratures(alpha):
+        rot = alpha * cmath.exp(-1j * phi)
+        mean_u = math.sqrt(2.0) * rot.real
+        sq = 2.0 * (rot * rot).real
+        quadratures.append(
             ModeGenerator(
-                label="pseudo-sigma-z",
-                kind=GeneratorKind.BOUNDED_LOCAL,
-                g=w,
-                a_uu=s,
-                a_uv=0.0,
-                a_vv=-s,
-                a2_uu=1.0,
-                a2_uv=w,
-                a2_vv=1.0,
-                var_u=1.0 - s * s,
-                var_v=1.0 - s * s,
-                builder=_pseudo_sigma_z_builder(alpha),
+                label=label,
+                kind=GeneratorKind.QUADRATURE,
+                a_uu=mean_u,
+                a_uv=-1j * math.sqrt(2.0) * w * rot.imag,
+                a_vv=-mean_u,
+                a2_uu=(sq + 2.0 * a + 1.0) / 2.0,
+                a2_uv=w * (sq - 2.0 * a + 1.0) / 2.0,
+                a2_vv=(sq + 2.0 * a + 1.0) / 2.0,
+                var_u=0.5,
+                var_v=0.5,
+                builder=_quadrature_builder(phi),
             )
         )
-    if GeneratorKind.QUADRATURE in family.kinds:
-        for label, phi in _principal_quadratures(alpha):
-            rot = alpha * cmath.exp(-1j * phi)
-            mean_u = math.sqrt(2.0) * rot.real
-            sq = 2.0 * (rot * rot).real
-            gens.append(
-                ModeGenerator(
-                    label=label,
-                    kind=GeneratorKind.QUADRATURE,
-                    g=w,
-                    a_uu=mean_u,
-                    a_uv=-1j * math.sqrt(2.0) * w * rot.imag,
-                    a_vv=-mean_u,
-                    a2_uu=(sq + 2.0 * a + 1.0) / 2.0,
-                    a2_uv=w * (sq - 2.0 * a + 1.0) / 2.0,
-                    a2_vv=(sq + 2.0 * a + 1.0) / 2.0,
-                    var_u=0.5,
-                    var_v=0.5,
-                    builder=_quadrature_builder(phi),
-                )
-            )
-    if GeneratorKind.NUMBER in family.kinds:
-        gens.append(
-            ModeGenerator(
-                label="number",
-                kind=GeneratorKind.NUMBER,
-                g=w,
-                a_uu=a,
-                a_uv=-a * w,
-                a_vv=a,
-                a2_uu=a * a + a,
-                a2_uv=(a * a - a) * w,
-                a2_vv=a * a + a,
-                var_u=a,
-                var_v=a,
-                builder=_number_builder,
-            )
-        )
-    if GeneratorKind.SPIN_SANDWICH in family.kinds:
-        raise DomainError(
-            "sandwich generators act on the kitten pair; only the hidden "
-            "superposition family supports them"
-        )
-    return gens
+    return [
+        ModeGenerator(
+            label="pseudo-sigma-z",
+            kind=GeneratorKind.BOUNDED_LOCAL,
+            a_uu=s,
+            a_uv=0.0,
+            a_vv=-s,
+            a2_uu=1.0,
+            a2_uv=w,
+            a2_vv=1.0,
+            var_u=1.0 - s * s,
+            var_v=1.0 - s * s,
+            builder=_pseudo_sigma_z_builder(alpha),
+        ),
+        *quadratures,
+        ModeGenerator(
+            label="number",
+            kind=GeneratorKind.NUMBER,
+            a_uu=a,
+            a_uv=-a * w,
+            a_vv=a,
+            a2_uu=a * a + a,
+            a2_uv=(a * a - a) * w,
+            a2_vv=a * a + a,
+            var_u=a,
+            var_v=a,
+            builder=_number_builder,
+        ),
+    ]
 
 
-def _kitten_pair_generators(alpha, family: GeneratorFamily) -> list[ModeGenerator]:
-    """Brackets over u = even kitten, v = odd kitten (orthogonal pair)."""
+def _kitten_pair_generators(alpha) -> list[ModeGenerator]:
+    """Every generator's brackets over u = even kitten, v = odd kitten
+    (an orthogonal pair)."""
     a = abs2(alpha)
     t_sq = math.tanh(a)
     n_u = a * t_sq
     n_v = a / t_sq
-    gens = []
-    if GeneratorKind.BOUNDED_LOCAL in family.kinds:
-        gens.append(
+    quadratures = []
+    for label, phi in _principal_quadratures(alpha):
+        rot = alpha * cmath.exp(-1j * phi)
+        sq = 2.0 * (rot * rot).real
+        x2_uu = (sq + 2.0 * n_u + 1.0) / 2.0
+        x2_vv = (sq + 2.0 * n_v + 1.0) / 2.0
+        root = math.sqrt(t_sq)
+        cross = (
+            (alpha / root) * cmath.exp(-1j * phi)
+            + alpha.conjugate() * root * cmath.exp(1j * phi)
+        ) / math.sqrt(2.0)
+        quadratures.append(
             ModeGenerator(
-                label="kitten-sigma-z",
-                kind=GeneratorKind.BOUNDED_LOCAL,
-                g=0.0,
-                a_uu=1.0,
-                a_uv=0.0,
-                a_vv=-1.0,
-                a2_uu=1.0,
-                a2_uv=0.0,
-                a2_vv=1.0,
-                var_u=0.0,
-                var_v=0.0,
-                builder=_kitten_builder(alpha, "z"),
-            )
-        )
-    if GeneratorKind.QUADRATURE in family.kinds:
-        for label, phi in _principal_quadratures(alpha):
-            rot = alpha * cmath.exp(-1j * phi)
-            sq = 2.0 * (rot * rot).real
-            x2_uu = (sq + 2.0 * n_u + 1.0) / 2.0
-            x2_vv = (sq + 2.0 * n_v + 1.0) / 2.0
-            root = math.sqrt(t_sq)
-            cross = (
-                (alpha / root) * cmath.exp(-1j * phi)
-                + alpha.conjugate() * root * cmath.exp(1j * phi)
-            ) / math.sqrt(2.0)
-            gens.append(
-                ModeGenerator(
-                    label=label,
-                    kind=GeneratorKind.QUADRATURE,
-                    g=0.0,
-                    a_uu=0.0,
-                    a_uv=cross,
-                    a_vv=0.0,
-                    a2_uu=x2_uu,
-                    a2_uv=0.0,
-                    a2_vv=x2_vv,
-                    var_u=x2_uu,
-                    var_v=x2_vv,
-                    builder=_quadrature_builder(phi),
-                )
-            )
-    if GeneratorKind.NUMBER in family.kinds:
-        gens.append(
-            ModeGenerator(
-                label="number",
-                kind=GeneratorKind.NUMBER,
-                g=0.0,
-                a_uu=n_u,
-                a_uv=0.0,
-                a_vv=n_v,
-                a2_uu=a * a + n_u,
-                a2_uv=0.0,
-                a2_vv=a * a + n_v,
-                var_u=a * a + n_u - n_u * n_u,
-                var_v=a * a + n_v - n_v * n_v,
-                builder=_number_builder,
-            )
-        )
-    if GeneratorKind.SPIN_SANDWICH in family.kinds:
-        gens.append(
-            ModeGenerator(
-                label="sandwich-z",
-                kind=GeneratorKind.SPIN_SANDWICH,
-                g=0.0,
-                a_uu=-n_u,
-                a_uv=0.0,
-                a_vv=n_v,
-                a2_uu=a * a + n_u,
-                a2_uv=0.0,
-                a2_vv=a * a + n_v,
-                var_u=a * a + n_u - n_u * n_u,
-                var_v=a * a + n_v - n_v * n_v,
-                builder=_sandwich_builder(alpha, "z"),
-            )
-        )
-        gens.append(
-            ModeGenerator(
-                label="sandwich-x",
-                kind=GeneratorKind.SPIN_SANDWICH,
-                g=0.0,
+                label=label,
+                kind=GeneratorKind.QUADRATURE,
                 a_uu=0.0,
-                a_uv=a,
+                a_uv=cross,
                 a_vv=0.0,
-                a2_uu=n_u * (n_u + 1.0),
+                a2_uu=x2_uu,
                 a2_uv=0.0,
-                a2_vv=n_v * (n_v + 1.0),
-                var_u=n_u * (n_u + 1.0),
-                var_v=n_v * (n_v + 1.0),
-                builder=_sandwich_builder(alpha, "x"),
+                a2_vv=x2_vv,
+                var_u=x2_uu,
+                var_v=x2_vv,
+                builder=_quadrature_builder(phi),
             )
         )
-    return gens
+    return [
+        ModeGenerator(
+            label="kitten-sigma-z",
+            kind=GeneratorKind.BOUNDED_LOCAL,
+            a_uu=1.0,
+            a_uv=0.0,
+            a_vv=-1.0,
+            a2_uu=1.0,
+            a2_uv=0.0,
+            a2_vv=1.0,
+            var_u=0.0,
+            var_v=0.0,
+            builder=_kitten_builder(alpha, "z"),
+        ),
+        *quadratures,
+        ModeGenerator(
+            label="number",
+            kind=GeneratorKind.NUMBER,
+            a_uu=n_u,
+            a_uv=0.0,
+            a_vv=n_v,
+            a2_uu=a * a + n_u,
+            a2_uv=0.0,
+            a2_vv=a * a + n_v,
+            var_u=a * a + n_u - n_u * n_u,
+            var_v=a * a + n_v - n_v * n_v,
+            builder=_number_builder,
+        ),
+        ModeGenerator(
+            label="sandwich-z",
+            kind=GeneratorKind.SPIN_SANDWICH,
+            a_uu=-n_u,
+            a_uv=0.0,
+            a_vv=n_v,
+            a2_uu=a * a + n_u,
+            a2_uv=0.0,
+            a2_vv=a * a + n_v,
+            var_u=a * a + n_u - n_u * n_u,
+            var_v=a * a + n_v - n_v * n_v,
+            builder=_sandwich_builder(alpha, "z"),
+        ),
+        ModeGenerator(
+            label="sandwich-x",
+            kind=GeneratorKind.SPIN_SANDWICH,
+            a_uu=0.0,
+            a_uv=a,
+            a_vv=0.0,
+            a2_uu=n_u * (n_u + 1.0),
+            a2_uv=0.0,
+            a2_vv=n_v * (n_v + 1.0),
+            var_u=n_u * (n_u + 1.0),
+            var_v=n_v * (n_v + 1.0),
+            builder=_sandwich_builder(alpha, "x"),
+        ),
+    ]
 
 
 _RQFI_FAMILIES = (CatFamily.OMEGA, CatFamily.HCS, CatFamily.EVEN_CAT, CatFamily.ODD_CAT)
@@ -466,10 +380,39 @@ def _superposition_coeffs(state: CatStateSpec) -> tuple[complex, complex]:
     return 1.0, 1.0
 
 
-def _generators_for(state: CatStateSpec, family: GeneratorFamily) -> list[ModeGenerator]:
+def _branch_pair(state: CatStateSpec) -> tuple[float, list[ModeGenerator]]:
+    """The branch overlap g = <u|v> of the state's pair and every generator
+    over that pair: the kitten pair for the hidden superposition, the
+    coherent pair |+-alpha> otherwise."""
+    alpha = complex(state.alpha)
     if state.family is CatFamily.HCS:
-        return _kitten_pair_generators(complex(state.alpha), family)
-    return _coherent_pair_generators(complex(state.alpha), family)
+        return 0.0, _kitten_pair_generators(alpha)
+    return branch_overlap(alpha), _coherent_pair_generators(alpha)
+
+
+def _generator_kinds(label: str) -> tuple[GeneratorKind, ...]:
+    """Parse 'quadrature', 'quadrature+number', ... into kinds in GeneratorKind order.
+
+    The sandwich generators are normalized differently from the three capped
+    kinds (their single-branch information grows with |alpha|), so they do
+    not combine with the others in one maximization.
+    """
+    kinds = set()
+    for part in label.split("+"):
+        part = part.strip()
+        try:
+            kinds.add(GeneratorKind(part))
+        except ValueError:
+            allowed = ", ".join(k.value for k in GeneratorKind)
+            raise DomainError(
+                f"unknown generator kind {part!r}; expected one of {allowed}"
+            ) from None
+    if GeneratorKind.SPIN_SANDWICH in kinds and len(kinds) > 1:
+        raise DomainError(
+            "sandwich generators use a branch-variance denominator and "
+            "cannot be mixed with the capped families"
+        )
+    return tuple(k for k in GeneratorKind if k in kinds)
 
 
 # ---------------------------------------------------------------------------
@@ -564,72 +507,73 @@ def branch_dist_size_real(state: CatStateSpec, delta: float) -> MeasureResult:
     )
 
 
-def rqfi_size(
-    state: CatStateSpec, family: GeneratorFamily, oracle: bool = False
-) -> MeasureResult:
+def rqfi_size(state: CatStateSpec, family: str, oracle: bool = False) -> MeasureResult:
     """Fisher-information size: best family variance over the mean branch cap.
 
-    The three capped kinds share the product-branch reference (per-mode
-    information capped at the bounded-operator value, giving a unit
-    denominator); the sandwich kind divides by the mean of the two branches'
-    best per-mode variances.  Either way the value is a lower bound to the
-    unrestricted maximization, and is exact for every mode count through the
-    Gram reduction; ``oracle`` additionally recomputes the achieving
-    variance on the truncated joint vector (``_rqfi_oracle``), or reports
-    why that vector does not fit.
+    ``family`` names the generator kinds to maximize over, joined by '+'
+    ('quadrature+number').  The three capped kinds share the product-branch
+    reference (per-mode information capped at the bounded-operator value,
+    giving a unit denominator); the sandwich kind, which acts on the kitten
+    pair of the hidden superposition only, divides by the mean of the two
+    branches' best per-mode variances.  Either way the value is a lower bound
+    to the unrestricted maximization, and is exact for every mode count
+    through the Gram reduction; ``oracle`` additionally recomputes the
+    achieving variance on the truncated joint vector (``_rqfi_oracle``), or
+    reports why that vector does not fit.
     """
+    kinds = _generator_kinds(family)
     _require_family(state, _RQFI_FAMILIES)
     if state.alpha == 0:
         raise DomainError("the branch pair degenerates at alpha = 0")
-    if not isinstance(family, GeneratorFamily):
-        raise DomainError("family must be a GeneratorFamily")
-    if GeneratorKind.SPIN_SANDWICH in family.kinds and state.family is not CatFamily.HCS:
+    sandwich = kinds == (GeneratorKind.SPIN_SANDWICH,)
+    if sandwich and state.family is not CatFamily.HCS:
         raise DomainError(
             "sandwich generators act on the kitten pair; only the hidden "
             "superposition family supports them"
         )
-    gens = _generators_for(state, family)
+    g, table = _branch_pair(state)
+    gens = [gen for gen in table if gen.kind in kinds]
     c1, c2 = _superposition_coeffs(state)
     best_var = -math.inf
     achieving = None
     for gen in gens:
-        var = _two_branch_variance(gen, state.modes, c1, c2)
+        var = _two_branch_variance(gen, state.modes, g, c1, c2)
         if var > best_var:
             best_var, achieving = var, gen
     if achieving is None:
         # every variance is NaN: the bracket tables overflowed
         raise DomainError("no generator variance is finite; reduce |alpha|")
-    if family.kinds == {GeneratorKind.SPIN_SANDWICH}:
-        denominator = 0.5 * max(g.var_u for g in gens) + 0.5 * max(
-            g.var_v for g in gens
+    if sandwich:
+        denominator = 0.5 * max(gen.var_u for gen in gens) + 0.5 * max(
+            gen.var_v for gen in gens
         )
     else:
         denominator = 1.0
     value = best_var / (state.modes * denominator)
     diagnostics = {
-        "family": family.label(),
+        "family": "+".join(k.value for k in kinds),
         "achieving_generator": achieving.label,
         "variance": value * state.modes * denominator,
         "denominator": denominator,
         "branch_variance_maxima": {
-            "u": max(g.var_u for g in gens),
-            "v": max(g.var_v for g in gens),
+            "u": max(gen.var_u for gen in gens),
+            "v": max(gen.var_v for gen in gens),
         },
     }
     if oracle:
-        diagnostics["oracle"] = _rqfi_oracle(state, achieving)
+        diagnostics["oracle"] = _rqfi_oracle(state, achieving, best_var)
     return MeasureResult(
         measure=MeasureKind.RQFI,
         value=value,
-        params=MeasureParams(family=tuple(k for k in GeneratorKind if k in family.kinds)),
+        params=MeasureParams(family=kinds),
         state=state,
         method=Method.LOWER_BOUND,
         diagnostics=diagnostics,
     )
 
 
-def _rqfi_oracle(state: CatStateSpec, gen: ModeGenerator) -> dict:
-    """Recompute the achieving variance on a truncated joint vector.
+def _rqfi_oracle(state: CatStateSpec, gen: ModeGenerator, closed: float) -> dict:
+    """Recompute the achieving variance ``closed`` on a truncated joint vector.
 
     Both the joint vector (d^modes amplitudes) and the d^3 work of building
     and norm-checking the (d, d) single-mode generator must fit MAX_JOINT_DIM,
@@ -645,9 +589,8 @@ def _rqfi_oracle(state: CatStateSpec, gen: ModeGenerator) -> dict:
         }
     cutoff = min(floor + 8, afford)
     vec = build_state(state, cutoff=cutoff)
-    vec = FockVector(
-        cutoff=vec.cutoff, modes=vec.modes, amplitudes=vec.amplitudes / vec.norm()
-    )
+    amps = vec.amplitudes
+    amps /= vec.norm()  # in place: build_state's vector is this call's own
     mat = gen.builder(cutoff)
     if gen.kind is GeneratorKind.BOUNDED_LOCAL:
         top = float(np.linalg.norm(mat, 2))
@@ -655,14 +598,22 @@ def _rqfi_oracle(state: CatStateSpec, gen: ModeGenerator) -> dict:
             raise DomainError(
                 f"bounded generator has operator norm {top:.12f} > 1"
             )
-    summed = np.zeros_like(vec.amplitudes)
-    for mode in range(state.modes):
-        summed += apply_single_mode(mat, vec, mode).amplitudes
-    e1 = float(np.vdot(vec.amplitudes, summed).real)
+    # np.tensordot copies psi to contract a mode that is neither the first nor
+    # the last, so the sum starts from mode 1's product; at three modes no
+    # more than psi, the sum and one product are then alive.  IEEE addition
+    # commutes, so r1 + r0 + r2 + ... is r0 + r1 + r2 + ... bit for bit.
+    psi = vec.as_tensor()
+
+    def product(mode: int) -> np.ndarray:
+        return np.moveaxis(np.tensordot(mat, psi, axes=([1], [mode])), 0, mode)
+
+    order = [1, 0, *range(2, state.modes)] if state.modes > 1 else [0]
+    summed = np.ascontiguousarray(product(order[0]))
+    for mode in order[1:]:
+        summed += product(mode)
+    e1 = float(np.vdot(amps, summed).real)
     e2 = float(np.vdot(summed, summed).real)
     numeric = e2 - e1 * e1
-    c1, c2 = _superposition_coeffs(state)
-    closed = _two_branch_variance(gen, state.modes, c1, c2)
     return {
         "status": "ok",
         "generator": gen.label,
@@ -678,8 +629,7 @@ def marquardt_size(state: CatStateSpec, numeric_check: bool = False) -> MeasureR
 
     The numeric route conjugates the branch step by per-mode displacements:
     moving |-alpha>^N to |alpha>^N costs D(2 alpha) on every mode, and the
-    photon distribution of the displaced product is the transfer pmf.  Any
-    auxiliary vacuum mode factors out of that count and is ignored.
+    photon distribution of the displaced product is the transfer pmf.
     """
     _require_family(state, (CatFamily.OMEGA,))
     s = marquardt_s(state.modes, state.alpha)

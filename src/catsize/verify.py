@@ -19,6 +19,7 @@ import numpy as np
 from .closed_forms import (
     CatFamily,
     CatStateSpec,
+    GeneratorKind,
     abs2,
     branch_overlap,
     distill_expected_n,
@@ -42,11 +43,10 @@ from .fock import (
     default_cutoff,
 )
 from .measures import (
-    GeneratorFamily,
     branch_dist_size_real,
     marquardt_size,
     rqfi_size,
-    _coherent_pair_generators,
+    _branch_pair,
     _trace_norm_check,
     _two_branch_variance,
 )
@@ -317,30 +317,34 @@ def _collapse_branch_smoke(rng, seed):
 @_check("rqfi-bounded-unit-at-one-mode")
 def _rqfi_unit(rng, seed):
     state = CatStateSpec(family=CatFamily.OMEGA, modes=1, alpha=0.8)
-    return abs(rqfi_size(state, GeneratorFamily.bounded_local()).value - 1.0), 1e-9
+    return abs(rqfi_size(state, "bounded-local").value - 1.0), 1e-9
 
 
 @_check("rqfi-gram-vs-fock")
 def _rqfi_oracle(rng, seed):
     state = CatStateSpec(family=CatFamily.OMEGA, modes=2, alpha=1.0)
-    family = GeneratorFamily.quadrature() | GeneratorFamily.number()
-    res = rqfi_size(state, family, oracle=True)
+    res = rqfi_size(state, "quadrature+number", oracle=True)
     return res.diagnostics["oracle"]["difference"], 1e-7
 
 
 @_check("rqfi-quadrature-variance-identity")
 def _rqfi_quadrature_identity(rng, seed):
     modes, alpha = 3, 0.8
-    gens = _coherent_pair_generators(complex(alpha), GeneratorFamily.quadrature())
-    var = max(_two_branch_variance(g, modes, 1.0, 1.0) for g in gens)
+    g, gens = _branch_pair(CatStateSpec(family=CatFamily.OMEGA, modes=modes, alpha=alpha))
+    var = max(
+        _two_branch_variance(gen, modes, g, 1.0, 1.0)
+        for gen in gens
+        if gen.kind is GeneratorKind.QUADRATURE
+    )
     return abs(var - quadrature_variance_omega(modes, alpha)), 1e-9
 
 
 @_check("rqfi-number-variance-identity")
 def _rqfi_number_identity(rng, seed):
     modes, alpha = 3, 0.8
-    gens = _coherent_pair_generators(complex(alpha), GeneratorFamily.number())
-    var = _two_branch_variance(gens[0], modes, 1.0, 1.0)
+    g, gens = _branch_pair(CatStateSpec(family=CatFamily.OMEGA, modes=modes, alpha=alpha))
+    number = next(gen for gen in gens if gen.kind is GeneratorKind.NUMBER)
+    var = _two_branch_variance(number, modes, g, 1.0, 1.0)
     return abs(var - number_variance_omega(modes, alpha)), 1e-9
 
 
@@ -501,8 +505,8 @@ def _eq_bounds(rng, seed):
     worst = 0.0
     for modes in (1, 2, 4):
         state = CatStateSpec(family=CatFamily.OMEGA, modes=modes, alpha=0.9)
-        bounded = rqfi_size(state, GeneratorFamily.bounded_local())
-        wide = rqfi_size(state, GeneratorFamily.quadrature() | GeneratorFamily.number())
+        bounded = rqfi_size(state, "bounded-local")
+        wide = rqfi_size(state, "quadrature+number")
         worst = max(
             worst,
             rqfi_bound_bounded(modes, 0.9) - bounded.value,

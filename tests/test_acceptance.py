@@ -40,7 +40,6 @@ from catsize.fock import (
     total_photon_pmf,
 )
 from catsize.measures import (
-    GeneratorFamily,
     branch_dist_size_real,
     marquardt_size,
     rqfi_size,
@@ -172,29 +171,29 @@ def test_criterion_05_rqfi_ratios_and_scaling():
     cases = ((1, 0.8), (2, 1.5), (3, 0.9), (4, 1.5))
     for modes, alpha in cases:
         state = omega(modes, alpha)
-        bounded = rqfi_size(state, GeneratorFamily.bounded_local())
+        bounded = rqfi_size(state, "bounded-local")
         assert abs(bounded.value - rqfi_bound_bounded(modes, alpha)) <= 1e-9
-        quad = rqfi_size(state, GeneratorFamily.quadrature())
+        quad = rqfi_size(state, "quadrature")
         achieved = quad.diagnostics["variance"]
         assert abs(achieved - quadrature_variance_omega(modes, alpha)) <= 1e-9
         # the published quadrature expression caps the ratio from below and
         # is tight only at one mode
         assert quad.value >= rqfi_bound_quadrature(modes, alpha) - 1e-9
-    single = rqfi_size(omega(1, 0.8), GeneratorFamily.quadrature())
+    single = rqfi_size(omega(1, 0.8), "quadrature")
     assert abs(single.value - rqfi_bound_quadrature(1, 0.8)) <= 1e-9
-    assert abs(rqfi_size(omega(1, 1.3), GeneratorFamily.bounded_local()).value - 1.0) <= 1e-9
+    assert abs(rqfi_size(omega(1, 1.3), "bounded-local").value - 1.0) <= 1e-9
     for modes, alpha in ((1, 0.8), (2, 1.0)):
         confirmed = rqfi_size(
             omega(modes, alpha),
-            GeneratorFamily.quadrature() | GeneratorFamily.number(),
+            "quadrature+number",
             oracle=True,
         )
         oracle = confirmed.diagnostics["oracle"]
         assert oracle["status"] == "ok"
         assert oracle["difference"] <= 1e-7
     ratio = (
-        rqfi_size(omega(4, 1.5), GeneratorFamily.bounded_local()).value
-        / rqfi_size(omega(2, 1.5), GeneratorFamily.bounded_local()).value
+        rqfi_size(omega(4, 1.5), "bounded-local").value
+        / rqfi_size(omega(2, 1.5), "bounded-local").value
     )
     assert abs(ratio - 2.0) <= 0.05 * 2.0, f"scaling ratio {ratio}"
     print(f"criterion 05: PASS - ratios reproduced, scaling ratio {ratio:.6f}")

@@ -22,7 +22,7 @@ def _sources():
 
 
 def _annotation_names(node) -> set:
-    """Names inside a string annotation such as ``-> "GeneratorFamily"``."""
+    """Names inside a string annotation such as ``-> "FockVector"``."""
     if isinstance(node, ast.Constant) and isinstance(node.value, str):
         try:
             tree = ast.parse(node.value, mode="eval")

@@ -28,7 +28,6 @@ from catsize.fock import (
     tensor,
 )
 from catsize.measures import (
-    GeneratorFamily,
     Method,
     MeasureKind,
     MeasureResult,
@@ -52,7 +51,7 @@ def hcs(modes: int, alpha) -> CatStateSpec:
     return CatStateSpec(family=CatFamily.HCS, modes=modes, alpha=alpha)
 
 
-QN = GeneratorFamily.from_label("quadrature+number")
+QN = "quadrature+number"
 
 
 # ---------------------------------------------------------------------------
@@ -71,28 +70,34 @@ def test_result_rejects_negative_value():
 
 
 def test_family_labels_round_trip():
-    fam = GeneratorFamily.from_label("bounded-local+quadrature+number")
-    assert fam.kinds == {
+    res = rqfi_size(omega(2, 1.0), "bounded-local+quadrature+number")
+    assert res.params.family == (
         GeneratorKind.BOUNDED_LOCAL,
         GeneratorKind.QUADRATURE,
         GeneratorKind.NUMBER,
-    }
-    assert fam.label() == "bounded-local+quadrature+number"
-    assert GeneratorFamily.from_label("spin-sandwich").kinds == {
-        GeneratorKind.SPIN_SANDWICH
-    }
+    )
+    assert res.diagnostics["family"] == "bounded-local+quadrature+number"
+    sandwich = rqfi_size(hcs(2, 1.0), "spin-sandwich")
+    assert sandwich.params.family == (GeneratorKind.SPIN_SANDWICH,)
+    assert sandwich.diagnostics["family"] == "spin-sandwich"
+
+
+def test_family_label_order_is_canonical():
+    swapped = rqfi_size(omega(2, 1.5), "number+quadrature")
+    assert swapped.diagnostics["family"] == "quadrature+number"
+    assert swapped.params.family == (GeneratorKind.QUADRATURE, GeneratorKind.NUMBER)
+    assert swapped.value == rqfi_size(omega(2, 1.5), QN).value
 
 
 def test_family_label_parse_error_names_the_menu():
-    with pytest.raises(DomainError, match="unknown generator kind"):
-        GeneratorFamily.from_label("quadrature+junk")
+    with pytest.raises(DomainError, match="unknown generator kind 'junk'"):
+        rqfi_size(omega(2, 1.0), "quadrature+junk")
 
 
 def test_sandwich_kind_does_not_mix():
-    with pytest.raises(DomainError):
-        GeneratorFamily.from_label("spin-sandwich+number")
-    with pytest.raises(DomainError):
-        GeneratorFamily.spin_sandwich() | GeneratorFamily.number()
+    for label in ("spin-sandwich+number", "number+spin-sandwich"):
+        with pytest.raises(DomainError, match="cannot be mixed"):
+            rqfi_size(hcs(2, 1.5), label)
 
 
 # ---------------------------------------------------------------------------
@@ -212,17 +217,17 @@ def test_rqfi_quadrature_number_reference_value():
 
 def test_rqfi_bounded_equals_closed_bound():
     for modes, alpha in ((1, 0.8), (3, 0.9), (4, 1.5)):
-        res = rqfi_size(omega(modes, alpha), GeneratorFamily.bounded_local())
+        res = rqfi_size(omega(modes, alpha), "bounded-local")
         assert res.value == pytest.approx(
             rqfi_bound_bounded(modes, alpha), rel=1e-12
         )
-    assert rqfi_size(omega(1, 1.3), GeneratorFamily.bounded_local()).value == (
+    assert rqfi_size(omega(1, 1.3), "bounded-local").value == (
         pytest.approx(1.0, abs=1e-9)
     )
 
 
 def test_rqfi_hidden_sandwich_reference_values():
-    res = rqfi_size(hcs(2, 1.5), GeneratorFamily.spin_sandwich())
+    res = rqfi_size(hcs(2, 1.5), "spin-sandwich")
     assert res.value == pytest.approx(1.6917821986011319, rel=1e-11)
     assert res.diagnostics["achieving_generator"] == "sandwich-x"
     assert res.diagnostics["denominator"] == pytest.approx(
@@ -232,15 +237,15 @@ def test_rqfi_hidden_sandwich_reference_values():
     assert 0.5 * (maxima["u"] + maxima["v"]) == pytest.approx(
         res.diagnostics["denominator"], rel=1e-12
     )
-    wide = rqfi_size(hcs(2, 2.5), GeneratorFamily.spin_sandwich())
+    wide = rqfi_size(hcs(2, 2.5), "spin-sandwich")
     assert wide.value == pytest.approx(1.862068965431371, rel=1e-11)
 
 
 def test_rqfi_family_is_monotone_under_inclusion():
     nested = (
-        GeneratorFamily.bounded_local(),
-        GeneratorFamily.bounded_local() | GeneratorFamily.quadrature(),
-        GeneratorFamily.from_label("bounded-local+quadrature+number"),
+        "bounded-local",
+        "bounded-local+quadrature",
+        "bounded-local+quadrature+number",
     )
     values = [rqfi_size(omega(3, 0.9), fam).value for fam in nested]
     for small, large in zip(values, values[1:]):
@@ -248,8 +253,8 @@ def test_rqfi_family_is_monotone_under_inclusion():
 
 
 def test_rqfi_sandwich_requires_hidden_family():
-    with pytest.raises(DomainError):
-        rqfi_size(omega(2, 1.5), GeneratorFamily.spin_sandwich())
+    with pytest.raises(DomainError, match="only the hidden superposition"):
+        rqfi_size(omega(2, 1.5), "spin-sandwich")
 
 
 def test_rqfi_degenerate_alpha_rejected():
@@ -279,8 +284,8 @@ def test_rqfi_oracle_recomputes_the_achieving_variance():
 
 @pytest.mark.parametrize(
     "state, family",
-    [(omega(3, 1.0), QN), (hcs(3, 0.8), GeneratorFamily.spin_sandwich()),
-     (omega(4, 0.5), GeneratorFamily.bounded_local())],
+    [(omega(3, 1.0), QN), (hcs(3, 0.8), "spin-sandwich"),
+     (omega(4, 0.5), "bounded-local")],
 )
 def test_rqfi_oracle_runs_wherever_the_joint_vector_fits(state, family):
     res = rqfi_size(state, family, oracle=True)
@@ -350,7 +355,7 @@ def _quadrature_draws(count: int):
     ids=lambda s: f"{s.family.value}-{s.modes}-{abs(s.alpha):.3f}",
 )
 def test_two_principal_quadratures_reach_the_phase_scan_maximum(spec):
-    res = rqfi_size(spec, GeneratorFamily.quadrature())
+    res = rqfi_size(spec, "quadrature")
     assert res.diagnostics["achieving_generator"] in (
         "quadrature(phi=base)", "quadrature(phi=base+pi/2)",
     )
@@ -535,8 +540,8 @@ def test_measures_depend_on_alpha_only_through_modulus(theta):
     assert rqfi_size(omega(2, rot), QN).value == (
         rqfi_size(omega(2, 1.2), QN).value
     )
-    assert rqfi_size(hcs(2, rot), GeneratorFamily.spin_sandwich()).value == (
-        rqfi_size(hcs(2, 1.2), GeneratorFamily.spin_sandwich()).value
+    assert rqfi_size(hcs(2, rot), "spin-sandwich").value == (
+        rqfi_size(hcs(2, 1.2), "spin-sandwich").value
     )
     assert marquardt_size(omega(2, rot)).value == marquardt_size(omega(2, 1.2)).value
     assert distillation_size(omega(2, rot)).value == (
