@@ -50,6 +50,7 @@ from .fock import (
     displacement_op,
     kitten_vectors,
     mode_ops,
+    split_network_slabs,
     tensor,
     total_photon_pmf,
 )
@@ -79,6 +80,7 @@ from .phase_space import (
     wigner_hcs2,
     wigner_numeric,
     wigner_omega,
+    write_grid_csv,
 )
 from .simulate import (
     CollapseProblem,

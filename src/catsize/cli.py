@@ -46,9 +46,9 @@ from .measures import (
 from .phase_space import (
     extract_features,
     grid_line,
-    grid_to_csv,
     grid_to_json,
     wigner_grid,
+    write_grid_csv,
 )
 from .simulate import (
     CollapseProblem,
@@ -438,11 +438,13 @@ def _run_wigner(args) -> tuple[dict, dict, list]:
         results["features"] = extract_features(grid)
     if args.out:
         if args.format == "csv":
-            payload = grid_to_csv(grid)
+            with open(args.out, "w", encoding="ascii") as handle:
+                write_grid_csv(grid, handle)
         else:
+            # serialized first, so a refused payload opens no file
             payload = _dumps(_jsonify(grid_to_json(grid))) + "\n"
-        with open(args.out, "w", encoding="ascii") as handle:
-            handle.write(payload)
+            with open(args.out, "w", encoding="ascii") as handle:
+                handle.write(payload)
         results["out"] = args.out
     else:
         results["grid"] = grid_to_json(grid)

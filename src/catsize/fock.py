@@ -12,10 +12,13 @@ stored and applied as those blocks (``TwoModeKernel``, O(d^3) entries); no
 applies them: a block multiplies only the columns of the other modes that
 hold a nonzero amplitude (exact zero, no tolerance) and writes its result
 back over the amplitudes it read.  ``apply_two_mode`` runs that core on a
-copy; the splitting network runs it on the one buffer it owns, which it
-grows from the one-mode head by a vacuum mode before each mixer, so no
-mixer ever scans modes still in vacuum.  The block eigenpairs do not depend
-on the mixing angle and are cached per cutoff.
+copy.  The splitting network (``split_network_slabs``) runs it on buffers it
+owns, grown from the one-mode head by a vacuum mode before each mixer, so no
+mixer ever scans modes still in vacuum; after the first mixer no mixer
+touches mode 0, so the output is grown and yielded in slabs of mode-0 rows
+of at most ``_SLAB_DIM`` amplitudes, and only ``apply_split_network``
+gathers them into one joint vector.  The block eigenpairs do not depend on
+the mixing angle and are cached per cutoff.
 
 States are ``FockVector``s of at most MAX_JOINT_DIM amplitudes, and
 single-mode operators are plain (d, d) arrays (``mode_ops``,
@@ -27,6 +30,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +40,9 @@ from .errors import DomainError, SizingError, TruncationError
 
 #: Largest joint dimension for state vectors ((cutoff+1)**modes).
 MAX_JOINT_DIM = 1 << 22
+
+#: Largest slab of the splitting network output, in amplitudes (8 MB).
+_SLAB_DIM = MAX_JOINT_DIM >> 3
 
 #: Largest amplitude mass a truncated coherent state may leave beyond its cutoff.
 _TAIL_TOL = 1e-9
@@ -250,28 +257,62 @@ def cat_split_thetas(modes: int) -> list[float]:
     return thetas
 
 
-def apply_split_network(head: FockVector, modes: int) -> FockVector:
+def split_network_slabs(head: FockVector, modes: int) -> Iterator[np.ndarray]:
     """Feed ``head`` and ``modes`` - 1 vacuum modes through the even-splitting
-    mixer chain over the adjacent mode pairs.
+    mixer chain over the adjacent mode pairs, and yield the output in slabs.
 
-    The state is grown as the protocol runs: before the mixer on modes
-    (q - 1, q) it gets mode q in vacuum, and the mixer acts in place on that
-    buffer, so mixer q only meets the d^(q-1) columns of the modes before it.
-    The final size is checked against MAX_JOINT_DIM before the first buffer
-    is allocated, and at most one joint vector of ``modes`` modes is alive.
+    Each slab is a block of consecutive mode-0 rows of the output tensor, of
+    shape (rows, d, ..., d) with d = cutoff + 1, in row order.  Mixer 1 runs
+    once on the (d, d) state of modes 0 and 1; no later mixer touches mode 0,
+    so each block of its rows is grown and mixed on its own.  Before the
+    mixer on modes (q - 1, q) a slab gets mode q in vacuum, and the mixer
+    acts in place on that buffer, so mixer q only meets the d^(q-1) columns
+    of the modes before it.  A slab holds at most ``_SLAB_DIM`` amplitudes,
+    or one row where a row alone is larger.  The head and the final size
+    (against MAX_JOINT_DIM) are checked when this is called, before the
+    first buffer is allocated.
     """
     if head.modes != 1:
         raise DomainError(f"the network head must be one mode, got {head.modes}")
     d = head.cutoff + 1
-    # refuse before the first buffer; the last one is the largest
     _check_joint_dim(d**modes)
-    state = head.amplitudes
-    for q, theta in enumerate(cat_split_thetas(modes), start=1):
-        grown = np.zeros((d,) * (q + 1), dtype=complex)
+    thetas = cat_split_thetas(modes)
+    return _network_slabs(head, thetas, max(1, _SLAB_DIM // d ** (modes - 1)))
+
+
+def _network_slabs(
+    head: FockVector, thetas: list[float], rows: int
+) -> Iterator[np.ndarray]:
+    kernels = [coherent_mixer_kernel(theta, head.cutoff) for theta in thetas]
+    pair = _grow_and_mix(head.amplitudes, kernels[:1])
+    for start in range(0, head.cutoff + 1, rows):
+        yield _grow_and_mix(pair[start : start + rows], kernels[1:])
+
+
+def _grow_and_mix(state: np.ndarray, kernels) -> np.ndarray:
+    """Per kernel, append a vacuum mode to ``state`` and mix it with the mode
+    before it."""
+    for kernel in kernels:
+        grown = np.zeros(state.shape + (kernel.cutoff + 1,), dtype=complex)
         grown[..., 0] = state
         state = grown
-        _mix_in_place(coherent_mixer_kernel(theta, head.cutoff), state, q - 1, q)
-    return FockVector(head.cutoff, modes, state.reshape(-1))
+        _mix_in_place(kernel, state, state.ndim - 2, state.ndim - 1)
+    return state
+
+
+def apply_split_network(head: FockVector, modes: int) -> FockVector:
+    """The whole output of ``split_network_slabs`` as one FockVector.
+
+    The slabs are copied into one output buffer allocated after the checks,
+    so one joint vector and one slab are alive at a time.
+    """
+    slabs = split_network_slabs(head, modes)
+    out = np.empty((head.cutoff + 1,) * modes, dtype=complex)
+    start = 0
+    for slab in slabs:
+        out[start : start + len(slab)] = slab
+        start += len(slab)
+    return FockVector(head.cutoff, modes, out.reshape(-1))
 
 
 def apply_single_mode(kernel: np.ndarray, state: FockVector, mode: int) -> FockVector:

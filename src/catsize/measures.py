@@ -37,6 +37,7 @@ from .closed_forms import (
     distill_pm,
     equivalent_ghz_size,
     ghz_mode_loss_offdiag,
+    hcs_norms,
     helstrom_success_n_modes,
     marquardt_pd,
     marquardt_s,
@@ -523,8 +524,8 @@ def rqfi_size(state: CatStateSpec, family: str, oracle: bool = False) -> Measure
     """
     kinds = _generator_kinds(family)
     _require_family(state, _RQFI_FAMILIES)
-    if state.alpha == 0:
-        raise DomainError("the branch pair degenerates at alpha = 0")
+    # both branch pairs degenerate where the odd branch |alpha> - |-alpha> does
+    hcs_norms(state.alpha)
     sandwich = kinds == (GeneratorKind.SPIN_SANDWICH,)
     if sandwich and state.family is not CatFamily.HCS:
         raise DomainError(

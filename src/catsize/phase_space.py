@@ -12,8 +12,11 @@ numeric route displaces a truncated Fock vector and reads off the parity sum.
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
+from typing import TextIO
 
 import numpy as np
 
@@ -37,6 +40,8 @@ _HEADROOM_TOL = 1e-6
 _SIGNIFICANCE = 0.25
 #: Feature grids must step no coarser than pi / (_NYQUIST_FACTOR |alpha|).
 _NYQUIST_FACTOR = 16.0
+#: Rows per block of a CSV export; grids up to 181 x 181 are one block.
+_CSV_BLOCK_ROWS = 1 << 15
 
 
 # ---------------------------------------------------------------------------
@@ -490,7 +495,19 @@ def _fringe_profile(plane, ax_u, ax_v):
 # ---------------------------------------------------------------------------
 
 def grid_to_csv(grid: WignerGrid) -> str:
-    """Rows in C order.
+    """The CSV export of ``grid`` as one string: the join of its row blocks."""
+    return "".join(_csv_blocks(grid))
+
+
+def write_grid_csv(grid: WignerGrid, handle: TextIO) -> None:
+    """Write the CSV export of ``grid`` to the text ``handle`` one block of
+    rows at a time, so the text of the whole grid is never held."""
+    for block in _csv_blocks(grid):
+        handle.write(block)
+
+
+def _csv_blocks(grid: WignerGrid) -> Iterator[str]:
+    """The header line, then blocks of at most ``_CSV_BLOCK_ROWS`` rows in C order.
 
     A two-mode slice where a single mode varies flattens to that mode's
     plane and the plain ``re,im,w`` header; a joint grid keeps all four
@@ -503,20 +520,19 @@ def grid_to_csv(grid: WignerGrid) -> str:
         if first != second:
             axes = axes[0:2] if first else axes[2:4]
     if len(axes) == 2:
-        header = "re,im,w"
+        yield "re,im,w\n"
     else:
-        header = ",".join([ax.name for ax in axes] + ["w"])
+        yield ",".join([ax.name for ax in axes] + ["w"]) + "\n"
     # each axis value is formatted once and the C-order coordinate prefixes
-    # are joined from those strings, so each row formats only its W value;
-    # the last axis is joined lazily, so only the finished rows are kept
+    # are joined lazily from those strings, so each row formats only its W
+    # value and only one block of rows is held
     texts = [[repr(v) + "," for v in ax.values.tolist()] for ax in axes]
-    outer = [""]
-    for column in texts[:-1]:
-        outer = [p + t for p in outer for t in column]
-    prefixes = (p + t for p in outer for t in texts[-1])
-    lines = [header]
-    lines += [p + repr(w) for p, w in zip(prefixes, grid.values.ravel().tolist())]
-    return "\n".join(lines) + "\n"
+    prefixes = map("".join, itertools.product(*texts))
+    flat = grid.values.reshape(-1)
+    for start in range(0, flat.size, _CSV_BLOCK_ROWS):
+        # the values come first, so zip stops without taking a spare prefix
+        values = flat[start : start + _CSV_BLOCK_ROWS].tolist()
+        yield "\n".join([p + repr(w) for w, p in zip(values, prefixes)]) + "\n"
 
 
 def grid_to_json(grid: WignerGrid) -> dict:

@@ -41,6 +41,7 @@ from .fock import (
     build_state,
     coherent_vector,
     default_cutoff,
+    split_network_slabs,
 )
 from .measures import (
     branch_dist_size_real,
@@ -155,22 +156,28 @@ def _fidelity_gap(out: FockVector, target: FockVector) -> float:
 def network_coherent_gap(m: int, alpha: complex) -> float:
     """1 - fidelity of the splitting network output against |alpha>^m.
 
-    The overlap with the product target is contracted one mode at a time
-    against conj(leaf), and the target norm is ||leaf||^(2m), so the target
-    vector is never built.
+    The output is read slab by slab (``split_network_slabs``): each slab's
+    overlap with the product target is contracted one mode at a time against
+    conj(leaf), and its squared norm is added to the output's.  The target
+    norm is ||leaf||^(2m).  Neither the output nor the target vector is built.
     """
     peak = math.sqrt(m) * abs(alpha)
     afford = int(MAX_JOINT_DIM ** (1.0 / m)) - 1
     cutoff = min(default_cutoff(peak), afford)
     head = coherent_vector(math.sqrt(m) * alpha, cutoff)
-    out = apply_split_network(head, m).amplitudes
     leaf = coherent_vector(alpha, cutoff).amplitudes
     bra = leaf.conj()
-    overlap = out.reshape((cutoff + 1,) * m)
-    for _ in range(m):
-        overlap = overlap @ bra
+    overlap, out_norm2, start = 0j, 0.0, 0
+    for slab in split_network_slabs(head, m):
+        rows = len(slab)
+        part = slab
+        for _ in range(m - 1):
+            part = part @ bra
+        overlap += complex(part @ bra[start : start + rows])
+        out_norm2 += float(np.vdot(slab, slab).real)
+        start += rows
     leaf_norm2 = float(np.vdot(leaf, leaf).real)
-    fid = abs2(complex(overlap)) / (leaf_norm2**m * float(np.vdot(out, out).real))
+    fid = abs2(overlap) / (leaf_norm2**m * out_norm2)
     return 1.0 - fid
 
 

@@ -476,6 +476,10 @@ def test_non_finite_result_exits_3_with_empty_stdout(args, capsys):
           "--family", "number"), 3, "odd branch"),
         (("measure", "rqfi", "--modes", "2", "--alpha", "1e-9",
           "--family", "bounded-local"), 3, "odd branch"),
+        (("measure", "rqfi", "--modes", "7", "--alpha", "1e-9",
+          "--family", "bounded-local"), 3, "odd branch"),
+        (("measure", "rqfi", "--modes", "2", "--alpha", "1e-9",
+          "--family", "quadrature"), 3, "odd branch"),
         (("measure", "rqfi", "--state", "hcs", "--modes", "2", "--alpha", "1e-9",
           "--family", "bounded-local"), 3, "odd branch"),
         (("wigner", "--state", "odd-cat", "--alpha", "5e-324", "--grid=-2:2:5"), 3,
@@ -489,7 +493,8 @@ def test_non_finite_result_exits_3_with_empty_stdout(args, capsys):
     ],
     ids=[
         "wigner-gauss", "rqfi-variance", "wigner-slice-gauss", "rqfi-hcs-tiny-alpha",
-        "rqfi-bounded-tiny-alpha", "rqfi-hcs-bounded-tiny-alpha",
+        "rqfi-bounded-tiny-alpha", "rqfi-bounded-tiny-alpha-no-oracle",
+        "rqfi-quadrature-tiny-alpha", "rqfi-hcs-bounded-tiny-alpha",
         "wigner-odd-cat-subnormal-alpha", "wigner-odd-cat-tiny-alpha",
         "wigner-hcs2-tiny-alpha", "collapse-tiny-alpha",
     ],

@@ -16,6 +16,7 @@ from catsize.closed_forms import (
     omega_norm,
 )
 from catsize.errors import DomainError, SizingError, TruncationError
+from catsize import fock
 from catsize.fock import (
     MAX_JOINT_DIM,
     FockVector,
@@ -31,6 +32,7 @@ from catsize.fock import (
     displacement_op,
     kitten_vectors,
     mode_ops,
+    split_network_slabs,
     tensor,
     total_photon_pmf,
 )
@@ -284,14 +286,42 @@ def test_grown_network_matches_the_head_vacuum_chain_bitwise(modes, cutoff):
     assert np.array_equal(out.amplitudes.view(np.float64), ref.view(np.float64))
 
 
-@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize(
+    "modes, cutoff, slab_dim",
+    [(3, 9, 3 * 10**2), (4, 9, 4 * 10**3), (5, 6, 2 * 7**4), (4, 9, 1)],
+)
+def test_slabs_match_the_one_buffer_network(modes, cutoff, slab_dim, monkeypatch):
+    # slabs of 3, 4 and 2 mode-0 rows, and one row where a row outgrows the
+    # slab; BLAS may round a block product by its column count, so the
+    # slabbed output may differ from the one-buffer output by a few ulps
+    rng = np.random.default_rng(modes * 100 + cutoff)
+    head = FockVector(cutoff, 1, rng.normal(size=cutoff + 1) + 1j * rng.normal(size=cutoff + 1))
+    monkeypatch.setattr(fock, "_SLAB_DIM", slab_dim)
+    d = cutoff + 1
+    rows = max(1, slab_dim // d ** (modes - 1))
+    slabs = list(split_network_slabs(head, modes))
+    assert [len(slab) for slab in slabs[:-1]] == [rows] * (len(slabs) - 1)
+    assert sum(len(slab) for slab in slabs) == d
+    assert all(slab.shape[1:] == (d,) * (modes - 1) for slab in slabs)
+    ref = head_vacuum_chain(head, modes).as_tensor()
+    scale = np.abs(ref).max()
+    assert np.abs(np.concatenate(slabs) - ref).max() <= 4 * np.finfo(float).eps * scale
+    out = apply_split_network(head, modes).as_tensor()
+    assert np.array_equal(out, np.concatenate(slabs))
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
 def test_contracted_overlap_matches_the_dense_target(m):
+    # at m = 4 the cutoff is 29 and the 30**4 output spans 2 slabs; the two
+    # routes then sum 810000 terms in different orders, and differed by
+    # 5.8e-15 already when the output was one buffer
+    tolerance = 1e-15 if m < 4 else 1e-14
     alpha = 0.4 + 0.3j
     cutoff = default_cutoff(math.sqrt(m) * alpha)
     head = coherent_vector(math.sqrt(m) * alpha, cutoff)
     leaf = coherent_vector(alpha, cutoff)
     dense_gap = 1.0 - fidelity(apply_split_network(head, m), tensor(*([leaf] * m)))
-    assert abs(network_coherent_gap(m, alpha) - dense_gap) <= 1e-15
+    assert abs(network_coherent_gap(m, alpha) - dense_gap) <= tolerance
 
 
 def coherent_network_peak() -> int:
@@ -311,13 +341,23 @@ def test_split_network_keeps_two_joint_vectors_alive():
 
 
 def test_split_network_holds_one_joint_vector():
-    # neither the head x vacuum input nor the |alpha>^4 target is built
-    assert coherent_network_peak() < 80_000_000
+    # it now holds none: neither the 45**4 output (65.6 MB), the head x vacuum
+    # input nor the |alpha>^4 target is built, and the output is read in
+    # slabs of at most 2**19 amplitudes (8 MB)
+    assert coherent_network_peak() < 24_000_000
 
 
 def test_split_network_takes_a_one_mode_head():
     with pytest.raises(DomainError):
         apply_split_network(tensor(vacuum(4), vacuum(4)), 3)
+
+
+def test_split_network_slabs_check_when_called():
+    # both refusals come from the call itself, before the first slab is asked for
+    with pytest.raises(DomainError):
+        split_network_slabs(tensor(vacuum(4), vacuum(4)), 3)
+    head = coherent_vector(1.0, 64)
+    assert traced_peak(lambda: split_network_slabs(head, 4)) < 5_000_000
 
 
 def test_block_index_ranges_are_cached_read_only():
@@ -381,7 +421,7 @@ def test_tensor_refuses_size_before_allocating():
 
 
 def test_split_network_refuses_size_before_allocating():
-    # 65**4 > MAX_JOINT_DIM; the last buffer would take 285 MB
+    # 65**4 > MAX_JOINT_DIM; the output would take 285 MB
     head = coherent_vector(1.0, 64)
     assert traced_peak(lambda: apply_split_network(head, 4)) < 5_000_000
 

@@ -1,5 +1,6 @@
 """Wigner kernels, the displaced-parity oracle, grids, and feature extraction."""
 
+import io
 import math
 import tracemalloc
 
@@ -26,6 +27,7 @@ from catsize.phase_space import (
     wigner_hcs2,
     wigner_numeric,
     wigner_omega,
+    write_grid_csv,
 )
 
 TWO_OVER_PI = 2.0 / math.pi
@@ -544,13 +546,41 @@ def _odd_values_grid(names, shape):
         lambda: _odd_values_grid(("re", "im"), (7, 5)),
         lambda: _odd_values_grid(("re1", "im1", "re2", "im2"), (6, 5, 1, 1)),
         lambda: _odd_values_grid(("re1", "im1", "re2", "im2"), (3, 1, 7, 2)),
+        lambda: _odd_values_grid(("re1", "im1", "re2", "im2"), (191, 1, 200, 2)),
     ],
     ids=["single-mode", "slice-first-mode", "slice-second-mode", "joint-4-axis",
-         "odd-floats-single", "odd-floats-slice", "odd-floats-joint"],
+         "odd-floats-single", "odd-floats-slice", "odd-floats-joint",
+         "odd-floats-three-blocks"],
 )
 def test_csv_is_byte_identical_to_the_row_formatter(make):
     grid = make()
     assert grid_to_csv(grid) == _reference_csv(grid)
+
+
+def test_written_csv_matches_the_joined_text():
+    # 76400 rows: two full blocks of 2**15 rows and a shorter last one
+    grid = _odd_values_grid(("re1", "im1", "re2", "im2"), (191, 1, 200, 2))
+    handle = io.StringIO()
+    write_grid_csv(grid, handle)
+    assert handle.getvalue() == grid_to_csv(grid)
+
+
+class _Discard:
+    def write(self, text):
+        pass
+
+
+def test_csv_export_holds_one_block_of_rows():
+    # the text of this 500 x 500 joint grid is 21 MB; building it whole
+    # traced 102 MB, and one block of 2**15 rows traces about 11 MB
+    grid = _odd_values_grid(("re1", "im1", "re2", "im2"), (500, 1, 500, 1))
+    tracemalloc.start()
+    try:
+        write_grid_csv(grid, _Discard())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16_000_000
 
 
 def test_json_payload_structure():
