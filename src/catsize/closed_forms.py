@@ -83,7 +83,8 @@ def log_sinh(x: float) -> float:
     """log(sinh(x)) for x > 0 without overflow."""
     if x <= 0.0:
         raise DomainError(f"log_sinh needs x > 0, got {x}")
-    return x + math.log1p(-math.exp(-2.0 * x)) - LN2
+    # -expm1 keeps 1 - e^{-2x} > 0 where e^{-2x} rounds to 1
+    return x + math.log(-math.expm1(-2.0 * x)) - LN2
 
 
 def log_cosh(x: float) -> float:

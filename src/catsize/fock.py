@@ -6,19 +6,21 @@ package: the exponential of the truncated Hermitian generator, taken from
 its eigendecomposition.  Both generators reduce to real symmetric
 tridiagonal matrices: the displacement generator is a phase-rotated
 quadrature, and the beamsplitter generator splits into one hopping block per
-total photon count.  Two-mode unitaries conserve that count, so they are
-stored and applied as those blocks (``TwoModeKernel``, O(d^3) entries); no
-(d^2 x d^2) matrix is ever built.  One in-place core (``_mix_in_place``)
-applies them: a block multiplies only the columns of the other modes that
-hold a nonzero amplitude (exact zero, no tolerance) and writes its result
-back over the amplitudes it read.  ``apply_two_mode`` runs that core on a
-copy.  The splitting network (``split_network_slabs``) runs it on buffers it
-owns, grown from the one-mode head by a vacuum mode before each mixer, so no
-mixer ever scans modes still in vacuum; after the first mixer no mixer
-touches mode 0, so the output is grown and yielded in slabs of mode-0 rows
-of at most ``_SLAB_DIM`` amplitudes, and only ``apply_split_network``
-gathers them into one joint vector.  The block eigenpairs do not depend on
-the mixing angle and are cached per cutoff.
+total photon count.
+
+The only two-mode unitary the package applies is the coherent mixer of the
+splitting network (``split_network_slabs``), and every mixer there meets a
+mode still in vacuum: the mixer on (q - 1, q) sends |n, 0> to
+sum_a T[a, n - a] |a, n - a>, so it needs only column n of each hopping
+block with n <= cutoff (``_vacuum_mixer``, O(d^3) per mixer from eigenpairs
+cached per cutoff) and is one broadcast multiply over a Hankel view of the
+state (``_split_off_vacuum``); no (d^2 x d^2) matrix and no block of a
+general two-mode unitary is built.  After the first mixer no mixer touches
+mode 0, so the output is split and yielded in slabs of mode-0 rows of at
+most ``_SLAB_DIM`` amplitudes (1 MB, so the slabs stay in cache), and only
+``apply_split_network`` gathers them into one joint vector.  The general
+block-stored two-mode applier the network is checked against lives in the
+tests (``tests/dense_reference.py``).
 
 States are ``FockVector``s of at most MAX_JOINT_DIM amplitudes, and
 single-mode operators are plain (d, d) arrays (``mode_ops``,
@@ -34,6 +36,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .closed_forms import CatFamily, CatStateSpec, abs2, hcs_norms, omega_norm
 from .errors import DomainError, SizingError, TruncationError
@@ -41,8 +44,8 @@ from .errors import DomainError, SizingError, TruncationError
 #: Largest joint dimension for state vectors ((cutoff+1)**modes).
 MAX_JOINT_DIM = 1 << 22
 
-#: Largest slab of the splitting network output, in amplitudes (8 MB).
-_SLAB_DIM = MAX_JOINT_DIM >> 3
+#: Largest slab of the splitting network output, in amplitudes (1 MB, cache-sized).
+_SLAB_DIM = 1 << 16
 
 #: Largest amplitude mass a truncated coherent state may leave beyond its cutoff.
 _TAIL_TOL = 1e-9
@@ -161,83 +164,44 @@ def _hopping_eigh(hop: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.linalg.eigh(np.diag(hop, 1) + np.diag(hop, -1))
 
 
-@dataclass(frozen=True)
-class TwoModeKernel:
-    """Number-conserving two-mode unitary stored as photon-number blocks.
+def _vacuum_mixer(theta: float, cutoff: int) -> np.ndarray:
+    """Amplitudes T[a, b] from |a + b, 0> to |a, b> of the coherent mixer
+    P_j(-pi/2) exp(i theta (a^dag b + b^dag a)) P_j(-pi/2), as a (d, d) array.
 
-    ``blocks[n]`` acts on the states |k, n - k> for k in ``ks[n]``: entry
-    (r, c) is the amplitude from |ks[n][c], n - ks[n][c]> to
-    |ks[n][r], n - ks[n][r]>.  The blocks partition every pair of counts up to
-    the cutoff, so the unitary holds O(d^3) entries instead of d^4.
-    """
-
-    cutoff: int
-    ks: tuple
-    blocks: tuple
-
-    @property
-    def size(self) -> int:
-        """Number of stored entries."""
-        return sum(block.size for block in self.blocks)
-
-
-def beamsplitter_kernel(theta: float, cutoff: int) -> TwoModeKernel:
-    """Photon-number blocks of exp(i theta (a^dag b + b^dag a)).
-
-    The generator conserves total photon number, so the exponential is taken
-    block by block: the block at total count n is theta times a real
-    symmetric tridiagonal hopping matrix H_n of size at most cutoff + 1, and
-    exp(i theta H_n) = V e^{i theta Lambda} V^T from its eigenpairs, which do
-    not depend on theta and are cached per cutoff (``_block_eigh``).
-    Refuses cutoffs whose blocks would hold more than MAX_JOINT_DIM entries.
+    The mixer sends |u>|v> to |u cos(theta) + v sin(theta)>
+    |u sin(theta) - v cos(theta)> with no stray phases, which is the mixing
+    convention the splitting network is stated in.  Its generator conserves
+    the total count n; on the states |k, n - k> it is theta times the hopping
+    matrix H_n, and |n, 0> is the last of them, so only column n of
+    exp(i theta H_n) = V e^{i theta Lambda} V^T is needed, O(n^2) from the
+    cached eigenpairs (``_vacuum_block_eigh``).  The phase (-i)^b of the
+    second mode scales that column.  T is zero where a + b > cutoff.
     """
     d = cutoff + 1
-    entries = d * (2 * d * d + 1) // 3
-    if entries > MAX_JOINT_DIM:
-        raise SizingError(
-            f"two-mode kernel of {entries} entries exceeds "
-            f"MAX_JOINT_DIM = {MAX_JOINT_DIM}"
-        )
-    ks, eigenpairs = _block_eigh(cutoff)
-    blocks = tuple(
-        (vecs * np.exp(1j * theta * vals)) @ vecs.T for vals, vecs in eigenpairs
-    )
-    return TwoModeKernel(cutoff, ks, blocks)
+    phase = np.exp(-0.5j * math.pi * np.arange(d))
+    mixer = np.zeros((d, d), dtype=complex)
+    for n, (vals, vecs) in enumerate(_vacuum_block_eigh(cutoff)):
+        a = np.arange(n + 1)
+        mixer[a, n - a] = phase[n - a] * ((vecs * np.exp(1j * theta * vals)) @ vecs[n])
+    return mixer
 
 
 @functools.lru_cache(maxsize=8)
-def _block_eigh(cutoff: int) -> tuple[tuple, tuple]:
-    """Read-only index ranges ks[n] and hopping-block eigenpairs per total count n.
+def _vacuum_block_eigh(cutoff: int) -> tuple:
+    """Read-only eigenpairs of the hopping blocks H_n for n = 0 .. cutoff.
 
     H_n couples |k, n - k> to |k + 1, n - k - 1> with amplitude
-    sqrt((k + 1)(n - k)), for the k in ks[n] that keep both counts <= cutoff.
+    sqrt((k + 1)(n - k)), for k = 0 .. n - 1.  Blocks above the cutoff hold
+    no state |n, 0>, so no mixer onto vacuum needs them.
     """
-    ks, eigenpairs = [], []
-    for n in range(2 * cutoff + 1):
-        k = np.arange(max(0, n - cutoff), min(n, cutoff) + 1)
-        vals, vecs = _hopping_eigh(np.sqrt((k[:-1] + 1.0) * (n - k[:-1])))
-        for arr in (k, vals, vecs):
-            arr.flags.writeable = False
-        ks.append(k)
+    eigenpairs = []
+    for n in range(cutoff + 1):
+        k = np.arange(n)
+        vals, vecs = _hopping_eigh(np.sqrt((k + 1.0) * (n - k)))
+        vals.flags.writeable = False
+        vecs.flags.writeable = False
         eigenpairs.append((vals, vecs))
-    return tuple(ks), tuple(eigenpairs)
-
-
-def coherent_mixer_kernel(theta: float, cutoff: int) -> TwoModeKernel:
-    """Photon-number blocks of P_j(-pi/2) B(theta) P_j(-pi/2).
-
-    Sends |u>|v> to |u cos(theta) + v sin(theta)> |u sin(theta) - v cos(theta)>
-    with no stray phases, which is the mixing convention the splitting
-    network is stated in.  The phase (-i)^v of the second mode is diagonal,
-    so it scales the rows and columns of each block.
-    """
-    phase = np.exp(-0.5j * math.pi * np.arange(cutoff + 1))
-    splitter = beamsplitter_kernel(theta, cutoff)
-    blocks = tuple(
-        (phase[n - k][:, None] * block) * phase[n - k][None, :]
-        for n, (k, block) in enumerate(zip(splitter.ks, splitter.blocks))
-    )
-    return TwoModeKernel(cutoff, splitter.ks, blocks)
+    return tuple(eigenpairs)
 
 
 def cat_split_thetas(modes: int) -> list[float]:
@@ -262,12 +226,11 @@ def split_network_slabs(head: FockVector, modes: int) -> Iterator[np.ndarray]:
     mixer chain over the adjacent mode pairs, and yield the output in slabs.
 
     Each slab is a block of consecutive mode-0 rows of the output tensor, of
-    shape (rows, d, ..., d) with d = cutoff + 1, in row order.  Mixer 1 runs
-    once on the (d, d) state of modes 0 and 1; no later mixer touches mode 0,
-    so each block of its rows is grown and mixed on its own.  Before the
-    mixer on modes (q - 1, q) a slab gets mode q in vacuum, and the mixer
-    acts in place on that buffer, so mixer q only meets the d^(q-1) columns
-    of the modes before it.  A slab holds at most ``_SLAB_DIM`` amplitudes,
+    shape (rows, d, ..., d) with d = cutoff + 1, in row order.  The mixer on
+    modes (q - 1, q) always meets mode q in vacuum, so it appends that mode
+    and splits the last one onto it (``_split_off_vacuum``).  Mixer 1 runs
+    once on the head; no later mixer touches mode 0, so each block of its
+    rows is split on its own.  A slab holds at most ``_SLAB_DIM`` amplitudes,
     or one row where a row alone is larger.  The head and the final size
     (against MAX_JOINT_DIM) are checked when this is called, before the
     first buffer is allocated.
@@ -283,21 +246,23 @@ def split_network_slabs(head: FockVector, modes: int) -> Iterator[np.ndarray]:
 def _network_slabs(
     head: FockVector, thetas: list[float], rows: int
 ) -> Iterator[np.ndarray]:
-    kernels = [coherent_mixer_kernel(theta, head.cutoff) for theta in thetas]
-    pair = _grow_and_mix(head.amplitudes, kernels[:1])
+    mixers = [_vacuum_mixer(theta, head.cutoff) for theta in thetas]
+    pair = functools.reduce(_split_off_vacuum, mixers[:1], head.amplitudes)
     for start in range(0, head.cutoff + 1, rows):
-        yield _grow_and_mix(pair[start : start + rows], kernels[1:])
+        yield functools.reduce(_split_off_vacuum, mixers[1:], pair[start : start + rows])
 
 
-def _grow_and_mix(state: np.ndarray, kernels) -> np.ndarray:
-    """Per kernel, append a vacuum mode to ``state`` and mix it with the mode
-    before it."""
-    for kernel in kernels:
-        grown = np.zeros(state.shape + (kernel.cutoff + 1,), dtype=complex)
-        grown[..., 0] = state
-        state = grown
-        _mix_in_place(kernel, state, state.ndim - 2, state.ndim - 1)
-    return state
+def _split_off_vacuum(state: np.ndarray, mixer: np.ndarray) -> np.ndarray:
+    """Append a vacuum mode to ``state`` and mix it with the last mode.
+
+    out[..., a, b] = mixer[a, b] * state[..., a + b]: one broadcast multiply
+    over the Hankel view of the last axis, padded with zeros to 2d - 1 so
+    that every a + b > cutoff reads an exact zero.
+    """
+    d = len(mixer)
+    padded = np.zeros(state.shape[:-1] + (2 * d - 1,), dtype=complex)
+    padded[..., :d] = state
+    return mixer * sliding_window_view(padded, d, axis=-1)
 
 
 def apply_split_network(head: FockVector, modes: int) -> FockVector:
@@ -321,45 +286,6 @@ def apply_single_mode(kernel: np.ndarray, state: FockVector, mode: int) -> FockV
     t = np.tensordot(kernel, state.as_tensor(), axes=([1], [mode]))
     t = np.moveaxis(t, 0, mode)
     return FockVector(cutoff=state.cutoff, modes=state.modes, amplitudes=t.reshape(-1))
-
-
-def apply_two_mode(
-    kernel: TwoModeKernel, state: FockVector, mode_i: int, mode_j: int
-) -> FockVector:
-    """Apply a number-conserving two-mode unitary to modes (mode_i, mode_j).
-
-    Runs ``_mix_in_place`` on a copy of the amplitudes, so ``state`` is left
-    unchanged.
-    """
-    _check_mode_pair(mode_i, mode_j, state.modes)
-    if kernel.cutoff != state.cutoff:
-        raise DomainError(
-            f"kernel cutoff {kernel.cutoff} does not match state cutoff {state.cutoff}"
-        )
-    out = state.amplitudes.copy()
-    _mix_in_place(kernel, out.reshape(state.as_tensor().shape), mode_i, mode_j)
-    return FockVector(state.cutoff, state.modes, out)
-
-
-def _mix_in_place(kernel: TwoModeKernel, t: np.ndarray, mode_i: int, mode_j: int):
-    """Overwrite the joint tensor ``t`` with the kernel applied to (mode_i, mode_j).
-
-    Each block at total count n reads the anti-diagonal t[ks, n - ks] of the
-    (mode_i, mode_j) slice as a (len(ks), rest) matrix, one column per basis
-    state of the other modes, and writes the product back to the same
-    positions.  The blocks partition the (mode_i, mode_j) pairs, so no block
-    reads what another has written.  A column that is exactly zero maps to
-    zero and is left as it is; only the columns holding a nonzero amplitude
-    go through the block product, at O(d^3) per column.
-    """
-    view = np.moveaxis(t, [mode_i, mode_j], [0, 1])
-    rest = view.shape[2:]
-    for n, (ks, block) in enumerate(zip(kernel.ks, kernel.blocks)):
-        x = view[ks, n - ks].reshape(len(ks), -1)
-        cols = np.flatnonzero(x.any(axis=0))
-        if cols.size:
-            other = np.unravel_index(cols, rest) if rest else ()
-            view[(ks[:, None], (n - ks)[:, None], *other)] = block @ x[:, cols]
 
 
 def tensor(*parts: FockVector) -> FockVector:
@@ -441,10 +367,3 @@ def _check_joint_dim(dim: int) -> int:
 def _check_mode_index(mode: int, modes: int):
     if not 0 <= mode < modes:
         raise DomainError(f"mode index {mode} out of range for {modes} modes")
-
-
-def _check_mode_pair(mode_i: int, mode_j: int, modes: int):
-    _check_mode_index(mode_i, modes)
-    _check_mode_index(mode_j, modes)
-    if mode_i == mode_j:
-        raise DomainError("mode indices must differ")

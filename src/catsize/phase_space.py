@@ -324,7 +324,8 @@ def wigner_grid(state: CatStateSpec, axes) -> WignerGrid:
         raise DomainError(f"missing grid axes: {', '.join(missing)}")
     arrays = [_axis_array(axes[n]) for n in names]
     _check_grid_points(math.prod(a.size for a in arrays))
-    mesh = np.meshgrid(*arrays, indexing="ij")
+    # sparse axes: each closed form broadcasts them to the grid only once
+    mesh = np.meshgrid(*arrays, indexing="ij", sparse=True)
     if state.modes == 1:
         gamma = mesh[0] + 1j * mesh[1]
         fam = state.family
@@ -343,7 +344,9 @@ def wigner_grid(state: CatStateSpec, axes) -> WignerGrid:
         gamma2 = mesh[2] + 1j * mesh[3]
         fam = state.family
         if fam is CatFamily.OMEGA:
-            values = wigner_omega(np.stack([gamma1, gamma2], axis=-1), state.alpha)
+            values = wigner_omega(
+                np.stack(np.broadcast_arrays(gamma1, gamma2), axis=-1), state.alpha
+            )
         elif fam is CatFamily.HCS:
             values = wigner_hcs2(gamma1, gamma2, state.alpha)
         elif fam is CatFamily.PRODUCT_COHERENT:

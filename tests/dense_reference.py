@@ -1,10 +1,21 @@
-"""Dense reference route for the tests: projectors and the trace norm.
+"""Reference routes for the tests: projectors, the trace norm and the
+general two-mode applier.
 
 The package builds no operator on more than one mode; these plain arrays are
-the full-matrix route its compressed oracles are checked against.
+the full-matrix route its compressed oracles are checked against.  The
+package's splitting network only ever mixes a mode with one in vacuum; the
+number-conserving two-mode unitaries below (every photon-number block, any
+input, any mode pair) are the general route that network is checked against.
 """
 
+import functools
+import math
+from dataclasses import dataclass
+
 import numpy as np
+
+from catsize.errors import DomainError, SizingError
+from catsize.fock import MAX_JOINT_DIM, FockVector
 
 
 def projector(amplitudes) -> np.ndarray:
@@ -16,3 +27,126 @@ def projector(amplitudes) -> np.ndarray:
 def trace_norm(mat: np.ndarray) -> float:
     """Sum of absolute eigenvalues of a Hermitian array."""
     return float(np.sum(np.abs(np.linalg.eigvalsh(mat))))
+
+
+@dataclass(frozen=True)
+class TwoModeKernel:
+    """Number-conserving two-mode unitary stored as photon-number blocks.
+
+    ``blocks[n]`` acts on the states |k, n - k> for k in ``ks[n]``: entry
+    (r, c) is the amplitude from |ks[n][c], n - ks[n][c]> to
+    |ks[n][r], n - ks[n][r]>.  The blocks partition every pair of counts up to
+    the cutoff, so the unitary holds O(d^3) entries instead of d^4.
+    """
+
+    cutoff: int
+    ks: tuple
+    blocks: tuple
+
+    @property
+    def size(self) -> int:
+        """Number of stored entries."""
+        return sum(block.size for block in self.blocks)
+
+
+def beamsplitter_kernel(theta: float, cutoff: int) -> TwoModeKernel:
+    """Photon-number blocks of exp(i theta (a^dag b + b^dag a)).
+
+    The generator conserves total photon number, so the exponential is taken
+    block by block: the block at total count n is theta times a real
+    symmetric tridiagonal hopping matrix H_n of size at most cutoff + 1, and
+    exp(i theta H_n) = V e^{i theta Lambda} V^T from its eigenpairs, which do
+    not depend on theta and are cached per cutoff (``_block_eigh``).
+    Refuses cutoffs whose blocks would hold more than MAX_JOINT_DIM entries.
+    """
+    d = cutoff + 1
+    entries = d * (2 * d * d + 1) // 3
+    if entries > MAX_JOINT_DIM:
+        raise SizingError(
+            f"two-mode kernel of {entries} entries exceeds "
+            f"MAX_JOINT_DIM = {MAX_JOINT_DIM}"
+        )
+    ks, eigenpairs = _block_eigh(cutoff)
+    blocks = tuple(
+        (vecs * np.exp(1j * theta * vals)) @ vecs.T for vals, vecs in eigenpairs
+    )
+    return TwoModeKernel(cutoff, ks, blocks)
+
+
+@functools.lru_cache(maxsize=8)
+def _block_eigh(cutoff: int) -> tuple[tuple, tuple]:
+    """Read-only index ranges ks[n] and hopping-block eigenpairs per total count n.
+
+    H_n couples |k, n - k> to |k + 1, n - k - 1> with amplitude
+    sqrt((k + 1)(n - k)), for the k in ks[n] that keep both counts <= cutoff.
+    """
+    ks, eigenpairs = [], []
+    for n in range(2 * cutoff + 1):
+        k = np.arange(max(0, n - cutoff), min(n, cutoff) + 1)
+        hop = np.sqrt((k[:-1] + 1.0) * (n - k[:-1]))
+        vals, vecs = np.linalg.eigh(np.diag(hop, 1) + np.diag(hop, -1))
+        for arr in (k, vals, vecs):
+            arr.flags.writeable = False
+        ks.append(k)
+        eigenpairs.append((vals, vecs))
+    return tuple(ks), tuple(eigenpairs)
+
+
+def coherent_mixer_kernel(theta: float, cutoff: int) -> TwoModeKernel:
+    """Photon-number blocks of P_j(-pi/2) B(theta) P_j(-pi/2).
+
+    Sends |u>|v> to |u cos(theta) + v sin(theta)> |u sin(theta) - v cos(theta)>
+    with no stray phases, which is the mixing convention the splitting
+    network is stated in.  The phase (-i)^v of the second mode is diagonal,
+    so it scales the rows and columns of each block.
+    """
+    phase = np.exp(-0.5j * math.pi * np.arange(cutoff + 1))
+    splitter = beamsplitter_kernel(theta, cutoff)
+    blocks = tuple(
+        (phase[n - k][:, None] * block) * phase[n - k][None, :]
+        for n, (k, block) in enumerate(zip(splitter.ks, splitter.blocks))
+    )
+    return TwoModeKernel(cutoff, splitter.ks, blocks)
+
+
+def apply_two_mode(
+    kernel: TwoModeKernel, state: FockVector, mode_i: int, mode_j: int
+) -> FockVector:
+    """Apply a number-conserving two-mode unitary to modes (mode_i, mode_j).
+
+    Runs ``mix_in_place`` on a copy of the amplitudes, so ``state`` is left
+    unchanged.
+    """
+    for mode in (mode_i, mode_j):
+        if not 0 <= mode < state.modes:
+            raise DomainError(f"mode index {mode} out of range for {state.modes} modes")
+    if mode_i == mode_j:
+        raise DomainError("mode indices must differ")
+    if kernel.cutoff != state.cutoff:
+        raise DomainError(
+            f"kernel cutoff {kernel.cutoff} does not match state cutoff {state.cutoff}"
+        )
+    out = state.amplitudes.copy()
+    mix_in_place(kernel, out.reshape(state.as_tensor().shape), mode_i, mode_j)
+    return FockVector(state.cutoff, state.modes, out)
+
+
+def mix_in_place(kernel: TwoModeKernel, t: np.ndarray, mode_i: int, mode_j: int):
+    """Overwrite the joint tensor ``t`` with the kernel applied to (mode_i, mode_j).
+
+    Each block at total count n reads the anti-diagonal t[ks, n - ks] of the
+    (mode_i, mode_j) slice as a (len(ks), rest) matrix, one column per basis
+    state of the other modes, and writes the product back to the same
+    positions.  The blocks partition the (mode_i, mode_j) pairs, so no block
+    reads what another has written.  A column that is exactly zero maps to
+    zero and is left as it is; only the columns holding a nonzero amplitude
+    go through the block product, at O(d^3) per column.
+    """
+    view = np.moveaxis(t, [mode_i, mode_j], [0, 1])
+    rest = view.shape[2:]
+    for n, (ks, block) in enumerate(zip(kernel.ks, kernel.blocks)):
+        x = view[ks, n - ks].reshape(len(ks), -1)
+        cols = np.flatnonzero(x.any(axis=0))
+        if cols.size:
+            other = np.unravel_index(cols, rest) if rest else ()
+            view[(ks[:, None], (n - ks)[:, None], *other)] = block @ x[:, cols]

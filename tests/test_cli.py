@@ -210,6 +210,17 @@ def test_distill_envelope_stats_and_check():
     assert check["status"] == "pass"
 
 
+@pytest.mark.parametrize(
+    "alpha, value", [("1e-9", 5e-18), ("1e-100", 5e-200), ("1e-160", 5e-320)]
+)
+def test_distill_at_tiny_alpha_exits_0(alpha, value, capsys):
+    # exp(-2|alpha|^2) rounds to 1 here; the success probability is N |alpha|^2
+    assert main(["measure", "distill", "--modes", "5", "--alpha", alpha]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert json.loads(out)["results"]["measure"]["value"] == pytest.approx(value, rel=1e-12)
+
+
 def test_collapse_cat_vs_mixed_is_exact():
     env = envelope(
         run_cli("simulate", "collapse", "--alpha", "1.1",
