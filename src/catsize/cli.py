@@ -6,8 +6,9 @@ for the timing field.  Exit codes: 0 success, 1 a failed check row in any
 command, 2 invalid flags (including a non-finite number, an amplitude
 whose squared modulus overflows, or a seed outside [0, 2**64)), 3 domain
 error (including a result that overflows to a NaN or an infinity, which
-strict JSON cannot encode), 4 sizing or truncation error, 5 I/O failure (an
-unwritable output file or a closed stdout).
+strict JSON cannot encode and a CSV export refuses), 4 sizing or
+truncation error, 5 I/O failure (an unwritable output file or a closed
+stdout).
 """
 
 from __future__ import annotations
@@ -437,6 +438,12 @@ def _run_wigner(args) -> tuple[dict, dict, list]:
     if args.features:
         results["features"] = extract_features(grid)
     if args.out:
+        # refused before the file is opened, in either format
+        if not np.isfinite(grid.values).all():
+            raise DomainError(
+                "the grid holds a NaN or an infinity, which the export refuses; "
+                "reduce |alpha| or the grid range"
+            )
         if args.format == "csv":
             with open(args.out, "w", encoding="ascii") as handle:
                 write_grid_csv(grid, handle)

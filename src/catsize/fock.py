@@ -12,13 +12,18 @@ The only two-mode unitary the package applies is the coherent mixer of the
 splitting network (``split_network_slabs``), and every mixer there meets a
 mode still in vacuum: the mixer on (q - 1, q) sends |n, 0> to
 sum_a T[a, n - a] |a, n - a>, so it needs only column n of each hopping
-block with n <= cutoff (``_vacuum_mixer``, O(d^3) per mixer from eigenpairs
-cached per cutoff) and is one broadcast multiply over a Hankel view of the
-state (``_split_off_vacuum``); no (d^2 x d^2) matrix and no block of a
-general two-mode unitary is built.  After the first mixer no mixer touches
-mode 0, so the output is split and yielded in slabs of mode-0 rows of at
-most ``_SLAB_DIM`` amplitudes (1 MB, so the slabs stay in cache), and only
-``apply_split_network`` gathers them into one joint vector.  The general
+block with n <= cutoff (``_vacuum_mixer``, O(d^3) per mixer from the
+eigenpairs of H_n, cached per block n and shared by every cutoff) and is one
+broadcast multiply over a Hankel view of the state (``_split_off_vacuum``);
+no (d^2 x d^2) matrix and no block of a general two-mode unitary is built.
+After the first mixer no mixer touches mode 0, so the output is split and
+yielded in blocks of mode-0 rows of at most ``_SLAB_DIM`` amplitudes (1 MB,
+so the slabs stay in cache), and only ``apply_split_network`` gathers them
+into one joint vector.  The head holds at most ``cutoff`` photons and every
+mixer conserves them, so the block that starts at row s is computed and
+yielded only as its corner, indices below d - s on every later mode: at
+four modes, one row per block, that is sum k^3 for k <= d amplitudes
+instead of d^4.  The general
 block-stored two-mode applier the network is checked against lives in the
 tests (``tests/dense_reference.py``).
 
@@ -180,28 +185,29 @@ def _vacuum_mixer(theta: float, cutoff: int) -> np.ndarray:
     d = cutoff + 1
     phase = np.exp(-0.5j * math.pi * np.arange(d))
     mixer = np.zeros((d, d), dtype=complex)
-    for n, (vals, vecs) in enumerate(_vacuum_block_eigh(cutoff)):
+    for n in range(d):
+        vals, vecs = _vacuum_block_eigh(n)
         a = np.arange(n + 1)
         mixer[a, n - a] = phase[n - a] * ((vecs * np.exp(1j * theta * vals)) @ vecs[n])
     return mixer
 
 
-@functools.lru_cache(maxsize=8)
-def _vacuum_block_eigh(cutoff: int) -> tuple:
-    """Read-only eigenpairs of the hopping blocks H_n for n = 0 .. cutoff.
+# a network with a mixer has at least two modes, so d**2 <= MAX_JOINT_DIM
+# bounds the blocks any mixer asks for, and the cache never evicts one
+@functools.lru_cache(maxsize=math.isqrt(MAX_JOINT_DIM))
+def _vacuum_block_eigh(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only eigenpairs of the hopping block H_n.
 
     H_n couples |k, n - k> to |k + 1, n - k - 1> with amplitude
-    sqrt((k + 1)(n - k)), for k = 0 .. n - 1.  Blocks above the cutoff hold
-    no state |n, 0>, so no mixer onto vacuum needs them.
+    sqrt((k + 1)(n - k)), for k = 0 .. n - 1.  It does not depend on the
+    cutoff, so mixers at every cutoff share the blocks; the cache holds the
+    blocks n <= the largest cutoff asked for, one cutoff's set.
     """
-    eigenpairs = []
-    for n in range(cutoff + 1):
-        k = np.arange(n)
-        vals, vecs = _hopping_eigh(np.sqrt((k + 1.0) * (n - k)))
-        vals.flags.writeable = False
-        vecs.flags.writeable = False
-        eigenpairs.append((vals, vecs))
-    return tuple(eigenpairs)
+    k = np.arange(n)
+    vals, vecs = _hopping_eigh(np.sqrt((k + 1.0) * (n - k)))
+    vals.flags.writeable = False
+    vecs.flags.writeable = False
+    return vals, vecs
 
 
 def cat_split_thetas(modes: int) -> list[float]:
@@ -223,17 +229,22 @@ def cat_split_thetas(modes: int) -> list[float]:
 
 def split_network_slabs(head: FockVector, modes: int) -> Iterator[np.ndarray]:
     """Feed ``head`` and ``modes`` - 1 vacuum modes through the even-splitting
-    mixer chain over the adjacent mode pairs, and yield the output in slabs.
+    mixer chain over the adjacent mode pairs, and yield the output in corner
+    slabs.
 
-    Each slab is a block of consecutive mode-0 rows of the output tensor, of
-    shape (rows, d, ..., d) with d = cutoff + 1, in row order.  The mixer on
-    modes (q - 1, q) always meets mode q in vacuum, so it appends that mode
-    and splits the last one onto it (``_split_off_vacuum``).  Mixer 1 runs
-    once on the head; no later mixer touches mode 0, so each block of its
-    rows is split on its own.  A slab holds at most ``_SLAB_DIM`` amplitudes,
-    or one row where a row alone is larger.  The head and the final size
-    (against MAX_JOINT_DIM) are checked when this is called, before the
-    first buffer is allocated.
+    Each slab is the nonzero corner of a block of consecutive mode-0 rows of
+    the output tensor, in row order: the block of ``rows`` rows that starts
+    at row s is yielded as out[s : s + rows, :e, ..., :e] with e = d - s and
+    d = cutoff + 1.  Every mixer conserves photon number and the head holds
+    at most ``cutoff`` photons, so every amplitude outside the corner is
+    exactly zero.  The mixer on modes (q - 1, q) always meets mode q in
+    vacuum, so it appends that mode and splits the last one onto it
+    (``_split_off_vacuum``).  Mixer 1 runs once on the head; no later mixer
+    touches mode 0, so each block of its rows is split on its own, with the
+    (e, e) corner of each later mixer.  A block has the rows of at most
+    ``_SLAB_DIM`` amplitudes of the full tensor, or one row where a row alone
+    is larger.  The head and the final size (against MAX_JOINT_DIM) are
+    checked when this is called, before the first buffer is allocated.
     """
     if head.modes != 1:
         raise DomainError(f"the network head must be one mode, got {head.modes}")
@@ -246,46 +257,64 @@ def split_network_slabs(head: FockVector, modes: int) -> Iterator[np.ndarray]:
 def _network_slabs(
     head: FockVector, thetas: list[float], rows: int
 ) -> Iterator[np.ndarray]:
+    d = head.cutoff + 1
     mixers = [_vacuum_mixer(theta, head.cutoff) for theta in thetas]
     pair = functools.reduce(_split_off_vacuum, mixers[:1], head.amplitudes)
-    for start in range(0, head.cutoff + 1, rows):
-        yield functools.reduce(_split_off_vacuum, mixers[1:], pair[start : start + rows])
+    for start in range(0, d, rows):
+        e = d - start
+        corner = pair[_corner(start, rows, e, pair.ndim)]
+        yield functools.reduce(
+            _split_off_vacuum, [mixer[:e, :e] for mixer in mixers[1:]], corner
+        )
+
+
+def _corner(start: int, rows: int, e: int, modes: int) -> tuple:
+    """Index of the rows start .. start + rows - 1, cut to :e on the other modes."""
+    return (slice(start, start + rows),) + (slice(e),) * (modes - 1)
 
 
 def _split_off_vacuum(state: np.ndarray, mixer: np.ndarray) -> np.ndarray:
     """Append a vacuum mode to ``state`` and mix it with the last mode.
 
     out[..., a, b] = mixer[a, b] * state[..., a + b]: one broadcast multiply
-    over the Hankel view of the last axis, padded with zeros to 2d - 1 so
-    that every a + b > cutoff reads an exact zero.
+    over the Hankel view of the last axis, padded with zeros to 2e - 1
+    (e = len(mixer)) so that every a + b >= e reads an exact zero.
     """
-    d = len(mixer)
-    padded = np.zeros(state.shape[:-1] + (2 * d - 1,), dtype=complex)
-    padded[..., :d] = state
-    return mixer * sliding_window_view(padded, d, axis=-1)
+    e = len(mixer)
+    padded = np.zeros(state.shape[:-1] + (2 * e - 1,), dtype=complex)
+    padded[..., :e] = state
+    return mixer * sliding_window_view(padded, e, axis=-1)
 
 
 def apply_split_network(head: FockVector, modes: int) -> FockVector:
     """The whole output of ``split_network_slabs`` as one FockVector.
 
-    The slabs are copied into one output buffer allocated after the checks,
-    so one joint vector and one slab are alive at a time.
+    Each corner slab is copied into one zeroed output buffer allocated after
+    the checks, so one joint vector and one slab are alive at a time.
     """
     slabs = split_network_slabs(head, modes)
-    out = np.empty((head.cutoff + 1,) * modes, dtype=complex)
+    d = head.cutoff + 1
+    out = np.zeros((d,) * modes, dtype=complex)
     start = 0
     for slab in slabs:
-        out[start : start + len(slab)] = slab
+        out[_corner(start, len(slab), d - start, modes)] = slab
         start += len(slab)
     return FockVector(head.cutoff, modes, out.reshape(-1))
 
 
 def apply_single_mode(kernel: np.ndarray, state: FockVector, mode: int) -> FockVector:
-    """Apply a (d x d) matrix to one mode of a joint state."""
+    """Apply a (d x d) matrix to one mode of a joint state.
+
+    One matmul on a reshaped view of the amplitudes, with no transposed copy:
+    (-1, d) @ kernel^T for the last mode, kernel @ (d**mode, d, -1) otherwise.
+    """
     _check_mode_index(mode, state.modes)
-    t = np.tensordot(kernel, state.as_tensor(), axes=([1], [mode]))
-    t = np.moveaxis(t, 0, mode)
-    return FockVector(cutoff=state.cutoff, modes=state.modes, amplitudes=t.reshape(-1))
+    d = state.cutoff + 1
+    if mode == state.modes - 1:
+        out = state.amplitudes.reshape(-1, d) @ kernel.T
+    else:
+        out = kernel @ state.amplitudes.reshape(d**mode, d, -1)
+    return FockVector(cutoff=state.cutoff, modes=state.modes, amplitudes=out.reshape(-1))
 
 
 def tensor(*parts: FockVector) -> FockVector:

@@ -166,14 +166,13 @@ def wigner_numeric(vec: FockVector, gammas) -> float:
     work = vec
     for mode, gamma in enumerate(points):
         work = apply_single_mode(displacement_op(-gamma, vec.cutoff), work, mode)
-    probs = np.abs(work.as_tensor()) ** 2
+    probs = np.abs(work.amplitudes) ** 2
     total = float(probs.sum())
     if total <= 0.0:
         raise TruncationError("the displaced vector lost all amplitude", 1.0, vec.cutoff)
     top = min(3, d)
     for mode in range(vec.modes):
-        marginal = np.moveaxis(probs, mode, 0).reshape(d, -1).sum(axis=1)
-        tail = float(marginal[d - top:].sum()) / total
+        tail = float(probs.reshape(d**mode, d, -1)[:, d - top :].sum()) / total
         if tail > _HEADROOM_TOL:
             raise TruncationError(
                 f"displaced amplitude reaches the cutoff on mode {mode}: "
@@ -184,7 +183,7 @@ def wigner_numeric(vec: FockVector, gammas) -> float:
     signs = np.where(np.arange(d) % 2 == 0, 1.0, -1.0)
     acc = probs
     for _ in points:
-        acc = np.tensordot(signs, acc, axes=([0], [0]))
+        acc = signs @ acc.reshape(d, -1)
     return (2.0 / math.pi) ** len(points) * float(acc.sum()) / total
 
 

@@ -14,11 +14,12 @@ streams for a whole batch of trajectories at once in numpy uint64 arithmetic,
 bit for bit, and yields them one draw index (one column) at a time.  Each
 protocol updates per-trajectory state column by column, and the statistics
 come from the histogram of outcomes, so memory depends on neither ``trials``
-nor ``modes``.  On a 2-vCPU x86 VM the kernel costs about 45 ns per draw,
-against about 20 us per trajectory for building a Generator and drawing from
-it, so it is faster up to roughly 500 draws per trajectory and slower beyond:
-``simulate mode-loss --modes 1000 --trials 20000`` takes about 1.35 s of CLI
-wall time, against 1.0 s with one Generator per trajectory.
+nor ``modes``.  On a 2-vCPU x86 VM the kernel costs about 38 ns per draw
+(its rounds write into preallocated buffers), against about 20 us per
+trajectory for building a Generator and drawing from it, so it is faster up
+to roughly 500 draws per trajectory and slower beyond: ``simulate mode-loss
+--modes 1000 --trials 20000`` takes about 1.16 s of CLI wall time, against
+1.0 s with one Generator per trajectory.
 """
 
 from __future__ import annotations
@@ -50,33 +51,62 @@ _32 = np.uint64(32)
 _11 = np.uint64(11)
 
 
-def _mulhilo(a: np.ndarray, m: np.uint64) -> tuple[np.ndarray, np.ndarray]:
-    """High and low 64-bit words of the 128-bit products a * m, from 32-bit
-    halves (Warren, Hacker's Delight, mulhu); no partial sum overflows."""
-    a_lo, a_hi = a & _LOW32, a >> _32
+def _mulhilo(a: np.ndarray, m: np.uint64, hi: np.ndarray, temps) -> None:
+    """Write the high 64-bit words of the 128-bit products a * m to ``hi`` and
+    the low words over ``a``, from 32-bit halves (Warren, Hacker's Delight,
+    mulhu); no partial sum overflows.  ``temps`` holds three buffers of
+    a's shape, so the ten rounds of a block allocate nothing."""
+    a_lo, a_hi, t = temps
     m_lo, m_hi = m & _LOW32, m >> _32
-    mid = a_hi * m_lo + ((a_lo * m_lo) >> _32)
-    low_mid = a_lo * m_hi + (mid & _LOW32)
-    return a_hi * m_hi + (mid >> _32) + (low_mid >> _32), a * m
+    np.bitwise_and(a, _LOW32, out=a_lo)
+    np.right_shift(a, _32, out=a_hi)
+    np.multiply(a_lo, m_lo, out=t)
+    np.right_shift(t, _32, out=t)
+    np.multiply(a_hi, m_lo, out=hi)
+    np.add(hi, t, out=hi)  # mid
+    np.bitwise_and(hi, _LOW32, out=t)
+    np.multiply(a_lo, m_hi, out=a_lo)
+    np.add(a_lo, t, out=a_lo)  # low_mid
+    np.right_shift(a_lo, _32, out=a_lo)
+    np.right_shift(hi, _32, out=hi)
+    np.multiply(a_hi, m_hi, out=a_hi)
+    np.add(hi, a_hi, out=hi)
+    np.add(hi, a_lo, out=hi)
+    np.multiply(a, m, out=a)
 
 
 def _uniform_columns(seed: int, rows: np.ndarray, draws: int):
     """Yield draws 0 .. draws-1 of the trajectories ``rows`` (uint64 indices),
-    one array per draw, equal bit for bit to
-    ``Generator(Philox(key=(seed, t))).random(draws)`` for each t in rows."""
+    one fresh array per draw, equal bit for bit to
+    ``Generator(Philox(key=(seed, t))).random(draws)`` for each t in rows.
+
+    The counter words, the row keys and the products live in preallocated
+    buffers that each round renames rather than reallocates."""
+    buffers = [np.empty(rows.shape, np.uint64) for _ in range(7)]
+    temps = [np.empty(rows.shape, np.uint64) for _ in range(3)]
     for block in range(-(-draws // 4)):
         # numpy's Philox steps its counter before each block of four words,
-        # so block b comes from counter (b + 1, 0, 0, 0).  The counter words
-        # are the same for every row and broadcast against the row keys.
-        x0, x1, x2, x3 = (np.array([w], np.uint64) for w in (block + 1, 0, 0, 0))
-        k0, k1 = seed, rows
+        # so block b comes from counter (b + 1, 0, 0, 0)
+        x0, x1, x2, x3, hi0, hi1, k1 = buffers
+        x0.fill(block + 1)
+        for x in (x1, x2, x3):
+            x.fill(0)
+        np.copyto(k1, rows)
+        k0 = seed
         for _ in range(10):
-            hi0, lo0 = _mulhilo(x0, _PHILOX_M0)
-            hi1, lo1 = _mulhilo(x2, _PHILOX_M1)
-            x0, x1, x2, x3 = hi1 ^ x1 ^ np.uint64(k0), lo1, hi0 ^ x3 ^ k1, lo0
-            k0, k1 = (k0 + _PHILOX_W0) & _MASK64, k1 + _PHILOX_W1
+            _mulhilo(x0, _PHILOX_M0, hi0, temps)  # x0 now holds lo0
+            _mulhilo(x2, _PHILOX_M1, hi1, temps)  # x2 now holds lo1
+            np.bitwise_xor(hi1, x1, out=hi1)
+            np.bitwise_xor(hi1, np.uint64(k0), out=hi1)
+            np.bitwise_xor(hi0, x3, out=hi0)
+            np.bitwise_xor(hi0, k1, out=hi0)
+            # (hi1 ^ x1 ^ k0, lo1, hi0 ^ x3 ^ k1, lo0); x1 and x3 are spare
+            x0, x1, x2, x3, hi0, hi1 = hi1, x2, hi0, x0, x1, x3
+            k0 = (k0 + _PHILOX_W0) & _MASK64
+            np.add(k1, _PHILOX_W1, out=k1)
         for x in (x0, x1, x2, x3)[: draws - 4 * block]:
-            yield (x >> _11) * 2.0**-53
+            np.right_shift(x, _11, out=temps[0])
+            yield temps[0] * 2.0**-53
 
 
 def _batches(trials: int):

@@ -156,10 +156,12 @@ def _fidelity_gap(out: FockVector, target: FockVector) -> float:
 def network_coherent_gap(m: int, alpha: complex) -> float:
     """1 - fidelity of the splitting network output against |alpha>^m.
 
-    The output is read slab by slab (``split_network_slabs``): each slab's
-    overlap with the product target is contracted one mode at a time against
-    conj(leaf), and its squared norm is added to the output's.  The target
-    norm is ||leaf||^(2m).  Neither the output nor the target vector is built.
+    The output is read slab by slab (``split_network_slabs``): each corner
+    slab's overlap with the product target is contracted one mode at a time
+    against conj(leaf)[:e], each step one matrix-vector product over the slab
+    reshaped to (-1, e), and its squared norm is added to the output's.  The
+    amplitudes outside the corners are zero.  The target norm is
+    ||leaf||^(2m).  Neither the output nor the target vector is built.
     """
     peak = math.sqrt(m) * abs(alpha)
     afford = int(MAX_JOINT_DIM ** (1.0 / m)) - 1
@@ -169,10 +171,10 @@ def network_coherent_gap(m: int, alpha: complex) -> float:
     bra = leaf.conj()
     overlap, out_norm2, start = 0j, 0.0, 0
     for slab in split_network_slabs(head, m):
-        rows = len(slab)
+        rows, e = len(slab), slab.shape[-1]
         part = slab
         for _ in range(m - 1):
-            part = part @ bra
+            part = part.reshape(-1, e) @ bra[:e]
         overlap += complex(part @ bra[start : start + rows])
         out_norm2 += float(np.vdot(slab, slab).real)
         start += rows
@@ -202,16 +204,14 @@ def wigner_gap(spec: CatStateSpec, closed, points) -> float:
     """Largest |closed - numeric| Wigner value over ``points``.
 
     Each point holds one coordinate per mode; ``closed`` takes them as
-    separate arguments.  The state is built at the cutoff ``wigner_cutoff``
-    picks from its amplitude and the points.
+    separate arguments and is evaluated once over the whole point array.
+    The state is built at the cutoff ``wigner_cutoff`` picks from its
+    amplitude and the points.
     """
-    points = list(points)
+    points = np.asarray(list(points), dtype=complex)
     vec = build_state(spec, cutoff=wigner_cutoff(spec.alpha, points))
-    worst = 0.0
-    for point in points:
-        numeric = wigner_numeric(vec, list(point))
-        worst = max(worst, abs(float(closed(*point)) - numeric))
-    return worst
+    numeric = [wigner_numeric(vec, point) for point in points]
+    return float(np.abs(closed(*points.T) - numeric).max())
 
 
 def wigner_gap_hcs2(rng, alpha: complex, count: int, radius: float) -> float:

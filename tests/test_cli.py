@@ -302,6 +302,20 @@ def test_json_export_two_mode_payload(tmp_path):
     assert env["results"]["points"] == 61 * 61
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_non_finite_grid_export_exits_3_and_writes_no_file(fmt, tmp_path):
+    # at |gamma| = 1e300 the fringe phase overflows and 0 * cos(inf) is NaN;
+    # the CSV path used to write those rows before the envelope refused them
+    out = tmp_path / f"w.{fmt}"
+    proc = run_cli("wigner", "--state", "even-cat", "--alpha", "1e10",
+                   "--grid", "-1e300:1e300:5", "--format", fmt, "--out", str(out))
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines()[-1].startswith("error: ")
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
 def test_json_grid_inline_when_no_out():
     env = envelope(
         run_cli("wigner", "--state", "even-cat", "--alpha", "1",

@@ -24,8 +24,9 @@ SCHEMA = json.loads(
 
 # each drawn value is unparseable or non-finite with probability 0.08
 BAD = ("nan", "inf", "-inf", "abc", "", "1e400", "2.5", "-1")
-ALPHAS = ("0", "-0", "1e-300", "5e-324", "1e-6", "0.05", "0.5", "1", "-0.7", "2.5",
-          "30", "1e154", "1e200", "1e308", "0.3,0.4", "-0.8,0.2", "1,1e-300")
+ALPHAS = ("0", "-0", "1e-300", "5e-324", "1e-100", "1e-9", "1e-6", "0.05", "0.5", "1",
+          "-0.7", "2.5", "30", "1e154", "1e200", "1e308", "0.3,0.4", "-0.8,0.2",
+          "1,1e-300")
 # 8 runs the rqfi oracle at its top cutoff below four modes; 40 skips it
 RQFI_ALPHAS = ("1e-300", "1e-6", "0.5", "1", "-0.7", "2.5", "8", "40", "0.3,0.4",
                "1e154", "1e200")

@@ -311,9 +311,11 @@ def test_grown_network_matches_the_head_vacuum_chain(modes, cutoff):
     [(3, 9, 3 * 10**2), (4, 9, 4 * 10**3), (5, 6, 2 * 7**4), (4, 9, 1)],
 )
 def test_slabs_match_the_one_buffer_network(modes, cutoff, slab_dim, monkeypatch):
-    # slabs of 3, 4 and 2 mode-0 rows, and one row where a row outgrows the
-    # slab; each amplitude is one product however the rows are cut, so the
-    # slabs equal the one-buffer output bitwise
+    # blocks of 3, 4 and 2 mode-0 rows, and one row where a row outgrows the
+    # slab; the block at row s is yielded as its corner [:, :e, ..., :e] with
+    # e = d - s, and the one-buffer output is exactly zero outside every
+    # corner, since the head holds at most `cutoff` photons and every mixer
+    # conserves them
     rng = np.random.default_rng(modes * 100 + cutoff)
     head = FockVector(cutoff, 1, rng.normal(size=cutoff + 1) + 1j * rng.normal(size=cutoff + 1))
     monkeypatch.setattr(fock, "_SLAB_DIM", slab_dim)
@@ -322,13 +324,51 @@ def test_slabs_match_the_one_buffer_network(modes, cutoff, slab_dim, monkeypatch
     slabs = list(split_network_slabs(head, modes))
     assert [len(slab) for slab in slabs[:-1]] == [rows] * (len(slabs) - 1)
     assert sum(len(slab) for slab in slabs) == d
-    assert all(slab.shape[1:] == (d,) * (modes - 1) for slab in slabs)
+    starts = range(0, d, rows)
+    assert [slab.shape[1:] for slab in slabs] == [(d - s,) * (modes - 1) for s in starts]
+    assert sum(slab.size for slab in slabs) == sum(
+        len(slab) * (d - s) ** (modes - 1) for slab, s in zip(slabs, starts)
+    )
+    corners = [
+        (slice(s, s + len(slab)),) + (slice(d - s),) * (modes - 1)
+        for slab, s in zip(slabs, starts)
+    ]
     ref = head_vacuum_chain(head, modes).as_tensor()
     scale = np.abs(ref).max()
-    assert np.abs(np.concatenate(slabs) - ref).max() <= 4 * np.finfo(float).eps * scale
+    outside = np.ones(ref.shape, dtype=bool)
+    for slab, corner in zip(slabs, corners):
+        assert np.abs(slab - ref[corner]).max() <= 4 * np.finfo(float).eps * scale
+        outside[corner] = False
+    assert not ref[outside].any()
+    # each kept amplitude is one product however the rows are cut, so the
+    # corners equal the one-buffer output bitwise
     monkeypatch.setattr(fock, "_SLAB_DIM", MAX_JOINT_DIM)
     out = apply_split_network(head, modes).as_tensor()
-    assert np.array_equal(out.view(np.float64), np.concatenate(slabs).view(np.float64))
+    for slab, corner in zip(slabs, corners):
+        assert np.array_equal(out[corner].view(np.float64), slab.view(np.float64))
+    assert not out[outside].any()
+
+
+def test_corner_slabs_compute_the_photon_number_simplex():
+    # at m = 4 and d = 45 each slab is one mode-0 row, cut to its (45 - s)**3
+    # corner: sum k**3 for k <= 45 amplitudes instead of 45**4
+    head = coherent_vector(3.0, 44)
+    sizes = [slab.size for slab in split_network_slabs(head, 4)]
+    assert sizes == [k**3 for k in range(45, 0, -1)]
+    assert sum(sizes) == 1_071_225 < 45**4
+
+
+def test_vacuum_mixers_share_block_eigenpairs_across_cutoffs():
+    # H_n does not depend on the cutoff: a mixer at cutoff 44 reads the very
+    # blocks n <= 27 that a mixer at cutoff 27 cached
+    fock._vacuum_mixer(0.4, 27)
+    small = [fock._vacuum_block_eigh(n) for n in range(28)]
+    hits = fock._vacuum_block_eigh.cache_info().hits
+    fock._vacuum_mixer(1.1, 44)
+    assert fock._vacuum_block_eigh.cache_info().hits - hits >= 28
+    assert all(fock._vacuum_block_eigh(n) is small[n] for n in range(28))
+    with pytest.raises(ValueError):
+        small[5][1][0, 0] = 1.0
 
 
 @pytest.mark.parametrize("m", [2, 3, 4])
@@ -576,3 +616,18 @@ def test_apply_single_mode_acts_on_named_mode_only():
     bumped = apply_single_mode(number, joint, 1)
     val = complex(np.vdot(joint.amplitudes, bumped.amplitudes)).real
     assert val == pytest.approx(abs2(-0.9), rel=1e-9)
+
+
+@pytest.mark.parametrize("mode", [0, 1, 2])
+def test_apply_single_mode_matches_the_transposed_contraction(mode):
+    # one matmul on a reshaped view against the tensordot + moveaxis route it
+    # replaced; both sum the same d products, possibly in another order
+    rng = np.random.default_rng(17 + mode)
+    d = 9
+    amps = rng.normal(size=d**3) + 1j * rng.normal(size=d**3)
+    kernel = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    state = FockVector(cutoff=d - 1, modes=3, amplitudes=amps)
+    out = apply_single_mode(kernel, state, mode)
+    ref = np.moveaxis(np.tensordot(kernel, state.as_tensor(), axes=([1], [mode])), 0, mode)
+    scale = np.abs(kernel).max() * np.abs(amps).max()
+    assert np.abs(out.amplitudes - ref.reshape(-1)).max() <= 4 * d * np.finfo(float).eps * scale
