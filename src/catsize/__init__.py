@@ -71,7 +71,6 @@ from .phase_space import (
     WignerGrid,
     extract_features,
     fringe_suppression_check,
-    grid_to_csv,
     grid_to_json,
     partial_trace_fringe_suppression,
     wigner_cat,

@@ -28,14 +28,13 @@ from . import __version__
 from .closed_forms import (
     CatFamily,
     CatStateSpec,
+    check_row,
     distill_expected_n,
     mode_loss_offdiag,
     mode_loss_offdiag_mean,
 )
 from .errors import DomainError, SizingError, TruncationError
 from .measures import (
-    MeasureKind,
-    MeasureResult,
     branch_dist_size,
     branch_dist_size_real,
     distillation_size,
@@ -54,11 +53,12 @@ from .phase_space import (
 from .simulate import (
     CollapseProblem,
     _check_seed,
+    sampling_row,
     simulate_branch_collapse,
     simulate_distillation,
     simulate_mode_loss,
 )
-from .verify import FAST, FULL, _num_check, run as run_verify
+from .verify import FAST, FULL, run as run_verify
 
 
 class _UsageError(Exception):
@@ -264,7 +264,7 @@ def _envelope(argv, inputs, results, checks, started) -> dict:
 # measure / simulate / wigner
 # ---------------------------------------------------------------------------
 
-def _run_measure(args) -> tuple[dict, list, int]:
+def _run_measure(args) -> tuple[dict, dict, list]:
     sub = args.subcommand
     if sub == "rqfi":
         fam = CatFamily.HCS if args.state == "hcs" else CatFamily.OMEGA
@@ -275,9 +275,7 @@ def _run_measure(args) -> tuple[dict, list, int]:
         state = CatStateSpec(family=fam, modes=args.modes, alpha=args.alpha)
         result = wigner_empirical_size(state)
     else:
-        state = CatStateSpec(
-            family=CatFamily.OMEGA, modes=args.modes, alpha=args.alpha
-        )
+        state = CatStateSpec(family=CatFamily.OMEGA, modes=args.modes, alpha=args.alpha)
         if sub == "branch-dist":
             result = branch_dist_size(state, args.delta)
         elif sub == "branch-dist-real":
@@ -289,61 +287,11 @@ def _run_measure(args) -> tuple[dict, list, int]:
         else:
             result = mode_loss_size(state, args.lam)
 
-    checks = _measure_checks(result)
     inputs = {"subcommand": sub, "modes": state.modes, "alpha": state.alpha}
     for key in ("delta", "lam", "family", "state", "numeric_check"):
         if hasattr(args, key):
             inputs[key] = getattr(args, key)
-    return inputs, {"measure": result}, checks
-
-
-def _measure_checks(result: MeasureResult) -> list:
-    checks = []
-    diag = result.diagnostics
-    oracle = diag.get("oracle")
-    if isinstance(oracle, dict) and oracle.get("status", "ok") == "ok":
-        if result.measure is MeasureKind.BRANCH_DIST_INT:
-            checks.append(
-                _num_check(
-                    "success-closed-vs-trace-norm",
-                    oracle["numeric"],
-                    oracle["closed"],
-                    1e-8,
-                )
-            )
-        elif result.measure is MeasureKind.RQFI:
-            checks.append(
-                _num_check(
-                    "variance-closed-vs-fock",
-                    oracle["numeric_variance"],
-                    oracle["closed_variance"],
-                    1e-6,
-                )
-            )
-    elif isinstance(oracle, dict):
-        checks.append(
-            {
-                "name": "oracle",
-                "status": "skipped",
-                "observed": oracle.get("reason", "skipped"),
-                "expected": None,
-                "tolerance": None,
-            }
-        )
-    numeric = diag.get("numeric")
-    if result.measure is MeasureKind.MARQUARDT and isinstance(numeric, dict):
-        checks.append(
-            _num_check(
-                "displaced-pmf-vs-poisson",
-                numeric["displaced_max_abs_diff"],
-                0.0,
-                1e-10,
-            )
-        )
-        checks.append(
-            _num_check("branch-mean-vs-s", numeric["mean_abs_error"], 0.0, 1e-8)
-        )
-    return checks
+    return inputs, {"measure": result}, result.checks
 
 
 def _run_simulate(args) -> tuple[dict, dict, list]:
@@ -352,24 +300,23 @@ def _run_simulate(args) -> tuple[dict, dict, list]:
     if sub == "distill":
         stats = simulate_distillation(args.modes, args.alpha, args.trials, args.seed)
         expected = distill_expected_n(args.modes, args.alpha)
-        tol = 5.0 * stats.std_error
-        checks.append(_num_check("mean-vs-closed-form", stats.mean, expected, tol))
+        checks.append(
+            sampling_row("mean-vs-closed-form", stats.mean, expected, stats.std_error)
+        )
         results = {"stats": stats, "expected_n_closed": expected}
         inputs = {"subcommand": sub, "modes": args.modes}
     elif sub == "mode-loss":
-        stats = simulate_mode_loss(
-            args.modes, args.alpha, args.lam, args.trials, args.seed
-        )
+        stats = simulate_mode_loss(args.modes, args.alpha, args.lam, args.trials, args.seed)
         expected = mode_loss_offdiag(args.modes, args.alpha, args.lam)
-        tol = 5.0 * stats.std_error
-        checks.append(_num_check("mean-vs-closed-form", stats.mean, expected, tol))
-        arith = mode_loss_offdiag_mean(args.modes, args.alpha, args.lam)
         checks.append(
-            _num_check(
+            sampling_row("mean-vs-closed-form", stats.mean, expected, stats.std_error)
+        )
+        checks.append(
+            sampling_row(
                 "arithmetic-mean-vs-closed-form",
                 stats.extra["arithmetic_mean"],
-                arith,
-                5.0 * stats.extra["arithmetic_std_error"],
+                mode_loss_offdiag_mean(args.modes, args.alpha, args.lam),
+                stats.extra["arithmetic_std_error"],
             )
         )
         results = {"stats": stats, "offdiag_closed": expected}
@@ -377,15 +324,14 @@ def _run_simulate(args) -> tuple[dict, dict, list]:
     else:
         problem = CollapseProblem(args.problem)
         stats = simulate_branch_collapse(args.alpha, args.trials, args.seed, problem)
-        if problem is CollapseProblem.CAT_VS_BRANCH:
-            expected = stats.extra["p_alpha_given_branch_exact"]
-            tol = 5.0 * stats.std_error
-        elif problem is CollapseProblem.CAT_VS_MIXED:
-            expected, tol = 1.0, 0.0
+        name = "mean-vs-exact-probability"
+        if problem is CollapseProblem.CAT_VS_MIXED:
+            # the cat is an eigenvector of the measurement: every trial reads "cat"
+            checks.append(check_row(name, stats.mean, 1.0, 0.0))
         else:
-            expected = stats.extra["p_first_outcome_exact"]
-            tol = 5.0 * stats.std_error
-        checks.append(_num_check("mean-vs-exact-probability", stats.mean, expected, tol))
+            branch = problem is CollapseProblem.CAT_VS_BRANCH
+            key = "p_alpha_given_branch_exact" if branch else "p_first_outcome_exact"
+            checks.append(sampling_row(name, stats.mean, stats.extra[key], stats.std_error))
         results = {"stats": stats}
         inputs = {"subcommand": sub, "problem": args.problem}
     inputs.update({"alpha": args.alpha, "trials": args.trials, "seed": args.seed})

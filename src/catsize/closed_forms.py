@@ -73,6 +73,22 @@ class MeasureParams:
             raise DomainError(f"lambda must lie in [0, 1], got {self.lam}")
 
 
+def check_row(name: str, observed, expected, tolerance: float | None) -> dict:
+    """A check row that passes where |observed - expected| <= tolerance; a
+    ``tolerance`` of None makes it ``skipped``, with ``observed`` saying why."""
+    if tolerance is None:
+        status = "skipped"
+    else:
+        status = "pass" if abs(observed - expected) <= tolerance else "fail"
+    return {
+        "name": name,
+        "status": status,
+        "observed": observed,
+        "expected": expected,
+        "tolerance": tolerance,
+    }
+
+
 def abs2(z) -> float:
     """|z|^2 for real or complex z."""
     z = complex(z)
@@ -111,19 +127,19 @@ def omega_norm(modes: int, alpha) -> float:
 def hcs_norms(alpha) -> tuple[float, float]:
     """Kitten normalizations (A_plus, A_minus) = sqrt(2 +- 2 exp(-2|alpha|^2)).
 
-    Refuses, as the one check every odd-branch route goes through, where
-    A_minus is 0: at alpha = 0, and wherever w = exp(-2|alpha|^2) rounds to 1
-    (|alpha|^2 below about 1e-16), since |alpha> and |-alpha> are then the
-    same vector and the odd branch |alpha> - |-alpha> vanishes.
+    A_minus is sqrt(-2 expm1(-2|alpha|^2)), exact where 2 - 2w cancels.
+    Refuses, as the one check every odd-branch route goes through, wherever
+    w = exp(-2|alpha|^2) rounds to 1 (alpha = 0 and |alpha|^2 below about
+    1e-16): |alpha> and |-alpha> are then one vector to double precision.
     """
-    w = branch_overlap(alpha)
-    a_minus = math.sqrt(2.0 - 2.0 * w)
-    if a_minus == 0.0:
+    a = abs2(alpha)
+    w = math.exp(-2.0 * a)
+    if w == 1.0:
         raise DomainError(
             f"the odd branch |alpha> - |-alpha> degenerates at |alpha| = "
-            f"{abs(complex(alpha)):g}: its norm sqrt(2 - 2 exp(-2|alpha|^2)) is 0"
+            f"{abs(complex(alpha)):g}: exp(-2|alpha|^2) rounds to 1"
         )
-    return math.sqrt(2.0 + 2.0 * w), a_minus
+    return math.sqrt(2.0 + 2.0 * w), math.sqrt(-2.0 * math.expm1(-2.0 * a))
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,7 @@ from .closed_forms import (
     branch_overlap,
     cat_size_C,
     cat_size_C_approx,
+    check_row,
     delta_validity_interval,
     distill_expected_n,
     distill_pm,
@@ -95,6 +96,13 @@ class MeasureResult:
     def __post_init__(self):
         if not self.value >= 0.0:
             raise DomainError(f"a size must be nonnegative, got {self.value}")
+
+    @property
+    def checks(self) -> list[dict]:
+        """The check rows of this result's numeric route, each at the one
+        named tolerance of its identity; a property, so ``asdict`` skips it."""
+        rows = _ROUTE_ROWS.get(self.measure)
+        return rows(self.diagnostics) if rows else []
 
 
 # ---------------------------------------------------------------------------
@@ -487,6 +495,15 @@ def _trace_norm_check(alpha, n_check: int, cutoff: int) -> dict:
     }
 
 
+TRACE_NORM_TOL = 1e-10  # Helstrom success, closed form vs trace norm
+
+
+def _branch_dist_rows(diagnostics: dict) -> list[dict]:
+    oracle = diagnostics["oracle"]
+    name = "success-closed-vs-trace-norm"
+    return [check_row(name, oracle["numeric"], oracle["closed"], TRACE_NORM_TOL)]
+
+
 def branch_dist_size_real(state: CatStateSpec, delta: float) -> MeasureResult:
     """Noninteger variant: the closed approximation with no interval clamp."""
     _require_family(state, (CatFamily.OMEGA, CatFamily.EVEN_CAT))
@@ -625,6 +642,20 @@ def _rqfi_oracle(state: CatStateSpec, gen: ModeGenerator, closed: float) -> dict
     }
 
 
+# largest gap seen: 1.6e-9 (modes 1-5, every label and state, |alpha| 1e-12 to 8)
+RQFI_VARIANCE_TOL = 1e-7
+
+
+def _rqfi_rows(diagnostics: dict) -> list[dict]:
+    oracle = diagnostics.get("oracle")
+    if oracle is None:
+        return []
+    if oracle["status"] == "skipped":
+        return [check_row("oracle", oracle["reason"], None, None)]
+    numeric, closed = oracle["numeric_variance"], oracle["closed_variance"]
+    return [check_row("variance-closed-vs-fock", numeric, closed, RQFI_VARIANCE_TOL)]
+
+
 def marquardt_size(state: CatStateSpec, numeric_check: bool = False) -> MeasureResult:
     """Mean of the Poissonian transfer distribution, s = N |alpha|^2.
 
@@ -679,6 +710,21 @@ def marquardt_size(state: CatStateSpec, numeric_check: bool = False) -> MeasureR
         method=method,
         diagnostics=diagnostics,
     )
+
+
+TRANSFER_PMF_TOL = 1e-10  # displaced photon pmf vs the Poisson transfer law
+TRANSFER_MEAN_TOL = 1e-8  # branch photon mean vs s
+
+
+def _marquardt_rows(diagnostics: dict) -> list[dict]:
+    numeric = diagnostics.get("numeric")
+    if numeric is None:
+        return []
+    pmf, mean = numeric["displaced_max_abs_diff"], numeric["mean_abs_error"]
+    return [
+        check_row("displaced-pmf-vs-poisson", pmf, 0.0, TRANSFER_PMF_TOL),
+        check_row("branch-mean-vs-s", mean, 0.0, TRANSFER_MEAN_TOL),
+    ]
 
 
 def distillation_size(state: CatStateSpec) -> MeasureResult:
@@ -803,3 +849,10 @@ def _require_family(state: CatStateSpec, allowed):
         raise DomainError(
             f"measure defined for {names}; got {state.family.value}"
         )
+
+
+_ROUTE_ROWS = {
+    MeasureKind.BRANCH_DIST_INT: _branch_dist_rows,
+    MeasureKind.RQFI: _rqfi_rows,
+    MeasureKind.MARQUARDT: _marquardt_rows,
+}

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import TextIO
 
@@ -496,20 +495,10 @@ def _fringe_profile(plane, ax_u, ax_v):
 # serialization
 # ---------------------------------------------------------------------------
 
-def grid_to_csv(grid: WignerGrid) -> str:
-    """The CSV export of ``grid`` as one string: the join of its row blocks."""
-    return "".join(_csv_blocks(grid))
-
-
 def write_grid_csv(grid: WignerGrid, handle: TextIO) -> None:
-    """Write the CSV export of ``grid`` to the text ``handle`` one block of
-    rows at a time, so the text of the whole grid is never held."""
-    for block in _csv_blocks(grid):
-        handle.write(block)
-
-
-def _csv_blocks(grid: WignerGrid) -> Iterator[str]:
-    """The header line, then blocks of at most ``_CSV_BLOCK_ROWS`` rows in C order.
+    """Write the CSV export of ``grid`` to the text ``handle``: the header
+    line, then blocks of at most ``_CSV_BLOCK_ROWS`` rows in C order, so the
+    text of the whole grid is never held.
 
     A two-mode slice where a single mode varies flattens to that mode's
     plane and the plain ``re,im,w`` header; a joint grid keeps all four
@@ -522,9 +511,9 @@ def _csv_blocks(grid: WignerGrid) -> Iterator[str]:
         if first != second:
             axes = axes[0:2] if first else axes[2:4]
     if len(axes) == 2:
-        yield "re,im,w\n"
+        handle.write("re,im,w\n")
     else:
-        yield ",".join([ax.name for ax in axes] + ["w"]) + "\n"
+        handle.write(",".join([ax.name for ax in axes] + ["w"]) + "\n")
     # each axis value is formatted once and the C-order coordinate prefixes
     # are joined lazily from those strings, so each row formats only its W
     # value and only one block of rows is held
@@ -534,7 +523,7 @@ def _csv_blocks(grid: WignerGrid) -> Iterator[str]:
     for start in range(0, flat.size, _CSV_BLOCK_ROWS):
         # the values come first, so zip stops without taking a spare prefix
         values = flat[start : start + _CSV_BLOCK_ROWS].tolist()
-        yield "\n".join([p + repr(w) for w, p in zip(values, prefixes)]) + "\n"
+        handle.write("\n".join([p + repr(w) for w, p in zip(values, prefixes)]) + "\n")
 
 
 def grid_to_json(grid: WignerGrid) -> dict:

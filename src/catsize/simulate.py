@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .closed_forms import abs2, branch_overlap, hcs_norms
+from .closed_forms import abs2, branch_overlap, check_row, hcs_norms
 from .errors import DomainError
 
 SEED_SCHEME = "philox(key=(seed, trajectory_index))"
@@ -160,6 +160,11 @@ def _stats_fields(tally: list) -> tuple[float, float, float]:
     if not (math.isfinite(mean) and math.isfinite(var)):
         raise DomainError("trajectory statistics overflow a float; reduce |alpha|")
     return mean, var, math.sqrt(var / n)
+
+
+def sampling_row(name: str, observed: float, expected: float, std_error: float) -> dict:
+    """The check row of a sample mean: it passes within five standard errors."""
+    return check_row(name, observed, expected, 5.0 * std_error)
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,8 @@
 
 Each check is declared once, in order, with the suite it belongs to and a
 function of the shared generator and the seed that returns ``(observed,
-tolerance)``; the expected value is always 0.  The fast suite is the in-order
+tolerance)``; the expected value is always 0, and a numeric route's tolerance
+comes from the module that owns the route.  The fast suite is the in-order
 prefix of the full suite.  Declaration order is part of the contract: the
 random checks draw from one ``default_rng(seed)`` in that order (only the
 replacement draws of ``vacuum-mixing-invariance`` come from a spare one).
@@ -22,6 +23,7 @@ from .closed_forms import (
     GeneratorKind,
     abs2,
     branch_overlap,
+    check_row,
     distill_expected_n,
     distill_pm,
     helstrom_success_n_modes,
@@ -44,6 +46,7 @@ from .fock import (
     split_network_slabs,
 )
 from .measures import (
+    TRACE_NORM_TOL,
     branch_dist_size_real,
     marquardt_size,
     rqfi_size,
@@ -64,6 +67,7 @@ from .simulate import (
     _check_seed,
     build_distillation_povm,
     distillation_outcome_distribution,
+    sampling_row,
     simulate_branch_collapse,
     simulate_distillation,
     simulate_mode_loss,
@@ -99,17 +103,6 @@ def checks(suite: str) -> list[Check]:
     return [c for c in CHECKS if suite == FULL or c.suite == FAST]
 
 
-def _num_check(name: str, observed: float, expected: float, tolerance: float) -> dict:
-    status = "pass" if abs(observed - expected) <= tolerance else "fail"
-    return {
-        "name": name,
-        "status": status,
-        "observed": observed,
-        "expected": expected,
-        "tolerance": tolerance,
-    }
-
-
 def run(suite: str, seed: int) -> list[dict]:
     """Check rows of ``suite``; a check that raises is a failed row.
 
@@ -122,7 +115,7 @@ def run(suite: str, seed: int) -> list[dict]:
     for check in checks(suite):
         try:
             observed, tolerance = check.evaluate(rng, seed)
-            rows.append(_num_check(check.name, observed, 0.0, tolerance))
+            rows.append(check_row(check.name, observed, 0.0, tolerance))
         except Exception as exc:  # a crashed check is a failed check
             rows.append(
                 {
@@ -139,6 +132,11 @@ def run(suite: str, seed: int) -> list[dict]:
 # ---------------------------------------------------------------------------
 # shared routes
 # ---------------------------------------------------------------------------
+
+def _row_gap(row: dict) -> tuple[float, float]:
+    """(|observed - expected|, tolerance) of a check row built by its route."""
+    return abs(row["observed"] - row["expected"]), row["tolerance"]
+
 
 def _random_points(rng, count: int, radius: float) -> np.ndarray:
     return radius * (
@@ -248,7 +246,7 @@ def matched_intensity_beta(modes: int, alpha: complex):
 
 @_check("helstrom-closed-vs-trace-norm")
 def _helstrom(rng, seed):
-    return _trace_norm_check(1.0, 2, default_cutoff(1.0))["difference"], 1e-10
+    return _trace_norm_check(1.0, 2, default_cutoff(1.0))["difference"], TRACE_NORM_TOL
 
 
 @_check("helstrom-monotone-in-modes")
@@ -318,7 +316,7 @@ def _collapse_branch_smoke(rng, seed):
     stats = simulate_branch_collapse(
         math.sqrt(2.0), 2000, seed, CollapseProblem.BRANCH_VS_BRANCH
     )
-    return abs(stats.mean - 0.5), 5.0 * stats.std_error
+    return _row_gap(sampling_row("mean", stats.mean, 0.5, stats.std_error))
 
 
 @_check("rqfi-bounded-unit-at-one-mode")
@@ -328,46 +326,36 @@ def _rqfi_unit(rng, seed):
 
 
 @_check("rqfi-gram-vs-fock")
-def _rqfi_oracle(rng, seed):
+def _rqfi_gram_vs_fock(rng, seed):
     state = CatStateSpec(family=CatFamily.OMEGA, modes=2, alpha=1.0)
-    res = rqfi_size(state, "quadrature+number", oracle=True)
-    return res.diagnostics["oracle"]["difference"], 1e-7
+    (row,) = rqfi_size(state, "quadrature+number", oracle=True).checks
+    return _row_gap(row)
+
+
+def _variance_identity(kind: GeneratorKind, closed) -> tuple[float, float]:
+    """Best Gram-reduced variance of ``kind`` against ``closed`` at 3 modes."""
+    g, gens = _branch_pair(CatStateSpec(family=CatFamily.OMEGA, modes=3, alpha=0.8))
+    var = max(_two_branch_variance(gen, 3, g, 1.0, 1.0) for gen in gens if gen.kind is kind)
+    return abs(var - closed(3, 0.8)), 1e-9
 
 
 @_check("rqfi-quadrature-variance-identity")
 def _rqfi_quadrature_identity(rng, seed):
-    modes, alpha = 3, 0.8
-    g, gens = _branch_pair(CatStateSpec(family=CatFamily.OMEGA, modes=modes, alpha=alpha))
-    var = max(
-        _two_branch_variance(gen, modes, g, 1.0, 1.0)
-        for gen in gens
-        if gen.kind is GeneratorKind.QUADRATURE
-    )
-    return abs(var - quadrature_variance_omega(modes, alpha)), 1e-9
+    return _variance_identity(GeneratorKind.QUADRATURE, quadrature_variance_omega)
 
 
 @_check("rqfi-number-variance-identity")
 def _rqfi_number_identity(rng, seed):
-    modes, alpha = 3, 0.8
-    g, gens = _branch_pair(CatStateSpec(family=CatFamily.OMEGA, modes=modes, alpha=alpha))
-    number = next(gen for gen in gens if gen.kind is GeneratorKind.NUMBER)
-    var = _two_branch_variance(number, modes, g, 1.0, 1.0)
-    return abs(var - number_variance_omega(modes, alpha)), 1e-9
+    return _variance_identity(GeneratorKind.NUMBER, number_variance_omega)
 
 
-def _marquardt_numeric() -> dict:
+def _marquardt_rows() -> list[dict]:
     state = CatStateSpec(family=CatFamily.OMEGA, modes=2, alpha=1.0)
-    return marquardt_size(state, numeric_check=True).diagnostics["numeric"]
+    return marquardt_size(state, numeric_check=True).checks
 
 
-@_check("marquardt-displaced-pmf")
-def _marquardt_pmf(rng, seed):
-    return _marquardt_numeric()["displaced_max_abs_diff"], 1e-10
-
-
-@_check("marquardt-branch-mean")
-def _marquardt_mean(rng, seed):
-    return _marquardt_numeric()["mean_abs_error"], 1e-8
+_check("marquardt-displaced-pmf")(lambda rng, seed: _row_gap(_marquardt_rows()[0]))
+_check("marquardt-branch-mean")(lambda rng, seed: _row_gap(_marquardt_rows()[1]))
 
 
 _check("network-coherent-m2")(lambda rng, seed: (network_coherent_gap(2, 0.5), 1e-8))
@@ -422,7 +410,8 @@ def _distill_dp(rng, seed):
 @_check("simulate-distill-smoke")
 def _distill_smoke(rng, seed):
     stats = simulate_distillation(4, 0.8, 2000, seed)
-    return abs(stats.mean - distill_expected_n(4, 0.8)), 5.0 * stats.std_error
+    expected = distill_expected_n(4, 0.8)
+    return _row_gap(sampling_row("mean", stats.mean, expected, stats.std_error))
 
 
 @_check("mode-loss-rate-extremes")
@@ -449,7 +438,8 @@ def _mode_loss_binomial(rng, seed):
 @_check("simulate-mode-loss-smoke")
 def _mode_loss_smoke(rng, seed):
     stats = simulate_mode_loss(6, 1.0, 0.25, 2000, seed)
-    return abs(stats.mean - mode_loss_offdiag(6, 1.0, 0.25)), 5.0 * stats.std_error
+    expected = mode_loss_offdiag(6, 1.0, 0.25)
+    return _row_gap(sampling_row("mean", stats.mean, expected, stats.std_error))
 
 
 @_check("vacuum-mixing-invariance")

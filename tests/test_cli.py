@@ -16,7 +16,17 @@ import pytest
 
 import catsize
 from catsize.cli import _dumps, main
+from catsize.closed_forms import CatFamily, CatStateSpec
 from catsize.errors import DomainError
+from catsize.measures import (
+    branch_dist_size,
+    branch_dist_size_real,
+    distillation_size,
+    marquardt_size,
+    mode_loss_size,
+    rqfi_size,
+    wigner_empirical_size,
+)
 
 SCHEMA_PATH = Path(catsize.__file__).parent / "data" / "envelope.schema.json"
 
@@ -106,7 +116,50 @@ def test_branch_dist_envelope_and_check():
     (check,) = env["checks"]
     assert check["name"] == "success-closed-vs-trace-norm"
     assert check["status"] == "pass"
-    assert check["tolerance"] == 1e-8
+    assert check["tolerance"] == 1e-10
+
+
+def _omega(modes, alpha):
+    return CatStateSpec(family=CatFamily.OMEGA, modes=modes, alpha=alpha)
+
+
+def _hcs(modes, alpha):
+    return CatStateSpec(family=CatFamily.HCS, modes=modes, alpha=alpha)
+
+
+@pytest.mark.parametrize(
+    "argv, measure",
+    [
+        ("branch-dist --modes 10 --alpha 0.5 --delta 0.01",
+         lambda: branch_dist_size(_omega(10, 0.5), 0.01)),
+        ("branch-dist-real --modes 4 --alpha 0.7 --delta 0.05",
+         lambda: branch_dist_size_real(_omega(4, 0.7), 0.05)),
+        ("rqfi --modes 2 --alpha 1.5 --family quadrature+number",
+         lambda: rqfi_size(_omega(2, 1.5), "quadrature+number", oracle=True)),
+        ("rqfi --modes 5 --alpha 1 --family quadrature+number",
+         lambda: rqfi_size(_omega(5, 1.0), "quadrature+number", oracle=True)),
+        ("rqfi --modes 1 --alpha 1e-8 --family bounded-local",
+         lambda: rqfi_size(_omega(1, 1e-8), "bounded-local", oracle=True)),
+        ("rqfi --state hcs --modes 3 --alpha 1e-6 --family spin-sandwich",
+         lambda: rqfi_size(_hcs(3, 1e-6), "spin-sandwich", oracle=True)),
+        ("marquardt --modes 3 --alpha 0.8 --numeric-check",
+         lambda: marquardt_size(_omega(3, 0.8), numeric_check=True)),
+        ("marquardt --modes 3 --alpha 0.8", lambda: marquardt_size(_omega(3, 0.8))),
+        ("distill --modes 5 --alpha 0.8", lambda: distillation_size(_omega(5, 0.8))),
+        ("mode-loss --modes 6 --alpha 1.0 --lambda 0.25",
+         lambda: mode_loss_size(_omega(6, 1.0), 0.25)),
+        ("wigner-empirical --alpha 2.0", lambda: wigner_empirical_size(_omega(1, 2.0))),
+    ],
+    ids=["branch-dist", "branch-dist-real", "rqfi", "rqfi-skipped", "rqfi-tiny",
+         "rqfi-hcs-tiny", "marquardt-numeric", "marquardt", "distill", "mode-loss",
+         "wigner-empirical"],
+)
+def test_measure_prints_exactly_the_result_checks(argv, measure, capsys):
+    # every row is built by the measure's route; the command adds none
+    assert main(["measure", *argv.split()]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert json.loads(out)["checks"] == json.loads(_dumps(measure().checks))
 
 
 def test_marquardt_numeric_check_entries():
@@ -128,7 +181,7 @@ def test_rqfi_small_modes_carries_oracle_check():
     (check,) = env["checks"]
     assert check["name"] == "variance-closed-vs-fock"
     assert check["status"] == "pass"
-    assert check["tolerance"] == 1e-6
+    assert check["tolerance"] == 1e-7
 
 
 def test_rqfi_three_modes_carries_oracle_check():

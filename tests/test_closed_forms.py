@@ -18,6 +18,7 @@ from catsize.closed_forms import (
     branch_overlap,
     cat_size_C,
     cat_size_C_approx,
+    check_row,
     delta_validity_interval,
     distill_expected_n,
     distill_pm,
@@ -427,7 +428,10 @@ def test_hcs_norms_refuse_where_the_odd_branch_vanishes(alpha):
 def test_hcs_norms_just_above_the_degenerate_range():
     a_plus, a_minus = hcs_norms(1e-7)
     assert a_plus == pytest.approx(2.0, rel=1e-13)
-    assert a_minus == math.sqrt(2.0 - 2.0 * branch_overlap(1e-7)) > 0.0
+    # A_minus = 2|alpha| sqrt(1 - |alpha|^2 + ...) = 2e-7 (1 - 5e-15); the
+    # cancelled sqrt(2 - 2w) gives 1.9992005623875e-07, 4e-4 too small
+    assert a_minus == math.sqrt(-2.0 * math.expm1(-2.0 * abs2(1e-7)))
+    assert a_minus == pytest.approx(2e-7 * (1.0 - 5e-15), rel=1e-15)
 
 
 def test_even_cat_at_vacuum_is_allowed():
@@ -462,3 +466,13 @@ def test_closed_forms_depend_only_on_intensity(theta):
     assert distill_expected_n(4, rotated) == pytest.approx(
         distill_expected_n(4, alpha), rel=1e-12
     )
+
+
+def test_check_row_statuses():
+    assert check_row("gap", 0.25, 0.0, 0.25)["status"] == "pass"
+    assert check_row("gap", -0.5, 0.0, 0.25)["status"] == "fail"
+    assert check_row("gap", float("nan"), 0.0, 0.25)["status"] == "fail"
+    assert check_row("oracle", "over budget", None, None) == {
+        "name": "oracle", "status": "skipped", "observed": "over budget",
+        "expected": None, "tolerance": None,
+    }

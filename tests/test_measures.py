@@ -28,6 +28,7 @@ from catsize.fock import (
     tensor,
 )
 from catsize.measures import (
+    RQFI_VARIANCE_TOL,
     Method,
     MeasureKind,
     MeasureResult,
@@ -314,6 +315,30 @@ def test_rqfi_oracle_reports_unaffordable_budgets():
 
 def test_rqfi_without_oracle_has_no_oracle_entry():
     assert "oracle" not in rqfi_size(omega(2, 1.0), QN).diagnostics
+    assert rqfi_size(omega(2, 1.0), QN).checks == []
+
+
+_CAPPED_LABELS = (
+    "bounded-local", "quadrature", "number", "quadrature+number",
+    "bounded-local+quadrature", "bounded-local+number",
+    "bounded-local+quadrature+number",
+)
+
+
+@pytest.mark.parametrize("alpha", [1e-8, 1e-6, 1e-5, 1e-4])
+@pytest.mark.parametrize("modes", [1, 2, 3])
+@pytest.mark.parametrize(
+    "make, label",
+    [(omega, label) for label in _CAPPED_LABELS]
+    + [(hcs, label) for label in _CAPPED_LABELS + ("spin-sandwich",)],
+)
+def test_rqfi_oracle_rows_pass_at_tiny_amplitudes(make, label, modes, alpha):
+    # with A_minus = sqrt(2 - 2w) the odd kitten lost up to 1.07 of its
+    # variance to cancellation at these amplitudes and the row failed
+    (row,) = rqfi_size(make(modes, alpha), label, oracle=True).checks
+    assert row["name"] == "variance-closed-vs-fock"
+    assert row["tolerance"] == RQFI_VARIANCE_TOL
+    assert row["status"] == "pass", row
 
 
 def _numeric_quadrature_variances(spec: CatStateSpec, phases) -> np.ndarray:

@@ -18,7 +18,6 @@ from catsize.phase_space import (
     extract_features,
     fringe_suppression_check,
     grid_line,
-    grid_to_csv,
     grid_to_json,
     partial_trace_fringe_suppression,
     wigner_cat,
@@ -446,6 +445,13 @@ def test_features_of_joint_two_branch_plane():
 # serialization
 # ---------------------------------------------------------------------------
 
+def grid_to_csv(grid):
+    """The CSV export of ``grid`` as one string, joined from its written blocks."""
+    handle = io.StringIO()
+    write_grid_csv(grid, handle)
+    return handle.getvalue()
+
+
 def test_csv_single_mode_header_and_rows():
     line = np.linspace(-1.0, 1.0, 5)
     grid = wigner_grid(even_cat(1.0), {"re": line, "im": line})
@@ -492,7 +498,7 @@ def test_csv_values_round_trip():
 
 
 def _reference_csv(grid):
-    """The row-by-row formatter grid_to_csv replaced: one repr per cell."""
+    """The row-by-row formatter the block writer replaced: one repr per cell."""
     axes = list(grid.axes)
     if len(axes) == 4:
         first = axes[0].values.size > 1 or axes[1].values.size > 1
@@ -557,12 +563,21 @@ def test_csv_is_byte_identical_to_the_row_formatter(make):
     assert grid_to_csv(grid) == _reference_csv(grid)
 
 
+class _Blocks:
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+
+
 def test_written_csv_matches_the_joined_text():
-    # 76400 rows: two full blocks of 2**15 rows and a shorter last one
+    # 76400 rows: the header, two full blocks of 2**15 rows and a shorter last one
     grid = _odd_values_grid(("re1", "im1", "re2", "im2"), (191, 1, 200, 2))
-    handle = io.StringIO()
+    handle = _Blocks()
     write_grid_csv(grid, handle)
-    assert handle.getvalue() == grid_to_csv(grid)
+    assert [text.count("\n") for text in handle.writes] == [1, 2**15, 2**15, 10864]
+    assert "".join(handle.writes) == _reference_csv(grid)
 
 
 class _Discard:

@@ -23,6 +23,7 @@ from catsize.simulate import (
     _uniform_columns,
     build_distillation_povm,
     distillation_outcome_distribution,
+    sampling_row,
     simulate_branch_collapse,
     simulate_distillation,
     simulate_mode_loss,
@@ -368,3 +369,11 @@ def test_collapse_streams_align_across_problems():
     b = simulate_branch_collapse(2.0, 2000, 23, CollapseProblem.BRANCH_VS_BRANCH)
     # both problems have p = 1/2 exactly; identical seeds give identical tallies
     assert a.histogram["xi_plus"] == b.histogram["xi_plus"]
+
+
+def test_sampling_row_accepts_five_standard_errors():
+    assert sampling_row("mean", 1.5, 1.0, 0.1) == {
+        "name": "mean", "status": "pass", "observed": 1.5, "expected": 1.0,
+        "tolerance": 0.5,
+    }
+    assert sampling_row("mean", 1.5, 1.0, 0.0999)["status"] == "fail"

@@ -2,7 +2,16 @@
 
 import pytest
 
+from catsize.closed_forms import CatFamily, CatStateSpec
 from catsize.errors import DomainError
+from catsize.measures import (
+    RQFI_VARIANCE_TOL,
+    TRACE_NORM_TOL,
+    TRANSFER_MEAN_TOL,
+    TRANSFER_PMF_TOL,
+    marquardt_size,
+    rqfi_size,
+)
 from catsize.verify import CHECKS, checks, run
 
 
@@ -20,6 +29,27 @@ def test_fast_suite_is_the_in_order_prefix_of_full():
 
 def test_suite_sizes_match_the_readme():
     assert (len(checks("fast")), len(checks("full"))) == (27, 34)
+
+
+def test_route_rows_take_the_named_tolerances():
+    rows = {r["name"]: r for r in run("fast", 0)}
+    named = {
+        "helstrom-closed-vs-trace-norm": TRACE_NORM_TOL,
+        "rqfi-gram-vs-fock": RQFI_VARIANCE_TOL,
+        "marquardt-displaced-pmf": TRANSFER_PMF_TOL,
+        "marquardt-branch-mean": TRANSFER_MEAN_TOL,
+    }
+    assert [named[name] for name in named] == [1e-10, 1e-7, 1e-10, 1e-8]
+    for name, tolerance in named.items():
+        assert rows[name]["tolerance"] == tolerance, name
+        assert rows[name]["status"] == "pass", name
+    # the measure rows are read from the measure's own check rows
+    state = CatStateSpec(family=CatFamily.OMEGA, modes=2, alpha=1.0)
+    (rqfi,) = rqfi_size(state, "quadrature+number", oracle=True).checks
+    pmf, mean = marquardt_size(state, numeric_check=True).checks
+    for name, row in (("rqfi-gram-vs-fock", rqfi), ("marquardt-displaced-pmf", pmf),
+                      ("marquardt-branch-mean", mean)):
+        assert rows[name]["observed"] == abs(row["observed"] - row["expected"]), name
 
 
 @pytest.mark.parametrize("seed", [-1, 2**64])
