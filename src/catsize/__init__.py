@@ -42,7 +42,6 @@ from .errors import (
 )
 from .fock import (
     FockVector,
-    apply_split_network,
     build_state,
     cat_split_thetas,
     coherent_vector,
@@ -51,7 +50,6 @@ from .fock import (
     kitten_vectors,
     mode_ops,
     split_network_slabs,
-    tensor,
     total_photon_pmf,
 )
 from .measures import (

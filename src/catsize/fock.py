@@ -18,14 +18,14 @@ broadcast multiply over a Hankel view of the state (``_split_off_vacuum``);
 no (d^2 x d^2) matrix and no block of a general two-mode unitary is built.
 After the first mixer no mixer touches mode 0, so the output is split and
 yielded in blocks of mode-0 rows of at most ``_SLAB_DIM`` amplitudes (1 MB,
-so the slabs stay in cache), and only ``apply_split_network`` gathers them
-into one joint vector.  The head holds at most ``cutoff`` photons and every
-mixer conserves them, so the block that starts at row s is computed and
-yielded only as its corner, indices below d - s on every later mode: at
-four modes, one row per block, that is sum k^3 for k <= d amplitudes
-instead of d^4.  The general
-block-stored two-mode applier the network is checked against lives in the
-tests (``tests/dense_reference.py``).
+so the slabs stay in cache), and no route gathers them into one joint
+vector.  The head holds at most ``cutoff`` photons and every mixer conserves
+them, so the block that starts at row s is computed and yielded only as its
+corner, indices below d - s on every later mode: at four modes, one row per
+block, that is sum k^3 for k <= d amplitudes instead of d^4.  The general
+block-stored two-mode applier the network is checked against, the gather of
+the slabs into one joint vector and the Kronecker product of vectors live in
+the tests (``tests/dense_reference.py``).
 
 States are ``FockVector``s of at most MAX_JOINT_DIM amplitudes, and
 single-mode operators are plain (d, d) arrays (``mode_ops``,
@@ -286,22 +286,6 @@ def _split_off_vacuum(state: np.ndarray, mixer: np.ndarray) -> np.ndarray:
     return mixer * sliding_window_view(padded, e, axis=-1)
 
 
-def apply_split_network(head: FockVector, modes: int) -> FockVector:
-    """The whole output of ``split_network_slabs`` as one FockVector.
-
-    Each corner slab is copied into one zeroed output buffer allocated after
-    the checks, so one joint vector and one slab are alive at a time.
-    """
-    slabs = split_network_slabs(head, modes)
-    d = head.cutoff + 1
-    out = np.zeros((d,) * modes, dtype=complex)
-    start = 0
-    for slab in slabs:
-        out[_corner(start, len(slab), d - start, modes)] = slab
-        start += len(slab)
-    return FockVector(head.cutoff, modes, out.reshape(-1))
-
-
 def apply_single_mode(kernel: np.ndarray, state: FockVector, mode: int) -> FockVector:
     """Apply a (d x d) matrix to one mode of a joint state.
 
@@ -315,22 +299,6 @@ def apply_single_mode(kernel: np.ndarray, state: FockVector, mode: int) -> FockV
     else:
         out = kernel @ state.amplitudes.reshape(d**mode, d, -1)
     return FockVector(cutoff=state.cutoff, modes=state.modes, amplitudes=out.reshape(-1))
-
-
-def tensor(*parts: FockVector) -> FockVector:
-    """Kronecker product of FockVectors with equal cutoffs."""
-    if not parts:
-        raise DomainError("tensor needs at least one argument")
-    if not all(isinstance(p, FockVector) for p in parts):
-        raise DomainError("tensor arguments must be FockVectors")
-    cutoffs = {p.cutoff for p in parts}
-    if len(cutoffs) != 1:
-        raise DomainError(f"tensor requires a shared cutoff, got {sorted(cutoffs)}")
-    modes = sum(p.modes for p in parts)
-    # refuse before the kron products allocate the full vector
-    _check_joint_dim((parts[0].cutoff + 1) ** modes)
-    amps = functools.reduce(np.kron, [p.amplitudes for p in parts])
-    return FockVector(cutoff=parts[0].cutoff, modes=modes, amplitudes=amps)
 
 
 def total_photon_pmf(state: FockVector) -> np.ndarray:

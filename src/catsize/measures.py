@@ -51,6 +51,7 @@ from .closed_forms import (
 from .errors import DomainError, ResolutionError
 from .fock import (
     MAX_JOINT_DIM,
+    apply_single_mode,
     build_state,
     coherent_vector,
     default_cutoff,
@@ -616,19 +617,9 @@ def _rqfi_oracle(state: CatStateSpec, gen: ModeGenerator, closed: float) -> dict
             raise DomainError(
                 f"bounded generator has operator norm {top:.12f} > 1"
             )
-    # np.tensordot copies psi to contract a mode that is neither the first nor
-    # the last, so the sum starts from mode 1's product; at three modes no
-    # more than psi, the sum and one product are then alive.  IEEE addition
-    # commutes, so r1 + r0 + r2 + ... is r0 + r1 + r2 + ... bit for bit.
-    psi = vec.as_tensor()
-
-    def product(mode: int) -> np.ndarray:
-        return np.moveaxis(np.tensordot(mat, psi, axes=([1], [mode])), 0, mode)
-
-    order = [1, 0, *range(2, state.modes)] if state.modes > 1 else [0]
-    summed = np.ascontiguousarray(product(order[0]))
-    for mode in order[1:]:
-        summed += product(mode)
+    summed = apply_single_mode(mat, vec, 0).amplitudes
+    for mode in range(1, state.modes):
+        summed += apply_single_mode(mat, vec, mode).amplitudes
     e1 = float(np.vdot(amps, summed).real)
     e2 = float(np.vdot(summed, summed).real)
     numeric = e2 - e1 * e1

@@ -54,9 +54,16 @@ def _gauss(gamma, center):
         return np.exp(-2.0 * (np.abs(g - center) ** 2))
 
 
-def _fringe_phase(gamma, alpha):
+def _fringe_phase(gamma, alpha, env):
+    """4 Im(conj(alpha) gamma), taken as 0 wherever the envelope ``env`` is 0.
+
+    Far from the origin the product can overflow, and cos(inf) is NaN, but
+    the envelope has underflowed there, so env cos and env sin are exactly 0.
+    """
     g = np.asarray(gamma, dtype=complex)
-    return 4.0 * (np.conjugate(alpha) * g).imag
+    with np.errstate(over="ignore"):
+        theta = 4.0 * (np.conjugate(alpha) * g).imag
+    return np.where(env == 0.0, 0.0, theta)
 
 
 def wigner_coherent(gamma, alpha):
@@ -71,7 +78,8 @@ def wigner_cat(gamma, alpha, parity: int = 1):
         hcs_norms(alpha)  # refuses where the odd branch degenerates
     w = branch_overlap(alpha)
     norm_sq = 2.0 + 2.0 * parity * w
-    cross = 2.0 * _gauss(gamma, 0.0) * np.cos(_fringe_phase(gamma, alpha))
+    env = _gauss(gamma, 0.0)
+    cross = 2.0 * env * np.cos(_fringe_phase(gamma, alpha, env))
     num = _gauss(gamma, alpha) + _gauss(gamma, -alpha) + parity * cross
     return (2.0 / math.pi) * num / norm_sq
 
@@ -91,8 +99,9 @@ def wigner_omega(gammas, alpha, modes: int | None = None):
     norm_sq = 2.0 + 2.0 * w ** n
     plus = np.prod(_gauss(g, alpha), axis=-1)
     minus = np.prod(_gauss(g, -alpha), axis=-1)
-    cross = 2.0 * np.prod(_gauss(g, 0.0), axis=-1) * np.cos(
-        np.sum(_fringe_phase(g, alpha), axis=-1)
+    env = _gauss(g, 0.0)
+    cross = 2.0 * np.prod(env, axis=-1) * np.cos(
+        np.sum(_fringe_phase(g, alpha, env), axis=-1)
     )
     return (2.0 / math.pi) ** n * (plus + minus + cross) / norm_sq
 
@@ -111,7 +120,7 @@ def wigner_hcs2(gamma1, gamma2, alpha):
         gp = _gauss(gamma, alpha)
         gm = _gauss(gamma, -alpha)
         env = _gauss(gamma, 0.0)
-        theta = _fringe_phase(gamma, alpha)
+        theta = _fringe_phase(gamma, alpha, env)
         num_e = gp + gm + 2.0 * env * np.cos(theta)
         num_o = gp + gm - 2.0 * env * np.cos(theta)
         diff = gp - gm

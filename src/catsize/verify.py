@@ -30,7 +30,6 @@ from .closed_forms import (
     mode_loss_offdiag,
     mode_loss_offdiag_mean,
     number_variance_omega,
-    omega_norm,
     quadrature_variance_omega,
     rqfi_bound_bounded,
     rqfi_bound_quadrature,
@@ -39,7 +38,6 @@ from .errors import DomainError
 from .fock import (
     MAX_JOINT_DIM,
     FockVector,
-    apply_split_network,
     build_state,
     coherent_vector,
     default_cutoff,
@@ -144,58 +142,38 @@ def _random_points(rng, count: int, radius: float) -> np.ndarray:
     )
 
 
-def _fidelity_gap(out: FockVector, target: FockVector) -> float:
-    """1 - fidelity of ``out`` against ``target``."""
-    overlap = np.vdot(target.amplitudes, out.amplitudes)
-    fid = abs2(overlap) / (target.norm() ** 2 * out.norm() ** 2)
-    return 1.0 - fid
+def network_gap(m: int, branches) -> float:
+    """1 - fidelity of the splitting network output against sum_b |b>^m.
 
-
-def network_coherent_gap(m: int, alpha: complex) -> float:
-    """1 - fidelity of the splitting network output against |alpha>^m.
-
-    The output is read slab by slab (``split_network_slabs``): each corner
-    slab's overlap with the product target is contracted one mode at a time
-    against conj(leaf)[:e], each step one matrix-vector product over the slab
-    reshaped to (-1, e), and its squared norm is added to the output's.  The
-    amplitudes outside the corners are zero.  The target norm is
-    ||leaf||^(2m).  Neither the output nor the target vector is built.
+    The head is sum_b |sqrt(m) b>, one coherent state per amplitude in
+    ``branches``.  The output is read slab by slab (``split_network_slabs``):
+    each corner slab's overlap with each branch's product |b>^m is contracted
+    one mode at a time against conj(leaf_b)[:e], each step one matrix-vector
+    product over the slab reshaped to (-1, e), and its squared norm is added
+    to the output's.  The amplitudes outside the corners are zero.  The
+    target's squared norm is sum_{u,v} <u|v>^m over the truncated leaves.
+    Fidelity is scale-free, so neither side is normalized, and neither the
+    output nor the target vector is built.
     """
-    peak = math.sqrt(m) * abs(alpha)
+    peak = math.sqrt(m) * max(abs(b) for b in branches)
     afford = int(MAX_JOINT_DIM ** (1.0 / m)) - 1
     cutoff = min(default_cutoff(peak), afford)
-    head = coherent_vector(math.sqrt(m) * alpha, cutoff)
-    leaf = coherent_vector(alpha, cutoff).amplitudes
-    bra = leaf.conj()
+    head = sum(coherent_vector(math.sqrt(m) * b, cutoff).amplitudes for b in branches)
+    leaves = [coherent_vector(b, cutoff).amplitudes for b in branches]
+    bras = [leaf.conj() for leaf in leaves]
     overlap, out_norm2, start = 0j, 0.0, 0
-    for slab in split_network_slabs(head, m):
+    for slab in split_network_slabs(FockVector(cutoff, 1, head), m):
         rows, e = len(slab), slab.shape[-1]
-        part = slab
-        for _ in range(m - 1):
-            part = part.reshape(-1, e) @ bra[:e]
-        overlap += complex(part @ bra[start : start + rows])
+        for bra in bras:
+            part = slab
+            for _ in range(m - 1):
+                part = part.reshape(-1, e) @ bra[:e]
+            overlap += complex(part @ bra[start : start + rows])
         out_norm2 += float(np.vdot(slab, slab).real)
         start += rows
-    leaf_norm2 = float(np.vdot(leaf, leaf).real)
-    fid = abs2(overlap) / (leaf_norm2**m * out_norm2)
+    target_norm2 = float(sum(np.vdot(u, v) ** m for u in leaves for v in leaves).real)
+    fid = abs2(overlap) / (target_norm2 * out_norm2)
     return 1.0 - fid
-
-
-def network_superposition_gap(modes: int, alpha: complex) -> float:
-    """1 - fidelity of the split one-mode cat against the ``modes``-mode cat.
-
-    The head is the one-mode cat at +-sqrt(modes) alpha, scaled by the
-    ``modes``-mode normalization, so the network output should equal the
-    target vector itself.
-    """
-    cutoff = default_cutoff(math.sqrt(modes) * abs(alpha))
-    root = math.sqrt(modes) * complex(alpha)
-    plus = coherent_vector(root, cutoff).amplitudes
-    minus = coherent_vector(-root, cutoff).amplitudes
-    head = FockVector(cutoff, 1, (plus + minus) * omega_norm(modes, alpha))
-    omega = CatStateSpec(family=CatFamily.OMEGA, modes=modes, alpha=alpha)
-    target = build_state(omega, cutoff=cutoff)
-    return _fidelity_gap(apply_split_network(head, modes), target)
 
 
 def wigner_gap(spec: CatStateSpec, closed, points) -> float:
@@ -358,8 +336,8 @@ _check("marquardt-displaced-pmf")(lambda rng, seed: _row_gap(_marquardt_rows()[0
 _check("marquardt-branch-mean")(lambda rng, seed: _row_gap(_marquardt_rows()[1]))
 
 
-_check("network-coherent-m2")(lambda rng, seed: (network_coherent_gap(2, 0.5), 1e-8))
-_check("network-coherent-m3")(lambda rng, seed: (network_coherent_gap(3, 0.5), 1e-8))
+_check("network-coherent-m2")(lambda rng, seed: (network_gap(2, [0.5]), 1e-8))
+_check("network-coherent-m3")(lambda rng, seed: (network_gap(3, [0.5]), 1e-8))
 
 
 @_check("wigner-even-cat-closed-vs-numeric")
@@ -476,13 +454,13 @@ def _vacuum_axiom(rng, seed):
 
 
 _check("network-coherent-m4-alpha1", FULL)(
-    lambda rng, seed: (network_coherent_gap(4, 1.0), 1e-8)
+    lambda rng, seed: (network_gap(4, [1.0]), 1e-8)
 )
 _check("network-coherent-m4-alpha1.5", FULL)(
-    lambda rng, seed: (network_coherent_gap(4, 1.5), 1e-8)
+    lambda rng, seed: (network_gap(4, [1.5]), 1e-8)
 )
 _check("network-superposition-n3", FULL)(
-    lambda rng, seed: (network_superposition_gap(3, 0.8), 1e-8)
+    lambda rng, seed: (network_gap(3, [0.8, -0.8]), 1e-8)
 )
 _check("wigner-hcs2-dense", FULL)(
     lambda rng, seed: (wigner_gap_hcs2(rng, 1.5, 200, 2.0), 1e-6)

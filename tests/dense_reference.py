@@ -1,11 +1,15 @@
-"""Reference routes for the tests: projectors, the trace norm and the
-general two-mode applier.
+"""Reference routes for the tests: projectors, the trace norm, Kronecker
+products of vectors, the whole splitting-network output and the general
+two-mode applier.
 
 The package builds no operator on more than one mode; these plain arrays are
 the full-matrix route its compressed oracles are checked against.  The
-package's splitting network only ever mixes a mode with one in vacuum; the
-number-conserving two-mode unitaries below (every photon-number block, any
-input, any mode pair) are the general route that network is checked against.
+package reads the splitting network output only slab by slab and builds its
+product targets only by contraction; ``tensor`` and ``apply_split_network``
+build both as whole vectors.  The package's splitting network only ever
+mixes a mode with one in vacuum; the number-conserving two-mode unitaries
+below (every photon-number block, any input, any mode pair) are the general
+route that network is checked against.
 """
 
 import functools
@@ -15,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from catsize.errors import DomainError, SizingError
-from catsize.fock import MAX_JOINT_DIM, FockVector
+from catsize.fock import MAX_JOINT_DIM, FockVector, split_network_slabs
 
 
 def projector(amplitudes) -> np.ndarray:
@@ -27,6 +31,41 @@ def projector(amplitudes) -> np.ndarray:
 def trace_norm(mat: np.ndarray) -> float:
     """Sum of absolute eigenvalues of a Hermitian array."""
     return float(np.sum(np.abs(np.linalg.eigvalsh(mat))))
+
+
+def tensor(*parts: FockVector) -> FockVector:
+    """Kronecker product of FockVectors with equal cutoffs."""
+    if not parts:
+        raise DomainError("tensor needs at least one argument")
+    if not all(isinstance(p, FockVector) for p in parts):
+        raise DomainError("tensor arguments must be FockVectors")
+    cutoffs = {p.cutoff for p in parts}
+    if len(cutoffs) != 1:
+        raise DomainError(f"tensor requires a shared cutoff, got {sorted(cutoffs)}")
+    modes = sum(p.modes for p in parts)
+    # refuse before the kron products allocate the full vector
+    dim = (parts[0].cutoff + 1) ** modes
+    if dim > MAX_JOINT_DIM:
+        raise SizingError(f"joint dimension {dim} exceeds MAX_JOINT_DIM = {MAX_JOINT_DIM}")
+    amps = functools.reduce(np.kron, [p.amplitudes for p in parts])
+    return FockVector(cutoff=parts[0].cutoff, modes=modes, amplitudes=amps)
+
+
+def apply_split_network(head: FockVector, modes: int) -> FockVector:
+    """The whole output of ``split_network_slabs`` as one FockVector.
+
+    Each corner slab is copied into one zeroed output buffer allocated after
+    the network's own checks, so one joint vector and one slab are alive at
+    a time.
+    """
+    slabs = split_network_slabs(head, modes)
+    d = head.cutoff + 1
+    out = np.zeros((d,) * modes, dtype=complex)
+    start = 0
+    for slab in slabs:
+        out[(slice(start, start + len(slab)),) + (slice(d - start),) * (modes - 1)] = slab
+        start += len(slab)
+    return FockVector(head.cutoff, modes, out.reshape(-1))
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 import pytest
-from dense_reference import projector, trace_norm
+from dense_reference import projector, tensor, trace_norm
 
 from catsize.closed_forms import (
     CatFamily,
@@ -36,7 +36,6 @@ from catsize.fock import (
     build_state,
     coherent_vector,
     default_cutoff,
-    tensor,
     total_photon_pmf,
 )
 from catsize.measures import (
@@ -55,8 +54,7 @@ from catsize.simulate import (
 )
 from catsize.verify import (
     matched_intensity_beta,
-    network_coherent_gap,
-    network_superposition_gap,
+    network_gap,
     wigner_gap_hcs2,
     wigner_gap_hcs2_spots,
 )
@@ -135,10 +133,10 @@ def test_criterion_02_pure_state_trace_norm_identity():
 def test_criterion_03_splitting_network_fidelities():
     worst = 0.0
     for m, alpha in itertools.product((2, 3, 4), (0.5, 1.0, 1.5)):
-        gap = network_coherent_gap(m, alpha)
+        gap = network_gap(m, [alpha])
         worst = max(worst, gap)
         assert gap <= 1e-8, f"M={m}, alpha={alpha}: fidelity gap {gap:.3e}"
-    cat_gap = network_superposition_gap(3, 0.8)
+    cat_gap = network_gap(3, [0.8, -0.8])
     assert cat_gap <= 1e-8, f"cat-splitting fidelity gap {cat_gap:.3e}"
     print(
         "criterion 03: PASS - worst coherent gap "

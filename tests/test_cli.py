@@ -4,6 +4,7 @@ Every command is exercised the way a user would run it, and the JSON
 envelope on stdout is checked against the schema shipped in the package.
 """
 
+import dataclasses
 import json
 import math
 import re
@@ -27,6 +28,7 @@ from catsize.measures import (
     rqfi_size,
     wigner_empirical_size,
 )
+from catsize.phase_space import wigner_grid
 
 SCHEMA_PATH = Path(catsize.__file__).parent / "data" / "envelope.schema.json"
 
@@ -356,17 +358,44 @@ def test_json_export_two_mode_payload(tmp_path):
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_non_finite_grid_export_exits_3_and_writes_no_file(fmt, tmp_path):
-    # at |gamma| = 1e300 the fringe phase overflows and 0 * cos(inf) is NaN;
-    # the CSV path used to write those rows before the envelope refused them
+def test_non_finite_grid_export_exits_3_and_writes_no_file(fmt, tmp_path, monkeypatch, capsys):
+    # no closed form yields a NaN on a finite grid any more, so one is planted
+    # in the grid; the CSV path used to write those rows before the envelope
+    # refused them
+    def nan_grid(state, axes):
+        grid = wigner_grid(state, axes)
+        values = grid.values.copy()
+        values[0, 0] = math.nan
+        return dataclasses.replace(grid, values=values)
+
+    monkeypatch.setattr("catsize.cli.wigner_grid", nan_grid)
     out = tmp_path / f"w.{fmt}"
-    proc = run_cli("wigner", "--state", "even-cat", "--alpha", "1e10",
-                   "--grid", "-1e300:1e300:5", "--format", fmt, "--out", str(out))
-    assert proc.returncode == 3
-    assert proc.stdout == ""
-    assert proc.stderr.splitlines()[-1].startswith("error: ")
-    assert "Traceback" not in proc.stderr
+    code = main(["wigner", "--state", "even-cat", "--alpha", "1", "--grid=-2:2:5",
+                 "--format", fmt, "--out", str(out)])
+    stdout, err = capsys.readouterr()
+    assert code == 3
+    assert stdout == ""
+    assert err.splitlines()[-1].startswith("error: ")
+    assert "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "state, origin",
+    [("even-cat", 2 / math.pi), ("odd-cat", -2 / math.pi), ("coherent", 0.0),
+     ("omega", 4 / math.pi**2), ("hcs2", 4 / math.pi**2)],
+)
+def test_far_grid_reads_exact_zeros_off_the_origin(state, origin, capsys):
+    # at |gamma| >= 5e299 every Gaussian has underflowed and the fringe phase
+    # overflows; 0 * cos(inf) used to be NaN there, and the run exited 3
+    code = main(["wigner", "--state", state, "--alpha", "1e10",
+                 "--grid=-1e300:1e300:5", "--format", "json"])
+    out, err = capsys.readouterr()
+    assert code == 0
+    assert err == ""
+    values = json.loads(out)["results"]["grid"]["values"]
+    assert values[12] == pytest.approx(origin, rel=1e-15)
+    assert values[:12] + values[13:] == [0.0] * 24
 
 
 def test_json_grid_inline_when_no_out():

@@ -6,10 +6,12 @@ import tracemalloc
 import numpy as np
 import pytest
 from dense_reference import (
+    apply_split_network,
     apply_two_mode,
     beamsplitter_kernel,
     coherent_mixer_kernel,
     projector,
+    tensor,
     trace_norm,
 )
 
@@ -27,7 +29,6 @@ from catsize.fock import (
     MAX_JOINT_DIM,
     FockVector,
     apply_single_mode,
-    apply_split_network,
     build_state,
     cat_split_thetas,
     coherent_vector,
@@ -36,10 +37,9 @@ from catsize.fock import (
     kitten_vectors,
     mode_ops,
     split_network_slabs,
-    tensor,
     total_photon_pmf,
 )
-from catsize.verify import network_coherent_gap
+from catsize.verify import network_gap
 
 
 def vacuum(cutoff: int) -> FockVector:
@@ -372,24 +372,29 @@ def test_vacuum_mixers_share_block_eigenpairs_across_cutoffs():
 
 
 @pytest.mark.parametrize("m", [2, 3, 4])
-def test_contracted_overlap_matches_the_dense_target(m):
+@pytest.mark.parametrize("signs", [(1,), (1, -1)], ids=["coherent", "cat"])
+def test_contracted_overlap_matches_the_dense_target(m, signs):
     # at m = 4 the cutoff is 29 and the 30**4 output spans 15 slabs; the two
     # routes then sum 810000 terms in different orders, and differed by
-    # 5.8e-15 already when the output was one buffer
-    tolerance = 1e-15 if m < 4 else 1e-14
+    # 5.8e-15 already when the output was one buffer; the cat's dense target
+    # adds a second Kronecker product to every amplitude, which doubles the
+    # rounding the dense route brings (1.6e-15 at m = 3)
+    tolerance = (1e-15 if m < 4 else 1e-14) * len(signs)
     alpha = 0.4 + 0.3j
+    branches = [sign * alpha for sign in signs]
     cutoff = default_cutoff(math.sqrt(m) * alpha)
-    head = coherent_vector(math.sqrt(m) * alpha, cutoff)
-    leaf = coherent_vector(alpha, cutoff)
-    dense_gap = 1.0 - fidelity(apply_split_network(head, m), tensor(*([leaf] * m)))
-    assert abs(network_coherent_gap(m, alpha) - dense_gap) <= tolerance
+    head = sum(coherent_vector(math.sqrt(m) * b, cutoff).amplitudes for b in branches)
+    out = apply_split_network(FockVector(cutoff, 1, head), m)
+    target = sum(tensor(*([coherent_vector(b, cutoff)] * m)).amplitudes for b in branches)
+    dense_gap = 1.0 - fidelity(out, FockVector(cutoff, m, target))
+    assert abs(network_gap(m, branches) - dense_gap) <= tolerance
 
 
 def coherent_network_peak() -> int:
-    """Peak bytes traced by tracemalloc over network_coherent_gap(4, 1.5)."""
+    """Peak bytes traced by tracemalloc over network_gap(4, [1.5])."""
     tracemalloc.start()
     try:
-        network_coherent_gap(4, 1.5)
+        network_gap(4, [1.5])
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from dense_reference import projector, trace_norm
+from dense_reference import projector, tensor, trace_norm
 
 from catsize.closed_forms import (
     CatFamily,
@@ -25,7 +25,6 @@ from catsize.fock import (
     coherent_vector,
     default_cutoff,
     mode_ops,
-    tensor,
 )
 from catsize.measures import (
     RQFI_VARIANCE_TOL,
@@ -295,6 +294,38 @@ def test_rqfi_oracle_runs_wherever_the_joint_vector_fits(state, family):
     assert oracle["generator"] == res.diagnostics["achieving_generator"]
     assert (oracle["cutoff"] + 1) ** state.modes <= MAX_JOINT_DIM
     assert oracle["difference"] <= 1e-7
+
+
+def test_rqfi_oracle_holds_three_joint_vectors():
+    # at four modes and alpha = 1.5 the cutoff is 43 and one joint vector is
+    # 44**4 amplitudes (60.0 MB): the state, the sum over modes and one
+    # single-mode product; the tensordot route copied the state for every
+    # middle mode and peaked at four
+    rqfi_size(omega(4, 1.5), QN)
+    tracemalloc.start()
+    try:
+        oracle = rqfi_size(omega(4, 1.5), QN, oracle=True).diagnostics["oracle"]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert oracle["cutoff"] == 43
+    assert peak / (16 * 44**4) < 3.2
+
+
+@pytest.mark.parametrize(
+    "state, family, pinned",
+    [
+        (omega(4, 1.5), QN, "0x1.27ffffb6694b8p+6"),
+        (hcs(3, 1.0), "spin-sandwich", "0x1.8ae15bebcb989p+3"),
+        (omega(3, 0.7), "bounded-local", "0x1.f9585b8af578cp+2"),
+    ],
+)
+def test_rqfi_oracle_variance_is_pinned_bitwise(state, family, pinned):
+    # each single-mode product is one matmul on the same operands in the
+    # same layout, and IEEE addition commutes, so the sum over modes must
+    # not move a bit whichever applier forms it
+    oracle = rqfi_size(state, family, oracle=True).diagnostics["oracle"]
+    assert oracle["numeric_variance"].hex() == pinned
 
 
 def test_rqfi_oracle_reports_unaffordable_budgets():
