@@ -1,5 +1,8 @@
 """Command-line surface: measures, simulations, grid export, verification.
 
+It parses flags, dispatches to the modules and serializes their results;
+every check row comes from the module that owns its route.
+
 Every command prints one JSON result envelope on stdout with sorted keys and
 round-trip floats, so identical inputs produce byte-identical output except
 for the timing field.  Exit codes: 0 success, 1 a failed check row in any
@@ -25,14 +28,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .closed_forms import (
-    CatFamily,
-    CatStateSpec,
-    check_row,
-    distill_expected_n,
-    mode_loss_offdiag,
-    mode_loss_offdiag_mean,
-)
+from .closed_forms import CatFamily, CatStateSpec
 from .errors import DomainError, SizingError, TruncationError
 from .measures import (
     branch_dist_size,
@@ -47,13 +43,16 @@ from .phase_space import (
     extract_features,
     grid_line,
     grid_to_json,
+    plane_axes,
     wigner_grid,
     write_grid_csv,
 )
 from .simulate import (
     CollapseProblem,
     _check_seed,
-    sampling_row,
+    collapse_rows,
+    distillation_rows,
+    mode_loss_rows,
     simulate_branch_collapse,
     simulate_distillation,
     simulate_mode_loss,
@@ -266,26 +265,23 @@ def _envelope(argv, inputs, results, checks, started) -> dict:
 
 def _run_measure(args) -> tuple[dict, dict, list]:
     sub = args.subcommand
+    # every measure --state choice is a CatFamily value
+    family = CatFamily(getattr(args, "state", "omega"))
+    state = CatStateSpec(family=family, modes=args.modes, alpha=args.alpha)
     if sub == "rqfi":
-        fam = CatFamily.HCS if args.state == "hcs" else CatFamily.OMEGA
-        state = CatStateSpec(family=fam, modes=args.modes, alpha=args.alpha)
         result = rqfi_size(state, args.family, oracle=True)
     elif sub == "wigner-empirical":
-        fam = CatFamily.EVEN_CAT if args.state == "even-cat" else CatFamily.OMEGA
-        state = CatStateSpec(family=fam, modes=args.modes, alpha=args.alpha)
         result = wigner_empirical_size(state)
+    elif sub == "branch-dist":
+        result = branch_dist_size(state, args.delta)
+    elif sub == "branch-dist-real":
+        result = branch_dist_size_real(state, args.delta)
+    elif sub == "marquardt":
+        result = marquardt_size(state, numeric_check=args.numeric_check)
+    elif sub == "distill":
+        result = distillation_size(state)
     else:
-        state = CatStateSpec(family=CatFamily.OMEGA, modes=args.modes, alpha=args.alpha)
-        if sub == "branch-dist":
-            result = branch_dist_size(state, args.delta)
-        elif sub == "branch-dist-real":
-            result = branch_dist_size_real(state, args.delta)
-        elif sub == "marquardt":
-            result = marquardt_size(state, numeric_check=args.numeric_check)
-        elif sub == "distill":
-            result = distillation_size(state)
-        else:
-            result = mode_loss_size(state, args.lam)
+        result = mode_loss_size(state, args.lam)
 
     inputs = {"subcommand": sub, "modes": state.modes, "alpha": state.alpha}
     for key in ("delta", "lam", "family", "state", "numeric_check"):
@@ -296,42 +292,20 @@ def _run_measure(args) -> tuple[dict, dict, list]:
 
 def _run_simulate(args) -> tuple[dict, dict, list]:
     sub = args.subcommand
-    checks = []
     if sub == "distill":
         stats = simulate_distillation(args.modes, args.alpha, args.trials, args.seed)
-        expected = distill_expected_n(args.modes, args.alpha)
-        checks.append(
-            sampling_row("mean-vs-closed-form", stats.mean, expected, stats.std_error)
-        )
-        results = {"stats": stats, "expected_n_closed": expected}
+        checks = distillation_rows(stats, args.modes, args.alpha)
+        results = {"stats": stats, "expected_n_closed": checks[0]["expected"]}
         inputs = {"subcommand": sub, "modes": args.modes}
     elif sub == "mode-loss":
         stats = simulate_mode_loss(args.modes, args.alpha, args.lam, args.trials, args.seed)
-        expected = mode_loss_offdiag(args.modes, args.alpha, args.lam)
-        checks.append(
-            sampling_row("mean-vs-closed-form", stats.mean, expected, stats.std_error)
-        )
-        checks.append(
-            sampling_row(
-                "arithmetic-mean-vs-closed-form",
-                stats.extra["arithmetic_mean"],
-                mode_loss_offdiag_mean(args.modes, args.alpha, args.lam),
-                stats.extra["arithmetic_std_error"],
-            )
-        )
-        results = {"stats": stats, "offdiag_closed": expected}
+        checks = mode_loss_rows(stats, args.modes, args.alpha, args.lam)
+        results = {"stats": stats, "offdiag_closed": checks[0]["expected"]}
         inputs = {"subcommand": sub, "modes": args.modes, "lambda": args.lam}
     else:
         problem = CollapseProblem(args.problem)
         stats = simulate_branch_collapse(args.alpha, args.trials, args.seed, problem)
-        name = "mean-vs-exact-probability"
-        if problem is CollapseProblem.CAT_VS_MIXED:
-            # the cat is an eigenvector of the measurement: every trial reads "cat"
-            checks.append(check_row(name, stats.mean, 1.0, 0.0))
-        else:
-            branch = problem is CollapseProblem.CAT_VS_BRANCH
-            key = "p_alpha_given_branch_exact" if branch else "p_first_outcome_exact"
-            checks.append(sampling_row(name, stats.mean, stats.extra[key], stats.std_error))
+        checks = collapse_rows(stats, problem)
         results = {"stats": stats}
         inputs = {"subcommand": sub, "problem": args.problem}
     inputs.update({"alpha": args.alpha, "trials": args.trials, "seed": args.seed})
@@ -350,27 +324,12 @@ _WIGNER_FAMILIES = {
 def _run_wigner(args) -> tuple[dict, dict, list]:
     lo, hi, steps = args.grid
     line = grid_line(lo, hi, steps)
-    family = _WIGNER_FAMILIES[args.state]
     single = args.state in ("even-cat", "odd-cat", "coherent")
-    if single:
-        if args.slice is not None:
-            raise _UsageError("--slice applies to two-mode states only")
-        state = CatStateSpec(family=family, modes=1, alpha=args.alpha)
-        grid = wigner_grid(state, {"re": line, "im": line})
-    else:
-        state = CatStateSpec(family=family, modes=2, alpha=args.alpha)
-        if args.slice is not None:
-            grid = wigner_grid(
-                state,
-                {
-                    "re1": line,
-                    "im1": line,
-                    "re2": args.slice.real,
-                    "im2": args.slice.imag,
-                },
-            )
-        else:
-            grid = wigner_grid(state, {"re1": line, "im1": 0.0, "re2": line, "im2": 0.0})
+    if single and args.slice is not None:
+        raise _UsageError("--slice applies to two-mode states only")
+    family, modes = _WIGNER_FAMILIES[args.state], 1 if single else 2
+    state = CatStateSpec(family=family, modes=modes, alpha=args.alpha)
+    grid = wigner_grid(state, plane_axes(modes, line, args.slice))
     results = {
         "state": grid.state,
         "convention": grid.convention,
@@ -395,7 +354,7 @@ def _run_wigner(args) -> tuple[dict, dict, list]:
                 write_grid_csv(grid, handle)
         else:
             # serialized first, so a refused payload opens no file
-            payload = _dumps(_jsonify(grid_to_json(grid))) + "\n"
+            payload = _dumps(grid_to_json(grid)) + "\n"
             with open(args.out, "w", encoding="ascii") as handle:
                 handle.write(payload)
         results["out"] = args.out

@@ -67,10 +67,10 @@ class MeasureParams:
     family: GeneratorKind | tuple[GeneratorKind, ...] | None = None
 
     def __post_init__(self):
-        if self.delta is not None and not 0.0 < self.delta < 0.5:
-            raise DomainError(f"delta must lie in (0, 1/2), got {self.delta}")
-        if self.lam is not None and not 0.0 <= self.lam <= 1.0:
-            raise DomainError(f"lambda must lie in [0, 1], got {self.lam}")
+        if self.delta is not None:
+            _check_delta(self.delta)
+        if self.lam is not None:
+            _check_lam(self.lam)
 
 
 def check_row(name: str, observed, expected, tolerance: float | None) -> dict:
@@ -278,7 +278,8 @@ def rqfi_bound_bounded(modes: int, alpha) -> float:
     a = abs2(alpha)
     w2 = math.exp(-4.0 * a)
     big_w = math.exp(-2.0 * modes * a)
-    return (modes * (1.0 - w2) + w2 + big_w) / (1.0 + big_w)
+    # -expm1 keeps 1 - e^{-4a} exact where e^{-4a} is near 1
+    return (modes * -math.expm1(-4.0 * a) + w2 + big_w) / (1.0 + big_w)
 
 
 def rqfi_bound_quadrature(modes: int, alpha) -> float:

@@ -63,6 +63,7 @@ from .phase_space import (
     default_feature_window,
     extract_features,
     grid_line,
+    plane_axes,
     widest_separation,
     wigner_grid,
 )
@@ -794,12 +795,7 @@ def wigner_empirical_size(state: CatStateSpec, steps: int | None = None) -> Meas
     lo, hi, default_steps = default_feature_window(state.alpha)
     count = steps if steps is not None else default_steps
     line = grid_line(lo, hi, count)
-    if state.modes == 1:
-        grid = wigner_grid(state, {"re": line, "im": line})
-    else:
-        grid = wigner_grid(
-            state, {"re1": line, "im1": 0.0, "re2": line, "im2": 0.0}
-        )
+    grid = wigner_grid(state, plane_axes(state.modes, line))
     features = extract_features(grid)
     sep = widest_separation([
         [c for z in loc for c in (z.real, z.imag)]

@@ -312,6 +312,17 @@ def _axis_array(value) -> np.ndarray:
     return arr
 
 
+def plane_axes(modes: int, line, gamma2: complex | None = None) -> dict:
+    """The ``wigner_grid`` axes of a plane scanned along ``line``: one mode's
+    (re, im); for two modes the real-real plane (re1, re2), where the branch
+    lobes sit, or with ``gamma2`` the (re1, im1) plane at that second-mode point."""
+    if modes == 1:
+        return {"re": line, "im": line}
+    if gamma2 is None:
+        return {"re1": line, "im1": 0.0, "re2": line, "im2": 0.0}
+    return {"re1": line, "im1": line, "re2": gamma2.real, "im2": gamma2.imag}
+
+
 def wigner_grid(state: CatStateSpec, axes) -> WignerGrid:
     """Evaluate the closed-form Wigner function over a rectangular grid.
 

@@ -30,7 +30,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .closed_forms import abs2, branch_overlap, check_row, hcs_norms
+from .closed_forms import (
+    abs2,
+    branch_overlap,
+    check_row,
+    distill_expected_n,
+    hcs_norms,
+    mode_loss_offdiag,
+    mode_loss_offdiag_mean,
+)
 from .errors import DomainError
 
 SEED_SCHEME = "philox(key=(seed, trajectory_index))"
@@ -281,6 +289,13 @@ def simulate_distillation(modes: int, alpha, trials: int, seed: int) -> Trajecto
     )
 
 
+def distillation_rows(stats: TrajectoryStats, modes: int, alpha) -> list[dict]:
+    """The check row of a distillation run: its mean split count against
+    the closed form."""
+    expected = distill_expected_n(modes, alpha)
+    return [sampling_row("mean-vs-closed-form", stats.mean, expected, stats.std_error)]
+
+
 # ---------------------------------------------------------------------------
 # probabilistic mode loss
 # ---------------------------------------------------------------------------
@@ -342,6 +357,18 @@ def simulate_mode_loss(
             "ghz_std_error": ghz_se,
         },
     )
+
+
+def mode_loss_rows(stats: TrajectoryStats, modes: int, alpha, lam: float) -> list[dict]:
+    """The check rows of a mode-loss run: the geometric mean against
+    mode_loss_offdiag, the arithmetic mean against mode_loss_offdiag_mean."""
+    closed = mode_loss_offdiag(modes, alpha, lam)
+    closed_mean = mode_loss_offdiag_mean(modes, alpha, lam)
+    arith, arith_se = stats.extra["arithmetic_mean"], stats.extra["arithmetic_std_error"]
+    return [
+        sampling_row("mean-vs-closed-form", stats.mean, closed, stats.std_error),
+        sampling_row("arithmetic-mean-vs-closed-form", arith, closed_mean, arith_se),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -468,6 +495,18 @@ def simulate_branch_collapse(
             "asymptote": 0.5 + 0.5 / math.sqrt(2.0),
         },
     )
+
+
+def collapse_rows(stats: TrajectoryStats, problem: CollapseProblem) -> list[dict]:
+    """The check row of a collapse run: its mean against the exact probability
+    the run reports (an exact 1 for CAT_VS_MIXED)."""
+    name = "mean-vs-exact-probability"
+    if problem is CollapseProblem.CAT_VS_MIXED:
+        # the cat is an eigenvector of the measurement: every trial reads "cat"
+        return [check_row(name, stats.mean, 1.0, 0.0)]
+    branch = problem is CollapseProblem.CAT_VS_BRANCH
+    key = "p_alpha_given_branch_exact" if branch else "p_first_outcome_exact"
+    return [sampling_row(name, stats.mean, stats.extra[key], stats.std_error)]
 
 
 def _check_trials(trials: int):

@@ -2,11 +2,13 @@
 
 Each check is declared once, in order, with the suite it belongs to and a
 function of the shared generator and the seed that returns ``(observed,
-tolerance)``; the expected value is always 0, and a numeric route's tolerance
-comes from the module that owns the route.  The fast suite is the in-order
-prefix of the full suite.  Declaration order is part of the contract: the
-random checks draw from one ``default_rng(seed)`` in that order (only the
-replacement draws of ``vacuum-mixing-invariance`` come from a spare one).
+tolerance)``; the expected value is always 0.  A route owned by another
+module is read only through its public result: the row that module builds
+(``MeasureResult.checks``, ``simulate.*_rows``) gives the gap and tolerance.
+The fast suite is the in-order prefix of the full suite.  Declaration order
+is part of the contract: the random checks draw from one
+``default_rng(seed)`` in that order (only the replacement draws of
+``vacuum-mixing-invariance`` come from a spare one).
 """
 
 from __future__ import annotations
@@ -43,15 +45,7 @@ from .fock import (
     default_cutoff,
     split_network_slabs,
 )
-from .measures import (
-    TRACE_NORM_TOL,
-    branch_dist_size_real,
-    marquardt_size,
-    rqfi_size,
-    _branch_pair,
-    _trace_norm_check,
-    _two_branch_variance,
-)
+from .measures import branch_dist_size, branch_dist_size_real, marquardt_size, rqfi_size
 from .phase_space import (
     fringe_suppression_check,
     wigner_cat,
@@ -64,8 +58,10 @@ from .simulate import (
     CollapseProblem,
     _check_seed,
     build_distillation_povm,
+    collapse_rows,
     distillation_outcome_distribution,
-    sampling_row,
+    distillation_rows,
+    mode_loss_rows,
     simulate_branch_collapse,
     simulate_distillation,
     simulate_mode_loss,
@@ -224,7 +220,10 @@ def matched_intensity_beta(modes: int, alpha: complex):
 
 @_check("helstrom-closed-vs-trace-norm")
 def _helstrom(rng, seed):
-    return _trace_norm_check(1.0, 2, default_cutoff(1.0))["difference"], TRACE_NORM_TOL
+    # delta = 1e-3 puts n_eff at 2 modes for alpha = 1
+    state = CatStateSpec(family=CatFamily.OMEGA, modes=2, alpha=1.0)
+    (row,) = branch_dist_size(state, 1e-3).checks
+    return _row_gap(row)
 
 
 @_check("helstrom-monotone-in-modes")
@@ -285,16 +284,16 @@ def _collapse_basis(rng, seed):
 
 @_check("collapse-cat-vs-mixed")
 def _collapse_cat_mixed(rng, seed):
-    stats = simulate_branch_collapse(1.1, 2000, seed, CollapseProblem.CAT_VS_MIXED)
-    return 1.0 - stats.mean, 0.0
+    problem = CollapseProblem.CAT_VS_MIXED
+    stats = simulate_branch_collapse(1.1, 2000, seed, problem)
+    return _row_gap(collapse_rows(stats, problem)[0])
 
 
 @_check("collapse-branch-vs-branch-smoke")
 def _collapse_branch_smoke(rng, seed):
-    stats = simulate_branch_collapse(
-        math.sqrt(2.0), 2000, seed, CollapseProblem.BRANCH_VS_BRANCH
-    )
-    return _row_gap(sampling_row("mean", stats.mean, 0.5, stats.std_error))
+    problem = CollapseProblem.BRANCH_VS_BRANCH
+    stats = simulate_branch_collapse(math.sqrt(2.0), 2000, seed, problem)
+    return _row_gap(collapse_rows(stats, problem)[0])
 
 
 @_check("rqfi-bounded-unit-at-one-mode")
@@ -312,8 +311,8 @@ def _rqfi_gram_vs_fock(rng, seed):
 
 def _variance_identity(kind: GeneratorKind, closed) -> tuple[float, float]:
     """Best Gram-reduced variance of ``kind`` against ``closed`` at 3 modes."""
-    g, gens = _branch_pair(CatStateSpec(family=CatFamily.OMEGA, modes=3, alpha=0.8))
-    var = max(_two_branch_variance(gen, 3, g, 1.0, 1.0) for gen in gens if gen.kind is kind)
+    state = CatStateSpec(family=CatFamily.OMEGA, modes=3, alpha=0.8)
+    var = rqfi_size(state, kind.value).diagnostics["variance"]
     return abs(var - closed(3, 0.8)), 1e-9
 
 
@@ -388,8 +387,7 @@ def _distill_dp(rng, seed):
 @_check("simulate-distill-smoke")
 def _distill_smoke(rng, seed):
     stats = simulate_distillation(4, 0.8, 2000, seed)
-    expected = distill_expected_n(4, 0.8)
-    return _row_gap(sampling_row("mean", stats.mean, expected, stats.std_error))
+    return _row_gap(distillation_rows(stats, 4, 0.8)[0])
 
 
 @_check("mode-loss-rate-extremes")
@@ -416,8 +414,7 @@ def _mode_loss_binomial(rng, seed):
 @_check("simulate-mode-loss-smoke")
 def _mode_loss_smoke(rng, seed):
     stats = simulate_mode_loss(6, 1.0, 0.25, 2000, seed)
-    expected = mode_loss_offdiag(6, 1.0, 0.25)
-    return _row_gap(sampling_row("mean", stats.mean, expected, stats.std_error))
+    return _row_gap(mode_loss_rows(stats, 6, 1.0, 0.25)[0])
 
 
 @_check("vacuum-mixing-invariance")

@@ -29,6 +29,15 @@ from catsize.measures import (
     wigner_empirical_size,
 )
 from catsize.phase_space import wigner_grid
+from catsize.simulate import (
+    CollapseProblem,
+    collapse_rows,
+    distillation_rows,
+    mode_loss_rows,
+    simulate_branch_collapse,
+    simulate_distillation,
+    simulate_mode_loss,
+)
 
 SCHEMA_PATH = Path(catsize.__file__).parent / "data" / "envelope.schema.json"
 
@@ -247,6 +256,44 @@ def test_wigner_empirical_measure_cli():
 # ---------------------------------------------------------------------------
 # simulate envelopes
 # ---------------------------------------------------------------------------
+
+def _collapse(problem, alpha):
+    def rows():
+        stats = simulate_branch_collapse(alpha, 1500, 11, problem)
+        return collapse_rows(stats, problem)
+
+    return rows
+
+
+@pytest.mark.parametrize(
+    "argv, rows, closed_key",
+    [
+        ("distill --modes 5 --alpha 0.8 --trials 2000 --seed 7",
+         lambda: distillation_rows(simulate_distillation(5, 0.8 + 0j, 2000, 7), 5, 0.8 + 0j),
+         "expected_n_closed"),
+        ("mode-loss --modes 6 --alpha 1 --lambda 0.25 --trials 1500 --seed 11",
+         lambda: mode_loss_rows(
+             simulate_mode_loss(6, 1 + 0j, 0.25, 1500, 11), 6, 1 + 0j, 0.25
+         ),
+         "offdiag_closed"),
+        *[
+            (f"collapse --problem {problem.value} --alpha 1.4142 --trials 1500 --seed 11",
+             _collapse(problem, 1.4142 + 0j), None)
+            for problem in CollapseProblem
+        ],
+    ],
+    ids=["distill", "mode-loss", *(problem.value for problem in CollapseProblem)],
+)
+def test_simulate_prints_exactly_the_shared_rows(argv, rows, closed_key, capsys):
+    # simulate builds every row; the command only prints them
+    assert main(["simulate", *argv.split()]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    env, shared = json.loads(out), rows()
+    assert env["checks"] == json.loads(_dumps(shared))
+    if closed_key is not None:
+        assert env["results"][closed_key] == shared[0]["expected"]
+
 
 def test_distill_envelope_stats_and_check():
     env = envelope(

@@ -5,6 +5,7 @@ Fock-space or high-precision computation and are compared at tolerances well
 above double rounding noise.
 """
 
+import decimal
 import math
 
 import numpy as np
@@ -262,6 +263,24 @@ def test_bounded_ratio_frozen_and_limit():
     assert rqfi_bound_bounded(2, 1.5) == pytest.approx(1.9997532108480274, rel=1e-12)
     assert rqfi_bound_bounded(4, 1.5) == pytest.approx(3.9996297249034405, rel=1e-12)
     assert rqfi_bound_bounded(6, 4.0) == pytest.approx(6.0, abs=1e-9)
+
+
+def _bounded_ratio_reference(modes, alpha):
+    """rqfi_bound_bounded at 60 digits over the exact |alpha|^2 of the float."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        a = decimal.Decimal(alpha) ** 2
+        w2, big_w = (-4 * a).exp(), (-2 * modes * a).exp()
+        return float((modes * (1 - w2) + w2 + big_w) / (1 + big_w))
+
+
+@pytest.mark.parametrize(
+    "modes, alpha", [(10**6, 1e-5), (10**3, 1e-3), (1, 0.9), (2, 0.9), (4, 0.9)]
+)
+def test_bounded_ratio_matches_a_decimal_reference(modes, alpha):
+    # at small N|alpha|^2, 1 - e^{-4a} cancels unless it is taken as -expm1(-4a)
+    reference = _bounded_ratio_reference(modes, alpha)
+    assert abs(rqfi_bound_bounded(modes, alpha) - reference) <= 1e-15 * reference
 
 
 def test_quadrature_ratio_formula():

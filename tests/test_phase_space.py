@@ -20,6 +20,7 @@ from catsize.phase_space import (
     grid_line,
     grid_to_json,
     partial_trace_fringe_suppression,
+    plane_axes,
     wigner_cat,
     wigner_coherent,
     wigner_grid,
@@ -284,6 +285,15 @@ def test_grid_carries_axes_and_slice_spec():
     assert grid.convention == CONVENTION
     assert grid.slice_spec["fixed"] == {"im1": 0.3, "im2": -0.2}
     assert grid.slice_spec["alpha"] == [1.0, 0.0]
+
+
+def test_plane_axes_name_the_three_planes():
+    line = grid_line(-1.0, 1.0, 3)
+    assert plane_axes(1, line) == {"re": line, "im": line}
+    assert plane_axes(2, line) == {"re1": line, "im1": 0.0, "re2": line, "im2": 0.0}
+    assert plane_axes(2, line, 0.5 - 0.25j) == {
+        "re1": line, "im1": line, "re2": 0.5, "im2": -0.25,
+    }
 
 
 def test_grid_requires_every_axis():

@@ -1,18 +1,38 @@
 """Structure of the verify battery, and the seeds it once failed on."""
 
+import ast
+import math
+from pathlib import Path
+
 import pytest
 
-from catsize.closed_forms import CatFamily, CatStateSpec
+import catsize.verify
+from catsize.closed_forms import (
+    CatFamily,
+    CatStateSpec,
+    number_variance_omega,
+    quadrature_variance_omega,
+)
 from catsize.errors import DomainError
 from catsize.measures import (
     RQFI_VARIANCE_TOL,
     TRACE_NORM_TOL,
     TRANSFER_MEAN_TOL,
     TRANSFER_PMF_TOL,
+    branch_dist_size,
     marquardt_size,
     rqfi_size,
 )
-from catsize.verify import CHECKS, checks, run
+from catsize.simulate import (
+    CollapseProblem,
+    collapse_rows,
+    distillation_rows,
+    mode_loss_rows,
+    simulate_branch_collapse,
+    simulate_distillation,
+    simulate_mode_loss,
+)
+from catsize.verify import CHECKS, _row_gap, checks, run
 
 
 def test_registry_names_are_unique():
@@ -31,6 +51,14 @@ def test_suite_sizes_match_the_readme():
     assert (len(checks("fast")), len(checks("full"))) == (27, 34)
 
 
+def _omega(modes, alpha):
+    return CatStateSpec(family=CatFamily.OMEGA, modes=modes, alpha=alpha)
+
+
+def _collapse_row(alpha, problem):
+    return collapse_rows(simulate_branch_collapse(alpha, 2000, 0, problem), problem)[0]
+
+
 def test_route_rows_take_the_named_tolerances():
     rows = {r["name"]: r for r in run("fast", 0)}
     named = {
@@ -43,13 +71,51 @@ def test_route_rows_take_the_named_tolerances():
     for name, tolerance in named.items():
         assert rows[name]["tolerance"] == tolerance, name
         assert rows[name]["status"] == "pass", name
-    # the measure rows are read from the measure's own check rows
-    state = CatStateSpec(family=CatFamily.OMEGA, modes=2, alpha=1.0)
-    (rqfi,) = rqfi_size(state, "quadrature+number", oracle=True).checks
-    pmf, mean = marquardt_size(state, numeric_check=True).checks
-    for name, row in (("rqfi-gram-vs-fock", rqfi), ("marquardt-displaced-pmf", pmf),
-                      ("marquardt-branch-mean", mean)):
-        assert rows[name]["observed"] == abs(row["observed"] - row["expected"]), name
+    # every route row is read from the public result of the module owning the route
+    (helstrom,) = branch_dist_size(_omega(2, 1.0), 1e-3).checks
+    (rqfi,) = rqfi_size(_omega(2, 1.0), "quadrature+number", oracle=True).checks
+    pmf, mean = marquardt_size(_omega(2, 1.0), numeric_check=True).checks
+    bvb, cvm = CollapseProblem.BRANCH_VS_BRANCH, CollapseProblem.CAT_VS_MIXED
+    public = {
+        "helstrom-closed-vs-trace-norm": helstrom,
+        "collapse-cat-vs-mixed": _collapse_row(1.1, cvm),
+        "collapse-branch-vs-branch-smoke": _collapse_row(math.sqrt(2.0), bvb),
+        "rqfi-gram-vs-fock": rqfi,
+        "marquardt-displaced-pmf": pmf,
+        "marquardt-branch-mean": mean,
+        "simulate-distill-smoke": distillation_rows(
+            simulate_distillation(4, 0.8, 2000, 0), 4, 0.8
+        )[0],
+        "simulate-mode-loss-smoke": mode_loss_rows(
+            simulate_mode_loss(6, 1.0, 0.25, 2000, 0), 6, 1.0, 0.25
+        )[0],
+    }
+    for name, row in public.items():
+        assert (rows[name]["observed"], rows[name]["tolerance"]) == _row_gap(row), name
+    for kind, closed in (("quadrature", quadrature_variance_omega),
+                         ("number", number_variance_omega)):
+        variance = rqfi_size(_omega(3, 0.8), kind).diagnostics["variance"]
+        row = rows[f"rqfi-{kind}-variance-identity"]
+        assert (row["observed"], row["tolerance"]) == (abs(variance - closed(3, 0.8)), 1e-9)
+
+
+def test_branch_collapse_smoke_row_compares_with_the_exact_probability():
+    # the row's expected value is p_first_outcome_exact, 0x1.0000000000001p-1, not 0.5
+    (row,) = [r for r in run("fast", 0) if r["name"] == "collapse-branch-vs-branch-smoke"]
+    assert row["observed"] == 0.014499999999999846
+    stats = simulate_branch_collapse(math.sqrt(2.0), 2000, 0, CollapseProblem.BRANCH_VS_BRANCH)
+    assert stats.extra["p_first_outcome_exact"] == float.fromhex("0x1.0000000000001p-1")
+
+
+def test_verify_imports_no_private_name_of_measures():
+    tree = ast.parse(Path(catsize.verify.__file__).read_text())
+    names = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "measures"
+        for alias in node.names
+    ]
+    assert names and [n for n in names if n.startswith("_")] == []
 
 
 @pytest.mark.parametrize("seed", [-1, 2**64])
