@@ -49,7 +49,7 @@ from .fock import (
     displacement_op,
     kitten_vectors,
     mode_ops,
-    split_network_slabs,
+    split_network_overlaps,
     total_photon_pmf,
 )
 from .measures import (

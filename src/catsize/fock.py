@@ -9,23 +9,15 @@ quadrature, and the beamsplitter generator splits into one hopping block per
 total photon count.
 
 The only two-mode unitary the package applies is the coherent mixer of the
-splitting network (``split_network_slabs``), and every mixer there meets a
-mode still in vacuum: the mixer on (q - 1, q) sends |n, 0> to
-sum_a T[a, n - a] |a, n - a>, so it needs only column n of each hopping
-block with n <= cutoff (``_vacuum_mixer``, O(d^3) per mixer from the
-eigenpairs of H_n, cached per block n and shared by every cutoff) and is one
-broadcast multiply over a Hankel view of the state (``_split_off_vacuum``);
-no (d^2 x d^2) matrix and no block of a general two-mode unitary is built.
-After the first mixer no mixer touches mode 0, so the output is split and
-yielded in blocks of mode-0 rows of at most ``_SLAB_DIM`` amplitudes (1 MB,
-so the slabs stay in cache), and no route gathers them into one joint
-vector.  The head holds at most ``cutoff`` photons and every mixer conserves
-them, so the block that starts at row s is computed and yielded only as its
-corner, indices below d - s on every later mode: at four modes, one row per
-block, that is sum k^3 for k <= d amplitudes instead of d^4.  The general
-block-stored two-mode applier the network is checked against, the gather of
-the slabs into one joint vector and the Kronecker product of vectors live in
-the tests (``tests/dense_reference.py``).
+splitting network, and every mixer there meets a mode still in vacuum: the
+mixer on (q - 1, q) sends |n, 0> to sum_a T[a, n - a] |a, n - a>, so it
+needs only column n of each hopping block with n <= cutoff
+(``_vacuum_mixer``, O(d^3) per mixer from the eigenpairs of H_n, cached per
+block n and shared by every cutoff).  The network's overlap with a product
+target and its norm are then transfer chains, one (d, d) step per mixer
+(``split_network_overlaps``), and its d^m output is never built.  The
+general two-mode applier, the network output and the Kronecker product of
+vectors live in the tests (``tests/dense_reference.py``).
 
 States are ``FockVector``s of at most MAX_JOINT_DIM amplitudes, and
 single-mode operators are plain (d, d) arrays (``mode_ops``,
@@ -37,7 +29,6 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,9 +39,6 @@ from .errors import DomainError, SizingError, TruncationError
 
 #: Largest joint dimension for state vectors ((cutoff+1)**modes).
 MAX_JOINT_DIM = 1 << 22
-
-#: Largest slab of the splitting network output, in amplitudes (1 MB, cache-sized).
-_SLAB_DIM = 1 << 16
 
 #: Largest amplitude mass a truncated coherent state may leave beyond its cutoff.
 _TAIL_TOL = 1e-9
@@ -192,8 +180,8 @@ def _vacuum_mixer(theta: float, cutoff: int) -> np.ndarray:
     return mixer
 
 
-# a network with a mixer has at least two modes, so d**2 <= MAX_JOINT_DIM
-# bounds the blocks any mixer asks for, and the cache never evicts one
+# the network refuses d**2 > MAX_JOINT_DIM before building a mixer, which
+# bounds the blocks any mixer asks for, so the cache never evicts one
 @functools.lru_cache(maxsize=math.isqrt(MAX_JOINT_DIM))
 def _vacuum_block_eigh(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only eigenpairs of the hopping block H_n.
@@ -227,63 +215,46 @@ def cat_split_thetas(modes: int) -> list[float]:
     return thetas
 
 
-def split_network_slabs(head: FockVector, modes: int) -> Iterator[np.ndarray]:
-    """Feed ``head`` and ``modes`` - 1 vacuum modes through the even-splitting
-    mixer chain over the adjacent mode pairs, and yield the output in corner
-    slabs.
+def split_network_overlaps(
+    head: FockVector, modes: int, leaves
+) -> tuple[np.ndarray, float]:
+    """Overlaps <leaf|^(x modes) |out> with each (d,) leaf, and ||out||^2,
+    where ``out`` is ``head`` and ``modes`` - 1 vacua through the mixers.
 
-    Each slab is the nonzero corner of a block of consecutive mode-0 rows of
-    the output tensor, in row order: the block of ``rows`` rows that starts
-    at row s is yielded as out[s : s + rows, :e, ..., :e] with e = d - s and
-    d = cutoff + 1.  Every mixer conserves photon number and the head holds
-    at most ``cutoff`` photons, so every amplitude outside the corner is
-    exactly zero.  The mixer on modes (q - 1, q) always meets mode q in
-    vacuum, so it appends that mode and splits the last one onto it
-    (``_split_off_vacuum``).  Mixer 1 runs once on the head; no later mixer
-    touches mode 0, so each block of its rows is split on its own, with the
-    (e, e) corner of each later mixer.  A block has the rows of at most
-    ``_SLAB_DIM`` amplitudes of the full tensor, or one row where a row alone
-    is larger.  The head and the final size (against MAX_JOINT_DIM) are
-    checked when this is called, before the first buffer is allocated.
+    The mixer on (q - 1, q) sends |n, 0> to sum_a T_q[a, n - a] |a, n - a>,
+    so out[a_0 .. a_{m-1}] = head[r_0] T_1[a_0, r_1] ... T_{m-1}[a_{m-2}, r_{m-1}]
+    with r_q = a_q + ... + a_{m-1}.  Both sums over it are contracted right
+    to left over r_q, one (d, d) step per mixer (d = cutoff + 1):
+    c[n] <- sum_a conj(leaf[a]) T_q[a, n - a] c[n - a] from c = conj(leaf),
+    w[n] <- sum_a |T_q[a, n - a]|^2 w[n - a] from w = 1; then the overlap is
+    head . c and the norm |head|^2 . w.  O(m d^2), where out has d^m
+    amplitudes.  Each mixer needs d^2 <= MAX_JOINT_DIM, checked first.
     """
     if head.modes != 1:
         raise DomainError(f"the network head must be one mode, got {head.modes}")
     d = head.cutoff + 1
-    _check_joint_dim(d**modes)
-    thetas = cat_split_thetas(modes)
-    return _network_slabs(head, thetas, max(1, _SLAB_DIM // d ** (modes - 1)))
+    bras = [np.conj(np.asarray(leaf, dtype=complex)) for leaf in leaves]
+    if any(bra.shape != (d,) for bra in bras):
+        raise DomainError(f"every leaf must hold cutoff + 1 = {d} amplitudes")
+    _check_joint_dim(d * d)
+    rows = np.arange(d)[:, None]
+    shift = np.arange(d) - rows  # n - a; a negative one wraps and is masked
+    overlaps, weight = list(bras), np.ones(d)
+    for theta in reversed(cat_split_thetas(modes)):
+        mixer = _vacuum_mixer(theta, head.cutoff)
+        by_count = np.where(shift >= 0, mixer[rows, shift], 0)  # T[a, n - a]
+        overlaps = [bra @ (by_count * _toeplitz(c)) for bra, c in zip(bras, overlaps)]
+        weight = (np.abs(by_count) ** 2 * _toeplitz(weight)).sum(axis=0)
+    amps = head.amplitudes
+    return np.array([amps @ c for c in overlaps]), float(np.abs(amps) ** 2 @ weight)
 
 
-def _network_slabs(
-    head: FockVector, thetas: list[float], rows: int
-) -> Iterator[np.ndarray]:
-    d = head.cutoff + 1
-    mixers = [_vacuum_mixer(theta, head.cutoff) for theta in thetas]
-    pair = functools.reduce(_split_off_vacuum, mixers[:1], head.amplitudes)
-    for start in range(0, d, rows):
-        e = d - start
-        corner = pair[_corner(start, rows, e, pair.ndim)]
-        yield functools.reduce(
-            _split_off_vacuum, [mixer[:e, :e] for mixer in mixers[1:]], corner
-        )
-
-
-def _corner(start: int, rows: int, e: int, modes: int) -> tuple:
-    """Index of the rows start .. start + rows - 1, cut to :e on the other modes."""
-    return (slice(start, start + rows),) + (slice(e),) * (modes - 1)
-
-
-def _split_off_vacuum(state: np.ndarray, mixer: np.ndarray) -> np.ndarray:
-    """Append a vacuum mode to ``state`` and mix it with the last mode.
-
-    out[..., a, b] = mixer[a, b] * state[..., a + b]: one broadcast multiply
-    over the Hankel view of the last axis, padded with zeros to 2e - 1
-    (e = len(mixer)) so that every a + b >= e reads an exact zero.
-    """
-    e = len(mixer)
-    padded = np.zeros(state.shape[:-1] + (2 * e - 1,), dtype=complex)
-    padded[..., :e] = state
-    return mixer * sliding_window_view(padded, e, axis=-1)
+def _toeplitz(carry: np.ndarray) -> np.ndarray:
+    """The (d, d) view t[a, n] = carry[n - a], zero where n < a."""
+    d = len(carry)
+    padded = np.zeros(2 * d - 1, dtype=carry.dtype)
+    padded[d - 1 :] = carry
+    return sliding_window_view(padded, d)[::-1]
 
 
 def apply_single_mode(kernel: np.ndarray, state: FockVector, mode: int) -> FockVector:

@@ -573,7 +573,7 @@ def rqfi_size(state: CatStateSpec, family: str, oracle: bool = False) -> Measure
     diagnostics = {
         "family": "+".join(k.value for k in kinds),
         "achieving_generator": achieving.label,
-        "variance": value * state.modes * denominator,
+        "variance": best_var,
         "denominator": denominator,
         "branch_variance_maxima": {
             "u": max(gen.var_u for gen in gens),

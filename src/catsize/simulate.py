@@ -7,11 +7,13 @@ w = exp(-2|alpha|^2) and s = sqrt(1 - w^2).  Trajectories over many modes
 never build a joint Fock space; mode counts in the hundreds are cheap.
 
 Trajectory t of a run seeded with ``seed`` draws its uniforms from the stream
-of ``numpy.random.Generator(numpy.random.Philox(key=(seed, t)))``.  Philox4x64-10
-is a pure function of key and counter (Salmon et al., "Parallel random
-numbers: as easy as 1, 2, 3", SC'11), so ``_uniform_columns`` computes those
-streams for a whole batch of trajectories at once in numpy uint64 arithmetic,
-bit for bit, and yields them one draw index (one column) at a time.  Each
+of ``numpy.random.Generator(numpy.random.Philox(key=k))`` with k the uint64
+words (seed, t); a Python tuple key turns into float64 once a word reaches
+2**63, and can round.  Philox4x64-10 is a pure function of key and counter
+(Salmon et al., "Parallel random numbers: as easy as 1, 2, 3", SC'11), so
+``_uniform_columns`` computes those streams for a whole batch of
+trajectories at once in numpy uint64 arithmetic, bit for bit, and yields
+them one draw index (one column) at a time.  Each
 protocol updates per-trajectory state column by column, and the statistics
 come from the histogram of outcomes, so memory depends on neither ``trials``
 nor ``modes``.  On a 2-vCPU x86 VM the kernel costs about 38 ns per draw
@@ -86,7 +88,8 @@ def _mulhilo(a: np.ndarray, m: np.uint64, hi: np.ndarray, temps) -> None:
 def _uniform_columns(seed: int, rows: np.ndarray, draws: int):
     """Yield draws 0 .. draws-1 of the trajectories ``rows`` (uint64 indices),
     one fresh array per draw, equal bit for bit to
-    ``Generator(Philox(key=(seed, t))).random(draws)`` for each t in rows.
+    ``Generator(Philox(key=k)).random(draws)`` with k the uint64 words
+    (seed, t), for each t in rows.
 
     The counter words, the row keys and the products live in preallocated
     buffers that each round renames rather than reallocates."""
@@ -115,6 +118,17 @@ def _uniform_columns(seed: int, rows: np.ndarray, draws: int):
         for x in (x0, x1, x2, x3)[: draws - 4 * block]:
             np.right_shift(x, _11, out=temps[0])
             yield temps[0] * 2.0**-53
+
+
+def leading_draws(seed: int, first: int, count: int) -> np.ndarray:
+    """Draw 0 of the streams (seed, first) .. (seed, first + count - 1), equal
+    bit for bit to ``Generator(Philox(key=k)).random()`` for each key k, the
+    uint64 words (seed, t)."""
+    if not 0 <= first <= first + count <= 1 << 64:
+        raise DomainError(f"streams {first} .. {first + count - 1} leave [0, 2**64)")
+    rows = np.arange(count, dtype=np.uint64) + np.uint64(first)
+    (u,) = _uniform_columns(_check_seed(seed), rows, 1)
+    return u
 
 
 def _batches(trials: int):

@@ -6,9 +6,10 @@ tolerance)``; the expected value is always 0.  A route owned by another
 module is read only through its public result: the row that module builds
 (``MeasureResult.checks``, ``simulate.*_rows``) gives the gap and tolerance.
 The fast suite is the in-order prefix of the full suite.  Declaration order
-is part of the contract: the random checks draw from one
-``default_rng(seed)`` in that order (only the replacement draws of
-``vacuum-mixing-invariance`` come from a spare one).
+is part of the contract: the random checks draw in that order from one
+``Draws``, whose value k is draw 0 of the Philox stream (seed, 2**63 + k)
+(only the replacement draws of ``vacuum-mixing-invariance`` come from the
+spare streams, (seed, 2**63 + 2**62 + k)).
 """
 
 from __future__ import annotations
@@ -38,12 +39,11 @@ from .closed_forms import (
 )
 from .errors import DomainError
 from .fock import (
-    MAX_JOINT_DIM,
     FockVector,
     build_state,
     coherent_vector,
     default_cutoff,
-    split_network_slabs,
+    split_network_overlaps,
 )
 from .measures import branch_dist_size, branch_dist_size_real, marquardt_size, rqfi_size
 from .phase_space import (
@@ -61,6 +61,7 @@ from .simulate import (
     collapse_rows,
     distillation_outcome_distribution,
     distillation_rows,
+    leading_draws,
     mode_loss_rows,
     simulate_branch_collapse,
     simulate_distillation,
@@ -69,6 +70,28 @@ from .simulate import (
 
 FAST, FULL = "fast", "full"
 
+#: First Philox stream of the battery's draws, and of its spare draws; no
+#: simulator trajectory index reaches either.
+DRAW_STREAMS, SPARE_STREAMS = 1 << 63, (1 << 63) + (1 << 62)
+
+
+class Draws:
+    """Uniforms in order: value k is draw 0 of the Philox stream (seed,
+    first + k), computed 256 streams at a time by ``leading_draws``."""
+
+    def __init__(self, seed: int, first: int):
+        self._seed, self._next, self._ready = seed, first, np.empty(0)
+
+    def uniform(self, low: float, high: float, count: int = 1) -> np.ndarray:
+        while self._ready.size < count:
+            self._ready = np.append(self._ready, leading_draws(self._seed, self._next, 256))
+            self._next += 256
+        u, self._ready = self._ready[:count], self._ready[count:]
+        return low + (high - low) * u
+
+    def integers(self, low: int, high: int) -> int:
+        return low + int(self.uniform(0.0, high - low)[0])
+
 
 @dataclass(frozen=True)
 class Check:
@@ -76,7 +99,7 @@ class Check:
 
     name: str
     suite: str
-    evaluate: Callable[[np.random.Generator, int], tuple[float, float]]
+    evaluate: Callable[[Draws, int], tuple[float, float]]
 
 
 CHECKS: list[Check] = []
@@ -104,7 +127,7 @@ def run(suite: str, seed: int) -> list[dict]:
     streams with, raises DomainError before any row runs.
     """
     _check_seed(seed)
-    rng = np.random.default_rng(seed)
+    rng = Draws(seed, DRAW_STREAMS)
     rows = []
     for check in checks(suite):
         try:
@@ -142,34 +165,19 @@ def network_gap(m: int, branches) -> float:
     """1 - fidelity of the splitting network output against sum_b |b>^m.
 
     The head is sum_b |sqrt(m) b>, one coherent state per amplitude in
-    ``branches``.  The output is read slab by slab (``split_network_slabs``):
-    each corner slab's overlap with each branch's product |b>^m is contracted
-    one mode at a time against conj(leaf_b)[:e], each step one matrix-vector
-    product over the slab reshaped to (-1, e), and its squared norm is added
-    to the output's.  The amplitudes outside the corners are zero.  The
-    target's squared norm is sum_{u,v} <u|v>^m over the truncated leaves.
-    Fidelity is scale-free, so neither side is normalized, and neither the
-    output nor the target vector is built.
+    ``branches``, at the default cutoff of the largest head amplitude.  The
+    overlap with each branch's product |b>^m and the output's squared norm
+    come from the network's transfer chain (``split_network_overlaps``), so
+    neither the output nor the target vector is built.  The target's
+    squared norm is sum_{u,v} <u|v>^m over the truncated leaves.  Fidelity
+    is scale-free, so neither side is normalized.
     """
-    peak = math.sqrt(m) * max(abs(b) for b in branches)
-    afford = int(MAX_JOINT_DIM ** (1.0 / m)) - 1
-    cutoff = min(default_cutoff(peak), afford)
+    cutoff = default_cutoff(math.sqrt(m) * max(abs(b) for b in branches))
     head = sum(coherent_vector(math.sqrt(m) * b, cutoff).amplitudes for b in branches)
     leaves = [coherent_vector(b, cutoff).amplitudes for b in branches]
-    bras = [leaf.conj() for leaf in leaves]
-    overlap, out_norm2, start = 0j, 0.0, 0
-    for slab in split_network_slabs(FockVector(cutoff, 1, head), m):
-        rows, e = len(slab), slab.shape[-1]
-        for bra in bras:
-            part = slab
-            for _ in range(m - 1):
-                part = part.reshape(-1, e) @ bra[:e]
-            overlap += complex(part @ bra[start : start + rows])
-        out_norm2 += float(np.vdot(slab, slab).real)
-        start += rows
+    overlaps, out_norm2 = split_network_overlaps(FockVector(cutoff, 1, head), m, leaves)
     target_norm2 = float(sum(np.vdot(u, v) ** m for u in leaves for v in leaves).real)
-    fid = abs2(overlap) / (target_norm2 * out_norm2)
-    return 1.0 - fid
+    return 1.0 - abs2(complex(overlaps.sum())) / (target_norm2 * out_norm2)
 
 
 def wigner_gap(spec: CatStateSpec, closed, points) -> float:
@@ -422,18 +430,18 @@ def _vacuum_axiom(rng, seed):
     """Compares 5 intensity-matched draws exactly.
 
     About half of all draws have no float beta with beta^2 == N|alpha|^2
-    bitwise.  The first 5 draws come from the shared generator; each
-    unmatched one is replaced from a spare generator keyed by the seed, up
-    to 64 replacements, so the rows after this one see the same draws
-    whatever the replacements were.
+    bitwise.  The first 5 draws come from the shared streams; each
+    unmatched one is replaced from the spare streams, up to 64
+    replacements, so the rows after this one see the same draws whatever
+    the replacements were.
     """
-    spare = np.random.default_rng([seed, 1])
+    spare = Draws(seed, SPARE_STREAMS)
     worst = 0.0
     matched = 0
     for attempt in range(5 + 64):
         source = rng if attempt < 5 else spare
-        modes = int(source.integers(2, 7))
-        alpha = complex(source.uniform(0.3, 1.5), source.uniform(-0.5, 0.5))
+        modes = source.integers(2, 7)
+        alpha = complex(source.uniform(0.3, 1.5)[0], source.uniform(-0.5, 0.5)[0])
         beta = matched_intensity_beta(modes, alpha)
         if beta is None:
             continue

@@ -1,25 +1,31 @@
 """Reference routes for the tests: projectors, the trace norm, Kronecker
-products of vectors, the whole splitting-network output and the general
-two-mode applier.
+products of vectors, the splitting-network output (in corner slabs and as
+one vector) and the general two-mode applier.
 
 The package builds no operator on more than one mode; these plain arrays are
 the full-matrix route its compressed oracles are checked against.  The
-package reads the splitting network output only slab by slab and builds its
-product targets only by contraction; ``tensor`` and ``apply_split_network``
-build both as whole vectors.  The package's splitting network only ever
-mixes a mode with one in vacuum; the number-conserving two-mode unitaries
-below (every photon-number block, any input, any mode pair) are the general
-route that network is checked against.
+package never builds the splitting network output: it contracts the overlap
+and the norm as transfer chains over the mixers (``fock.split_network_overlaps``).
+``split_network_slabs`` builds that output, slab by slab, and ``tensor``
+and ``apply_split_network`` build targets and output as whole vectors.  The
+package's splitting network only ever mixes a mode with one in vacuum; the
+number-conserving two-mode unitaries below (every photon-number block, any
+input, any mode pair) are the general route that network is checked against.
 """
 
 import functools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from catsize.errors import DomainError, SizingError
-from catsize.fock import MAX_JOINT_DIM, FockVector, split_network_slabs
+from catsize.fock import MAX_JOINT_DIM, FockVector, _vacuum_mixer, cat_split_thetas
+
+#: Largest slab of the splitting network output, in amplitudes (1 MB, cache-sized).
+_SLAB_DIM = 1 << 16
 
 
 def projector(amplitudes) -> np.ndarray:
@@ -51,6 +57,66 @@ def tensor(*parts: FockVector) -> FockVector:
     return FockVector(cutoff=parts[0].cutoff, modes=modes, amplitudes=amps)
 
 
+def split_network_slabs(head: FockVector, modes: int) -> Iterator[np.ndarray]:
+    """Feed ``head`` and ``modes`` - 1 vacuum modes through the even-splitting
+    mixer chain over the adjacent mode pairs, and yield the output in corner
+    slabs.
+
+    Each slab is the nonzero corner of a block of consecutive mode-0 rows of
+    the output tensor, in row order: the block of ``rows`` rows that starts
+    at row s is yielded as out[s : s + rows, :e, ..., :e] with e = d - s and
+    d = cutoff + 1.  Every mixer conserves photon number and the head holds
+    at most ``cutoff`` photons, so every amplitude outside the corner is
+    exactly zero.  The mixer on modes (q - 1, q) always meets mode q in
+    vacuum, so it appends that mode and splits the last one onto it
+    (``_split_off_vacuum``).  Mixer 1 runs once on the head; no later mixer
+    touches mode 0, so each block of its rows is split on its own, with the
+    (e, e) corner of each later mixer.  A block has the rows of at most
+    ``_SLAB_DIM`` amplitudes of the full tensor, or one row where a row alone
+    is larger.  The head and the final size (against MAX_JOINT_DIM) are
+    checked when this is called, before the first buffer is allocated.
+    """
+    if head.modes != 1:
+        raise DomainError(f"the network head must be one mode, got {head.modes}")
+    d = head.cutoff + 1
+    if d**modes > MAX_JOINT_DIM:
+        raise SizingError(f"joint dimension {d**modes} exceeds MAX_JOINT_DIM = {MAX_JOINT_DIM}")
+    thetas = cat_split_thetas(modes)
+    return _network_slabs(head, thetas, max(1, _SLAB_DIM // d ** (modes - 1)))
+
+
+def _network_slabs(
+    head: FockVector, thetas: list[float], rows: int
+) -> Iterator[np.ndarray]:
+    d = head.cutoff + 1
+    mixers = [_vacuum_mixer(theta, head.cutoff) for theta in thetas]
+    pair = functools.reduce(_split_off_vacuum, mixers[:1], head.amplitudes)
+    for start in range(0, d, rows):
+        e = d - start
+        corner = pair[_corner(start, rows, e, pair.ndim)]
+        yield functools.reduce(
+            _split_off_vacuum, [mixer[:e, :e] for mixer in mixers[1:]], corner
+        )
+
+
+def _corner(start: int, rows: int, e: int, modes: int) -> tuple:
+    """Index of the rows start .. start + rows - 1, cut to :e on the other modes."""
+    return (slice(start, start + rows),) + (slice(e),) * (modes - 1)
+
+
+def _split_off_vacuum(state: np.ndarray, mixer: np.ndarray) -> np.ndarray:
+    """Append a vacuum mode to ``state`` and mix it with the last mode.
+
+    out[..., a, b] = mixer[a, b] * state[..., a + b]: one broadcast multiply
+    over the Hankel view of the last axis, padded with zeros to 2e - 1
+    (e = len(mixer)) so that every a + b >= e reads an exact zero.
+    """
+    e = len(mixer)
+    padded = np.zeros(state.shape[:-1] + (2 * e - 1,), dtype=complex)
+    padded[..., :e] = state
+    return mixer * sliding_window_view(padded, e, axis=-1)
+
+
 def apply_split_network(head: FockVector, modes: int) -> FockVector:
     """The whole output of ``split_network_slabs`` as one FockVector.
 
@@ -63,7 +129,7 @@ def apply_split_network(head: FockVector, modes: int) -> FockVector:
     out = np.zeros((d,) * modes, dtype=complex)
     start = 0
     for slab in slabs:
-        out[(slice(start, start + len(slab)),) + (slice(d - start),) * (modes - 1)] = slab
+        out[_corner(start, len(slab), d - start, modes)] = slab
         start += len(slab)
     return FockVector(head.cutoff, modes, out.reshape(-1))
 

@@ -3,6 +3,7 @@
 import math
 import tracemalloc
 
+import dense_reference
 import numpy as np
 import pytest
 from dense_reference import (
@@ -11,6 +12,7 @@ from dense_reference import (
     beamsplitter_kernel,
     coherent_mixer_kernel,
     projector,
+    split_network_slabs,
     tensor,
     trace_norm,
 )
@@ -36,7 +38,7 @@ from catsize.fock import (
     displacement_op,
     kitten_vectors,
     mode_ops,
-    split_network_slabs,
+    split_network_overlaps,
     total_photon_pmf,
 )
 from catsize.verify import network_gap
@@ -318,7 +320,7 @@ def test_slabs_match_the_one_buffer_network(modes, cutoff, slab_dim, monkeypatch
     # conserves them
     rng = np.random.default_rng(modes * 100 + cutoff)
     head = FockVector(cutoff, 1, rng.normal(size=cutoff + 1) + 1j * rng.normal(size=cutoff + 1))
-    monkeypatch.setattr(fock, "_SLAB_DIM", slab_dim)
+    monkeypatch.setattr(dense_reference, "_SLAB_DIM", slab_dim)
     d = cutoff + 1
     rows = max(1, slab_dim // d ** (modes - 1))
     slabs = list(split_network_slabs(head, modes))
@@ -342,7 +344,7 @@ def test_slabs_match_the_one_buffer_network(modes, cutoff, slab_dim, monkeypatch
     assert not ref[outside].any()
     # each kept amplitude is one product however the rows are cut, so the
     # corners equal the one-buffer output bitwise
-    monkeypatch.setattr(fock, "_SLAB_DIM", MAX_JOINT_DIM)
+    monkeypatch.setattr(dense_reference, "_SLAB_DIM", MAX_JOINT_DIM)
     out = apply_split_network(head, modes).as_tensor()
     for slab, corner in zip(slabs, corners):
         assert np.array_equal(out[corner].view(np.float64), slab.view(np.float64))
@@ -371,14 +373,23 @@ def test_vacuum_mixers_share_block_eigenpairs_across_cutoffs():
         small[5][1][0, 0] = 1.0
 
 
+def fsum_fidelity(lhs: FockVector, rhs: FockVector) -> float:
+    """``fidelity`` with the overlap and both squared norms summed by math.fsum."""
+    products = lhs.amplitudes.conj() * rhs.amplitudes
+    overlap = complex(math.fsum(products.real), math.fsum(products.imag))
+    norms = [math.fsum(abs(v.amplitudes) ** 2) for v in (lhs, rhs)]
+    return abs2(overlap) / (norms[0] * norms[1])
+
+
 @pytest.mark.parametrize("m", [2, 3, 4])
 @pytest.mark.parametrize("signs", [(1,), (1, -1)], ids=["coherent", "cat"])
 def test_contracted_overlap_matches_the_dense_target(m, signs):
-    # at m = 4 the cutoff is 29 and the 30**4 output spans 15 slabs; the two
-    # routes then sum 810000 terms in different orders, and differed by
-    # 5.8e-15 already when the output was one buffer; the cat's dense target
-    # adds a second Kronecker product to every amplitude, which doubles the
-    # rounding the dense route brings (1.6e-15 at m = 3)
+    # at m = 4 the cutoff is 29 and the dense route sums 30**4 = 810000
+    # terms; summed by np.vdot, its own rounding put the dense gap at
+    # -2.0e-15 at m = 3 (cat), where math.fsum reads 0.0, so the reference
+    # sums with math.fsum and leaves only the rounding of each product and
+    # of the chain's short sums; the cat's dense target adds a second
+    # Kronecker product to every amplitude
     tolerance = (1e-15 if m < 4 else 1e-14) * len(signs)
     alpha = 0.4 + 0.3j
     branches = [sign * alpha for sign in signs]
@@ -386,8 +397,43 @@ def test_contracted_overlap_matches_the_dense_target(m, signs):
     head = sum(coherent_vector(math.sqrt(m) * b, cutoff).amplitudes for b in branches)
     out = apply_split_network(FockVector(cutoff, 1, head), m)
     target = sum(tensor(*([coherent_vector(b, cutoff)] * m)).amplitudes for b in branches)
-    dense_gap = 1.0 - fidelity(out, FockVector(cutoff, m, target))
+    dense_gap = 1.0 - fsum_fidelity(out, FockVector(cutoff, m, target))
     assert abs(network_gap(m, branches) - dense_gap) <= tolerance
+
+
+@pytest.mark.parametrize("modes, cutoff", [(1, 7), (2, 9), (3, 9), (4, 6), (5, 6)])
+def test_chain_matches_the_dense_output(modes, cutoff):
+    # any head and any leaves, not just coherent ones: the chain sums the
+    # same products T * head * bra as the gathered output, in another order
+    rng = np.random.default_rng(modes * 100 + cutoff)
+    d = cutoff + 1
+    head = FockVector(cutoff, 1, rng.normal(size=d) + 1j * rng.normal(size=d))
+    leaves = [rng.normal(size=d) + 1j * rng.normal(size=d) for _ in range(3)]
+    overlaps, norm2 = split_network_overlaps(head, modes, leaves)
+    out = apply_split_network(head, modes)
+    assert norm2 == pytest.approx(out.norm() ** 2, rel=1e-13)
+    for leaf, overlap in zip(leaves, overlaps):
+        bra = tensor(*[FockVector(cutoff, 1, leaf)] * modes).amplitudes
+        dense = complex(np.vdot(bra, out.amplitudes))
+        scale = math.sqrt(norm2) * np.linalg.norm(leaf) ** modes
+        assert abs(overlap - dense) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("m", [8, 16])
+def test_network_gap_reaches_modes_no_joint_vector_holds(m):
+    # 41**8 and 41**16 amplitudes: far beyond MAX_JOINT_DIM, one (41, 41)
+    # step per mixer for the chain
+    assert (default_cutoff(math.sqrt(m) * 0.5) + 1) ** m > MAX_JOINT_DIM
+    assert abs(network_gap(m, [0.5])) <= 1e-8
+
+
+def test_chain_takes_a_one_mode_head_and_full_leaves():
+    with pytest.raises(DomainError):
+        split_network_overlaps(tensor(vacuum(4), vacuum(4)), 3, [np.ones(5)])
+    with pytest.raises(DomainError):
+        split_network_overlaps(vacuum(4), 3, [np.ones(4)])
+    with pytest.raises(SizingError):
+        split_network_overlaps(vacuum(2048), 2, [np.ones(2049)])
 
 
 def coherent_network_peak() -> int:
@@ -414,9 +460,10 @@ def test_split_network_holds_one_joint_vector():
 
 
 def test_split_network_holds_one_cache_sized_slab():
-    # each slab is one 45**3 mode-0 row (1.5 MB): splitting a mode off vacuum
-    # gathers no anti-diagonals and multiplies no blocks (17.9 MB before)
-    assert coherent_network_peak() < 5_000_000
+    # no slab at all now: the transfer chain holds a few (54, 54) arrays at
+    # cutoff 53, and the hopping-block eigenpairs it caches; 0.74 MB with a
+    # cold cache, 0.27 MB warm (one 45**3 slab was 1.5 MB, 5 MB the bound)
+    assert coherent_network_peak() < 1_500_000
 
 
 def test_split_network_takes_a_one_mode_head():

@@ -282,6 +282,18 @@ def test_rqfi_oracle_recomputes_the_achieving_variance():
     )
 
 
+@pytest.mark.parametrize("modes, alpha", [(3, 2.5), (1, 0.3), (4, 1.1)])
+def test_rqfi_variance_diagnostic_is_the_achieving_variance(modes, alpha):
+    # it was value * modes * denominator, a round trip through the size:
+    # 114.00000000000003 at 3 modes and alpha 2.5, against the oracle's
+    # closed_variance 114.00000000000001
+    for family in ("quadrature", QN, "bounded-local"):
+        res = rqfi_size(omega(modes, alpha), family, oracle=True)
+        variance = res.diagnostics["variance"]
+        assert variance == res.diagnostics["oracle"]["closed_variance"], family
+        assert res.value == variance / (modes * res.diagnostics["denominator"])
+
+
 @pytest.mark.parametrize(
     "state, family",
     [(omega(3, 1.0), QN), (hcs(3, 0.8), "spin-sandwich"),

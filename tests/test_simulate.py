@@ -23,6 +23,7 @@ from catsize.simulate import (
     _uniform_columns,
     build_distillation_povm,
     distillation_outcome_distribution,
+    leading_draws,
     sampling_row,
     simulate_branch_collapse,
     simulate_distillation,
@@ -60,6 +61,20 @@ def test_kernel_streams_cross_a_batch_boundary():
     for t in (0, _BATCH - 2, _BATCH - 1, _BATCH, trials - 1):
         want = _generator_draws(13, t, 5)
         assert np.array_equal(got[t].view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+@pytest.mark.parametrize("first", [0, 2**63, 2**64 - 7])
+def test_leading_draws_are_draw_zero_of_each_stream(seed, first):
+    got = leading_draws(seed, first, 7)
+    want = [_generator_draws(seed, t, 1)[0] for t in range(first, first + 7)]
+    assert np.array_equal(got.view(np.uint64), np.array(want).view(np.uint64))
+
+
+@pytest.mark.parametrize("first, count", [(-1, 1), (2**64 - 3, 4)])
+def test_leading_draws_refuse_streams_outside_the_key_word(first, count):
+    with pytest.raises(DomainError):
+        leading_draws(0, first, count)
 
 
 def _fsum_stats(samples):

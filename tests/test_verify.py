@@ -2,8 +2,11 @@
 
 import ast
 import math
+import subprocess
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import catsize.verify
@@ -32,7 +35,15 @@ from catsize.simulate import (
     simulate_distillation,
     simulate_mode_loss,
 )
-from catsize.verify import CHECKS, _row_gap, checks, run
+from catsize.verify import (
+    CHECKS,
+    DRAW_STREAMS,
+    SPARE_STREAMS,
+    Draws,
+    _row_gap,
+    checks,
+    run,
+)
 
 
 def test_registry_names_are_unique():
@@ -143,3 +154,45 @@ def test_wigner_rows_take_their_cutoff_from_the_drawn_points(suite, seed):
     # into the top Fock levels and the headroom guard raised TruncationError
     rows = run(suite, seed)
     assert [r["name"] for r in rows if r["status"] != "pass"] == []
+
+
+@pytest.mark.parametrize("seed", [0, 838334454, 2**64 - 1])
+@pytest.mark.parametrize("first", [DRAW_STREAMS, SPARE_STREAMS])
+def test_draws_are_draw_zero_of_consecutive_philox_streams(seed, first):
+    # requests of mixed sizes cross the refill blocks; value k comes from
+    # stream (seed, first + k) whatever the requests were
+    draws = Draws(seed, first)
+    got = np.concatenate(
+        [draws.uniform(0.0, 1.0), draws.uniform(0.0, 1.0, 300),
+         [draws.integers(0, 2**53) / 2**53], draws.uniform(0.0, 1.0, 250)]
+    )
+    # the key is passed as uint64 words: a tuple such as (0, 2**63 + k)
+    # becomes a float64 array, and every k then rounds to one key
+    keys = [np.array([seed, first + k], np.uint64) for k in range(got.size)]
+    want = [np.random.Generator(np.random.Philox(key=key)).random() for key in keys]
+    assert np.array_equal(got.view(np.uint64), np.array(want).view(np.uint64))
+
+
+def test_draws_scale_onto_their_range():
+    draws, ref = Draws(7, DRAW_STREAMS), Draws(7, DRAW_STREAMS).uniform(0.0, 1.0, 2)
+    assert draws.uniform(-0.5, 0.5)[0] == -0.5 + ref[0]
+    assert draws.integers(2, 7) == 2 + int(5 * ref[1])
+    assert all(2 <= Draws(s, DRAW_STREAMS).integers(2, 7) < 7 for s in range(200))
+
+
+def test_full_suite_imports_no_numpy_random():
+    # importing numpy.random costs 13-25 ms and 6.1 MB of RSS; the battery's
+    # draws come from the simulators' Philox kernel.  numpy 2 loads it only
+    # on first use, numpy 1 with numpy itself, so compare with numpy alone
+    probe = (
+        "import io, sys, contextlib, numpy\n"
+        "alone = 'numpy.random' in sys.modules\n"
+        "from catsize.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = main(['verify', '--suite', 'full', '--seed', '0'])\n"
+        "print(code, alone, 'numpy.random' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    code, alone, after = proc.stdout.split()
+    assert (code, after) == ("0", alone)
