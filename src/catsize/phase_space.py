@@ -39,8 +39,8 @@ _HEADROOM_TOL = 1e-6
 _SIGNIFICANCE = 0.25
 #: Feature grids must step no coarser than pi / (_NYQUIST_FACTOR |alpha|).
 _NYQUIST_FACTOR = 16.0
-#: Rows per block of a CSV export; grids up to 181 x 181 are one block.
-_CSV_BLOCK_ROWS = 1 << 15
+#: Rows per block of a CSV export: one block of text is about 1 MB.
+_CSV_BLOCK_ROWS = 1 << 12
 
 
 # ---------------------------------------------------------------------------
@@ -552,8 +552,7 @@ def grid_to_json(grid: WignerGrid) -> dict:
         "convention": grid.convention,
         "slice_spec": grid.slice_spec,
         "axes": [
-            {"name": ax.name, "values": [float(v) for v in ax.values]}
-            for ax in grid.axes
+            {"name": ax.name, "values": ax.values.tolist()} for ax in grid.axes
         ],
-        "values": [float(v) for v in grid.values.ravel()],
+        "values": grid.values.ravel().tolist(),
     }

@@ -5,11 +5,13 @@ envelope on stdout is checked against the schema shipped in the package.
 """
 
 import dataclasses
+import io
 import json
 import math
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import jsonschema
@@ -28,7 +30,7 @@ from catsize.measures import (
     rqfi_size,
     wigner_empirical_size,
 )
-from catsize.phase_space import wigner_grid
+from catsize.phase_space import grid_line, plane_axes, wigner_grid, write_grid_csv
 from catsize.simulate import (
     CollapseProblem,
     collapse_rows,
@@ -371,6 +373,27 @@ def test_csv_export_single_mode(tmp_path):
     assert feats["peak_separation"] == 4.0
     assert feats["fringe_wavelength"] == pytest.approx(math.pi / 4, rel=0.05)
     assert env["results"]["out"] == str(out)
+
+
+def test_features_export_in_process_holds_one_block(tmp_path, capsys):
+    # the largest export of the benchmark's command mix, 227 x 227 rows with
+    # features: grid evaluation, about 3.4 MB, must stay its largest stage;
+    # a block of 2**15 rows of text traced 7.2 MB
+    out = tmp_path / "features.csv"
+    tracemalloc.start()
+    try:
+        code = main(["wigner", "--state", "even-cat", "--alpha", "2.5",
+                     "--grid=-4.5:4.5:227", "--features", "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert capsys.readouterr().err == ""
+    assert peak < 5_000_000
+    state = CatStateSpec(family=CatFamily.EVEN_CAT, modes=1, alpha=2.5)
+    expected = io.StringIO()
+    write_grid_csv(wigner_grid(state, plane_axes(1, grid_line(-4.5, 4.5, 227))), expected)
+    assert out.read_text(encoding="ascii") == expected.getvalue()
 
 
 def test_csv_export_hcs_slice_origin_dominant(tmp_path):

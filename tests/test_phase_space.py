@@ -11,6 +11,7 @@ from catsize.closed_forms import CatFamily, CatStateSpec, abs2
 from catsize.errors import DomainError, ResolutionError, SizingError, TruncationError
 from catsize.fock import MAX_JOINT_DIM, build_state, coherent_vector
 from catsize.phase_space import (
+    _CSV_BLOCK_ROWS,
     CONVENTION,
     AxisSpec,
     WignerGrid,
@@ -582,11 +583,14 @@ class _Blocks:
 
 
 def test_written_csv_matches_the_joined_text():
-    # 76400 rows: the header, two full blocks of 2**15 rows and a shorter last one
+    # 76400 rows: the header, at least two full blocks and a shorter last one
     grid = _odd_values_grid(("re1", "im1", "re2", "im2"), (191, 1, 200, 2))
+    full, rest = divmod(grid.values.size, _CSV_BLOCK_ROWS)
+    assert full >= 2 and rest > 0
     handle = _Blocks()
     write_grid_csv(grid, handle)
-    assert [text.count("\n") for text in handle.writes] == [1, 2**15, 2**15, 10864]
+    expected = [1] + [_CSV_BLOCK_ROWS] * full + [rest]
+    assert [text.count("\n") for text in handle.writes] == expected
     assert "".join(handle.writes) == _reference_csv(grid)
 
 
@@ -597,7 +601,7 @@ class _Discard:
 
 def test_csv_export_holds_one_block_of_rows():
     # the text of this 500 x 500 joint grid is 21 MB; building it whole
-    # traced 102 MB, and one block of 2**15 rows traces about 11 MB
+    # traced 102 MB, and one block of 2**12 rows traces about 1.1 MB
     grid = _odd_values_grid(("re1", "im1", "re2", "im2"), (500, 1, 500, 1))
     tracemalloc.start()
     try:
@@ -605,7 +609,7 @@ def test_csv_export_holds_one_block_of_rows():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 16_000_000
+    assert peak < 2_000_000
 
 
 def test_json_payload_structure():
