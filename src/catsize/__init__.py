@@ -72,6 +72,7 @@ from .phase_space import (
     grid_to_json,
     partial_trace_fringe_suppression,
     wigner_cat,
+    wigner_closed,
     wigner_coherent,
     wigner_grid,
     wigner_hcs2,

@@ -70,6 +70,19 @@ def wigner_coherent(gamma, alpha):
     return (2.0 / math.pi) * _gauss(gamma, alpha)
 
 
+def _kitten_terms(gamma, alpha):
+    """The kitten pieces at ``gamma``: the numerators gp + gm +- 2 env cos(theta)
+    of the even and odd kittens |alpha> +- |-alpha>, and the cross-block
+    pieces gp - gm and env sin(theta) of the hidden pair, where gp, gm and env
+    are the Gaussians about alpha, -alpha and 0."""
+    gp = _gauss(gamma, alpha)
+    gm = _gauss(gamma, -alpha)
+    env = _gauss(gamma, 0.0)
+    theta = _fringe_phase(gamma, alpha, env)
+    cross = 2.0 * env * np.cos(theta)
+    return gp + gm + cross, gp + gm - cross, gp - gm, env * np.sin(theta)
+
+
 def wigner_cat(gamma, alpha, parity: int = 1):
     """Single-mode even (parity=+1) or odd (parity=-1) branch superposition."""
     if parity not in (1, -1):
@@ -78,13 +91,11 @@ def wigner_cat(gamma, alpha, parity: int = 1):
         hcs_norms(alpha)  # refuses where the odd branch degenerates
     w = branch_overlap(alpha)
     norm_sq = 2.0 + 2.0 * parity * w
-    env = _gauss(gamma, 0.0)
-    cross = 2.0 * env * np.cos(_fringe_phase(gamma, alpha, env))
-    num = _gauss(gamma, alpha) + _gauss(gamma, -alpha) + parity * cross
-    return (2.0 / math.pi) * num / norm_sq
+    even, odd, _, _ = _kitten_terms(gamma, alpha)
+    return (2.0 / math.pi) * (even if parity == 1 else odd) / norm_sq
 
 
-def wigner_omega(gammas, alpha, modes: int | None = None):
+def wigner_omega(gammas, alpha):
     """Joint Wigner function of the N-mode two-branch superposition.
 
     ``gammas`` holds one complex phase-space point per mode in its last axis.
@@ -93,8 +104,6 @@ def wigner_omega(gammas, alpha, modes: int | None = None):
     if g.ndim == 0:
         g = g.reshape(1)
     n = g.shape[-1]
-    if modes is not None and modes != n:
-        raise DomainError(f"expected {modes} phase-space coordinates, got {n}")
     w = branch_overlap(alpha)
     norm_sq = 2.0 + 2.0 * w ** n
     plus = np.prod(_gauss(g, alpha), axis=-1)
@@ -115,23 +124,36 @@ def wigner_hcs2(gamma1, gamma2, alpha):
     """
     w = branch_overlap(alpha)
     a_plus, a_minus = hcs_norms(alpha)
-
-    def pieces(gamma):
-        gp = _gauss(gamma, alpha)
-        gm = _gauss(gamma, -alpha)
-        env = _gauss(gamma, 0.0)
-        theta = _fringe_phase(gamma, alpha, env)
-        num_e = gp + gm + 2.0 * env * np.cos(theta)
-        num_o = gp + gm - 2.0 * env * np.cos(theta)
-        diff = gp - gm
-        sine = env * np.sin(theta)
-        return num_e, num_o, diff, sine
-
-    e1, o1, d1, s1 = pieces(gamma1)
-    e2, o2, d2, s2 = pieces(gamma2)
+    e1, o1, d1, s1 = _kitten_terms(gamma1, alpha)
+    e2, o2, d2, s2 = _kitten_terms(gamma2, alpha)
     diag = e1 * e2 / a_plus ** 4 + o1 * o2 / a_minus ** 4
     cross = (d1 * d2 - 4.0 * s1 * s2) / (2.0 * (1.0 - w * w))
     return (4.0 / math.pi ** 2) * 0.5 * (diag + cross)
+
+
+def wigner_closed(state: CatStateSpec, *gammas):
+    """Closed-form Wigner function of ``state`` at one complex coordinate
+    array per mode.
+
+    The arrays broadcast against each other, so a grid passes sparse axes.
+    This is the one place that maps a family and mode count to its closed
+    form; it refuses a coordinate count other than ``state.modes`` and a
+    family with no closed form at that count (HCS has one at two modes only).
+    """
+    if len(gammas) != state.modes:
+        raise DomainError(
+            f"expected {state.modes} phase-space coordinates, got {len(gammas)}"
+        )
+    fam, alpha = state.family, state.alpha
+    if fam is CatFamily.PRODUCT_COHERENT:
+        return math.prod(wigner_coherent(g, alpha) for g in gammas)
+    if fam is CatFamily.OMEGA:
+        return wigner_omega(np.stack(np.broadcast_arrays(*gammas), axis=-1), alpha)
+    if fam is CatFamily.EVEN_CAT or fam is CatFamily.ODD_CAT:
+        return wigner_cat(gammas[0], alpha, parity=1 if fam is CatFamily.EVEN_CAT else -1)
+    if fam is CatFamily.HCS and state.modes == 2:
+        return wigner_hcs2(*gammas, alpha)
+    raise DomainError(f"no closed-form Wigner function for {fam.value} at {state.modes} modes")
 
 
 # ---------------------------------------------------------------------------
@@ -193,6 +215,20 @@ def wigner_numeric(vec: FockVector, gammas) -> float:
     for _ in points:
         acc = signs @ acc.reshape(d, -1)
     return (2.0 / math.pi) ** len(points) * float(acc.sum()) / total
+
+
+def wigner_gap(state: CatStateSpec, points) -> float:
+    """Largest |closed - numeric| Wigner value of ``state`` over ``points``.
+
+    Each point holds one coordinate per mode.  The closed form comes from
+    ``wigner_closed``, once over the whole point array; the numeric value
+    from ``wigner_numeric``, point by point, on the state built at the
+    cutoff ``wigner_cutoff`` picks from its amplitude and the points.
+    """
+    points = np.asarray(list(points), dtype=complex)
+    vec = build_state(state, cutoff=wigner_cutoff(state.alpha, points))
+    numeric = [wigner_numeric(vec, point) for point in points]
+    return float(np.abs(wigner_closed(state, *points.T) - numeric).max())
 
 
 # ---------------------------------------------------------------------------
@@ -344,35 +380,9 @@ def wigner_grid(state: CatStateSpec, axes) -> WignerGrid:
     _check_grid_points(math.prod(a.size for a in arrays))
     # sparse axes: each closed form broadcasts them to the grid only once
     mesh = np.meshgrid(*arrays, indexing="ij", sparse=True)
-    if state.modes == 1:
-        gamma = mesh[0] + 1j * mesh[1]
-        fam = state.family
-        if fam is CatFamily.PRODUCT_COHERENT:
-            values = wigner_coherent(gamma, state.alpha)
-        elif fam is CatFamily.EVEN_CAT:
-            values = wigner_cat(gamma, state.alpha, parity=1)
-        elif fam is CatFamily.ODD_CAT:
-            values = wigner_cat(gamma, state.alpha, parity=-1)
-        elif fam is CatFamily.OMEGA:
-            values = wigner_omega(gamma[..., None], state.alpha, modes=1)
-        else:
-            raise DomainError(f"no closed-form grid for {fam.value}")
-    else:
-        gamma1 = mesh[0] + 1j * mesh[1]
-        gamma2 = mesh[2] + 1j * mesh[3]
-        fam = state.family
-        if fam is CatFamily.OMEGA:
-            values = wigner_omega(
-                np.stack(np.broadcast_arrays(gamma1, gamma2), axis=-1), state.alpha
-            )
-        elif fam is CatFamily.HCS:
-            values = wigner_hcs2(gamma1, gamma2, state.alpha)
-        elif fam is CatFamily.PRODUCT_COHERENT:
-            values = wigner_coherent(gamma1, state.alpha) * wigner_coherent(
-                gamma2, state.alpha
-            )
-        else:
-            raise DomainError(f"no closed-form grid for {fam.value}")
+    values = wigner_closed(
+        state, *(mesh[2 * m] + 1j * mesh[2 * m + 1] for m in range(state.modes))
+    )
     axis_specs = tuple(AxisSpec(name=n, values=a) for n, a in zip(names, arrays))
     fixed = {
         ax.name: float(ax.values[0]) for ax in axis_specs if ax.values.size == 1

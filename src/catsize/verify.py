@@ -4,7 +4,8 @@ Each check is declared once, in order, with the suite it belongs to and a
 function of the shared generator and the seed that returns ``(observed,
 tolerance)``; the expected value is always 0.  A route owned by another
 module is read only through its public result: the row that module builds
-(``MeasureResult.checks``, ``simulate.*_rows``) gives the gap and tolerance.
+(``MeasureResult.checks``, ``simulate.*_rows``) gives the gap and tolerance,
+and each Wigner row's gap is ``phase_space.wigner_gap`` of its state and points.
 The fast suite is the in-order prefix of the full suite.  Declaration order
 is part of the contract: the random checks draw in that order from one
 ``Draws``, whose value k is draw 0 of the Philox stream (seed, 2**63 + k)
@@ -38,22 +39,9 @@ from .closed_forms import (
     rqfi_bound_quadrature,
 )
 from .errors import DomainError
-from .fock import (
-    FockVector,
-    build_state,
-    coherent_vector,
-    default_cutoff,
-    split_network_overlaps,
-)
+from .fock import FockVector, coherent_vector, default_cutoff, split_network_overlaps
 from .measures import branch_dist_size, branch_dist_size_real, marquardt_size, rqfi_size
-from .phase_space import (
-    fringe_suppression_check,
-    wigner_cat,
-    wigner_cutoff,
-    wigner_hcs2,
-    wigner_numeric,
-    wigner_omega,
-)
+from .phase_space import fringe_suppression_check, wigner_gap, wigner_numeric, wigner_omega
 from .simulate import (
     CollapseProblem,
     _check_seed,
@@ -180,25 +168,11 @@ def network_gap(m: int, branches) -> float:
     return 1.0 - abs2(complex(overlaps.sum())) / (target_norm2 * out_norm2)
 
 
-def wigner_gap(spec: CatStateSpec, closed, points) -> float:
-    """Largest |closed - numeric| Wigner value over ``points``.
-
-    Each point holds one coordinate per mode; ``closed`` takes them as
-    separate arguments and is evaluated once over the whole point array.
-    The state is built at the cutoff ``wigner_cutoff`` picks from its
-    amplitude and the points.
-    """
-    points = np.asarray(list(points), dtype=complex)
-    vec = build_state(spec, cutoff=wigner_cutoff(spec.alpha, points))
-    numeric = [wigner_numeric(vec, point) for point in points]
-    return float(np.abs(closed(*points.T) - numeric).max())
-
-
 def wigner_gap_hcs2(rng, alpha: complex, count: int, radius: float) -> float:
     """Closed-vs-numeric gap of the two-mode hierarchical state at random points."""
     spec = CatStateSpec(family=CatFamily.HCS, modes=2, alpha=alpha)
     points = zip(_random_points(rng, count, radius), _random_points(rng, count, radius))
-    return wigner_gap(spec, lambda g1, g2: wigner_hcs2(g1, g2, alpha), points)
+    return wigner_gap(spec, points)
 
 
 HCS2_ALPHA3_SPOTS = ((0.0, 0.0), (3.0, 3.0), (-3.0, 3.0), (1.5, -1.5), (0.5j, 2.0))
@@ -207,7 +181,7 @@ HCS2_ALPHA3_SPOTS = ((0.0, 0.0), (3.0, 3.0), (-3.0, 3.0), (1.5, -1.5), (0.5j, 2.
 def wigner_gap_hcs2_spots() -> float:
     """Closed-vs-numeric gap of the hierarchical state at alpha = 3 at fixed spots."""
     spec = CatStateSpec(family=CatFamily.HCS, modes=2, alpha=3.0)
-    return wigner_gap(spec, lambda g1, g2: wigner_hcs2(g1, g2, 3.0), HCS2_ALPHA3_SPOTS)
+    return wigner_gap(spec, HCS2_ALPHA3_SPOTS)
 
 
 def matched_intensity_beta(modes: int, alpha: complex):
@@ -351,7 +325,7 @@ _check("network-coherent-m3")(lambda rng, seed: (network_gap(3, [0.5]), 1e-8))
 def _wigner_even_cat(rng, seed):
     spec = CatStateSpec(family=CatFamily.EVEN_CAT, modes=1, alpha=1.3)
     points = [(g,) for g in _random_points(rng, 50, 2.0)]
-    return wigner_gap(spec, lambda g: wigner_cat(g, 1.3, parity=1), points), 1e-6
+    return wigner_gap(spec, points), 1e-6
 
 
 _check("wigner-hcs2-closed-vs-numeric")(

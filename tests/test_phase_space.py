@@ -23,6 +23,7 @@ from catsize.phase_space import (
     partial_trace_fringe_suppression,
     plane_axes,
     wigner_cat,
+    wigner_closed,
     wigner_coherent,
     wigner_grid,
     wigner_hcs2,
@@ -101,14 +102,56 @@ def test_omega_single_mode_reduces_to_even_cat():
     rng = np.random.default_rng(71)
     pts = rng.normal(size=12) + 1j * rng.normal(size=12)
     for alpha in (0.7, 1.6):
-        lhs = wigner_omega(pts[..., None], alpha, modes=1)
+        lhs = wigner_omega(pts[..., None], alpha)
         rhs = wigner_cat(pts, alpha)
         np.testing.assert_allclose(lhs, rhs, rtol=0, atol=1e-14)
 
 
 def test_omega_coordinate_count_is_checked():
-    with pytest.raises(DomainError):
-        wigner_omega(np.array([0.1 + 0j, 0.2 + 0j]), 1.0, modes=3)
+    with pytest.raises(DomainError, match="expected 3 phase-space coordinates, got 2"):
+        wigner_closed(even_cat(1.0, modes=3), 0.1 + 0j, 0.2 + 0j)
+
+
+# each family's own closed form, as grids chose it before wigner_closed
+_OWN_FORMULA = {
+    (CatFamily.EVEN_CAT, 1): lambda a, g: wigner_cat(g, a, parity=1),
+    (CatFamily.ODD_CAT, 1): lambda a, g: wigner_cat(g, a, parity=-1),
+    (CatFamily.PRODUCT_COHERENT, 1): lambda a, g: wigner_coherent(g, a),
+    (CatFamily.OMEGA, 1): lambda a, g: wigner_omega(g[..., None], a),
+    (CatFamily.OMEGA, 2): lambda a, g1, g2: wigner_omega(
+        np.stack(np.broadcast_arrays(g1, g2), axis=-1), a
+    ),
+    (CatFamily.HCS, 2): lambda a, g1, g2: wigner_hcs2(g1, g2, a),
+    (CatFamily.PRODUCT_COHERENT, 2): lambda a, g1, g2: (
+        wigner_coherent(g1, a) * wigner_coherent(g2, a)
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "family, modes, gamma2",
+    [(fam, 1, None) for fam in (CatFamily.EVEN_CAT, CatFamily.ODD_CAT,
+                                CatFamily.PRODUCT_COHERENT, CatFamily.OMEGA)]
+    + [(fam, 2, g2) for fam in (CatFamily.OMEGA, CatFamily.HCS, CatFamily.PRODUCT_COHERENT)
+       for g2 in (None, 0.4 - 0.3j)],
+)
+def test_closed_dispatch_matches_each_family_formula_on_sparse_grids(family, modes, gamma2):
+    alpha = 1.1 + 0.3j
+    state = CatStateSpec(family=family, modes=modes, alpha=alpha)
+    axes = plane_axes(modes, grid_line(-2.5, 2.5, 41), gamma2)
+    mesh = np.meshgrid(*(np.atleast_1d(axes[n]) for n in axes), indexing="ij", sparse=True)
+    gammas = [mesh[2 * m] + 1j * mesh[2 * m + 1] for m in range(modes)]
+    want = np.asarray(_OWN_FORMULA[family, modes](alpha, *gammas), dtype=float)
+    got = wigner_grid(state, axes).values
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert np.asarray(wigner_closed(state, *gammas)).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("modes", [1, 3])
+def test_closed_form_of_hcs_is_two_mode_only(modes):
+    state = CatStateSpec(family=CatFamily.HCS, modes=modes, alpha=1.0)
+    with pytest.raises(DomainError, match="no closed-form Wigner function for hcs"):
+        wigner_closed(state, *[0.1 + 0.2j] * modes)
 
 
 def test_hcs2_reference_points():
