@@ -41,6 +41,10 @@ _SIGNIFICANCE = 0.25
 _NYQUIST_FACTOR = 16.0
 #: Rows per block of a CSV export: one block of text is about 1 MB.
 _CSV_BLOCK_ROWS = 1 << 12
+#: Largest |u| = 4|Re(conj(alpha) gamma)| at which the kitten terms take
+#: their cancellation-free forms.  Beyond it the plain forms lose no digits:
+#: where w is near 1, gp + gm = 2 env w cosh u exceeds 2 env by a third.
+_SMALL_U = 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -70,29 +74,55 @@ def wigner_coherent(gamma, alpha):
     return (2.0 / math.pi) * _gauss(gamma, alpha)
 
 
-def _kitten_terms(gamma, alpha):
-    """The kitten pieces at ``gamma``: the numerators gp + gm +- 2 env cos(theta)
-    of the even and odd kittens |alpha> +- |-alpha>, and the cross-block
-    pieces gp - gm and env sin(theta) of the hidden pair, where gp, gm and env
-    are the Gaussians about alpha, -alpha and 0."""
-    gp = _gauss(gamma, alpha)
-    gm = _gauss(gamma, -alpha)
-    env = _gauss(gamma, 0.0)
-    theta = _fringe_phase(gamma, alpha, env)
+def _kitten_terms(gamma, alpha, parity: int | None = None):
+    """Kitten pieces at ``gamma``, from the Gaussians gp, gm and env about
+    alpha, -alpha and 0 and the fringe phase theta.
+
+    With ``parity`` +1 or -1, the numerator gp + gm +- 2 env cos(theta) of
+    the even or odd kitten |alpha> +- |-alpha> alone; with None, the tuple
+    (even, odd, gp - gm, env sin(theta)) of the hidden pair.
+
+    With u = 4 Re(conj(alpha) gamma), gp and gm are env w e^{+-u}.  Where
+    |u| <= _SMALL_U the odd numerator is taken as
+    2 env [2 sinh^2(u/2) + 2 sin^2(theta/2) + expm1(-2|alpha|^2) cosh u] and
+    gp - gm as 2 env w sinh u: at small |alpha| these are of order
+    |alpha|^2 env and |alpha| env, while gp, gm and 2 env cos(theta) are each
+    near env, so the plain differences would lose their digits.
+    """
+    g = np.asarray(gamma, dtype=complex)
+    gp, gm, env = _gauss(g, alpha), _gauss(g, -alpha), _gauss(g, 0.0)
+    theta = _fringe_phase(g, alpha, env)
     cross = 2.0 * env * np.cos(theta)
-    return gp + gm + cross, gp + gm - cross, gp - gm, env * np.sin(theta)
+    even = None if parity == -1 else gp + gm + cross
+    if parity == 1:
+        return even
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = 4.0 * (np.conjugate(alpha) * g).real
+    near = np.abs(u) <= _SMALL_U
+    u, e, a = u[near], 2.0 * env[near], abs2(alpha)
+    odd = np.asarray(gp + gm - cross)
+    odd[near] = e * (
+        2.0 * np.sinh(u / 2.0) ** 2 + 2.0 * np.sin(theta[near] / 2.0) ** 2
+        + math.expm1(-2.0 * a) * np.cosh(u)
+    )
+    if parity == -1:
+        return odd
+    diff = np.asarray(gp - gm)
+    diff[near] = e * math.exp(-2.0 * a) * np.sinh(u)
+    return even, odd, diff, env * np.sin(theta)
 
 
 def wigner_cat(gamma, alpha, parity: int = 1):
     """Single-mode even (parity=+1) or odd (parity=-1) branch superposition."""
     if parity not in (1, -1):
         raise DomainError(f"parity must be +1 or -1, got {parity}")
-    if parity == -1:
+    if parity == 1:
+        norm_sq = 2.0 + 2.0 * branch_overlap(alpha)
+    else:
         hcs_norms(alpha)  # refuses where the odd branch degenerates
-    w = branch_overlap(alpha)
-    norm_sq = 2.0 + 2.0 * parity * w
-    even, odd, _, _ = _kitten_terms(gamma, alpha)
-    return (2.0 / math.pi) * (even if parity == 1 else odd) / norm_sq
+        # 2 - 2w, as -2 expm1(-2|alpha|^2), which keeps its digits where w nears 1
+        norm_sq = -2.0 * math.expm1(-2.0 * abs2(alpha))
+    return (2.0 / math.pi) * _kitten_terms(gamma, alpha, parity) / norm_sq
 
 
 def wigner_omega(gammas, alpha):
@@ -122,12 +152,12 @@ def wigner_hcs2(gamma1, gamma2, alpha):
     blocks plus one cross block; the cross block's real part combines the
     Gaussian differences with a product of fringe sines.
     """
-    w = branch_overlap(alpha)
     a_plus, a_minus = hcs_norms(alpha)
     e1, o1, d1, s1 = _kitten_terms(gamma1, alpha)
     e2, o2, d2, s2 = _kitten_terms(gamma2, alpha)
     diag = e1 * e2 / a_plus ** 4 + o1 * o2 / a_minus ** 4
-    cross = (d1 * d2 - 4.0 * s1 * s2) / (2.0 * (1.0 - w * w))
+    # 1 - w^2, as -expm1(-4|alpha|^2), which keeps its digits where w nears 1
+    cross = (d1 * d2 - 4.0 * s1 * s2) / (-2.0 * math.expm1(-4.0 * abs2(alpha)))
     return (4.0 / math.pi ** 2) * 0.5 * (diag + cross)
 
 

@@ -1,5 +1,6 @@
 """Wigner kernels, the displaced-parity oracle, grids, and feature extraction."""
 
+import decimal
 import io
 import math
 import tracemalloc
@@ -25,6 +26,7 @@ from catsize.phase_space import (
     wigner_cat,
     wigner_closed,
     wigner_coherent,
+    wigner_gap,
     wigner_grid,
     wigner_hcs2,
     wigner_numeric,
@@ -187,6 +189,92 @@ def test_kernels_are_parity_symmetric():
         rtol=0,
         atol=1e-14,
     )
+
+
+# ---------------------------------------------------------------------------
+# closed forms against a 50-digit reference
+# ---------------------------------------------------------------------------
+
+D = decimal.Decimal
+PI = D("3.14159265358979323846264338327950288419716939937510582097494459")
+#: Largest error of a closed Wigner value, relative to the largest term of its
+#: formula with the odd numerator and gp - gm written so they do not cancel.
+REFERENCE_TOL = 1e-12
+REF_ALPHAS = [1e-8, 1e-6, 1e-4, 1e-2, 1.0, 6e-7 - 8e-7j]
+REF_GAMMAS = [1.0, 0.3 + 0.2j, -0.7 + 0.5j, 0.1 - 1.2j]
+
+
+def _cos_sin(x):
+    """cos x and sin x from their Taylor series, to the context's precision."""
+    cos, sin, term, n = D(0), D(0), D(1), 0
+    while abs(term) > D("1e-60"):
+        sign = -1 if n % 4 >= 2 else 1
+        if n % 2 == 0:
+            cos += sign * term
+        else:
+            sin += sign * term
+        n += 1
+        term = term * x / n
+    return cos, sin
+
+
+def _kitten_reference(gamma, alpha):
+    """Exact kitten pieces at ``gamma`` as (value, largest term) pairs: the
+    even and odd numerators, gp - gm and env sin(theta); and w."""
+    gr, gi, ar, ai = (D(v) for v in (gamma.real, gamma.imag, alpha.real, alpha.imag))
+    gp = (-2 * ((gr - ar) ** 2 + (gi - ai) ** 2)).exp()
+    gm = (-2 * ((gr + ar) ** 2 + (gi + ai) ** 2)).exp()
+    env = (-2 * (gr * gr + gi * gi)).exp()
+    w = (-2 * (ar * ar + ai * ai)).exp()
+    u, theta = 4 * (ar * gr + ai * gi), 4 * (ar * gi - ai * gr)
+    cos, sin = _cos_sin(theta)
+    sin_half = _cos_sin(theta / 2)[1]
+    sinh_half = ((u / 2).exp() - (-u / 2).exp()) / 2
+    cosh = (u.exp() + (-u).exp()) / 2
+    odd_terms = (2 * sinh_half ** 2, 2 * sin_half ** 2, (1 - w) * cosh)
+    return (
+        (gp + gm + 2 * env * cos, max(gp, gm, 2 * env)),
+        (gp + gm - 2 * env * cos, 2 * env * max(odd_terms)),
+        (gp - gm, abs(gp - gm)),
+        (env * sin, abs(env * sin)),
+    ), w
+
+
+@pytest.mark.parametrize("alpha", REF_ALPHAS)
+@pytest.mark.parametrize("parity", [1, -1])
+def test_cat_matches_a_decimal_reference(alpha, parity):
+    with decimal.localcontext(prec=50):
+        for gamma in REF_GAMMAS:
+            pieces, w = _kitten_reference(gamma, alpha)
+            num, largest = pieces[0] if parity == 1 else pieces[1]
+            norm = (2 + 2 * parity * w) * PI / 2
+            got = wigner_cat(gamma, alpha, parity=parity)
+            assert abs(D(float(got)) - num / norm) <= D(REFERENCE_TOL) * largest / norm
+
+
+@pytest.mark.parametrize("alpha", REF_ALPHAS)
+def test_hcs2_matches_a_decimal_reference(alpha):
+    with decimal.localcontext(prec=50):
+        for gamma1, gamma2 in zip(REF_GAMMAS, REF_GAMMAS[1:] + REF_GAMMAS[:1]):
+            (e1, o1, d1, s1), w = _kitten_reference(gamma1, alpha)
+            (e2, o2, d2, s2), _ = _kitten_reference(gamma2, alpha)
+            blocks = [
+                (e1[0] * e2[0], e1[1] * e2[1], (2 + 2 * w) ** 2),
+                (o1[0] * o2[0], o1[1] * o2[1], (2 - 2 * w) ** 2),
+                (d1[0] * d2[0], d1[1] * d2[1], 2 * (1 - w * w)),
+                (-4 * s1[0] * s2[0], 4 * s1[1] * s2[1], 2 * (1 - w * w)),
+            ]
+            want = 2 * sum(v / n for v, _, n in blocks) / PI ** 2
+            largest = 2 * max(t / n for _, t, n in blocks) / PI ** 2
+            got = wigner_hcs2(gamma1, gamma2, alpha)
+            assert abs(D(float(got)) - want) <= D(REFERENCE_TOL) * largest
+
+
+def test_gap_of_the_odd_cat_at_tiny_alpha():
+    # the numeric route's odd kitten keeps only the odd Fock terms of
+    # |alpha> - |-alpha>, each exact, so the gap is the closed form's error
+    state = CatStateSpec(family=CatFamily.ODD_CAT, modes=1, alpha=1e-6)
+    assert wigner_gap(state, [(g,) for g in REF_GAMMAS]) <= 1e-9
 
 
 @pytest.mark.parametrize("alpha,parity", [(1.0, 1), (2.0, 1), (1.0, -1)])
