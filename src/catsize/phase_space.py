@@ -41,9 +41,8 @@ _SIGNIFICANCE = 0.25
 _NYQUIST_FACTOR = 16.0
 #: Rows per block of a CSV export: one block of text is about 1 MB.
 _CSV_BLOCK_ROWS = 1 << 12
-#: Largest |u| = 4|Re(conj(alpha) gamma)| at which the kitten terms take
-#: their cancellation-free forms.  Beyond it the plain forms lose no digits:
-#: where w is near 1, gp + gm = 2 env w cosh u exceeds 2 env by a third.
+#: Largest |u| = 4|Re(conj(alpha) gamma)| at which the kitten terms take their
+#: cancellation-free forms; beyond it gp + gm exceeds 2 env by a third if w ~ 1.
 _SMALL_U = 1.0
 
 
@@ -75,19 +74,15 @@ def wigner_coherent(gamma, alpha):
 
 
 def _kitten_terms(gamma, alpha, parity: int | None = None):
-    """Kitten pieces at ``gamma``, from the Gaussians gp, gm and env about
-    alpha, -alpha and 0 and the fringe phase theta.
+    """Kitten pieces at ``gamma`` from the Gaussians gp, gm, env about alpha,
+    -alpha, 0 and the fringe phase theta: with ``parity`` +-1 the numerator
+    gp + gm +- 2 env cos(theta) of the kitten |alpha> +- |-alpha>; with None
+    the (even, odd, gp - gm, env sin(theta)) of the hidden pair.
 
-    With ``parity`` +1 or -1, the numerator gp + gm +- 2 env cos(theta) of
-    the even or odd kitten |alpha> +- |-alpha> alone; with None, the tuple
-    (even, odd, gp - gm, env sin(theta)) of the hidden pair.
-
-    With u = 4 Re(conj(alpha) gamma), gp and gm are env w e^{+-u}.  Where
-    |u| <= _SMALL_U the odd numerator is taken as
-    2 env [2 sinh^2(u/2) + 2 sin^2(theta/2) + expm1(-2|alpha|^2) cosh u] and
-    gp - gm as 2 env w sinh u: at small |alpha| these are of order
-    |alpha|^2 env and |alpha| env, while gp, gm and 2 env cos(theta) are each
-    near env, so the plain differences would lose their digits.
+    gp, gm = env w e^{+-u} with u = 4 Re(conj(alpha) gamma).  Where |u| <=
+    _SMALL_U the odd numerator is 2 env [2 sinh^2(u/2) + 2 sin^2(theta/2) +
+    expm1(-2|alpha|^2) cosh u] and gp - gm is 2 env w sinh u: at small
+    |alpha| the plain differences of terms near env would lose their digits.
     """
     g = np.asarray(gamma, dtype=complex)
     gp, gm, env = _gauss(g, alpha), _gauss(g, -alpha), _gauss(g, 0.0)
@@ -116,12 +111,9 @@ def wigner_cat(gamma, alpha, parity: int = 1):
     """Single-mode even (parity=+1) or odd (parity=-1) branch superposition."""
     if parity not in (1, -1):
         raise DomainError(f"parity must be +1 or -1, got {parity}")
-    if parity == 1:
-        norm_sq = 2.0 + 2.0 * branch_overlap(alpha)
-    else:
-        hcs_norms(alpha)  # refuses where the odd branch degenerates
-        # 2 - 2w, as -2 expm1(-2|alpha|^2), which keeps its digits where w nears 1
-        norm_sq = -2.0 * math.expm1(-2.0 * abs2(alpha))
+    # the odd norm A_minus^2 = -2 expm1(-2|alpha|^2) keeps its digits where
+    # w nears 1, and hcs_norms refuses where the odd branch degenerates
+    norm_sq = 2.0 + 2.0 * branch_overlap(alpha) if parity == 1 else hcs_norms(alpha)[1] ** 2
     return (2.0 / math.pi) * _kitten_terms(gamma, alpha, parity) / norm_sq
 
 
@@ -130,9 +122,7 @@ def wigner_omega(gammas, alpha):
 
     ``gammas`` holds one complex phase-space point per mode in its last axis.
     """
-    g = np.asarray(gammas, dtype=complex)
-    if g.ndim == 0:
-        g = g.reshape(1)
+    g = np.atleast_1d(np.asarray(gammas, dtype=complex))
     n = g.shape[-1]
     w = branch_overlap(alpha)
     norm_sq = 2.0 + 2.0 * w ** n
@@ -162,18 +152,12 @@ def wigner_hcs2(gamma1, gamma2, alpha):
 
 
 def wigner_closed(state: CatStateSpec, *gammas):
-    """Closed-form Wigner function of ``state`` at one complex coordinate
-    array per mode.
-
-    The arrays broadcast against each other, so a grid passes sparse axes.
-    This is the one place that maps a family and mode count to its closed
-    form; it refuses a coordinate count other than ``state.modes`` and a
-    family with no closed form at that count (HCS has one at two modes only).
-    """
+    """Closed-form Wigner function of ``state`` at one broadcastable complex
+    coordinate array per mode (a grid passes sparse axes): the one place that
+    maps a family and mode count to its closed form.  Refuses a coordinate
+    count other than ``state.modes``, and HCS off two modes."""
     if len(gammas) != state.modes:
-        raise DomainError(
-            f"expected {state.modes} phase-space coordinates, got {len(gammas)}"
-        )
+        raise DomainError(f"expected {state.modes} phase-space coordinates, got {len(gammas)}")
     fam, alpha = state.family, state.alpha
     if fam is CatFamily.PRODUCT_COHERENT:
         return math.prod(wigner_coherent(g, alpha) for g in gammas)
@@ -408,11 +392,9 @@ def wigner_grid(state: CatStateSpec, axes) -> WignerGrid:
         raise DomainError(f"missing grid axes: {', '.join(missing)}")
     arrays = [_axis_array(axes[n]) for n in names]
     _check_grid_points(math.prod(a.size for a in arrays))
-    # sparse axes: each closed form broadcasts them to the grid only once
+    # sparse axes: wigner_closed broadcasts them to the grid only once
     mesh = np.meshgrid(*arrays, indexing="ij", sparse=True)
-    values = wigner_closed(
-        state, *(mesh[2 * m] + 1j * mesh[2 * m + 1] for m in range(state.modes))
-    )
+    values = wigner_closed(state, *(r + 1j * i for r, i in zip(mesh[::2], mesh[1::2])))
     axis_specs = tuple(AxisSpec(name=n, values=a) for n, a in zip(names, arrays))
     fixed = {
         ax.name: float(ax.values[0]) for ax in axis_specs if ax.values.size == 1
