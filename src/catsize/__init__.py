@@ -46,7 +46,9 @@ from .fock import (
     cat_split_thetas,
     coherent_vector,
     default_cutoff,
+    displace,
     displacement_op,
+    family_branches,
     kitten_vectors,
     mode_ops,
     split_network_overlaps,
@@ -71,6 +73,7 @@ from .phase_space import (
     fringe_suppression_check,
     grid_to_json,
     partial_trace_fringe_suppression,
+    wigner_branches,
     wigner_cat,
     wigner_closed,
     wigner_coherent,

@@ -22,11 +22,13 @@ vectors live in the tests (``tests/dense_reference.py``).
 States are ``FockVector``s of at most MAX_JOINT_DIM amplitudes, and
 single-mode operators are plain (d, d) arrays (``mode_ops``,
 ``displacement_op``); no operator on more than one mode is ever built.
+``displace`` applies the displacement to a block of columns for many
+amplitudes at once, and every family's state is a scaled sum of products of
+single-mode branch vectors (``family_branches``).
 """
 
 from __future__ import annotations
 
-import cmath
 import functools
 import math
 from dataclasses import dataclass
@@ -126,20 +128,46 @@ def mode_ops(cutoff: int) -> np.ndarray:
 
 
 def displacement_op(alpha, cutoff: int) -> np.ndarray:
-    """D(alpha) = exp(alpha a^dag - conj(alpha) a) on the truncated basis.
+    """D(alpha) = exp(alpha a^dag - conj(alpha) a) on the truncated basis, as
+    a (d, d) array: ``displace`` applied to the identity."""
+    d = cutoff + 1
+    return displace(np.eye(d, dtype=complex), [alpha], cutoff)[0]
+
+
+def displace(columns, alphas, cutoff: int) -> np.ndarray:
+    """D(alpha) @ ``columns`` for every amplitude in ``alphas``, as a
+    (P, d, B) array from a (d, B) block of columns and P amplitudes.
 
     With alpha = r e^{i phi} the truncated generator equals
     Phi (-i sqrt(2) r x) Phi^dag, where x = (a + a^dag)/sqrt(2) and
-    Phi = diag((i e^{i phi})^n), so D = W diag(e^{-i sqrt(2) r lambda}) W^dag
-    with W = Phi V and (lambda, V) the eigenpairs of the truncated x.
-    Returns the (d, d) array.
+    Phi = diag((i e^{i phi})^n), so D = Phi V diag(e^{-i sqrt(2) r lambda})
+    V^T Phi^dag with (lambda, V) the real eigenpairs of the truncated x.
+    The two products with V act on all P * B columns at once, as real
+    (d, d) @ (d, 2PB) products on the interleaved real and imaginary parts.
     """
-    alpha = complex(alpha)
+    columns = np.asarray(columns, dtype=complex)
+    alphas = np.atleast_1d(np.asarray(alphas, dtype=complex))
+    d = cutoff + 1
+    if columns.ndim != 2 or columns.shape[0] != d:
+        raise DomainError(f"columns must be a (cutoff + 1 = {d}, B) block")
     vals, vecs = _quadrature_eigh(cutoff)
-    rotation = (1j * np.exp(1j * cmath.phase(alpha))) ** np.arange(cutoff + 1)
-    w = rotation[:, None] * vecs
-    phases = np.exp(-1j * math.sqrt(2.0) * abs(alpha) * vals)
-    return (w * phases) @ w.conj().T
+    # Phi's diagonals (i e^{i phi})^n, one column per amplitude: (d, P)
+    rotation = np.empty((d, alphas.size), dtype=complex)
+    rotation[0] = 1.0
+    rotation[1:] = 1j * np.exp(1j * np.angle(alphas))
+    np.cumprod(rotation, axis=0, out=rotation)
+    work = np.conj(rotation)[:, :, None] * columns[:, None, :]  # (d, P, B)
+    work = _real_matmul(vecs.T, work)
+    work *= np.exp(-1j * math.sqrt(2.0) * np.abs(alphas) * vals[:, None])[:, :, None]
+    work = _real_matmul(vecs, work)
+    work *= rotation[:, :, None]
+    return work.transpose(1, 0, 2)
+
+
+def _real_matmul(real: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """``real`` @ a C-contiguous complex (d, ...) ``block``, as one real product."""
+    flat = block.reshape(block.shape[0], -1).view(np.float64)
+    return (real @ flat).view(complex).reshape(block.shape)
 
 
 @functools.lru_cache(maxsize=64)
@@ -299,29 +327,45 @@ def _kron_power(v: np.ndarray, n: int) -> np.ndarray:
     return functools.reduce(np.kron, [v] * n)
 
 
-def _assemble(spec: CatStateSpec, cutoff: int) -> np.ndarray:
+def family_branches(
+    spec: CatStateSpec, cutoff: int
+) -> tuple[list[np.ndarray], float, float]:
+    """Single-mode branch vectors v_b and the factors of the state
+    (times / over) * sum_b v_b^(x modes), each (d,) at ``cutoff``.
+
+    The kittens are one branch, the even or odd superposition itself;
+    product-coherent is one coherent branch; Omega is |alpha>, |-alpha>
+    times its closed-form normalization; HCS is the even and odd kittens
+    over sqrt(2).
+    """
     alpha = complex(spec.alpha)
     family = spec.family
     if family in (CatFamily.EVEN_CAT, CatFamily.ODD_CAT):
         even, odd = kitten_vectors(alpha, cutoff)
-        return (even if family is CatFamily.EVEN_CAT else odd).amplitudes
+        return [(even if family is CatFamily.EVEN_CAT else odd).amplitudes], 1.0, 1.0
     if family is CatFamily.PRODUCT_COHERENT:
-        return _kron_power(coherent_vector(alpha, cutoff).amplitudes, spec.modes)
+        return [coherent_vector(alpha, cutoff).amplitudes], 1.0, 1.0
     if family is CatFamily.OMEGA:
         plus = coherent_vector(alpha, cutoff)
         minus = coherent_vector(-alpha, cutoff)
-        # in place: _kron_power(v, 1) is v itself, which only this call holds
-        branches = _kron_power(plus.amplitudes, spec.modes)
-        branches += _kron_power(minus.amplitudes, spec.modes)
-        branches *= omega_norm(spec.modes, alpha)
-        return branches
+        return [plus.amplitudes, minus.amplitudes], omega_norm(spec.modes, alpha), 1.0
     if family is CatFamily.HCS:
         even, odd = kitten_vectors(alpha, cutoff)
-        branches = _kron_power(even.amplitudes, spec.modes)
-        branches += _kron_power(odd.amplitudes, spec.modes)
-        branches /= math.sqrt(2.0)
-        return branches
+        return [even.amplitudes, odd.amplitudes], 1.0, math.sqrt(2.0)
     raise DomainError(f"unknown family {family}")
+
+
+def _assemble(spec: CatStateSpec, cutoff: int) -> np.ndarray:
+    branches, times, over = family_branches(spec, cutoff)
+    # in place: _kron_power(v, 1) is v itself, which only this call holds
+    amps = _kron_power(branches[0], spec.modes)
+    for v in branches[1:]:
+        amps += _kron_power(v, spec.modes)
+    if times != 1.0:
+        amps *= times
+    if over != 1.0:
+        amps /= over
+    return amps
 
 
 def _check_joint_dim(dim: int) -> int:

@@ -6,12 +6,16 @@ The convention throughout is the displaced-parity form
 
 with P_tot the joint photon-number parity.  Closed forms reduce every state
 built from coherent branches to Gaussians exp(-2|gamma -+ alpha|^2), the
-envelope exp(-2|gamma|^2), and fringe phases 4 Im(conj(alpha) gamma); the
-numeric route displaces a truncated Fock vector and reads off the parity sum.
+envelope exp(-2|gamma|^2), and fringe phases 4 Im(conj(alpha) gamma).  Two
+numeric routes read off the parity sum of the displaced truncated state:
+``wigner_numeric`` displaces any joint Fock vector, one point at a time, and
+``wigner_branches`` displaces only the single-mode branch vectors of a
+family's state, all points at once, with no joint vector built.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -28,7 +32,9 @@ from .fock import (
     build_state,
     coherent_vector,
     default_cutoff,
+    displace,
     displacement_op,
+    family_branches,
 )
 
 CONVENTION = "W(gamma) = (2/pi)^m <D(gamma) P_tot D(-gamma)>"
@@ -175,8 +181,8 @@ def wigner_closed(state: CatStateSpec, *gammas):
 # ---------------------------------------------------------------------------
 
 def wigner_cutoff(peak, gammas) -> int:
-    """Cutoff for ``wigner_numeric`` of a state whose branches reach per-mode
-    amplitude ``peak``, at the coordinates ``gammas`` (any shape).
+    """Cutoff for the numeric Wigner routes of a state whose branches reach
+    per-mode amplitude ``peak``, at the coordinates ``gammas`` (any shape).
 
     Displacing by -gamma moves a branch to amplitude at most
     r = |peak| + max|gamma|, whose photon count is Poisson with mean r^2 and
@@ -199,7 +205,8 @@ def wigner_numeric(vec: FockVector, gammas) -> float:
     operator is no longer unitary; the guard requires the displaced vector to
     keep its top three Fock levels on every mode below 1e-6 of the total mass
     (``_HEADROOM_TOL``).  The parity sum of probabilities is real by
-    construction.
+    construction.  This is the route for joint vectors with no branch form;
+    a family's state takes ``wigner_branches``, which builds no joint vector.
     """
     points = [complex(g) for g in np.atleast_1d(np.asarray(gammas, dtype=complex))]
     if not 1 <= len(points) <= vec.modes:
@@ -231,17 +238,96 @@ def wigner_numeric(vec: FockVector, gammas) -> float:
     return (2.0 / math.pi) ** len(points) * float(acc.sum()) / total
 
 
+def wigner_branches(
+    state: CatStateSpec, points, cutoff: int | None = None
+) -> np.ndarray:
+    """Displaced-parity values of ``state`` at ``points``, from its
+    single-mode branch vectors, with no joint vector built.
+
+    ``points`` is a (P, k) array-like: each point holds coordinates for the
+    first k <= ``state.modes`` modes, and its value is that of those modes'
+    reduced state, as ``wigner_numeric`` gives it on ``build_state`` at the
+    same cutoff.  The state is c sum_b v_b^(x N) (``family_branches``), so
+    each sum over the displaced joint vector is a sum over branch pairs
+    (b, c) of one single-mode factor per mode, multiplied together:
+    <x_b|P|x_c> on the displaced modes, x_b = D(-gamma_i) v_b, and <v_b|v_c>
+    on the rest for the parity sum; <x_b|x_c> on every mode for the total;
+    and for mode j's headroom guard, mode j's top-three projector in place
+    of its factor.  The guard raises TruncationError as ``wigner_numeric``
+    does, at the first such point in order and its first such mode.  More
+    than MAX_JOINT_DIM terms P d B^2 are refused with SizingError first.
+    ``cutoff`` defaults to ``wigner_cutoff`` of the amplitude and the
+    points.  O(P B d^2 + d^3) for P points and B branches.
+    """
+    points = np.asarray(points, dtype=complex)
+    if points.ndim != 2 or not 1 <= points.shape[1] <= state.modes or not points.size:
+        raise DomainError(
+            f"points must be a nonempty (P, k) array with 1 <= k <= {state.modes} "
+            f"coordinates, got shape {points.shape}"
+        )
+    k = points.shape[1]
+    if cutoff is None:
+        cutoff = wigner_cutoff(state.alpha, points)
+    columns = np.stack(family_branches(state, cutoff)[0], axis=-1)  # (d, B)
+    terms = len(points) * columns.shape[0] * columns.shape[1] ** 2
+    if terms > MAX_JOINT_DIM:
+        raise SizingError(
+            f"{terms} branch-pair terms exceed MAX_JOINT_DIM = {MAX_JOINT_DIM}"
+        )
+    top = min(3, cutoff + 1)
+    # per mode, the (P, B, B) norm, parity and top-level sums; every
+    # undisplaced mode shares one set, so mode k checks the tail for them all
+    shifted = [
+        _pair_sums(displace(columns, -points[:, i], cutoff), top) for i in range(k)
+    ]
+    rest = _pair_sums(columns[None], top)
+    grams = [f[0] for f in shifted] + [rest[0]] * (state.modes - k)
+    total = _branch_sum(grams)
+    if (total <= 0.0).any():
+        raise TruncationError("the displaced vector lost all amplitude", 1.0, cutoff)
+    guarded = shifted + [rest] * (state.modes > k)
+    tails = [_branch_sum(grams[:j] + [f[2]] + grams[j + 1 :]) for j, f in enumerate(guarded)]
+    tails = np.stack(tails, axis=-1) / total[:, None]
+    bad = np.argwhere(tails > _HEADROOM_TOL)
+    if bad.size:
+        point, mode = bad[0]
+        raise TruncationError(
+            f"displaced amplitude reaches the cutoff on mode {mode}: "
+            f"top-{top} mass {tails[point, mode]:.3e} exceeds {_HEADROOM_TOL:.1e}",
+            float(tails[point, mode]),
+            cutoff,
+        )
+    parity = _branch_sum([f[1] for f in shifted] + grams[k:])
+    return (2.0 / math.pi) ** k * parity / total
+
+
+def _pair_sums(x: np.ndarray, top: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """From (P, d, B) branch vectors, the (P, B, B) sums over n of
+    conj(x_b[n]) x_c[n]: over all n, with the parity sign (-1)^n, and over
+    the top ``top`` levels."""
+    pair = np.conj(x)[:, :, :, None] * x[:, :, None, :]
+    return (
+        pair.sum(axis=1),
+        pair[:, 0::2].sum(axis=1) - pair[:, 1::2].sum(axis=1),
+        pair[:, -top:].sum(axis=1),
+    )
+
+
+def _branch_sum(factors) -> np.ndarray:
+    """Real part of sum_{b,c} of the product of the (P, B, B) ``factors``."""
+    return functools.reduce(np.multiply, factors).sum(axis=(-2, -1)).real
+
+
 def wigner_gap(state: CatStateSpec, points) -> float:
     """Largest |closed - numeric| Wigner value of ``state`` over ``points``.
 
     Each point holds one coordinate per mode.  The closed form comes from
-    ``wigner_closed``, once over the whole point array; the numeric value
-    from ``wigner_numeric``, point by point, on the state built at the
-    cutoff ``wigner_cutoff`` picks from its amplitude and the points.
+    ``wigner_closed``, the numeric value from ``wigner_branches``, each once
+    over the whole point array, at the cutoff ``wigner_cutoff`` picks from
+    the state's amplitude and the points.
     """
     points = np.asarray(list(points), dtype=complex)
-    vec = build_state(state, cutoff=wigner_cutoff(state.alpha, points))
-    numeric = [wigner_numeric(vec, point) for point in points]
+    numeric = wigner_branches(state, points)
     return float(np.abs(wigner_closed(state, *points.T) - numeric).max())
 
 

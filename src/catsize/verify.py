@@ -5,7 +5,10 @@ function of the shared generator and the seed that returns ``(observed,
 tolerance)``; the expected value is always 0.  A route owned by another
 module is read only through its public result: the row that module builds
 (``MeasureResult.checks``, ``simulate.*_rows``) gives the gap and tolerance,
-and each Wigner row's gap is ``phase_space.wigner_gap`` of its state and points.
+and each closed-vs-numeric Wigner row's gap is ``phase_space.wigner_gap`` of
+its state and points, whose numeric side displaces the state's single-mode
+branch vectors (``wigner_branches``); only the vacuum row, whose vector has
+no family, calls the joint-vector route ``wigner_numeric`` itself.
 The fast suite is the in-order prefix of the full suite.  Declaration order
 is part of the contract: the random checks draw in that order from one
 ``Draws``, whose value k is draw 0 of the Philox stream (seed, 2**63 + k)
@@ -168,11 +171,15 @@ def network_gap(m: int, branches) -> float:
     return 1.0 - abs2(complex(overlaps.sum())) / (target_norm2 * out_norm2)
 
 
+def _random_pairs(rng, count: int, radius: float):
+    """Two-mode points: ``count`` first coordinates, then ``count`` second ones."""
+    return zip(_random_points(rng, count, radius), _random_points(rng, count, radius))
+
+
 def wigner_gap_hcs2(rng, alpha: complex, count: int, radius: float) -> float:
     """Closed-vs-numeric gap of the two-mode hierarchical state at random points."""
     spec = CatStateSpec(family=CatFamily.HCS, modes=2, alpha=alpha)
-    points = zip(_random_points(rng, count, radius), _random_points(rng, count, radius))
-    return wigner_gap(spec, points)
+    return wigner_gap(spec, _random_pairs(rng, count, radius))
 
 
 HCS2_ALPHA3_SPOTS = ((0.0, 0.0), (3.0, 3.0), (-3.0, 3.0), (1.5, -1.5), (0.5j, 2.0))
@@ -467,3 +474,16 @@ def _eq_bounds(rng, seed):
             rqfi_bound_quadrature(modes, 0.9) - wide.value,
         )
     return max(0.0, worst), 1e-9
+
+
+@_check("wigner-omega2-closed-vs-numeric", FULL)
+def _wigner_omega2(rng, seed):
+    spec = CatStateSpec(family=CatFamily.OMEGA, modes=2, alpha=1.1 + 0.4j)
+    return wigner_gap(spec, _random_pairs(rng, 50, 2.0)), 1e-6
+
+
+@_check("wigner-odd-cat-closed-vs-numeric", FULL)
+def _wigner_odd_cat(rng, seed):
+    spec = CatStateSpec(family=CatFamily.ODD_CAT, modes=1, alpha=1.1)
+    points = [(g,) for g in _random_points(rng, 50, 2.0)]
+    return wigner_gap(spec, points), 1e-6

@@ -1,5 +1,6 @@
 """Truncated Fock-space infrastructure: states, operators, networks."""
 
+import functools
 import math
 import tracemalloc
 
@@ -35,7 +36,9 @@ from catsize.fock import (
     cat_split_thetas,
     coherent_vector,
     default_cutoff,
+    displace,
     displacement_op,
+    family_branches,
     kitten_vectors,
     mode_ops,
     split_network_overlaps,
@@ -134,6 +137,28 @@ def test_displacement_is_exponential_of_truncated_generator(alpha, cutoff):
     disp = displacement_op(alpha, cutoff)
     assert np.abs(disp - taylor_expm(gen)).max() < 1e-12
     assert np.abs(disp @ disp.conj().T - np.eye(cutoff + 1)).max() < 1e-12
+
+
+def test_displace_applies_each_displacement_to_every_column():
+    rng = np.random.default_rng(31)
+    cutoff = 40
+    columns = rng.normal(size=(cutoff + 1, 3)) + 1j * rng.normal(size=(cutoff + 1, 3))
+    alphas = [0.9 + 0.2j, -3.0 + 3.0j, 0.0, 1e-9j, -4.2 - 0.3j]
+    moved = displace(columns, alphas, cutoff)
+    assert moved.shape == (len(alphas), cutoff + 1, 3)
+    for alpha, block in zip(alphas, moved):
+        assert np.abs(block - displacement_op(alpha, cutoff) @ columns).max() < 1e-13
+
+
+def test_family_branches_sum_to_the_built_state():
+    # build_state is the scaled sum of the branch products, bit for bit
+    cases = [(CatFamily.ODD_CAT, 1), (CatFamily.OMEGA, 3), (CatFamily.HCS, 2)]
+    for family, modes in cases:
+        spec = CatStateSpec(family=family, modes=modes, alpha=0.8 + 0.3j)
+        branches, times, over = family_branches(spec, 20)
+        amps = sum(functools.reduce(np.kron, [v] * modes) for v in branches)
+        amps = amps * times / over
+        assert np.array_equal(amps, build_state(spec, cutoff=20).amplitudes)
 
 
 @pytest.mark.parametrize("theta, cutoff", [(0.3, 6), (math.pi / 4, 12), (1.1, 20)])

@@ -23,9 +23,11 @@ from catsize.phase_space import (
     grid_to_json,
     partial_trace_fringe_suppression,
     plane_axes,
+    wigner_branches,
     wigner_cat,
     wigner_closed,
     wigner_coherent,
+    wigner_cutoff,
     wigner_gap,
     wigner_grid,
     wigner_hcs2,
@@ -371,6 +373,79 @@ def test_numeric_reduced_state_of_two_mode_omega():
             g_plus + g_minus + 2.0 * w * env * math.cos(theta)
         ) / (2.0 + 2.0 * w * w)
         assert wigner_numeric(vec, [gamma]) == pytest.approx(closed, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# branch route
+# ---------------------------------------------------------------------------
+
+BRANCH_CASES = [
+    (CatFamily.EVEN_CAT, 1, 1.3),
+    (CatFamily.ODD_CAT, 1, 0.9 - 0.3j),
+    (CatFamily.PRODUCT_COHERENT, 1, 1.2),
+    (CatFamily.PRODUCT_COHERENT, 2, 0.7 + 0.5j),
+    (CatFamily.PRODUCT_COHERENT, 3, -0.6),
+    (CatFamily.OMEGA, 1, 1.1),
+    (CatFamily.OMEGA, 2, 0.8 + 0.6j),
+    (CatFamily.OMEGA, 3, 1.0),
+    (CatFamily.HCS, 2, 1.5),
+    (CatFamily.HCS, 3, 0.9 + 0.4j),
+]
+
+
+@pytest.mark.parametrize(
+    "family, modes, alpha, k",
+    [(f, n, a, k) for f, n, a in BRANCH_CASES for k in range(1, n + 1)],
+)
+def test_branch_route_matches_the_joint_vector(family, modes, alpha, k):
+    # the same truncated state and cutoff, summed over branch pairs instead
+    # of displaced as one joint vector; k < modes is the reduced state
+    state = CatStateSpec(family=family, modes=modes, alpha=alpha)
+    rng = np.random.default_rng(410 + 10 * modes + k)
+    points = rng.normal(size=(8, k)) + 1j * rng.normal(size=(8, k))
+    vec = build_state(state, cutoff=wigner_cutoff(alpha, points))
+    want = [wigner_numeric(vec, point) for point in points]
+    got = wigner_branches(state, points)
+    assert got.shape == (8,)
+    assert np.abs(got - want).max() <= 1e-12
+
+
+def test_branch_route_guards_cutoff_headroom():
+    # the point test_numeric_guards_cutoff_headroom refuses, after one that passes
+    state = CatStateSpec(family=CatFamily.PRODUCT_COHERENT, modes=1, alpha=1.0)
+    with pytest.raises(TruncationError, match="on mode 0: top-3 mass"):
+        wigner_branches(state, [[0.0], [3.0 + 3.0j]], cutoff=12)
+
+
+@pytest.mark.parametrize(
+    "modes, point, mode", [(2, [1.5], 1), (3, [1.5], 1), (3, [1.5, 1.5], 2)]
+)
+def test_branch_route_guards_the_undisplaced_modes(monkeypatch, modes, point, mode):
+    # at cutoff 20 the displaced |1.5> is vacuum to 6e-17 of its mass and
+    # the undisplaced |1.5> keeps 4e-11 in its top levels, so a guard of
+    # 1e-12 trips on the first undisplaced mode only, in both routes
+    monkeypatch.setattr("catsize.phase_space._HEADROOM_TOL", 1e-12)
+    state = CatStateSpec(family=CatFamily.PRODUCT_COHERENT, modes=modes, alpha=1.5)
+    match = f"on mode {mode}: "
+    with pytest.raises(TruncationError, match=match):
+        wigner_numeric(build_state(state, cutoff=20), point)
+    with pytest.raises(TruncationError, match=match):
+        wigner_branches(state, [point], cutoff=20)
+
+
+def test_branch_route_refuses_more_terms_than_the_budget():
+    # a read-only broadcast view: the refusal comes before any (P, d) array
+    state = CatStateSpec(family=CatFamily.OMEGA, modes=2, alpha=1.0)
+    points = np.broadcast_to(np.zeros((1, 2), dtype=complex), (MAX_JOINT_DIM // 64, 2))
+    with pytest.raises(SizingError, match="branch-pair terms"):
+        wigner_branches(state, points, cutoff=20)
+
+
+@pytest.mark.parametrize("points", [[[0.1, 0.2]], [[]], [], [0.1, 0.2]])
+def test_branch_route_checks_the_point_shape(points):
+    state = CatStateSpec(family=CatFamily.EVEN_CAT, modes=1, alpha=1.0)
+    with pytest.raises(DomainError):
+        wigner_branches(state, points)
 
 
 # ---------------------------------------------------------------------------
