@@ -361,10 +361,8 @@ def _assemble(spec: CatStateSpec, cutoff: int) -> np.ndarray:
     amps = _kron_power(branches[0], spec.modes)
     for v in branches[1:]:
         amps += _kron_power(v, spec.modes)
-    if times != 1.0:
-        amps *= times
-    if over != 1.0:
-        amps /= over
+    amps *= times
+    amps /= over
     return amps
 
 

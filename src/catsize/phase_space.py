@@ -238,26 +238,24 @@ def wigner_numeric(vec: FockVector, gammas) -> float:
     return (2.0 / math.pi) ** len(points) * float(acc.sum()) / total
 
 
-def wigner_branches(
-    state: CatStateSpec, points, cutoff: int | None = None
-) -> np.ndarray:
+def wigner_branches(state: CatStateSpec, points) -> np.ndarray:
     """Displaced-parity values of ``state`` at ``points``, from its
     single-mode branch vectors, with no joint vector built.
 
     ``points`` is a (P, k) array-like: each point holds coordinates for the
     first k <= ``state.modes`` modes, and its value is that of those modes'
     reduced state, as ``wigner_numeric`` gives it on ``build_state`` at the
-    same cutoff.  The state is c sum_b v_b^(x N) (``family_branches``), so
-    each sum over the displaced joint vector is a sum over branch pairs
+    cutoff ``wigner_cutoff`` picks from the amplitude and the points.  The
+    state is c sum_b v_b^(x N) (``family_branches``), so each sum over the
+    displaced joint vector is a sum over branch pairs
     (b, c) of one single-mode factor per mode, multiplied together:
     <x_b|P|x_c> on the displaced modes, x_b = D(-gamma_i) v_b, and <v_b|v_c>
     on the rest for the parity sum; <x_b|x_c> on every mode for the total;
     and for mode j's headroom guard, mode j's top-three projector in place
     of its factor.  The guard raises TruncationError as ``wigner_numeric``
     does, at the first such point in order and its first such mode.  More
-    than MAX_JOINT_DIM terms P d B^2 are refused with SizingError first.
-    ``cutoff`` defaults to ``wigner_cutoff`` of the amplitude and the
-    points.  O(P B d^2 + d^3) for P points and B branches.
+    than MAX_JOINT_DIM displaced amplitudes P d B are refused with
+    SizingError first.  O(P B d^2 + d^3) for P points and B branches.
     """
     points = np.asarray(points, dtype=complex)
     if points.ndim != 2 or not 1 <= points.shape[1] <= state.modes or not points.size:
@@ -266,13 +264,12 @@ def wigner_branches(
             f"coordinates, got shape {points.shape}"
         )
     k = points.shape[1]
-    if cutoff is None:
-        cutoff = wigner_cutoff(state.alpha, points)
+    cutoff = wigner_cutoff(state.alpha, points)
     columns = np.stack(family_branches(state, cutoff)[0], axis=-1)  # (d, B)
-    terms = len(points) * columns.shape[0] * columns.shape[1] ** 2
-    if terms > MAX_JOINT_DIM:
+    size = len(points) * columns.size
+    if size > MAX_JOINT_DIM:
         raise SizingError(
-            f"{terms} branch-pair terms exceed MAX_JOINT_DIM = {MAX_JOINT_DIM}"
+            f"{size} displaced amplitudes exceed MAX_JOINT_DIM = {MAX_JOINT_DIM}"
         )
     top = min(3, cutoff + 1)
     # per mode, the (P, B, B) norm, parity and top-level sums; every
@@ -304,12 +301,14 @@ def wigner_branches(
 def _pair_sums(x: np.ndarray, top: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """From (P, d, B) branch vectors, the (P, B, B) sums over n of
     conj(x_b[n]) x_c[n]: over all n, with the parity sign (-1)^n, and over
-    the top ``top`` levels."""
-    pair = np.conj(x)[:, :, :, None] * x[:, :, None, :]
+    the top ``top`` levels.  Plain einsum, no BLAS, so the bytes do not
+    depend on the thread count."""
+    bra = np.conj(x)
+    signs = np.where(np.arange(x.shape[1]) % 2 == 0, 1.0, -1.0)[:, None]
     return (
-        pair.sum(axis=1),
-        pair[:, 0::2].sum(axis=1) - pair[:, 1::2].sum(axis=1),
-        pair[:, -top:].sum(axis=1),
+        np.einsum("pnb,pnc->pbc", bra, x),
+        np.einsum("pnb,pnc->pbc", bra, signs * x),
+        np.einsum("pnb,pnc->pbc", bra[:, -top:], x[:, -top:]),
     )
 
 

@@ -410,11 +410,12 @@ def test_branch_route_matches_the_joint_vector(family, modes, alpha, k):
     assert np.abs(got - want).max() <= 1e-12
 
 
-def test_branch_route_guards_cutoff_headroom():
+def test_branch_route_guards_cutoff_headroom(monkeypatch):
     # the point test_numeric_guards_cutoff_headroom refuses, after one that passes
+    monkeypatch.setattr("catsize.phase_space.wigner_cutoff", lambda peak, gammas: 12)
     state = CatStateSpec(family=CatFamily.PRODUCT_COHERENT, modes=1, alpha=1.0)
     with pytest.raises(TruncationError, match="on mode 0: top-3 mass"):
-        wigner_branches(state, [[0.0], [3.0 + 3.0j]], cutoff=12)
+        wigner_branches(state, [[0.0], [3.0 + 3.0j]])
 
 
 @pytest.mark.parametrize(
@@ -425,20 +426,21 @@ def test_branch_route_guards_the_undisplaced_modes(monkeypatch, modes, point, mo
     # the undisplaced |1.5> keeps 4e-11 in its top levels, so a guard of
     # 1e-12 trips on the first undisplaced mode only, in both routes
     monkeypatch.setattr("catsize.phase_space._HEADROOM_TOL", 1e-12)
+    monkeypatch.setattr("catsize.phase_space.wigner_cutoff", lambda peak, gammas: 20)
     state = CatStateSpec(family=CatFamily.PRODUCT_COHERENT, modes=modes, alpha=1.5)
     match = f"on mode {mode}: "
     with pytest.raises(TruncationError, match=match):
         wigner_numeric(build_state(state, cutoff=20), point)
     with pytest.raises(TruncationError, match=match):
-        wigner_branches(state, [point], cutoff=20)
+        wigner_branches(state, [point])
 
 
-def test_branch_route_refuses_more_terms_than_the_budget():
-    # a read-only broadcast view: the refusal comes before any (P, d) array
+def test_branch_route_refuses_more_amplitudes_than_the_budget():
+    # a read-only broadcast view: the refusal comes before any (P, d, B) array
     state = CatStateSpec(family=CatFamily.OMEGA, modes=2, alpha=1.0)
-    points = np.broadcast_to(np.zeros((1, 2), dtype=complex), (MAX_JOINT_DIM // 64, 2))
-    with pytest.raises(SizingError, match="branch-pair terms"):
-        wigner_branches(state, points, cutoff=20)
+    points = np.broadcast_to(np.zeros((1, 2), dtype=complex), (MAX_JOINT_DIM // 16, 2))
+    with pytest.raises(SizingError, match="displaced amplitudes"):
+        wigner_branches(state, points)
 
 
 @pytest.mark.parametrize("points", [[[0.1, 0.2]], [[]], [], [0.1, 0.2]])
