@@ -70,9 +70,7 @@ from .phase_space import (
     PhaseSpaceFeatures,
     WignerGrid,
     extract_features,
-    fringe_suppression_check,
     grid_to_json,
-    partial_trace_fringe_suppression,
     wigner_branches,
     wigner_cat,
     wigner_closed,

@@ -1,19 +1,16 @@
 """Truncated Fock-space numerics used to cross-check the closed forms.
 
 Everything lives on a joint basis of ``modes`` oscillators truncated at a
-shared per-mode photon cutoff.  One mechanism serves every unitary in the
-package: the exponential of the truncated Hermitian generator, taken from
-its eigendecomposition.  Both generators reduce to real symmetric
-tridiagonal matrices: the displacement generator is a phase-rotated
-quadrature, and the beamsplitter generator splits into one hopping block per
-total photon count.
+shared per-mode photon cutoff.  The displacement is the exponential of its
+truncated Hermitian generator, a phase-rotated quadrature, taken from the
+eigendecomposition of that real symmetric tridiagonal matrix (``displace``).
 
 The only two-mode unitary the package applies is the coherent mixer of the
 splitting network, and every mixer there meets a mode still in vacuum: the
-mixer on (q - 1, q) sends |n, 0> to sum_a T[a, n - a] |a, n - a>, so it
-needs only column n of each hopping block with n <= cutoff
-(``_vacuum_mixer``, O(d^3) per mixer from the eigenpairs of H_n, cached per
-block n and shared by every cutoff).  The network's overlap with a product
+mixer on (q - 1, q) sends |n, 0> to sum_a T[a, n - a] |a, n - a>.  It sends
+|u>|0> to |u cos(theta)>|u sin(theta)>, so T is the closed form
+T[a, b] = sqrt(C(a + b, a)) cos(theta)^a sin(theta)^b (``_vacuum_mixer``,
+O(d^2) per mixer, nothing cached).  The network's overlap with a product
 target and its norm are then transfer chains, one (d, d) step per mixer
 (``split_network_overlaps``), and its d^m output is never built.  The
 general two-mode applier, the network output and the Kronecker product of
@@ -172,58 +169,45 @@ def _real_matmul(real: np.ndarray, block: np.ndarray) -> np.ndarray:
 
 @functools.lru_cache(maxsize=64)
 def _quadrature_eigh(cutoff: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only eigenpairs of the truncated quadrature (a + a^dag)/sqrt(2)."""
-    vals, vecs = _hopping_eigh(np.sqrt(np.arange(1.0, cutoff + 1) / 2.0))
+    """Read-only eigenpairs of the truncated quadrature (a + a^dag)/sqrt(2),
+    the real symmetric tridiagonal matrix with zero diagonal and off-diagonal
+    sqrt(n / 2)."""
+    hop = np.sqrt(np.arange(1.0, cutoff + 1) / 2.0)
+    vals, vecs = np.linalg.eigh(np.diag(hop, 1) + np.diag(hop, -1))
     vals.flags.writeable = False
     vecs.flags.writeable = False
     return vals, vecs
-
-
-def _hopping_eigh(hop: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs of the real symmetric tridiagonal matrix with zero diagonal
-    and off-diagonal ``hop``."""
-    return np.linalg.eigh(np.diag(hop, 1) + np.diag(hop, -1))
 
 
 def _vacuum_mixer(theta: float, cutoff: int) -> np.ndarray:
     """Amplitudes T[a, b] from |a + b, 0> to |a, b> of the coherent mixer
-    P_j(-pi/2) exp(i theta (a^dag b + b^dag a)) P_j(-pi/2), as a (d, d) array.
+    P_j(-pi/2) exp(i theta (a^dag b + b^dag a)) P_j(-pi/2), as a real (d, d)
+    array: T[a, b] = sqrt(C(a + b, a)) cos(theta)^a sin(theta)^b, zero where
+    a + b > cutoff.
 
     The mixer sends |u>|v> to |u cos(theta) + v sin(theta)>
     |u sin(theta) - v cos(theta)> with no stray phases, which is the mixing
-    convention the splitting network is stated in.  Its generator conserves
-    the total count n; on the states |k, n - k> it is theta times the hopping
-    matrix H_n, and |n, 0> is the last of them, so only column n of
-    exp(i theta H_n) = V e^{i theta Lambda} V^T is needed, O(n^2) from the
-    cached eigenpairs (``_vacuum_block_eigh``).  The phase (-i)^b of the
-    second mode scales that column.  T is zero where a + b > cutoff.
+    convention the splitting network is stated in.  So |u>|0> goes to
+    |u cos(theta)>|u sin(theta)>, and matching the terms u^n / sqrt(n!) of
+    both sides gives T.  sqrt(C(n, a)) = sqrt(n! / (a! b!)) comes from the
+    exact factorials as mantissas m_k in [1/2, 1) and exponents e_k,
+    k! = m_k 2^e_k, so it stays finite (at most 2^(n/2)) up to n = 2047,
+    where C(n, a) itself overflows a float past n = 1029.
     """
     d = cutoff + 1
-    phase = np.exp(-0.5j * math.pi * np.arange(d))
-    mixer = np.zeros((d, d), dtype=complex)
-    for n in range(d):
-        vals, vecs = _vacuum_block_eigh(n)
-        a = np.arange(n + 1)
-        mixer[a, n - a] = phase[n - a] * ((vecs * np.exp(1j * theta * vals)) @ vecs[n])
+    mantissa, exponent, factorial = np.empty(d), np.empty(d, dtype=np.int64), 1
+    for k in range(d):
+        factorial *= max(k, 1)
+        bits = factorial.bit_length()
+        mantissa[k], exponent[k] = factorial / (1 << bits), bits
+    a, b = np.ogrid[:d, :d]
+    n = np.minimum(a + b, cutoff)  # a + b > cutoff is zeroed below
+    twos = exponent[n] - exponent[a] - exponent[b]
+    ratio = np.ldexp(mantissa[n] / (mantissa[a] * mantissa[b]), twos % 2)
+    root = np.ldexp(np.sqrt(ratio), twos // 2)
+    mixer = root * np.power(math.cos(theta), a) * np.power(math.sin(theta), b)
+    mixer[a + b > cutoff] = 0.0
     return mixer
-
-
-# the network refuses d**2 > MAX_JOINT_DIM before building a mixer, which
-# bounds the blocks any mixer asks for, so the cache never evicts one
-@functools.lru_cache(maxsize=math.isqrt(MAX_JOINT_DIM))
-def _vacuum_block_eigh(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only eigenpairs of the hopping block H_n.
-
-    H_n couples |k, n - k> to |k + 1, n - k - 1> with amplitude
-    sqrt((k + 1)(n - k)), for k = 0 .. n - 1.  It does not depend on the
-    cutoff, so mixers at every cutoff share the blocks; the cache holds the
-    blocks n <= the largest cutoff asked for, one cutoff's set.
-    """
-    k = np.arange(n)
-    vals, vecs = _hopping_eigh(np.sqrt((k + 1.0) * (n - k)))
-    vals.flags.writeable = False
-    vecs.flags.writeable = False
-    return vals, vecs
 
 
 def cat_split_thetas(modes: int) -> list[float]:

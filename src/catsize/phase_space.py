@@ -6,11 +6,14 @@ The convention throughout is the displaced-parity form
 
 with P_tot the joint photon-number parity.  Closed forms reduce every state
 built from coherent branches to Gaussians exp(-2|gamma -+ alpha|^2), the
-envelope exp(-2|gamma|^2), and fringe phases 4 Im(conj(alpha) gamma).  Two
-numeric routes read off the parity sum of the displaced truncated state:
-``wigner_numeric`` displaces any joint Fock vector, one point at a time, and
-``wigner_branches`` displaces only the single-mode branch vectors of a
-family's state, all points at once, with no joint vector built.
+envelope exp(-2|gamma|^2), and fringe phases 4 Im(conj(alpha) gamma); given
+coordinates for the first k of a state's N modes, ``wigner_closed`` returns
+the Wigner function of those k modes' reduced state, where each traced mode
+scales the interference terms by its branch overlap.  Two numeric routes
+read off the parity sum of the displaced truncated state, reduced states
+included: ``wigner_numeric`` displaces any joint Fock vector, one point at a
+time, and ``wigner_branches`` displaces only the single-mode branch vectors
+of a family's state, all points at once, with no joint vector built.
 """
 
 from __future__ import annotations
@@ -29,8 +32,6 @@ from .fock import (
     MAX_JOINT_DIM,
     FockVector,
     apply_single_mode,
-    build_state,
-    coherent_vector,
     default_cutoff,
     displace,
     displacement_op,
@@ -129,16 +130,26 @@ def wigner_omega(gammas, alpha):
     ``gammas`` holds one complex phase-space point per mode in its last axis.
     """
     g = np.atleast_1d(np.asarray(gammas, dtype=complex))
-    n = g.shape[-1]
+    return _wigner_omega(g, alpha, g.shape[-1])
+
+
+def _wigner_omega(g, alpha, modes: int):
+    """Omega on ``modes`` modes, reduced to the first k of them, at the
+    points ``g`` with one coordinate per kept mode in the last axis (k).
+
+    Each traced mode multiplies the cross term by its branch overlap, so the
+    kept modes' cross term carries w^(modes - k) over the full norm 2 + 2 w^modes.
+    """
+    k = g.shape[-1]
     w = branch_overlap(alpha)
-    norm_sq = 2.0 + 2.0 * w ** n
+    norm_sq = 2.0 + 2.0 * w ** modes
     plus = np.prod(_gauss(g, alpha), axis=-1)
     minus = np.prod(_gauss(g, -alpha), axis=-1)
     env = _gauss(g, 0.0)
-    cross = 2.0 * np.prod(env, axis=-1) * np.cos(
+    cross = 2.0 * w ** (modes - k) * np.prod(env, axis=-1) * np.cos(
         np.sum(_fringe_phase(g, alpha, env), axis=-1)
     )
-    return (2.0 / math.pi) ** n * (plus + minus + cross) / norm_sq
+    return (2.0 / math.pi) ** k * (plus + minus + cross) / norm_sq
 
 
 def wigner_hcs2(gamma1, gamma2, alpha):
@@ -148,32 +159,56 @@ def wigner_hcs2(gamma1, gamma2, alpha):
     blocks plus one cross block; the cross block's real part combines the
     Gaussian differences with a product of fringe sines.
     """
+    return _wigner_hcs((gamma1, gamma2), alpha, 2)
+
+
+def _wigner_hcs(gammas, alpha, modes: int):
+    """HCS (|even>^N + |odd>^N)/sqrt(2) on N = ``modes`` modes, reduced to
+    the first k = len(gammas) of them, from the kitten terms (e, o, d, s)
+    at each coordinate:
+
+        1/2 (2/pi)^k [prod e_i / A+^2k + prod o_i / A-^2k + cross],
+
+    with cross = 2 Re prod (d_i + 2i s_i) / (A+ A-)^N at k = N, where
+    (A+ A-)^2 = -4 expm1(-4|alpha|^2) keeps its digits where w nears 1, and
+    cross = 0 at k < N, since <even|odd> = 0 on every traced mode.  At
+    N = 2 each step rounds as the two-mode form always has: the prefactor
+    is 4 / pi^2, and the cross product's real part is d1 d2 - (2 s1)(2 s2).
+    """
     a_plus, a_minus = hcs_norms(alpha)
-    e1, o1, d1, s1 = _kitten_terms(gamma1, alpha)
-    e2, o2, d2, s2 = _kitten_terms(gamma2, alpha)
-    diag = e1 * e2 / a_plus ** 4 + o1 * o2 / a_minus ** 4
-    # 1 - w^2, as -expm1(-4|alpha|^2), which keeps its digits where w nears 1
-    cross = (d1 * d2 - 4.0 * s1 * s2) / (-2.0 * math.expm1(-4.0 * abs2(alpha)))
-    return (4.0 / math.pi ** 2) * 0.5 * (diag + cross)
+    k = len(gammas)
+    even, odd, re, im = _kitten_terms(gammas[0], alpha)
+    im = 2.0 * im
+    for gamma in gammas[1:]:
+        e, o, d, s = _kitten_terms(gamma, alpha)
+        even, odd = even * e, odd * o
+        re, im = re * d - im * (2.0 * s), re * (2.0 * s) + im * d
+    total = even / a_plus ** (2 * k) + odd / a_minus ** (2 * k)
+    if k == modes:
+        total = total + 2.0 * re / (-4.0 * math.expm1(-4.0 * abs2(alpha))) ** (modes / 2)
+    return (2.0 ** k / math.pi ** k) * 0.5 * total
 
 
 def wigner_closed(state: CatStateSpec, *gammas):
-    """Closed-form Wigner function of ``state`` at one broadcastable complex
-    coordinate array per mode (a grid passes sparse axes): the one place that
-    maps a family and mode count to its closed form.  Refuses a coordinate
-    count other than ``state.modes``, and HCS off two modes."""
-    if len(gammas) != state.modes:
-        raise DomainError(f"expected {state.modes} phase-space coordinates, got {len(gammas)}")
+    """Closed-form Wigner function of the reduced state of the first
+    k = len(gammas) modes of ``state``, at one broadcastable complex
+    coordinate array per kept mode (a grid passes sparse axes): the one
+    place that maps a family, mode count and k to its closed form.  Refuses
+    k outside [1, ``state.modes``]."""
+    k = len(gammas)
+    if not 1 <= k <= state.modes:
+        raise DomainError(
+            f"expected 1 to {state.modes} phase-space coordinates, got {k}"
+        )
     fam, alpha = state.family, state.alpha
     if fam is CatFamily.PRODUCT_COHERENT:
         return math.prod(wigner_coherent(g, alpha) for g in gammas)
     if fam is CatFamily.OMEGA:
-        return wigner_omega(np.stack(np.broadcast_arrays(*gammas), axis=-1), alpha)
-    if fam is CatFamily.EVEN_CAT or fam is CatFamily.ODD_CAT:
-        return wigner_cat(gammas[0], alpha, parity=1 if fam is CatFamily.EVEN_CAT else -1)
-    if fam is CatFamily.HCS and state.modes == 2:
-        return wigner_hcs2(*gammas, alpha)
-    raise DomainError(f"no closed-form Wigner function for {fam.value} at {state.modes} modes")
+        g = np.asarray(np.stack(np.broadcast_arrays(*gammas), axis=-1), dtype=complex)
+        return _wigner_omega(g, alpha, state.modes)
+    if fam is CatFamily.HCS:
+        return _wigner_hcs(gammas, alpha, state.modes)
+    return wigner_cat(gammas[0], alpha, parity=1 if fam is CatFamily.EVEN_CAT else -1)
 
 
 # ---------------------------------------------------------------------------
@@ -328,55 +363,6 @@ def wigner_gap(state: CatStateSpec, points) -> float:
     points = np.asarray(list(points), dtype=complex)
     numeric = wigner_branches(state, points)
     return float(np.abs(wigner_closed(state, *points.T) - numeric).max())
-
-
-# ---------------------------------------------------------------------------
-# fringe suppression under partial trace
-# ---------------------------------------------------------------------------
-
-def partial_trace_fringe_suppression(modes: int, n_traced: int, alpha) -> float:
-    """Closed-form factor multiplying the interference term after discarding
-    ``n_traced`` of the modes."""
-    if not 0 <= n_traced <= modes:
-        raise DomainError(f"n_traced must lie in [0, {modes}], got {n_traced}")
-    return math.exp(-2.0 * n_traced * abs2(alpha))
-
-
-def fringe_suppression_check(alpha) -> dict:
-    """Measure the interference suppression numerically on a two-mode state.
-
-    Builds the two-mode superposition, evaluates the Wigner function of its
-    first mode at the origin (the second mode traced out), and reads the
-    interference amplitude as the difference between that value and the
-    branch-diagonal reference.  The measured coefficient is compared against
-    the closed form exp(-2|alpha|^2); the implied decay exponent is reported
-    next to the candidate exponents rather than decided here.
-    """
-    a = abs2(alpha)
-    if a == 0.0:
-        raise DomainError("suppression is trivial at alpha = 0")
-    spec = CatStateSpec(family=CatFamily.OMEGA, modes=2, alpha=alpha)
-    vec = build_state(spec)
-    plus = coherent_vector(alpha, vec.cutoff)
-    minus = coherent_vector(-alpha, vec.cutoff)
-    scale = 2.0 + 2.0 * branch_overlap(alpha) ** 2
-    w_red = wigner_numeric(vec, [0.0])
-    w_diag = (wigner_numeric(plus, [0.0]) + wigner_numeric(minus, [0.0])) / scale
-    # at the origin the unit-coefficient cross block contributes 2/scale
-    # (per branch-ordering) times the kernel value 1, times 2/pi
-    unit_cross = (2.0 / math.pi) * 2.0 / scale
-    measured = (w_red - w_diag) / unit_cross
-    predicted = partial_trace_fringe_suppression(2, 1, alpha)
-    return {
-        "alpha": complex(alpha),
-        "modes": 2,
-        "n_traced": 1,
-        "measured_coefficient": measured,
-        "predicted_coefficient": predicted,
-        "ratio": measured / predicted,
-        "measured_exponent": -math.log(measured) / (2.0 * a),
-        "candidate_exponents": (2.0, 0.5),
-    }
 
 
 # ---------------------------------------------------------------------------

@@ -43,7 +43,7 @@ from .closed_forms import (
 )
 from .errors import DomainError
 
-SEED_SCHEME = "philox(key=(seed, trajectory_index))"
+SEED_SCHEME = "philox(key=uint64[seed, trajectory_index])"
 
 # Trajectories advanced together; bounds the kernel's working memory.
 _BATCH = 1 << 14

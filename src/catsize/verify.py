@@ -5,10 +5,12 @@ function of the shared generator and the seed that returns ``(observed,
 tolerance)``; the expected value is always 0.  A route owned by another
 module is read only through its public result: the row that module builds
 (``MeasureResult.checks``, ``simulate.*_rows``) gives the gap and tolerance,
-and each closed-vs-numeric Wigner row's gap is ``phase_space.wigner_gap`` of
-its state and points, whose numeric side displaces the state's single-mode
-branch vectors (``wigner_branches``); only the vacuum row, whose vector has
-no family, calls the joint-vector route ``wigner_numeric`` itself.
+and each closed-vs-numeric Wigner row's gap, the fringe-suppression row
+and the reduced-state rows included, is ``phase_space.wigner_gap`` of its
+state and points (coordinates for the first k <= N modes), whose numeric
+side displaces the state's single-mode branch vectors (``wigner_branches``);
+only the vacuum row, whose vector has no family, calls the joint-vector
+route ``wigner_numeric`` itself.
 The fast suite is the in-order prefix of the full suite.  Declaration order
 is part of the contract: the random checks draw in that order from one
 ``Draws``, whose value k is draw 0 of the Philox stream (seed, 2**63 + k)
@@ -44,7 +46,7 @@ from .closed_forms import (
 from .errors import DomainError
 from .fock import FockVector, coherent_vector, default_cutoff, split_network_overlaps
 from .measures import branch_dist_size, branch_dist_size_real, marquardt_size, rqfi_size
-from .phase_space import fringe_suppression_check, wigner_gap, wigner_numeric, wigner_omega
+from .phase_space import wigner_gap, wigner_numeric, wigner_omega
 from .simulate import (
     CollapseProblem,
     _check_seed,
@@ -171,15 +173,23 @@ def network_gap(m: int, branches) -> float:
     return 1.0 - abs2(complex(overlaps.sum())) / (target_norm2 * out_norm2)
 
 
-def _random_pairs(rng, count: int, radius: float):
-    """Two-mode points: ``count`` first coordinates, then ``count`` second ones."""
-    return zip(_random_points(rng, count, radius), _random_points(rng, count, radius))
+def _random_tuples(rng, count: int, radius: float, modes: int):
+    """``count`` points of ``modes`` coordinates each: ``count`` first
+    coordinates, then ``count`` second ones, and so on."""
+    return zip(*(_random_points(rng, count, radius) for _ in range(modes)))
+
+
+def _drawn_wigner_gap(family: CatFamily, modes: int, alpha: complex, k: int):
+    """A Wigner row's evaluation: the closed-vs-numeric gap of ``family`` on
+    ``modes`` modes at 50 points drawn on its first k modes, radius 2."""
+    spec = CatStateSpec(family=family, modes=modes, alpha=alpha)
+    return lambda rng, seed: (wigner_gap(spec, _random_tuples(rng, 50, 2.0, k)), 1e-6)
 
 
 def wigner_gap_hcs2(rng, alpha: complex, count: int, radius: float) -> float:
     """Closed-vs-numeric gap of the two-mode hierarchical state at random points."""
     spec = CatStateSpec(family=CatFamily.HCS, modes=2, alpha=alpha)
-    return wigner_gap(spec, _random_pairs(rng, count, radius))
+    return wigner_gap(spec, _random_tuples(rng, count, radius, 2))
 
 
 HCS2_ALPHA3_SPOTS = ((0.0, 0.0), (3.0, 3.0), (-3.0, 3.0), (1.5, -1.5), (0.5j, 2.0))
@@ -328,11 +338,7 @@ _check("network-coherent-m2")(lambda rng, seed: (network_gap(2, [0.5]), 1e-8))
 _check("network-coherent-m3")(lambda rng, seed: (network_gap(3, [0.5]), 1e-8))
 
 
-@_check("wigner-even-cat-closed-vs-numeric")
-def _wigner_even_cat(rng, seed):
-    spec = CatStateSpec(family=CatFamily.EVEN_CAT, modes=1, alpha=1.3)
-    points = [(g,) for g in _random_points(rng, 50, 2.0)]
-    return wigner_gap(spec, points), 1e-6
+_check("wigner-even-cat-closed-vs-numeric")(_drawn_wigner_gap(CatFamily.EVEN_CAT, 1, 1.3, 1))
 
 
 _check("wigner-hcs2-closed-vs-numeric")(
@@ -456,9 +462,17 @@ _check("wigner-hcs2-alpha3-spots", FULL)(
 )
 
 
+#: One-mode points for the fringe row: the origin, the node and the trough
+#: of cos(4 Im gamma) on the imaginary axis, a branch lobe and one off-axis.
+FRINGE_POINTS = ((0.0,), (0.39j,), (0.79j,), (1.0,), (0.5 + 0.5j,))
+
+
 @_check("fringe-suppression-coefficient", FULL)
 def _fringe(rng, seed):
-    return abs(fringe_suppression_check(1.0)["ratio"] - 1.0), 0.05
+    # the two-mode Omega state with its second mode traced out: the one
+    # traced mode scales the interference term by exp(-2|alpha|^2)
+    spec = CatStateSpec(family=CatFamily.OMEGA, modes=2, alpha=1.0)
+    return wigner_gap(spec, FRINGE_POINTS), 1e-6
 
 
 @_check("rqfi-published-bounds", FULL)
@@ -476,14 +490,16 @@ def _eq_bounds(rng, seed):
     return max(0.0, worst), 1e-9
 
 
-@_check("wigner-omega2-closed-vs-numeric", FULL)
-def _wigner_omega2(rng, seed):
-    spec = CatStateSpec(family=CatFamily.OMEGA, modes=2, alpha=1.1 + 0.4j)
-    return wigner_gap(spec, _random_pairs(rng, 50, 2.0)), 1e-6
-
-
-@_check("wigner-odd-cat-closed-vs-numeric", FULL)
-def _wigner_odd_cat(rng, seed):
-    spec = CatStateSpec(family=CatFamily.ODD_CAT, modes=1, alpha=1.1)
-    points = [(g,) for g in _random_points(rng, 50, 2.0)]
-    return wigner_gap(spec, points), 1e-6
+_check("wigner-omega2-closed-vs-numeric", FULL)(
+    _drawn_wigner_gap(CatFamily.OMEGA, 2, 1.1 + 0.4j, 2)
+)
+_check("wigner-odd-cat-closed-vs-numeric", FULL)(_drawn_wigner_gap(CatFamily.ODD_CAT, 1, 1.1, 1))
+_check("wigner-hcs3-closed-vs-numeric", FULL)(_drawn_wigner_gap(CatFamily.HCS, 3, 1.2, 3))
+# reduced states: Omega's interference scaled by the traced modes' overlap,
+# and none left in the hierarchical cat's
+_check("wigner-omega3-reduced-k1-closed-vs-numeric", FULL)(
+    _drawn_wigner_gap(CatFamily.OMEGA, 3, 0.6 + 0.3j, 1)
+)
+_check("wigner-hcs3-reduced-k2-closed-vs-numeric", FULL)(
+    _drawn_wigner_gap(CatFamily.HCS, 3, 1.2, 2)
+)

@@ -22,7 +22,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from catsize.errors import DomainError, SizingError
-from catsize.fock import MAX_JOINT_DIM, FockVector, _vacuum_mixer, cat_split_thetas
+from catsize.fock import MAX_JOINT_DIM, FockVector, cat_split_thetas
 
 #: Largest slab of the splitting network output, in amplitudes (1 MB, cache-sized).
 _SLAB_DIM = 1 << 16
@@ -89,7 +89,7 @@ def _network_slabs(
     head: FockVector, thetas: list[float], rows: int
 ) -> Iterator[np.ndarray]:
     d = head.cutoff + 1
-    mixers = [_vacuum_mixer(theta, head.cutoff) for theta in thetas]
+    mixers = [vacuum_mixer_reference(theta, head.cutoff) for theta in thetas]
     pair = functools.reduce(_split_off_vacuum, mixers[:1], head.amplitudes)
     for start in range(0, d, rows):
         e = d - start
@@ -97,6 +97,18 @@ def _network_slabs(
         yield functools.reduce(
             _split_off_vacuum, [mixer[:e, :e] for mixer in mixers[1:]], corner
         )
+
+
+def vacuum_mixer_reference(theta: float, cutoff: int) -> np.ndarray:
+    """The (d, d) amplitudes T[a, n - a] from |n, 0> to |a, n - a> of
+    ``coherent_mixer_kernel``: column n of its block n, zero where a + b > cutoff."""
+    d = cutoff + 1
+    blocks = coherent_mixer_kernel(theta, cutoff).blocks
+    mixer = np.zeros((d, d), dtype=complex)
+    for n in range(d):
+        a = np.arange(n + 1)
+        mixer[a, n - a] = blocks[n][:, n]
+    return mixer
 
 
 def _corner(start: int, rows: int, e: int, modes: int) -> tuple:

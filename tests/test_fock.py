@@ -1,5 +1,6 @@
 """Truncated Fock-space infrastructure: states, operators, networks."""
 
+import decimal
 import functools
 import math
 import tracemalloc
@@ -16,6 +17,7 @@ from dense_reference import (
     split_network_slabs,
     tensor,
     trace_norm,
+    vacuum_mixer_reference,
 )
 
 from catsize.closed_forms import (
@@ -308,14 +310,42 @@ def head_vacuum_chain(head: FockVector, modes: int) -> FockVector:
 
 @pytest.mark.parametrize("theta, cutoff", [(0.3, 6), (math.pi / 4, 44), (1.1, 20)])
 def test_vacuum_mixer_is_column_n_of_the_reference_blocks(theta, cutoff):
-    # T[a, n - a] is the amplitude from |n, 0>, the last state of block n
+    # two independent routes: the closed form, within 2 eps of a 50-digit
+    # reference, and the reference kernel's eigendecomposition of each block,
+    # whose own error against that reference reaches 1.7e-15 in the real part
+    # with an imaginary residue of 2.1e-15 at cutoff 44, so 16 eps holds both
     mixer = fock._vacuum_mixer(theta, cutoff)
-    blocks = coherent_mixer_kernel(theta, cutoff).blocks
+    reference = vacuum_mixer_reference(theta, cutoff)
+    assert np.abs(mixer - reference).max() <= 16 * np.finfo(float).eps
     d = cutoff + 1
-    for n in range(d):
-        a = np.arange(n + 1)
-        assert np.abs(mixer[a, n - a] - blocks[n][:, n]).max() <= 1e-15
     assert not mixer[np.add.outer(np.arange(d), np.arange(d)) > cutoff].any()
+
+
+@pytest.mark.parametrize("cutoff", [6, 44, 120])
+@pytest.mark.parametrize("theta", [0.3, math.pi / 4, 1.1, 1.4, 2.5])
+def test_vacuum_mixer_matches_a_decimal_reference(theta, cutoff):
+    # sqrt(C(n, a)) cos^a sin^b at 50 digits, from the float cos and sin
+    mixer = fock._vacuum_mixer(theta, cutoff)
+    assert mixer.dtype == np.float64
+    cos, sin = decimal.Decimal(math.cos(theta)), decimal.Decimal(math.sin(theta))
+    worst = decimal.Decimal(0)
+    with decimal.localcontext(prec=50):
+        for n in range(cutoff + 1):
+            for a in range(n + 1):
+                exact = decimal.Decimal(math.comb(n, a)).sqrt() * cos**a * sin ** (n - a)
+                worst = max(worst, abs(decimal.Decimal(mixer[a, n - a]) - exact))
+    assert worst <= 2 * np.finfo(float).eps
+
+
+def test_vacuum_mixer_stays_finite_at_the_largest_network_cutoff():
+    # d^2 = MAX_JOINT_DIM at cutoff 2047, where C(n, a) overflows a float
+    # past n = 1029; each column from |n, 0> is a unit vector
+    cutoff = math.isqrt(MAX_JOINT_DIM) - 1
+    mixer = fock._vacuum_mixer(math.pi / 4, cutoff)
+    assert np.isfinite(mixer).all()
+    flipped = (mixer**2)[:, ::-1]  # anti-diagonal n of mixer is diagonal cutoff - n
+    norms = [np.trace(flipped, offset=cutoff - n) for n in (0, 1029, 1030, cutoff)]
+    assert np.allclose(norms, 1.0, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("modes, cutoff", [(2, 9), (3, 9), (4, 6), (4, 9)])
@@ -383,19 +413,6 @@ def test_corner_slabs_compute_the_photon_number_simplex():
     sizes = [slab.size for slab in split_network_slabs(head, 4)]
     assert sizes == [k**3 for k in range(45, 0, -1)]
     assert sum(sizes) == 1_071_225 < 45**4
-
-
-def test_vacuum_mixers_share_block_eigenpairs_across_cutoffs():
-    # H_n does not depend on the cutoff: a mixer at cutoff 44 reads the very
-    # blocks n <= 27 that a mixer at cutoff 27 cached
-    fock._vacuum_mixer(0.4, 27)
-    small = [fock._vacuum_block_eigh(n) for n in range(28)]
-    hits = fock._vacuum_block_eigh.cache_info().hits
-    fock._vacuum_mixer(1.1, 44)
-    assert fock._vacuum_block_eigh.cache_info().hits - hits >= 28
-    assert all(fock._vacuum_block_eigh(n) is small[n] for n in range(28))
-    with pytest.raises(ValueError):
-        small[5][1][0, 0] = 1.0
 
 
 def fsum_fidelity(lhs: FockVector, rhs: FockVector) -> float:

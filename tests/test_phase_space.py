@@ -18,10 +18,8 @@ from catsize.phase_space import (
     WignerGrid,
     default_feature_window,
     extract_features,
-    fringe_suppression_check,
     grid_line,
     grid_to_json,
-    partial_trace_fringe_suppression,
     plane_axes,
     wigner_branches,
     wigner_cat,
@@ -112,8 +110,11 @@ def test_omega_single_mode_reduces_to_even_cat():
 
 
 def test_omega_coordinate_count_is_checked():
-    with pytest.raises(DomainError, match="expected 3 phase-space coordinates, got 2"):
-        wigner_closed(even_cat(1.0, modes=3), 0.1 + 0j, 0.2 + 0j)
+    # two coordinates of three modes are a reduced state; four are refused
+    with pytest.raises(DomainError, match="expected 1 to 3 phase-space coordinates, got 4"):
+        wigner_closed(even_cat(1.0, modes=3), *[0.1 + 0j] * 4)
+    with pytest.raises(DomainError, match="expected 1 to 3 phase-space coordinates, got 0"):
+        wigner_closed(even_cat(1.0, modes=3))
 
 
 # each family's own closed form, as grids chose it before wigner_closed
@@ -151,11 +152,27 @@ def test_closed_dispatch_matches_each_family_formula_on_sparse_grids(family, mod
     assert np.asarray(wigner_closed(state, *gammas)).tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("modes", [1, 3])
-def test_closed_form_of_hcs_is_two_mode_only(modes):
-    state = CatStateSpec(family=CatFamily.HCS, modes=modes, alpha=1.0)
-    with pytest.raises(DomainError, match="no closed-form Wigner function for hcs"):
-        wigner_closed(state, *[0.1 + 0.2j] * modes)
+CLOSED_FAMILY_MODES = [
+    (CatFamily.EVEN_CAT, 1), (CatFamily.ODD_CAT, 1),
+    *[(fam, n) for fam in (CatFamily.PRODUCT_COHERENT, CatFamily.OMEGA, CatFamily.HCS)
+      for n in (1, 2, 3, 4)],
+]
+
+
+@pytest.mark.parametrize("alpha", [0.7, 1.2 + 0.4j, 1.5])
+@pytest.mark.parametrize(
+    "family, modes, k",
+    [(fam, n, k) for fam, n in CLOSED_FAMILY_MODES for k in range(1, n + 1)],
+)
+def test_closed_form_matches_the_branch_route(family, modes, k, alpha):
+    # the reduced state of the first k modes, closed against numeric; the
+    # numeric route's cutoff leaves up to 1e-6 of mass in its top levels
+    state = CatStateSpec(family=family, modes=modes, alpha=alpha)
+    rng = np.random.default_rng(500 + 10 * modes + k)
+    points = rng.uniform(-2.0, 2.0, (12, k)) + 1j * rng.uniform(-2.0, 2.0, (12, k))
+    closed = wigner_closed(state, *points.T)
+    assert closed.shape == (12,)
+    assert np.abs(closed - wigner_branches(state, points)).max() <= 1e-7
 
 
 def test_hcs2_reference_points():
@@ -220,15 +237,21 @@ def _cos_sin(x):
     return cos, sin
 
 
-def _kitten_reference(gamma, alpha):
-    """Exact kitten pieces at ``gamma`` as (value, largest term) pairs: the
-    even and odd numerators, gp - gm and env sin(theta); and w."""
+def _gaussians(gamma, alpha):
+    """Exact gp, gm and env about alpha, -alpha and 0 at ``gamma``, the
+    branch overlap w, and u, theta = 4 Re, 4 Im of conj(alpha) gamma."""
     gr, gi, ar, ai = (D(v) for v in (gamma.real, gamma.imag, alpha.real, alpha.imag))
     gp = (-2 * ((gr - ar) ** 2 + (gi - ai) ** 2)).exp()
     gm = (-2 * ((gr + ar) ** 2 + (gi + ai) ** 2)).exp()
     env = (-2 * (gr * gr + gi * gi)).exp()
     w = (-2 * (ar * ar + ai * ai)).exp()
-    u, theta = 4 * (ar * gr + ai * gi), 4 * (ar * gi - ai * gr)
+    return gp, gm, env, w, 4 * (ar * gr + ai * gi), 4 * (ar * gi - ai * gr)
+
+
+def _kitten_reference(gamma, alpha):
+    """Exact kitten pieces at ``gamma`` as (value, largest term) pairs: the
+    even and odd numerators, gp - gm and env sin(theta); and w."""
+    gp, gm, env, w, u, theta = _gaussians(gamma, alpha)
     cos, sin = _cos_sin(theta)
     sin_half = _cos_sin(theta / 2)[1]
     sinh_half = ((u / 2).exp() - (-u / 2).exp()) / 2
@@ -240,6 +263,47 @@ def _kitten_reference(gamma, alpha):
         (gp - gm, abs(gp - gm)),
         (env * sin, abs(env * sin)),
     ), w
+
+
+def _hcs_reference(gammas, alpha, modes):
+    """Exact HCS value of the first k = len(gammas) of ``modes`` modes and
+    its largest block: the even and odd products over A+^2k and A-^2k, and
+    at k = modes the cross block 2 Re prod (d_i + 2i s_i) / (A+ A-)^modes,
+    bounded by prod (|d_i| + 2|s_i|)."""
+    k = len(gammas)
+    pieces = [_kitten_reference(g, alpha)[0] for g in gammas]
+    w = _kitten_reference(gammas[0], alpha)[1]
+    blocks = [
+        (math.prod(p[0][0] for p in pieces), math.prod(p[0][1] for p in pieces), (2 + 2 * w) ** k),
+        (math.prod(p[1][0] for p in pieces), math.prod(p[1][1] for p in pieces), (2 - 2 * w) ** k),
+    ]
+    if k == modes:
+        re, im, bound = D(1), D(0), D(1)
+        for _, _, (d, d_abs), (s, s_abs) in pieces:
+            re, im = re * d - im * 2 * s, re * 2 * s + im * d
+            bound *= d_abs + 2 * s_abs
+        blocks.append((2 * re, 2 * bound, (4 * (1 - w * w)).sqrt() ** modes))
+    scale = 2 * (PI / 2) ** k
+    return sum(v / n for v, _, n in blocks) / scale, max(t / n for _, t, n in blocks) / scale
+
+
+def _omega_reference(gammas, alpha, modes):
+    """Exact Omega value of the first k = len(gammas) of ``modes`` modes, and
+    its largest term: (prod gp + prod gm + 2 w^(modes - k) prod env cos(sum
+    theta)) / ((2 + 2 w^modes) (pi/2)^k)."""
+    parts = [_gaussians(g, alpha) for g in gammas]
+    w = parts[0][3]
+    plus, minus = math.prod(p[0] for p in parts), math.prod(p[1] for p in parts)
+    cross = 2 * w ** (modes - len(gammas)) * math.prod(p[2] for p in parts)
+    norm = (2 + 2 * w ** modes) * (PI / 2) ** len(gammas)
+    cos = _cos_sin(sum(p[5] for p in parts))[0]
+    return (plus + minus + cross * cos) / norm, max(plus, minus, cross) / norm
+
+
+def _ref_points(k):
+    """k coordinates per point, cycling through REF_GAMMAS."""
+    n = len(REF_GAMMAS)
+    return [tuple(REF_GAMMAS[(i + j) % n] for j in range(k)) for i in range(n)]
 
 
 @pytest.mark.parametrize("alpha", REF_ALPHAS)
@@ -257,18 +321,31 @@ def test_cat_matches_a_decimal_reference(alpha, parity):
 @pytest.mark.parametrize("alpha", REF_ALPHAS)
 def test_hcs2_matches_a_decimal_reference(alpha):
     with decimal.localcontext(prec=50):
-        for gamma1, gamma2 in zip(REF_GAMMAS, REF_GAMMAS[1:] + REF_GAMMAS[:1]):
-            (e1, o1, d1, s1), w = _kitten_reference(gamma1, alpha)
-            (e2, o2, d2, s2), _ = _kitten_reference(gamma2, alpha)
-            blocks = [
-                (e1[0] * e2[0], e1[1] * e2[1], (2 + 2 * w) ** 2),
-                (o1[0] * o2[0], o1[1] * o2[1], (2 - 2 * w) ** 2),
-                (d1[0] * d2[0], d1[1] * d2[1], 2 * (1 - w * w)),
-                (-4 * s1[0] * s2[0], 4 * s1[1] * s2[1], 2 * (1 - w * w)),
-            ]
-            want = 2 * sum(v / n for v, _, n in blocks) / PI ** 2
-            largest = 2 * max(t / n for _, t, n in blocks) / PI ** 2
+        for gamma1, gamma2 in _ref_points(2):
+            want, largest = _hcs_reference((gamma1, gamma2), alpha, 2)
             got = wigner_hcs2(gamma1, gamma2, alpha)
+            assert abs(D(float(got)) - want) <= D(REFERENCE_TOL) * largest
+
+
+@pytest.mark.parametrize("alpha", REF_ALPHAS)
+@pytest.mark.parametrize("modes, k", [(3, 3), (2, 1), (3, 1), (3, 2), (4, 2)])
+def test_hcs_matches_a_decimal_reference(alpha, modes, k):
+    state = CatStateSpec(family=CatFamily.HCS, modes=modes, alpha=alpha)
+    with decimal.localcontext(prec=50):
+        for gammas in _ref_points(k):
+            want, largest = _hcs_reference(gammas, alpha, modes)
+            got = wigner_closed(state, *gammas)
+            assert abs(D(float(got)) - want) <= D(REFERENCE_TOL) * largest
+
+
+@pytest.mark.parametrize("alpha", REF_ALPHAS)
+@pytest.mark.parametrize("modes, k", [(2, 1), (3, 1), (3, 2), (4, 2)])
+def test_omega_matches_a_decimal_reference(alpha, modes, k):
+    state = CatStateSpec(family=CatFamily.OMEGA, modes=modes, alpha=alpha)
+    with decimal.localcontext(prec=50):
+        for gammas in _ref_points(k):
+            want, largest = _omega_reference(gammas, alpha, modes)
+            got = wigner_closed(state, *gammas)
             assert abs(D(float(got)) - want) <= D(REFERENCE_TOL) * largest
 
 
@@ -454,28 +531,60 @@ def test_branch_route_checks_the_point_shape(points):
 # fringe suppression under partial trace
 # ---------------------------------------------------------------------------
 
+def _interference(state, *gammas):
+    """(2 + 2 w^N) W - (2/pi)^k (prod gp + prod gm) of the first k modes of
+    the N-mode Omega ``state``: the reduced state's interference term,
+    2 w^(N - k) (2/pi)^k prod env cos(sum theta)."""
+    alpha = state.alpha
+    norm = 2.0 + 2.0 * math.exp(-2.0 * state.modes * abs2(alpha))
+    branches = math.prod(wigner_coherent(g, alpha) for g in gammas) + math.prod(
+        wigner_coherent(g, -alpha) for g in gammas
+    )
+    return norm * wigner_closed(state, *gammas) - branches
+
+
 def test_partial_trace_suppression_closed_form():
-    assert partial_trace_fringe_suppression(4, 0, 1.3) == 1.0
-    got = partial_trace_fringe_suppression(4, 3, 1.3)
-    assert got == pytest.approx(math.exp(-2.0 * 3 * 1.69), rel=1e-12)
-    with pytest.raises(DomainError):
-        partial_trace_fringe_suppression(4, 5, 1.3)
-    with pytest.raises(DomainError):
-        partial_trace_fringe_suppression(4, -1, 1.3)
+    # tracing n of four modes scales the interference by exp(-2 n |alpha|^2):
+    # the kept 4 - n modes against the (4 - n)-mode state with none traced
+    alpha, origin = 1.3, 0.0 + 0j
+    full = CatStateSpec(family=CatFamily.OMEGA, modes=4, alpha=alpha)
+    for n in (0, 3):
+        kept = CatStateSpec(family=CatFamily.OMEGA, modes=4 - n, alpha=alpha)
+        ratio = _interference(full, *[origin] * (4 - n)) / _interference(kept, *[origin] * (4 - n))
+        assert ratio == pytest.approx(math.exp(-2.0 * n * abs2(alpha)), rel=1e-12)
+    # tracing every mode, or more than there are, leaves no point to evaluate
+    for k in (0, 5):
+        with pytest.raises(DomainError):
+            wigner_closed(full, *[origin] * k)
 
 
 def test_fringe_suppression_measured_on_reduced_state():
-    chk = fringe_suppression_check(1.0)
-    assert chk["measured_coefficient"] == pytest.approx(math.exp(-2.0), rel=1e-9)
-    assert chk["ratio"] == pytest.approx(1.0, abs=1e-9)
-    assert chk["measured_exponent"] == pytest.approx(1.0, abs=1e-9)
-    assert chk["candidate_exponents"] == (2.0, 0.5)
-    assert chk["n_traced"] == 1
+    # the two-mode state at alpha = 1 with its second mode traced out: the
+    # interference coefficient exp(-2), read off the numeric value at the
+    # origin, and the closed form against the numeric route around the fringe
+    state = CatStateSpec(family=CatFamily.OMEGA, modes=2, alpha=1.0)
+    numeric = wigner_branches(state, [[0.0]])[0]
+    w2 = math.exp(-4.0)
+    measured = ((2.0 + 2.0 * w2) * numeric - 2.0 * TWO_OVER_PI * math.exp(-2.0)) / (2.0 * TWO_OVER_PI)
+    assert measured == pytest.approx(math.exp(-2.0), rel=1e-9)
+    assert _interference(state, 0.0 + 0j) / (2.0 * TWO_OVER_PI) == pytest.approx(
+        math.exp(-2.0), rel=1e-12
+    )
+    assert wigner_gap(state, [(0.0,), (0.39j,), (0.79j,), (1.0,), (0.5 + 0.5j,)]) <= 1e-9
 
 
 def test_fringe_suppression_trivial_alpha_rejected():
+    # at alpha = 0 the suppression is trivial and no longer refused: the
+    # two-mode state is the vacuum, so its reduced state is the vacuum too;
+    # the hierarchical cat has no odd branch there and is still refused
+    state = CatStateSpec(family=CatFamily.OMEGA, modes=2, alpha=0.0)
+    gammas = np.array(REF_GAMMAS)
+    np.testing.assert_allclose(
+        wigner_closed(state, gammas), wigner_coherent(gammas, 0.0), rtol=1e-15, atol=0
+    )
+    assert wigner_gap(state, [(g,) for g in REF_GAMMAS]) <= 1e-12
     with pytest.raises(DomainError):
-        fringe_suppression_check(0.0)
+        CatStateSpec(family=CatFamily.HCS, modes=2, alpha=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -511,9 +620,14 @@ def test_grid_requires_every_axis():
 
 
 def test_grid_rejects_unsupported_family():
+    # every family has a closed form at every mode count, so HCS at one mode
+    # is served; what a grid refuses is a state it has no axes for
+    line = np.linspace(-1, 1, 5)
     spec = CatStateSpec(family=CatFamily.HCS, modes=1, alpha=1.0)
-    with pytest.raises(DomainError):
-        wigner_grid(spec, {"re": np.linspace(-1, 1, 5), "im": 0.0})
+    values = wigner_grid(spec, {"re": line, "im": 0.0}).values
+    assert values.tobytes() == np.asarray(wigner_closed(spec, line[:, None] + 0j)).tobytes()
+    with pytest.raises(DomainError, match="grids cover one- and two-mode states only"):
+        wigner_grid(CatStateSpec(family=CatFamily.HCS, modes=3, alpha=1.0), {})
 
 
 def test_grids_above_the_point_budget_are_refused_before_allocating():

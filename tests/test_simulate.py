@@ -270,7 +270,7 @@ def test_distillation_is_deterministic_per_seed():
     assert one.histogram == two.histogram
     assert one.mean == two.mean
     assert one.histogram != other.histogram
-    assert one.seed_scheme == "philox(key=(seed, trajectory_index))"
+    assert one.seed_scheme == "philox(key=uint64[seed, trajectory_index])"
 
 
 # ---------------------------------------------------------------------------

@@ -59,7 +59,7 @@ def test_fast_suite_is_the_in_order_prefix_of_full():
 
 
 def test_suite_sizes_match_the_readme():
-    assert (len(checks("fast")), len(checks("full"))) == (27, 36)
+    assert (len(checks("fast")), len(checks("full"))) == (27, 39)
 
 
 def _omega(modes, alpha):
