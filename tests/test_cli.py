@@ -761,3 +761,64 @@ def test_closed_stdout_exits_5_without_traceback():
     assert "Broken pipe" in stderr
     assert "Traceback" not in stderr
     assert "Exception ignored" not in stderr
+
+
+# ---------------------------------------------------------------------------
+# process entry against in-process main
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "args, out_name, code",
+    [
+        (("measure", "branch-dist", "--modes", "10", "--alpha", "0.5", "--delta", "0.01"),
+         None, 0),
+        # every trajectory loses a mode, so a row fails and stderr names it
+        (("simulate", "mode-loss", "--modes", "6", "--alpha", "30", "--lambda", "0.25",
+          "--trials", "10", "--seed", "1"), None, 1),
+        (("wigner", "--state", "even-cat", "--alpha", "2", "--grid", "-4:4:101",
+          "--features"), "grid.csv", 0),
+        (("wigner", "--state", "omega", "--alpha", "1.2", "--grid", "-3:3:41",
+          "--format", "json"), "grid.json", 0),
+        (("verify", "--suite", "fast", "--seed", "0"), None, 0),
+        (("measure", "branch-dist", "--modes", "two", "--alpha", "1", "--delta", "0.01"),
+         None, 2),
+    ],
+    ids=["branch-dist", "failed-row", "csv-export", "json-export", "verify", "usage"],
+)
+def test_process_and_in_process_main_agree(args, out_name, code, tmp_path, capsys):
+    # the process ends with os._exit once main returns; nothing it wrote
+    # may be lost, and the exit code must be main's
+    out = tmp_path / out_name if out_name else None
+    argv = [*args, "--out", str(out)] if out else list(args)
+    proc = run_cli(*argv)
+    written = out.read_bytes() if out else None
+    if out:
+        out.unlink()
+    try:
+        got = main(argv)
+    except SystemExit as exc:  # argparse's usage error
+        got = exc.code
+    captured = capsys.readouterr()
+    assert (proc.returncode, got) == (code, code)
+    assert strip_timing(proc.stdout) == strip_timing(captured.out)
+    assert proc.stderr == captured.err
+    if code == 1:
+        assert proc.stderr == "failed: arithmetic-mean-vs-closed-form\n"
+    if out:
+        assert written and written == out.read_bytes()
+
+
+def test_crash_in_main_exits_1_with_a_traceback():
+    # an uncaught exception must leave through the interpreter's own exit,
+    # never through the hard exit as a clean run
+    probe = (
+        "import catsize.cli as cli\n"
+        "def boom(argv):\n"
+        "    raise RuntimeError('planted')\n"
+        "cli.main = boom\n"
+        "cli.entry()\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert "Traceback" in proc.stderr
+    assert "RuntimeError: planted" in proc.stderr
