@@ -193,29 +193,20 @@ def _vacuum_mixer(theta: float, cutoff: int) -> np.ndarray:
     exact factorials as mantissas m_k in [1/2, 1) and exponents e_k,
     k! = m_k 2^e_k, so it stays finite (at most 2^(n/2)) up to n = 2047,
     where C(n, a) itself overflows a float past n = 1029.
-
-    The tables of n = a + b are read as (d, d) Hankel views, and every
-    (d, d) step writes into the result or one int32 array of twos, so the
-    peak is about 1.6 float (d, d) arrays, the result included.
     """
     d = cutoff + 1
-    mantissa, exponent, factorial = np.empty(d), np.empty(d, dtype=np.int32), 1
+    mantissa, exponent, factorial = np.empty(d), np.empty(d, dtype=np.int64), 1
     for k in range(d):
         factorial *= max(k, 1)
         bits = factorial.bit_length()
         mantissa[k], exponent[k] = factorial / (1 << bits), bits
-    n = np.arange(2 * d - 1)
-    clipped = np.minimum(n, cutoff)  # a + b > cutoff is zeroed below
-    twos = sliding_window_view(exponent[clipped], d) - exponent[:, None]
-    twos -= exponent
-    mixer = np.multiply.outer(mantissa, mantissa)
-    np.divide(sliding_window_view(mantissa[clipped], d), mixer, out=mixer)
-    np.ldexp(mixer, np.remainder(twos, 2, out=np.empty((d, d), np.int8)), out=mixer)
-    np.sqrt(mixer, out=mixer)
-    np.ldexp(mixer, np.floor_divide(twos, 2, out=twos), out=mixer)
-    mixer *= np.power(math.cos(theta), np.arange(d))[:, None]
-    mixer *= np.power(math.sin(theta), np.arange(d))
-    np.copyto(mixer, 0.0, where=sliding_window_view(n > cutoff, d))
+    a, b = np.ogrid[:d, :d]
+    n = np.minimum(a + b, cutoff)  # a + b > cutoff is zeroed below
+    twos = exponent[n] - exponent[a] - exponent[b]
+    ratio = np.ldexp(mantissa[n] / (mantissa[a] * mantissa[b]), twos % 2)
+    root = np.ldexp(np.sqrt(ratio), twos // 2)
+    mixer = root * np.power(math.cos(theta), a) * np.power(math.sin(theta), b)
+    mixer[a + b > cutoff] = 0.0
     return mixer
 
 

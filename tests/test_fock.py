@@ -348,21 +348,6 @@ def test_vacuum_mixer_stays_finite_at_the_largest_network_cutoff():
     assert np.allclose(norms, 1.0, rtol=0, atol=1e-12)
 
 
-def test_vacuum_mixer_peak_memory_stays_under_two_arrays():
-    # the result, one int32 (d, d) array of exponents and an int8 one of
-    # their parities trace about 1.63 float (d, d) arrays; building each step
-    # as a new temporary traced 6.13
-    cutoff = 1023
-    tracemalloc.start()
-    try:
-        mixer = fock._vacuum_mixer(math.pi / 4, cutoff)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert mixer.shape == (cutoff + 1, cutoff + 1)
-    assert peak <= 2 * mixer.nbytes
-
-
 @pytest.mark.parametrize("modes, cutoff", [(2, 9), (3, 9), (4, 6), (4, 9)])
 def test_grown_network_matches_the_head_vacuum_chain(modes, cutoff):
     # each output amplitude is one complex product T[a, b] * x[a + b] where
