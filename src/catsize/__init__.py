@@ -72,13 +72,9 @@ from .phase_space import (
     extract_features,
     grid_to_json,
     wigner_branches,
-    wigner_cat,
     wigner_closed,
-    wigner_coherent,
     wigner_grid,
-    wigner_hcs2,
     wigner_numeric,
-    wigner_omega,
     write_grid_csv,
 )
 from .simulate import (

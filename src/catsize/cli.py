@@ -53,7 +53,7 @@ from .phase_space import (
 )
 from .simulate import (
     CollapseProblem,
-    _check_seed,
+    check_seed,
     collapse_rows,
     distillation_rows,
     mode_loss_rows,
@@ -113,7 +113,7 @@ def _seed_flag(text: str) -> int:
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
     try:
-        return _check_seed(value)
+        return check_seed(value)
     except DomainError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
@@ -449,12 +449,15 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 5
     try:
+        if sys.stdout is None:  # descriptor 1 was closed at start
+            raise OSError("stdout is closed")
         print(text)
         sys.stdout.flush()
-    except BrokenPipeError as exc:
-        # the reader is gone; send what is still buffered to devnull so the
-        # flush at interpreter exit does not raise again
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    except OSError as exc:
+        # the reader is gone or the device is full; send what is still
+        # buffered to devnull so the final flush does not raise again
+        if sys.stdout is not None:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print(f"error: {exc}", file=sys.stderr)
         return 5
     failed = [c for c in envelope["checks"] if c["status"] == "fail"]

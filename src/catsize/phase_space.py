@@ -4,16 +4,18 @@ The convention throughout is the displaced-parity form
 
     W(gamma) = (2/pi)^m <D(gamma) P_tot D(-gamma)>
 
-with P_tot the joint photon-number parity.  Closed forms reduce every state
-built from coherent branches to Gaussians exp(-2|gamma -+ alpha|^2), the
-envelope exp(-2|gamma|^2), and fringe phases 4 Im(conj(alpha) gamma); given
-coordinates for the first k of a state's N modes, ``wigner_closed`` returns
-the Wigner function of those k modes' reduced state, where each traced mode
-scales the interference terms by its branch overlap.  Two numeric routes
-read off the parity sum of the displaced truncated state, reduced states
-included: ``wigner_numeric`` displaces any joint Fock vector, one point at a
-time, and ``wigner_branches`` displaces only the single-mode branch vectors
-of a family's state, all points at once, with no joint vector built.
+with P_tot the joint photon-number parity.  ``wigner_closed`` is the one
+closed-form Wigner function: for every family, given coordinates for the
+first k of a state's N modes, it returns the Wigner function of those k
+modes' reduced state from Gaussians exp(-2|gamma -+ alpha|^2), the envelope
+exp(-2|gamma|^2) and fringe phases 4 Im(conj(alpha) gamma), where each
+traced mode scales the interference terms by its branch overlap.  Two
+numeric routes read off the parity sum of the displaced truncated state,
+reduced states included: ``wigner_numeric`` displaces any joint Fock
+vector, one point at a time, and ``wigner_branches`` displaces only the
+single-mode branch vectors of a family's state, all points at once, with no
+joint vector built.  Both refuse a displaced vector that reaches its cutoff
+through one headroom guard.  ``wigner_gap`` is the one closed-vs-numeric gap.
 """
 
 from __future__ import annotations
@@ -76,10 +78,6 @@ def _fringe_phase(gamma, alpha, env):
     return np.where(env == 0.0, 0.0, theta)
 
 
-def wigner_coherent(gamma, alpha):
-    return (2.0 / math.pi) * _gauss(gamma, alpha)
-
-
 def _kitten_terms(gamma, alpha, parity: int | None = None):
     """Kitten pieces at ``gamma`` from the Gaussians gp, gm, env about alpha,
     -alpha, 0 and the fringe phase theta: with ``parity`` +-1 the numerator
@@ -114,26 +112,7 @@ def _kitten_terms(gamma, alpha, parity: int | None = None):
     return even, odd, diff, env * np.sin(theta)
 
 
-def wigner_cat(gamma, alpha, parity: int = 1):
-    """Single-mode even (parity=+1) or odd (parity=-1) branch superposition."""
-    if parity not in (1, -1):
-        raise DomainError(f"parity must be +1 or -1, got {parity}")
-    # the odd norm A_minus^2 = -2 expm1(-2|alpha|^2) keeps its digits where
-    # w nears 1, and hcs_norms refuses where the odd branch degenerates
-    norm_sq = 2.0 + 2.0 * branch_overlap(alpha) if parity == 1 else hcs_norms(alpha)[1] ** 2
-    return (2.0 / math.pi) * _kitten_terms(gamma, alpha, parity) / norm_sq
-
-
-def wigner_omega(gammas, alpha):
-    """Joint Wigner function of the N-mode two-branch superposition.
-
-    ``gammas`` holds one complex phase-space point per mode in its last axis.
-    """
-    g = np.atleast_1d(np.asarray(gammas, dtype=complex))
-    return _wigner_omega(g, alpha, g.shape[-1])
-
-
-def _wigner_omega(g, alpha, modes: int):
+def _omega_form(g, alpha, modes: int):
     """Omega on ``modes`` modes, reduced to the first k of them, at the
     points ``g`` with one coordinate per kept mode in the last axis (k).
 
@@ -152,17 +131,7 @@ def _wigner_omega(g, alpha, modes: int):
     return (2.0 / math.pi) ** k * (plus + minus + cross) / norm_sq
 
 
-def wigner_hcs2(gamma1, gamma2, alpha):
-    """Two-mode hidden superposition of the even/odd single-mode pair.
-
-    Expanding over the kitten basis gives even-even and odd-odd diagonal
-    blocks plus one cross block; the cross block's real part combines the
-    Gaussian differences with a product of fringe sines.
-    """
-    return _wigner_hcs((gamma1, gamma2), alpha, 2)
-
-
-def _wigner_hcs(gammas, alpha, modes: int):
+def _hcs_form(gammas, alpha, modes: int):
     """HCS (|even>^N + |odd>^N)/sqrt(2) on N = ``modes`` modes, reduced to
     the first k = len(gammas) of them, from the kitten terms (e, o, d, s)
     at each coordinate:
@@ -202,13 +171,16 @@ def wigner_closed(state: CatStateSpec, *gammas):
         )
     fam, alpha = state.family, state.alpha
     if fam is CatFamily.PRODUCT_COHERENT:
-        return math.prod(wigner_coherent(g, alpha) for g in gammas)
+        return math.prod((2.0 / math.pi) * _gauss(g, alpha) for g in gammas)
     if fam is CatFamily.OMEGA:
         g = np.asarray(np.stack(np.broadcast_arrays(*gammas), axis=-1), dtype=complex)
-        return _wigner_omega(g, alpha, state.modes)
+        return _omega_form(g, alpha, state.modes)
     if fam is CatFamily.HCS:
-        return _wigner_hcs(gammas, alpha, state.modes)
-    return wigner_cat(gammas[0], alpha, parity=1 if fam is CatFamily.EVEN_CAT else -1)
+        return _hcs_form(gammas, alpha, state.modes)
+    # the odd norm A_minus^2 = -2 expm1(-2|alpha|^2) keeps its digits where w nears 1
+    even = fam is CatFamily.EVEN_CAT
+    norm_sq = 2.0 + 2.0 * branch_overlap(alpha) if even else hcs_norms(alpha)[1] ** 2
+    return (2.0 / math.pi) * _kitten_terms(gammas[0], alpha, 1 if even else -1) / norm_sq
 
 
 # ---------------------------------------------------------------------------
@@ -254,18 +226,9 @@ def wigner_numeric(vec: FockVector, gammas) -> float:
         work = apply_single_mode(displacement_op(-gamma, vec.cutoff), work, mode)
     probs = np.abs(work.amplitudes) ** 2
     total = float(probs.sum())
-    if total <= 0.0:
-        raise TruncationError("the displaced vector lost all amplitude", 1.0, vec.cutoff)
     top = min(3, d)
-    for mode in range(vec.modes):
-        tail = float(probs.reshape(d**mode, d, -1)[:, d - top :].sum()) / total
-        if tail > _HEADROOM_TOL:
-            raise TruncationError(
-                f"displaced amplitude reaches the cutoff on mode {mode}: "
-                f"top-{top} mass {tail:.3e} exceeds {_HEADROOM_TOL:.1e}",
-                tail,
-                vec.cutoff,
-            )
+    mass = [probs.reshape(d**mode, d, -1)[:, d - top :].sum() for mode in range(vec.modes)]
+    _check_headroom(np.array([total]), np.array([mass]), top, vec.cutoff)
     signs = np.where(np.arange(d) % 2 == 0, 1.0, -1.0)
     acc = probs
     for _ in points:
@@ -287,10 +250,10 @@ def wigner_branches(state: CatStateSpec, points) -> np.ndarray:
     <x_b|P|x_c> on the displaced modes, x_b = D(-gamma_i) v_b, and <v_b|v_c>
     on the rest for the parity sum; <x_b|x_c> on every mode for the total;
     and for mode j's headroom guard, mode j's top-three projector in place
-    of its factor.  The guard raises TruncationError as ``wigner_numeric``
-    does, at the first such point in order and its first such mode.  More
-    than MAX_JOINT_DIM displaced amplitudes P d B are refused with
-    SizingError first.  O(P B d^2 + d^3) for P points and B branches.
+    of its factor.  The guard is ``wigner_numeric``'s: it raises
+    TruncationError at the first such point in order and its first such
+    mode.  More than MAX_JOINT_DIM displaced amplitudes P d B are refused
+    with SizingError first.  O(P B d^2 + d^3) for P points and B branches.
     """
     points = np.asarray(points, dtype=complex)
     if points.ndim != 2 or not 1 <= points.shape[1] <= state.modes or not points.size:
@@ -315,11 +278,22 @@ def wigner_branches(state: CatStateSpec, points) -> np.ndarray:
     rest = _pair_sums(columns[None], top)
     grams = [f[0] for f in shifted] + [rest[0]] * (state.modes - k)
     total = _branch_sum(grams)
+    guarded = shifted + [rest] * (state.modes > k)
+    mass = [_branch_sum(grams[:j] + [f[2]] + grams[j + 1 :]) for j, f in enumerate(guarded)]
+    _check_headroom(total, np.stack(mass, axis=-1), top, cutoff)
+    parity = _branch_sum([f[1] for f in shifted] + grams[k:])
+    return (2.0 / math.pi) ** k * parity / total
+
+
+def _check_headroom(total: np.ndarray, mass: np.ndarray, top: int, cutoff: int) -> None:
+    """The numeric routes' one truncation guard, from each point's total
+    mass of the displaced vector, ``total`` (P,), and each mode's mass in
+    its top ``top`` Fock levels, ``mass`` (P, M).  Raises TruncationError
+    if any point lost all amplitude, else at the first point, and its first
+    mode, whose top-level share of the total exceeds ``_HEADROOM_TOL``."""
     if (total <= 0.0).any():
         raise TruncationError("the displaced vector lost all amplitude", 1.0, cutoff)
-    guarded = shifted + [rest] * (state.modes > k)
-    tails = [_branch_sum(grams[:j] + [f[2]] + grams[j + 1 :]) for j, f in enumerate(guarded)]
-    tails = np.stack(tails, axis=-1) / total[:, None]
+    tails = mass / total[:, None]
     bad = np.argwhere(tails > _HEADROOM_TOL)
     if bad.size:
         point, mode = bad[0]
@@ -329,8 +303,6 @@ def wigner_branches(state: CatStateSpec, points) -> np.ndarray:
             float(tails[point, mode]),
             cutoff,
         )
-    parity = _branch_sum([f[1] for f in shifted] + grams[k:])
-    return (2.0 / math.pi) ** k * parity / total
 
 
 def _pair_sums(x: np.ndarray, top: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -127,7 +127,7 @@ def leading_draws(seed: int, first: int, count: int) -> np.ndarray:
     if not 0 <= first <= first + count <= 1 << 64:
         raise DomainError(f"streams {first} .. {first + count - 1} leave [0, 2**64)")
     rows = np.arange(count, dtype=np.uint64) + np.uint64(first)
-    (u,) = _uniform_columns(_check_seed(seed), rows, 1)
+    (u,) = _uniform_columns(check_seed(seed), rows, 1)
     return u
 
 
@@ -268,7 +268,7 @@ def simulate_distillation(modes: int, alpha, trials: int, seed: int) -> Trajecto
     number of unmeasured modes; that is what each trajectory tracks.
     """
     _check_trials(trials)
-    _check_seed(seed)
+    check_seed(seed)
     if modes < 1:
         raise DomainError(f"modes must be >= 1, got {modes}")
     if alpha == 0:
@@ -330,7 +330,7 @@ def simulate_mode_loss(
     iff no mode is lost) are reported under ``extra``.
     """
     _check_trials(trials)
-    _check_seed(seed)
+    check_seed(seed)
     if modes < 1:
         raise DomainError(f"modes must be >= 1, got {modes}")
     if not 0.0 <= lam <= 1.0:
@@ -420,7 +420,7 @@ def simulate_branch_collapse(
     |alpha> frequency among them.
     """
     _check_trials(trials)
-    _check_seed(seed)
+    check_seed(seed)
     problem = CollapseProblem(problem)
     w, ket_a, ket_ma, psi_plus, psi_minus = _span_frame(alpha)
     rho_cat = np.outer(psi_plus, psi_plus)
@@ -528,7 +528,7 @@ def _check_trials(trials: int):
         raise DomainError(f"trials must be >= 1, got {trials}")
 
 
-def _check_seed(seed: int) -> int:
+def check_seed(seed: int) -> int:
     """Require 0 <= seed < 2**64, the range of the Philox key word it becomes."""
     if not 0 <= seed < 1 << 64:
         raise DomainError(f"expected a seed in [0, 2**64), got {seed}")

@@ -10,7 +10,8 @@ and the reduced-state rows included, is ``phase_space.wigner_gap`` of its
 state and points (coordinates for the first k <= N modes), whose numeric
 side displaces the state's single-mode branch vectors (``wigner_branches``);
 only the vacuum row, whose vector has no family, calls the joint-vector
-route ``wigner_numeric`` itself.
+route ``wigner_numeric`` itself, and only the parity-symmetry row reads
+``wigner_closed`` alone.
 The fast suite is the in-order prefix of the full suite.  Declaration order
 is part of the contract: the random checks draw in that order from one
 ``Draws``, whose value k is draw 0 of the Philox stream (seed, 2**63 + k)
@@ -46,11 +47,11 @@ from .closed_forms import (
 from .errors import DomainError
 from .fock import FockVector, coherent_vector, default_cutoff, split_network_overlaps
 from .measures import branch_dist_size, branch_dist_size_real, marquardt_size, rqfi_size
-from .phase_space import wigner_gap, wigner_numeric, wigner_omega
+from .phase_space import wigner_closed, wigner_gap, wigner_numeric
 from .simulate import (
     CollapseProblem,
-    _check_seed,
     build_distillation_povm,
+    check_seed,
     collapse_rows,
     distillation_outcome_distribution,
     distillation_rows,
@@ -119,7 +120,7 @@ def run(suite: str, seed: int) -> list[dict]:
     A seed outside [0, 2**64), which the simulator rows cannot key their
     streams with, raises DomainError before any row runs.
     """
-    _check_seed(seed)
+    check_seed(seed)
     rng = Draws(seed, DRAW_STREAMS)
     rows = []
     for check in checks(suite):
@@ -179,26 +180,15 @@ def _random_tuples(rng, count: int, radius: float, modes: int):
     return zip(*(_random_points(rng, count, radius) for _ in range(modes)))
 
 
-def _drawn_wigner_gap(family: CatFamily, modes: int, alpha: complex, k: int):
+def _drawn_wigner_gap(family: CatFamily, modes: int, alpha: complex, k: int, count=50):
     """A Wigner row's evaluation: the closed-vs-numeric gap of ``family`` on
-    ``modes`` modes at 50 points drawn on its first k modes, radius 2."""
+    ``modes`` modes at ``count`` points drawn on its first k modes, radius 2."""
     spec = CatStateSpec(family=family, modes=modes, alpha=alpha)
-    return lambda rng, seed: (wigner_gap(spec, _random_tuples(rng, 50, 2.0, k)), 1e-6)
+    return lambda rng, seed: (wigner_gap(spec, _random_tuples(rng, count, 2.0, k)), 1e-6)
 
 
-def wigner_gap_hcs2(rng, alpha: complex, count: int, radius: float) -> float:
-    """Closed-vs-numeric gap of the two-mode hierarchical state at random points."""
-    spec = CatStateSpec(family=CatFamily.HCS, modes=2, alpha=alpha)
-    return wigner_gap(spec, _random_tuples(rng, count, radius, 2))
-
-
+#: Fixed two-mode points of the ``wigner-hcs2-alpha3-spots`` row.
 HCS2_ALPHA3_SPOTS = ((0.0, 0.0), (3.0, 3.0), (-3.0, 3.0), (1.5, -1.5), (0.5j, 2.0))
-
-
-def wigner_gap_hcs2_spots() -> float:
-    """Closed-vs-numeric gap of the hierarchical state at alpha = 3 at fixed spots."""
-    spec = CatStateSpec(family=CatFamily.HCS, modes=2, alpha=3.0)
-    return wigner_gap(spec, HCS2_ALPHA3_SPOTS)
 
 
 def matched_intensity_beta(modes: int, alpha: complex):
@@ -341,9 +331,7 @@ _check("network-coherent-m3")(lambda rng, seed: (network_gap(3, [0.5]), 1e-8))
 _check("wigner-even-cat-closed-vs-numeric")(_drawn_wigner_gap(CatFamily.EVEN_CAT, 1, 1.3, 1))
 
 
-_check("wigner-hcs2-closed-vs-numeric")(
-    lambda rng, seed: (wigner_gap_hcs2(rng, 1.5, 50, 2.0), 1e-6)
-)
+_check("wigner-hcs2-closed-vs-numeric")(_drawn_wigner_gap(CatFamily.HCS, 2, 1.5, 2))
 
 
 @_check("wigner-vacuum-origin")
@@ -356,10 +344,10 @@ def _wigner_vacuum(rng, seed):
 
 @_check("wigner-parity-symmetry")
 def _wigner_parity(rng, seed):
-    pts = np.stack(
-        [_random_points(rng, 25, 1.5), _random_points(rng, 25, 1.5)], axis=-1
-    )
-    return float(np.abs(wigner_omega(pts, 0.9) - wigner_omega(-pts, 0.9)).max()), 1e-10
+    pts = [_random_points(rng, 25, 1.5) for _ in range(2)]
+    spec = CatStateSpec(family=CatFamily.OMEGA, modes=2, alpha=0.9)
+    gap = np.abs(wigner_closed(spec, *pts) - wigner_closed(spec, *(-p for p in pts)))
+    return float(gap.max()), 1e-10
 
 
 @_check("distill-sum-equals-success")
@@ -454,12 +442,13 @@ _check("network-coherent-m4-alpha1.5", FULL)(
 _check("network-superposition-n3", FULL)(
     lambda rng, seed: (network_gap(3, [0.8, -0.8]), 1e-8)
 )
-_check("wigner-hcs2-dense", FULL)(
-    lambda rng, seed: (wigner_gap_hcs2(rng, 1.5, 200, 2.0), 1e-6)
-)
-_check("wigner-hcs2-alpha3-spots", FULL)(
-    lambda rng, seed: (wigner_gap_hcs2_spots(), 1e-6)
-)
+_check("wigner-hcs2-dense", FULL)(_drawn_wigner_gap(CatFamily.HCS, 2, 1.5, 2, count=200))
+
+
+@_check("wigner-hcs2-alpha3-spots", FULL)
+def _hcs2_spots(rng, seed):
+    spec = CatStateSpec(family=CatFamily.HCS, modes=2, alpha=3.0)
+    return wigner_gap(spec, HCS2_ALPHA3_SPOTS), 1e-6
 
 
 #: One-mode points for the fringe row: the origin, the node and the trough

@@ -45,19 +45,14 @@ from catsize.measures import (
     wigner_empirical_size,
     _trace_norm_check,
 )
-from catsize.phase_space import extract_features, wigner_grid
+from catsize.phase_space import extract_features, wigner_gap, wigner_grid
 from catsize.simulate import (
     CollapseProblem,
     simulate_branch_collapse,
     simulate_distillation,
     simulate_mode_loss,
 )
-from catsize.verify import (
-    matched_intensity_beta,
-    network_gap,
-    wigner_gap_hcs2,
-    wigner_gap_hcs2_spots,
-)
+from catsize.verify import HCS2_ALPHA3_SPOTS, matched_intensity_beta, network_gap
 
 SEED = 2026
 
@@ -255,14 +250,17 @@ def test_criterion_08_collapse_protocols():
 
 
 def test_criterion_09_hierarchical_wigner_oracle():
+    # 200 first-mode coordinates, then 200 second-mode ones, |re|, |im| <= 2
     rng = np.random.default_rng(SEED)
-    gap = wigner_gap_hcs2(rng, 1.5, 200, 2.0)
+    points = [2.0 * (rng.uniform(-1.0, 1.0, 200) + 1j * rng.uniform(-1.0, 1.0, 200))
+              for _ in range(2)]
+    gap = wigner_gap(CatStateSpec(family=CatFamily.HCS, modes=2, alpha=1.5), zip(*points))
     assert gap <= 1e-6, f"200-point gap {gap:.3e}"
 
-    spot_gap = wigner_gap_hcs2_spots()
+    spec = CatStateSpec(family=CatFamily.HCS, modes=2, alpha=3.0)
+    spot_gap = wigner_gap(spec, HCS2_ALPHA3_SPOTS)
     assert spot_gap <= 1e-6, f"alpha=3 spot gap {spot_gap:.3e}"
 
-    spec = CatStateSpec(family=CatFamily.HCS, modes=2, alpha=3.0)
     line = np.linspace(-5.0, 5.0, 201)
     grid = wigner_grid(spec, {"re1": line, "im1": line, "re2": 0.0, "im2": 0.0})
     feats = extract_features(grid)

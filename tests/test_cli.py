@@ -8,6 +8,7 @@ import dataclasses
 import io
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -761,6 +762,31 @@ def test_closed_stdout_exits_5_without_traceback():
     assert "Broken pipe" in stderr
     assert "Traceback" not in stderr
     assert "Exception ignored" not in stderr
+
+
+def _assert_io_failure(proc):
+    assert proc.returncode == 5
+    assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr
+
+
+def test_full_stdout_exits_5_without_traceback():
+    argv = [sys.executable, "-m", "catsize.cli", "measure", "distill",
+            "--modes", "5", "--alpha", "0.8"]
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(argv, stdout=full, stderr=subprocess.PIPE, text=True)
+    _assert_io_failure(proc)
+    assert "No space left on device" in proc.stderr
+
+
+def test_stdout_closed_at_start_exits_5_without_traceback():
+    # with descriptor 1 closed before the interpreter starts, sys.stdout is None
+    argv = [sys.executable, "-m", "catsize.cli", "measure", "distill",
+            "--modes", "5", "--alpha", "0.8"]
+    proc = subprocess.run(argv, stderr=subprocess.PIPE, text=True,
+                          preexec_fn=lambda: os.close(1))
+    _assert_io_failure(proc)
+    assert proc.stderr == "error: stdout is closed\n"
 
 
 # ---------------------------------------------------------------------------

@@ -22,15 +22,11 @@ from catsize.phase_space import (
     grid_to_json,
     plane_axes,
     wigner_branches,
-    wigner_cat,
     wigner_closed,
-    wigner_coherent,
     wigner_cutoff,
     wigner_gap,
     wigner_grid,
-    wigner_hcs2,
     wigner_numeric,
-    wigner_omega,
     write_grid_csv,
 )
 
@@ -42,50 +38,60 @@ def even_cat(alpha, modes: int = 1) -> CatStateSpec:
     return CatStateSpec(family=fam, modes=modes, alpha=alpha)
 
 
+def kitten(alpha, parity: int = 1) -> CatStateSpec:
+    """The even (``parity`` +1) or odd (-1) single-mode cat."""
+    fam = CatFamily.EVEN_CAT if parity == 1 else CatFamily.ODD_CAT
+    return CatStateSpec(family=fam, modes=1, alpha=alpha)
+
+
+def coherent(alpha, modes: int = 1) -> CatStateSpec:
+    return CatStateSpec(family=CatFamily.PRODUCT_COHERENT, modes=modes, alpha=alpha)
+
+
+def hcs2(alpha) -> CatStateSpec:
+    return CatStateSpec(family=CatFamily.HCS, modes=2, alpha=alpha)
+
+
 # ---------------------------------------------------------------------------
 # closed-form kernels
 # ---------------------------------------------------------------------------
 
 def test_coherent_kernel_peaks_at_alpha():
     alpha = 1.3 - 0.4j
-    assert wigner_coherent(alpha, alpha) == pytest.approx(TWO_OVER_PI, rel=1e-14)
+    assert wigner_closed(coherent(alpha), alpha) == pytest.approx(TWO_OVER_PI, rel=1e-14)
     offset = 0.8 + 0.2j
     expected = TWO_OVER_PI * math.exp(-2.0 * abs2(offset))
-    assert wigner_coherent(alpha + offset, alpha) == pytest.approx(expected, rel=1e-13)
+    assert wigner_closed(coherent(alpha), alpha + offset) == pytest.approx(expected, rel=1e-13)
 
 
 def test_even_cat_reference_points():
     # second route: raw displaced-parity sums over a truncated basis
-    assert wigner_cat(0.0, 2.0) == pytest.approx(0.6366197723675814, abs=1e-14)
-    assert wigner_cat(2.0, 2.0) == pytest.approx(0.3184166314456553, abs=1e-14)
-    assert wigner_cat(1j * math.pi / 8, 2.0) == pytest.approx(
+    state = kitten(2.0)
+    assert wigner_closed(state, 0.0) == pytest.approx(0.6366197723675814, abs=1e-14)
+    assert wigner_closed(state, 2.0) == pytest.approx(0.3184166314456553, abs=1e-14)
+    assert wigner_closed(state, 1j * math.pi / 8) == pytest.approx(
         -0.4673490976644263, abs=1e-13
     )
-    assert wigner_cat(1j * math.pi / 4, 2.0) == pytest.approx(
+    assert wigner_closed(state, 1j * math.pi / 4) == pytest.approx(
         0.18539191125320564, abs=1e-13
     )
 
 
 @pytest.mark.parametrize("alpha", [0.3, 1.1, 2.7])
 def test_even_cat_origin_value_is_universal(alpha):
-    assert wigner_cat(0.0, alpha) == pytest.approx(TWO_OVER_PI, abs=1e-14)
+    assert wigner_closed(kitten(alpha), 0.0) == pytest.approx(TWO_OVER_PI, abs=1e-14)
 
 
 @pytest.mark.parametrize("alpha", [0.4, 1.0, 2.2])
 def test_odd_cat_origin_value_is_universal(alpha):
-    assert wigner_cat(0.0, alpha, parity=-1) == pytest.approx(
+    assert wigner_closed(kitten(alpha, -1), 0.0) == pytest.approx(
         -TWO_OVER_PI, abs=1e-14
     )
 
 
 def test_odd_cat_degenerates_at_zero_alpha():
     with pytest.raises(DomainError):
-        wigner_cat(0.5, 0.0, parity=-1)
-
-
-def test_cat_parity_flag_is_validated():
-    with pytest.raises(DomainError):
-        wigner_cat(0.0, 1.0, parity=0)
+        wigner_closed(kitten(0.0, -1), 0.5)
 
 
 def test_omega_reference_points():
@@ -96,7 +102,7 @@ def test_omega_reference_points():
         (1.0, -1.0): 0.007423048845488719,
     }
     for (g1, g2), expected in pts.items():
-        got = wigner_omega(np.array([g1, g2], dtype=complex), 1.0)
+        got = wigner_closed(even_cat(1.0, modes=2), g1, g2)
         assert got == pytest.approx(expected, abs=1e-14)
 
 
@@ -104,8 +110,9 @@ def test_omega_single_mode_reduces_to_even_cat():
     rng = np.random.default_rng(71)
     pts = rng.normal(size=12) + 1j * rng.normal(size=12)
     for alpha in (0.7, 1.6):
-        lhs = wigner_omega(pts[..., None], alpha)
-        rhs = wigner_cat(pts, alpha)
+        omega = CatStateSpec(family=CatFamily.OMEGA, modes=1, alpha=alpha)
+        lhs = wigner_closed(omega, pts)
+        rhs = wigner_closed(kitten(alpha), pts)
         np.testing.assert_allclose(lhs, rhs, rtol=0, atol=1e-14)
 
 
@@ -115,22 +122,6 @@ def test_omega_coordinate_count_is_checked():
         wigner_closed(even_cat(1.0, modes=3), *[0.1 + 0j] * 4)
     with pytest.raises(DomainError, match="expected 1 to 3 phase-space coordinates, got 0"):
         wigner_closed(even_cat(1.0, modes=3))
-
-
-# each family's own closed form, as grids chose it before wigner_closed
-_OWN_FORMULA = {
-    (CatFamily.EVEN_CAT, 1): lambda a, g: wigner_cat(g, a, parity=1),
-    (CatFamily.ODD_CAT, 1): lambda a, g: wigner_cat(g, a, parity=-1),
-    (CatFamily.PRODUCT_COHERENT, 1): lambda a, g: wigner_coherent(g, a),
-    (CatFamily.OMEGA, 1): lambda a, g: wigner_omega(g[..., None], a),
-    (CatFamily.OMEGA, 2): lambda a, g1, g2: wigner_omega(
-        np.stack(np.broadcast_arrays(g1, g2), axis=-1), a
-    ),
-    (CatFamily.HCS, 2): lambda a, g1, g2: wigner_hcs2(g1, g2, a),
-    (CatFamily.PRODUCT_COHERENT, 2): lambda a, g1, g2: (
-        wigner_coherent(g1, a) * wigner_coherent(g2, a)
-    ),
-}
 
 
 @pytest.mark.parametrize(
@@ -146,7 +137,8 @@ def test_closed_dispatch_matches_each_family_formula_on_sparse_grids(family, mod
     axes = plane_axes(modes, grid_line(-2.5, 2.5, 41), gamma2)
     mesh = np.meshgrid(*(np.atleast_1d(axes[n]) for n in axes), indexing="ij", sparse=True)
     gammas = [mesh[2 * m] + 1j * mesh[2 * m + 1] for m in range(modes)]
-    want = np.asarray(_OWN_FORMULA[family, modes](alpha, *gammas), dtype=float)
+    # the same closed form on dense coordinates, one value per grid point
+    want = np.asarray(wigner_closed(state, *np.broadcast_arrays(*gammas)), dtype=float)
     got = wigner_grid(state, axes).values
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
     assert np.asarray(wigner_closed(state, *gammas)).tobytes() == want.tobytes()
@@ -184,27 +176,28 @@ def test_hcs2_reference_points():
         (0.5 + 0.25j, -0.75 + 0j): 0.004774726750541339,
     }
     for (g1, g2), expected in pts.items():
-        assert wigner_hcs2(g1, g2, 1.5) == pytest.approx(expected, abs=1e-13)
+        assert wigner_closed(hcs2(1.5), g1, g2) == pytest.approx(expected, abs=1e-13)
 
 
 def test_hcs2_degenerates_at_zero_alpha():
     with pytest.raises(DomainError):
-        wigner_hcs2(0.1, 0.1, 0.0)
+        wigner_closed(hcs2(0.0), 0.1, 0.1)
 
 
 def test_kernels_are_parity_symmetric():
     rng = np.random.default_rng(23)
     pts = rng.normal(scale=1.4, size=10) + 1j * rng.normal(scale=1.4, size=10)
     np.testing.assert_allclose(
-        wigner_cat(pts, 1.2), wigner_cat(-pts, 1.2), rtol=0, atol=1e-14
+        wigner_closed(kitten(1.2), pts), wigner_closed(kitten(1.2), -pts), rtol=0, atol=1e-14
     )
+    omega = even_cat(0.9, modes=2)
     joint = np.stack([pts, np.roll(pts, 3)], axis=-1)
     np.testing.assert_allclose(
-        wigner_omega(joint, 0.9), wigner_omega(-joint, 0.9), rtol=0, atol=1e-14
+        wigner_closed(omega, *joint.T), wigner_closed(omega, *(-joint).T), rtol=0, atol=1e-14
     )
     np.testing.assert_allclose(
-        wigner_hcs2(pts, np.roll(pts, 3), 1.1),
-        wigner_hcs2(-pts, -np.roll(pts, 3), 1.1),
+        wigner_closed(hcs2(1.1), pts, np.roll(pts, 3)),
+        wigner_closed(hcs2(1.1), -pts, -np.roll(pts, 3)),
         rtol=0,
         atol=1e-14,
     )
@@ -314,7 +307,7 @@ def test_cat_matches_a_decimal_reference(alpha, parity):
             pieces, w = _kitten_reference(gamma, alpha)
             num, largest = pieces[0] if parity == 1 else pieces[1]
             norm = (2 + 2 * parity * w) * PI / 2
-            got = wigner_cat(gamma, alpha, parity=parity)
+            got = wigner_closed(kitten(alpha, parity), gamma)
             assert abs(D(float(got)) - num / norm) <= D(REFERENCE_TOL) * largest / norm
 
 
@@ -323,7 +316,7 @@ def test_hcs2_matches_a_decimal_reference(alpha):
     with decimal.localcontext(prec=50):
         for gamma1, gamma2 in _ref_points(2):
             want, largest = _hcs_reference((gamma1, gamma2), alpha, 2)
-            got = wigner_hcs2(gamma1, gamma2, alpha)
+            got = wigner_closed(hcs2(alpha), gamma1, gamma2)
             assert abs(D(float(got)) - want) <= D(REFERENCE_TOL) * largest
 
 
@@ -361,7 +354,7 @@ def test_single_mode_magnitude_bound(alpha, parity):
     lo, hi, n = default_feature_window(alpha)
     line = np.linspace(lo, hi, n)
     gx, gy = np.meshgrid(line, line, indexing="ij")
-    vals = wigner_cat(gx + 1j * gy, alpha, parity=parity)
+    vals = wigner_closed(kitten(alpha, parity), gx + 1j * gy)
     assert float(np.abs(vals).max()) <= TWO_OVER_PI + 1e-12
 
 
@@ -371,7 +364,7 @@ def test_grid_integral_is_unity(alpha, parity):
     line = np.linspace(-half, half, 301)
     step = line[1] - line[0]
     gx, gy = np.meshgrid(line, line, indexing="ij")
-    vals = wigner_cat(gx + 1j * gy, alpha, parity=parity)
+    vals = wigner_closed(kitten(alpha, parity), gx + 1j * gy)
     assert float(vals.sum() * step * step) == pytest.approx(1.0, abs=1e-3)
 
 
@@ -383,44 +376,48 @@ def test_numeric_matches_closed_form_single_mode():
     rng = np.random.default_rng(404)
     for alpha, parity in ((1.2, 1), (1.2, -1)):
         fam = CatFamily.EVEN_CAT if parity == 1 else CatFamily.ODD_CAT
-        vec = build_state(
-            CatStateSpec(family=fam, modes=1, alpha=alpha), cutoff=60
-        )
+        state = CatStateSpec(family=fam, modes=1, alpha=alpha)
+        vec = build_state(state, cutoff=60)
         for _ in range(20):
             gamma = complex(rng.normal(), rng.normal())
-            closed = float(wigner_cat(gamma, alpha, parity=parity))
+            closed = float(wigner_closed(state, gamma))
             numeric = wigner_numeric(vec, [gamma])
             assert numeric == pytest.approx(closed, abs=1e-12)
 
 
 def test_numeric_matches_closed_form_two_mode():
     rng = np.random.default_rng(405)
-    vec = build_state(
-        CatStateSpec(family=CatFamily.OMEGA, modes=2, alpha=1.0), cutoff=56
-    )
+    state = CatStateSpec(family=CatFamily.OMEGA, modes=2, alpha=1.0)
+    vec = build_state(state, cutoff=56)
     for _ in range(12):
         pair = rng.normal(size=2) + 1j * rng.normal(size=2)
-        closed = float(wigner_omega(pair, 1.0))
+        closed = float(wigner_closed(state, *pair))
         numeric = wigner_numeric(vec, pair)
         assert numeric == pytest.approx(closed, abs=1e-12)
 
 
 def test_numeric_matches_closed_form_hidden_pair():
     rng = np.random.default_rng(406)
-    vec = build_state(
-        CatStateSpec(family=CatFamily.HCS, modes=2, alpha=1.5), cutoff=40
-    )
+    vec = build_state(hcs2(1.5), cutoff=40)
     for _ in range(12):
         pair = rng.normal(size=2) + 1j * rng.normal(size=2)
-        closed = float(wigner_hcs2(pair[0], pair[1], 1.5))
+        closed = float(wigner_closed(hcs2(1.5), *pair))
         numeric = wigner_numeric(vec, pair)
         assert numeric == pytest.approx(closed, abs=1e-6)
 
 
-def test_numeric_guards_cutoff_headroom():
+def test_numeric_guards_cutoff_headroom(monkeypatch):
     vec = coherent_vector(1.0, 12)
-    with pytest.raises(TruncationError):
+    with pytest.raises(TruncationError) as numeric:
         wigner_numeric(vec, [3.0 + 3.0j])
+    # the branch route refuses the same point through the same guard; its
+    # displacement rounds differently, so the mass agrees to rounding only
+    monkeypatch.setattr("catsize.phase_space.wigner_cutoff", lambda peak, gammas: 12)
+    with pytest.raises(TruncationError) as branch:
+        wigner_branches(coherent(1.0), [[3.0 + 3.0j]])
+    assert str(branch.value) == str(numeric.value)
+    assert branch.value.cutoff == numeric.value.cutoff == 12
+    assert branch.value.tail_mass == pytest.approx(numeric.value.tail_mass, rel=1e-14)
 
 
 def test_numeric_coordinate_count_is_checked():
@@ -537,8 +534,9 @@ def _interference(state, *gammas):
     2 w^(N - k) (2/pi)^k prod env cos(sum theta)."""
     alpha = state.alpha
     norm = 2.0 + 2.0 * math.exp(-2.0 * state.modes * abs2(alpha))
-    branches = math.prod(wigner_coherent(g, alpha) for g in gammas) + math.prod(
-        wigner_coherent(g, -alpha) for g in gammas
+    k = len(gammas)
+    branches = wigner_closed(coherent(alpha, k), *gammas) + wigner_closed(
+        coherent(-alpha, k), *gammas
     )
     return norm * wigner_closed(state, *gammas) - branches
 
@@ -580,7 +578,7 @@ def test_fringe_suppression_trivial_alpha_rejected():
     state = CatStateSpec(family=CatFamily.OMEGA, modes=2, alpha=0.0)
     gammas = np.array(REF_GAMMAS)
     np.testing.assert_allclose(
-        wigner_closed(state, gammas), wigner_coherent(gammas, 0.0), rtol=1e-15, atol=0
+        wigner_closed(state, gammas), wigner_closed(coherent(0.0), gammas), rtol=1e-15, atol=0
     )
     assert wigner_gap(state, [(g,) for g in REF_GAMMAS]) <= 1e-12
     with pytest.raises(DomainError):
