@@ -42,7 +42,6 @@ from .errors import (
 )
 from .fock import (
     FockVector,
-    build_state,
     cat_split_thetas,
     coherent_vector,
     default_cutoff,
@@ -52,7 +51,6 @@ from .fock import (
     kitten_vectors,
     mode_ops,
     split_network_overlaps,
-    total_photon_pmf,
 )
 from .measures import (
     MeasureKind,

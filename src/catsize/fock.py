@@ -12,16 +12,18 @@ mixer on (q - 1, q) sends |n, 0> to sum_a T[a, n - a] |a, n - a>.  It sends
 T[a, b] = sqrt(C(a + b, a)) cos(theta)^a sin(theta)^b (``_vacuum_mixer``,
 O(d^2) per mixer, nothing cached).  The network's overlap with a product
 target and its norm are then transfer chains, one (d, d) step per mixer
-(``split_network_overlaps``), and its d^m output is never built.  The
-general two-mode applier, the network output and the Kronecker product of
-vectors live in the tests (``tests/dense_reference.py``).
+(``split_network_overlaps``), and its d^m output is never built.
 
 States are ``FockVector``s of at most MAX_JOINT_DIM amplitudes, and
 single-mode operators are plain (d, d) arrays (``mode_ops``,
 ``displacement_op``); no operator on more than one mode is ever built.
 ``displace`` applies the displacement to a block of columns for many
 amplitudes at once, and every family's state is a scaled sum of products of
-single-mode branch vectors (``family_branches``).
+single-mode branch vectors (``family_branches``), which the measures'
+numeric routes and the branch Wigner route read at any mode count.  The
+joint vector those products sum to, its total-photon pmf, the general
+two-mode applier, the network output and the Kronecker product of vectors
+live in the tests (``tests/dense_reference.py``).
 """
 
 from __future__ import annotations
@@ -284,33 +286,6 @@ def apply_single_mode(kernel: np.ndarray, state: FockVector, mode: int) -> FockV
     return FockVector(cutoff=state.cutoff, modes=state.modes, amplitudes=out.reshape(-1))
 
 
-def total_photon_pmf(state: FockVector) -> np.ndarray:
-    """Probability of each total photon count, length modes*cutoff + 1."""
-    d = state.cutoff + 1
-    totals = np.indices((d,) * state.modes).reshape(state.modes, -1).sum(axis=0)
-    weights = np.abs(state.amplitudes) ** 2
-    weights = weights / weights.sum()
-    return np.bincount(totals, weights=weights, minlength=state.modes * state.cutoff + 1)
-
-
-def build_state(spec: CatStateSpec, cutoff: int | None = None) -> FockVector:
-    """Assemble the truncated vector for a state family.
-
-    The vector is scaled by the closed-form normalization, so any deviation
-    of its numeric norm from one is truncation loss, left in place rather
-    than silently renormalized.
-    """
-    if cutoff is None:
-        cutoff = default_cutoff(spec.alpha)
-    # refuse before assembly; the kron products allocate the full vector
-    _check_joint_dim((cutoff + 1) ** spec.modes)
-    return FockVector(cutoff=cutoff, modes=spec.modes, amplitudes=_assemble(spec, cutoff))
-
-
-def _kron_power(v: np.ndarray, n: int) -> np.ndarray:
-    return functools.reduce(np.kron, [v] * n)
-
-
 def family_branches(
     spec: CatStateSpec, cutoff: int
 ) -> tuple[list[np.ndarray], float, float]:
@@ -337,17 +312,6 @@ def family_branches(
         even, odd = kitten_vectors(alpha, cutoff)
         return [even.amplitudes, odd.amplitudes], 1.0, math.sqrt(2.0)
     raise DomainError(f"unknown family {family}")
-
-
-def _assemble(spec: CatStateSpec, cutoff: int) -> np.ndarray:
-    branches, times, over = family_branches(spec, cutoff)
-    # in place: _kron_power(v, 1) is v itself, which only this call holds
-    amps = _kron_power(branches[0], spec.modes)
-    for v in branches[1:]:
-        amps += _kron_power(v, spec.modes)
-    amps *= times
-    amps /= over
-    return amps
 
 
 def _check_joint_dim(dim: int) -> int:

@@ -5,12 +5,12 @@ and provenance.  Variances of mode-summed generators over two-branch
 superpositions are evaluated exactly through the Gram reduction: a state
 c1 |u>^N + c2 |v>^N needs only the 2x2 tables <x|A|y>, <x|A^2|y> and the
 overlap g = <u|v>, with the mode count entering through powers of g.  The
-truncated Fock oracles re-derive the same numbers from truncated amplitudes:
-the branch-dist oracle from the single-mode Gram matrix of |+-alpha>, whose
-n-th power is the Gram matrix of the n-mode branches, so it checks n_eff
-itself; the rqfi oracle on the joint vector, wherever that vector and its
-(d, d) single-mode generator fit MAX_JOINT_DIM.  Neither builds an operator
-on more than one mode.
+truncated Fock oracles re-derive the same numbers from truncated
+single-mode vectors at every mode count: the branch-dist oracle from the
+Gram matrix of |+-alpha>, whose n-th power is that of the n-mode branches,
+so it checks n_eff itself; the rqfi oracle from the branch tables of the
+achieving generator; the Marquardt check from one mode's photon pmf,
+convolved N times.  None builds a joint vector or a multi-mode operator.
 """
 
 from __future__ import annotations
@@ -48,16 +48,14 @@ from .closed_forms import (
     n_eff_real,
     rdm_particle_trace,
 )
-from .errors import DomainError, ResolutionError
+from .errors import DomainError, ResolutionError, SizingError
 from .fock import (
     MAX_JOINT_DIM,
-    apply_single_mode,
-    build_state,
     coherent_vector,
     default_cutoff,
+    family_branches,
     kitten_vectors,
     mode_ops,
-    total_photon_pmf,
 )
 from .phase_space import (
     default_feature_window,
@@ -538,8 +536,8 @@ def rqfi_size(state: CatStateSpec, family: str, oracle: bool = False) -> Measure
     branches' best per-mode variances.  Either way the value is a lower bound
     to the unrestricted maximization, and is exact for every mode count
     through the Gram reduction; ``oracle`` additionally recomputes the
-    achieving variance on the truncated joint vector (``_rqfi_oracle``), or
-    reports why that vector does not fit.
+    achieving variance from truncated branch vectors (``_rqfi_oracle``), or
+    reports why the generator's matrix does not fit.
     """
     kinds = _generator_kinds(family)
     _require_family(state, _RQFI_FAMILIES)
@@ -593,24 +591,32 @@ def rqfi_size(state: CatStateSpec, family: str, oracle: bool = False) -> Measure
 
 
 def _rqfi_oracle(state: CatStateSpec, gen: ModeGenerator, closed: float) -> dict:
-    """Recompute the achieving variance ``closed`` on a truncated joint vector.
+    """Recompute the achieving variance ``closed`` from truncated branch vectors.
 
-    Both the joint vector (d^modes amplitudes) and the d^3 work of building
-    and norm-checking the (d, d) single-mode generator must fit MAX_JOINT_DIM,
-    the budget of every joint vector, so d <= 161 below four modes; the check
-    is skipped where that leaves less than the state's default cutoff.
+    The state is c sum_b v_b^(x N) (``family_branches``); with GV = mat @ V
+    for the (d, B) branch vectors V, the B x B tables S = <v_b|v_c>,
+    A = <v_b|g|v_c> and A2 = <g v_b|g v_c>, formed by elementwise products
+    and numpy sums (no BLAS dot, whose order follows the thread count), give
+    <G> = sum N A S^(N-1) / sum S^N and <G^2> = sum [N A2 S^(N-1)
+    + N (N-1) A^2 S^(N-2)] / sum S^N (the second term from N >= 2); c cancels.
+    The d^3 work of building and norm-checking the generator must fit
+    MAX_JOINT_DIM, so d <= 161 at every N; the check is skipped where that
+    leaves less than the state's default cutoff.  The row's tolerance is
+    max(RQFI_VARIANCE_TOL, 8 N eps M), M = <G^2> the largest term of
+    <G^2> - <G>^2: a table entry's rounding eps becomes N eps in its N-th
+    power, the two ratios carry about 2 N eps each and <G>^2 <= M doubles
+    one, about 6 N eps M in all.  It passes 1e-7 only where N M > 5.6e7
+    (100 modes at |alpha| = 8); at N <= 4, M < 1e5 at every admitted |alpha|.
     """
     floor = default_cutoff(state.alpha)
-    afford = int(MAX_JOINT_DIM ** (1.0 / max(state.modes, 3))) - 1
+    afford = int(MAX_JOINT_DIM ** (1.0 / 3.0)) - 1
     if afford < floor:
         return {
             "status": "skipped",
             "reason": f"budget {MAX_JOINT_DIM} allows cutoff {afford} < required {floor}",
         }
     cutoff = min(floor + 8, afford)
-    vec = build_state(state, cutoff=cutoff)
-    amps = vec.amplitudes
-    amps /= vec.norm()  # in place: build_state's vector is this call's own
+    vecs = np.stack(family_branches(state, cutoff)[0], axis=1)
     mat = gen.builder(cutoff)
     if gen.kind is GeneratorKind.BOUNDED_LOCAL:
         top = float(np.linalg.norm(mat, 2))
@@ -618,11 +624,19 @@ def _rqfi_oracle(state: CatStateSpec, gen: ModeGenerator, closed: float) -> dict
             raise DomainError(
                 f"bounded generator has operator norm {top:.12f} > 1"
             )
-    summed = apply_single_mode(mat, vec, 0).amplitudes
-    for mode in range(1, state.modes):
-        summed += apply_single_mode(mat, vec, mode).amplitudes
-    e1 = float(np.vdot(amps, summed).real)
-    e2 = float(np.vdot(summed, summed).real)
+    moved = mat @ vecs
+    bras = vecs.conj()[:, :, None]
+    gram = (bras * vecs[:, None, :]).sum(axis=0)
+    first = (bras * moved[:, None, :]).sum(axis=0)
+    second = (moved.conj()[:, :, None] * moved[:, None, :]).sum(axis=0)
+    n = float(state.modes)
+    norm_sq = (gram ** state.modes).sum()
+    others = gram ** (state.modes - 1)  # the overlaps of the other N - 1 modes
+    terms = n * second * others
+    if state.modes >= 2:
+        terms += n * (n - 1.0) * first ** 2 * gram ** (state.modes - 2)
+    e1 = float(((n * first * others).sum() / norm_sq).real)
+    e2 = float((terms.sum() / norm_sq).real)
     numeric = e2 - e1 * e1
     return {
         "status": "ok",
@@ -631,11 +645,11 @@ def _rqfi_oracle(state: CatStateSpec, gen: ModeGenerator, closed: float) -> dict
         "closed_variance": closed,
         "numeric_variance": numeric,
         "difference": abs(closed - numeric),
+        "tolerance": max(RQFI_VARIANCE_TOL, 8.0 * n * np.finfo(float).eps * abs(e2)),
     }
 
 
-# largest gap seen: 1.6e-9 (modes 1-5, every label and state, |alpha| 1e-12 to 8)
-RQFI_VARIANCE_TOL = 1e-7
+RQFI_VARIANCE_TOL = 1e-7  # the rqfi row's tolerance, or the rounding bound past it
 
 
 def _rqfi_rows(diagnostics: dict) -> list[dict]:
@@ -645,7 +659,7 @@ def _rqfi_rows(diagnostics: dict) -> list[dict]:
     if oracle["status"] == "skipped":
         return [check_row("oracle", oracle["reason"], None, None)]
     numeric, closed = oracle["numeric_variance"], oracle["closed_variance"]
-    return [check_row("variance-closed-vs-fock", numeric, closed, RQFI_VARIANCE_TOL)]
+    return [check_row("variance-closed-vs-fock", numeric, closed, oracle["tolerance"])]
 
 
 def marquardt_size(state: CatStateSpec, numeric_check: bool = False) -> MeasureResult:
@@ -653,7 +667,13 @@ def marquardt_size(state: CatStateSpec, numeric_check: bool = False) -> MeasureR
 
     The numeric route conjugates the branch step by per-mode displacements:
     moving |-alpha>^N to |alpha>^N costs D(2 alpha) on every mode, and the
-    photon distribution of the displaced product is the transfer pmf.
+    photon distribution of the displaced product is the transfer pmf.  Its
+    total-photon pmf is the N-fold convolution of one truncated mode's
+    normalized |<n|2 alpha>|^2, checked against the Poisson law, as is that
+    of |alpha>^N; the branch mean is N times one mode's.  Both keep the
+    cutoff ``default_cutoff(2 alpha)``: each mode's tail adds to the total's,
+    and N times it stays below 1.8e-13 for every N the guard admits, where
+    N cutoff + 1 counts must fit MAX_JOINT_DIM, checked before allocating.
     """
     _require_family(state, (CatFamily.OMEGA,))
     s = marquardt_s(state.modes, state.alpha)
@@ -668,28 +688,23 @@ def marquardt_size(state: CatStateSpec, numeric_check: bool = False) -> MeasureR
     if numeric_check:
         shifted = complex(state.alpha) * 2.0
         cutoff = default_cutoff(shifted)
-        spec_big = CatStateSpec(
-            family=CatFamily.PRODUCT_COHERENT, modes=state.modes, alpha=shifted
-        )
-        spec_branch = CatStateSpec(
-            family=CatFamily.PRODUCT_COHERENT, modes=state.modes, alpha=state.alpha
-        )
-        vec_big = build_state(spec_big, cutoff=cutoff)
-        vec_branch = build_state(spec_branch, cutoff=cutoff)
-        pmf_big = total_photon_pmf(vec_big)
-        pmf_branch = total_photon_pmf(vec_branch)
-        grid = np.arange(pmf_big.size)
-        ref_big = np.array(
-            [marquardt_pd(int(d), state.modes, shifted) for d in grid]
-        )
-        ref_branch = np.array(
-            [marquardt_pd(int(d), state.modes, state.alpha) for d in grid]
-        )
-        mean_branch = float(np.dot(grid, pmf_branch))
+        counts = state.modes * cutoff + 1
+        if counts > MAX_JOINT_DIM:
+            raise SizingError(
+                f"total-photon pmf of {counts} counts exceeds "
+                f"MAX_JOINT_DIM = {MAX_JOINT_DIM}"
+            )
+        gaps = []
+        for beta in (shifted, state.alpha):
+            pmf = _convolved_pmf(_mode_pmf(beta, cutoff), state.modes)
+            law = (marquardt_pd(d, state.modes, beta) for d in range(counts))
+            gaps.append(float(np.abs(pmf - np.fromiter(law, float, counts)).max()))
+        one_mode = np.arange(cutoff + 1) * _mode_pmf(state.alpha, cutoff)
+        mean_branch = state.modes * float(one_mode.sum())
         diagnostics["numeric"] = {
             "cutoff": cutoff,
-            "displaced_max_abs_diff": float(np.abs(pmf_big - ref_big).max()),
-            "branch_max_abs_diff": float(np.abs(pmf_branch - ref_branch).max()),
+            "displaced_max_abs_diff": gaps[0],
+            "branch_max_abs_diff": gaps[1],
             "branch_mean": mean_branch,
             "mean_abs_error": abs(mean_branch - s),
         }
@@ -702,6 +717,28 @@ def marquardt_size(state: CatStateSpec, numeric_check: bool = False) -> MeasureR
         method=method,
         diagnostics=diagnostics,
     )
+
+
+def _mode_pmf(beta, cutoff: int) -> np.ndarray:
+    """Normalized photon pmf |<n|beta>|^2 of one truncated mode."""
+    pmf = np.abs(coherent_vector(beta, cutoff).amplitudes) ** 2
+    return pmf / pmf.sum()
+
+
+def _convolved_pmf(one: np.ndarray, modes: int) -> np.ndarray:
+    """The ``modes``-fold convolution of ``one``, modes (one.size - 1) + 1 long.
+
+    It is irfft(rfft(one)^modes) on a power-of-two length n, not repeated
+    ``np.convolve``: O(n log n) stays near a second at the largest length
+    the size guard admits, where direct convolution costs
+    O(modes^2 one.size^2).  Its rounding is a few 1e-16 per count, but the
+    power multiplies each coefficient's phase error by ``modes``, which
+    shifts the first moment by up to about modes n eps (3e-7 at 10^4 modes),
+    so the branch mean is not read from it.
+    """
+    size = modes * (one.size - 1) + 1
+    n = 1 << (size - 1).bit_length()
+    return np.fft.irfft(np.fft.rfft(one, n) ** modes, n)[:size]
 
 
 TRANSFER_PMF_TOL = 1e-10  # displaced photon pmf vs the Poisson transfer law

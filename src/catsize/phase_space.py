@@ -242,10 +242,10 @@ def wigner_branches(state: CatStateSpec, points) -> np.ndarray:
 
     ``points`` is a (P, k) array-like: each point holds coordinates for the
     first k <= ``state.modes`` modes, and its value is that of those modes'
-    reduced state, as ``wigner_numeric`` gives it on ``build_state`` at the
-    cutoff ``wigner_cutoff`` picks from the amplitude and the points.  The
-    state is c sum_b v_b^(x N) (``family_branches``), so each sum over the
-    displaced joint vector is a sum over branch pairs
+    reduced state, as ``wigner_numeric`` gives it on the family's joint
+    vector at the cutoff ``wigner_cutoff`` picks from the amplitude and the
+    points.  The state is c sum_b v_b^(x N) (``family_branches``), so each
+    sum over the displaced joint vector is a sum over branch pairs
     (b, c) of one single-mode factor per mode, multiplied together:
     <x_b|P|x_c> on the displaced modes, x_b = D(-gamma_i) v_b, and <v_b|v_c>
     on the rest for the parity sum; <x_b|x_c> on every mode for the total;

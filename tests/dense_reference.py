@@ -1,9 +1,14 @@
 """Reference routes for the tests: projectors, the trace norm, Kronecker
-products of vectors, the splitting-network output (in corner slabs and as
-one vector) and the general two-mode applier.
+products of vectors, a family's joint state vector with its total-photon pmf
+and the joint-vector rqfi variance, the splitting-network output (in corner
+slabs and as one vector) and the general two-mode applier.
 
-The package builds no operator on more than one mode; these plain arrays are
-the full-matrix route its compressed oracles are checked against.  The
+The package builds no operator on more than one mode and no family's joint
+vector; these plain arrays are the full-matrix route its compressed oracles
+are checked against.  Its numeric routes read single-mode branch vectors
+(``fock.family_branches``); ``build_state`` sums their Kronecker powers into
+the (cutoff + 1)^modes vector, which ``total_photon_pmf`` and
+``rqfi_joint_variance`` then read as a whole.  The
 package never builds the splitting network output: it contracts the overlap
 and the norm as transfer chains over the mixers (``fock.split_network_overlaps``).
 ``split_network_slabs`` builds that output, slab by slab, and ``tensor``
@@ -21,8 +26,16 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from catsize.closed_forms import CatStateSpec
 from catsize.errors import DomainError, SizingError
-from catsize.fock import MAX_JOINT_DIM, FockVector, cat_split_thetas
+from catsize.fock import (
+    MAX_JOINT_DIM,
+    FockVector,
+    apply_single_mode,
+    cat_split_thetas,
+    default_cutoff,
+    family_branches,
+)
 
 #: Largest slab of the splitting network output, in amplitudes (1 MB, cache-sized).
 _SLAB_DIM = 1 << 16
@@ -55,6 +68,63 @@ def tensor(*parts: FockVector) -> FockVector:
         raise SizingError(f"joint dimension {dim} exceeds MAX_JOINT_DIM = {MAX_JOINT_DIM}")
     amps = functools.reduce(np.kron, [p.amplitudes for p in parts])
     return FockVector(cutoff=parts[0].cutoff, modes=modes, amplitudes=amps)
+
+
+def build_state(spec: CatStateSpec, cutoff: int | None = None) -> FockVector:
+    """The truncated joint vector (times / over) sum_b v_b^(x modes) of a
+    family, from its branch vectors (``fock.family_branches``).
+
+    The vector is scaled by the closed-form normalization, so any deviation
+    of its numeric norm from one is truncation loss, left in place rather
+    than silently renormalized.
+    """
+    if cutoff is None:
+        cutoff = default_cutoff(spec.alpha)
+    # refuse before assembly; the kron products allocate the full vector
+    dim = (cutoff + 1) ** spec.modes
+    if dim > MAX_JOINT_DIM:
+        raise SizingError(f"joint dimension {dim} exceeds MAX_JOINT_DIM = {MAX_JOINT_DIM}")
+    return FockVector(cutoff=cutoff, modes=spec.modes, amplitudes=_assemble(spec, cutoff))
+
+
+def _kron_power(v: np.ndarray, n: int) -> np.ndarray:
+    return functools.reduce(np.kron, [v] * n)
+
+
+def _assemble(spec: CatStateSpec, cutoff: int) -> np.ndarray:
+    branches, times, over = family_branches(spec, cutoff)
+    # in place: _kron_power(v, 1) is v itself, which only this call holds
+    amps = _kron_power(branches[0], spec.modes)
+    for v in branches[1:]:
+        amps += _kron_power(v, spec.modes)
+    amps *= times
+    amps /= over
+    return amps
+
+
+def total_photon_pmf(state: FockVector) -> np.ndarray:
+    """Probability of each total photon count, length modes*cutoff + 1."""
+    d = state.cutoff + 1
+    totals = np.indices((d,) * state.modes).reshape(state.modes, -1).sum(axis=0)
+    weights = np.abs(state.amplitudes) ** 2
+    weights = weights / weights.sum()
+    return np.bincount(totals, weights=weights, minlength=state.modes * state.cutoff + 1)
+
+
+def rqfi_joint_variance(state: CatStateSpec, gen, cutoff: int) -> float:
+    """Variance of the mode sum of ``gen``'s truncated (d, d) matrix on the
+    normalized joint vector of ``state`` at ``cutoff``: one
+    ``apply_single_mode`` product per mode, summed, and two ``np.vdot``s."""
+    vec = build_state(state, cutoff=cutoff)
+    amps = vec.amplitudes
+    amps /= vec.norm()  # in place: build_state's vector is this call's own
+    mat = gen.builder(cutoff)
+    summed = apply_single_mode(mat, vec, 0).amplitudes
+    for mode in range(1, state.modes):
+        summed += apply_single_mode(mat, vec, mode).amplitudes
+    e1 = float(np.vdot(amps, summed).real)
+    e2 = float(np.vdot(summed, summed).real)
+    return e2 - e1 * e1
 
 
 def split_network_slabs(head: FockVector, modes: int) -> Iterator[np.ndarray]:

@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 import pytest
-from dense_reference import projector, tensor, trace_norm
+from dense_reference import build_state, projector, tensor, total_photon_pmf, trace_norm
 
 from catsize.closed_forms import (
     CatFamily,
@@ -32,12 +32,7 @@ from catsize.closed_forms import (
     rqfi_bound_quadrature,
 )
 from catsize.errors import ResolutionError
-from catsize.fock import (
-    build_state,
-    coherent_vector,
-    default_cutoff,
-    total_photon_pmf,
-)
+from catsize.fock import coherent_vector, default_cutoff
 from catsize.measures import (
     branch_dist_size_real,
     marquardt_size,

@@ -164,7 +164,7 @@ def _hcs(modes, alpha):
          lambda: mode_loss_size(_omega(6, 1.0), 0.25)),
         ("wigner-empirical --alpha 2.0", lambda: wigner_empirical_size(_omega(1, 2.0))),
     ],
-    ids=["branch-dist", "branch-dist-real", "rqfi", "rqfi-skipped", "rqfi-tiny",
+    ids=["branch-dist", "branch-dist-real", "rqfi", "rqfi-five-modes", "rqfi-tiny",
          "rqfi-hcs-tiny", "marquardt-numeric", "marquardt", "distill", "mode-loss",
          "wigner-empirical"],
 )
@@ -228,20 +228,18 @@ def test_rqfi_large_alpha_skips_oracle(argv, floor):
     assert check["observed"] == f"budget 4194304 allows cutoff 160 < required {floor}"
 
 
-def test_rqfi_large_modes_skips_oracle():
-    # 21**5 is the largest joint vector within MAX_JOINT_DIM, below cutoff 29
+def test_rqfi_five_modes_carries_oracle_check():
+    # the joint-vector oracle skipped this row: 21**5 was the largest joint
+    # vector within MAX_JOINT_DIM, below cutoff 29
     env = envelope(
         run_cli("measure", "rqfi", "--modes", "5", "--alpha", "0.9",
                 "--family", "bounded-local")
     )
-    assert env["checks"] == [{
-        "name": "oracle",
-        "status": "skipped",
-        "observed": "budget 4194304 allows cutoff 20 < required 29",
-        "expected": None,
-        "tolerance": None,
-    }]
-    assert env["results"]["measure"]["diagnostics"]["oracle"]["status"] == "skipped"
+    (check,) = env["checks"]
+    assert check["name"] == "variance-closed-vs-fock"
+    assert check["status"] == "pass"
+    assert check["tolerance"] == 1e-7
+    assert env["results"]["measure"]["diagnostics"]["oracle"]["cutoff"] == 37
 
 
 def test_wigner_empirical_measure_cli():
@@ -726,7 +724,8 @@ def test_coarse_feature_grid_exits_3():
 
 
 def test_oversized_numeric_check_exits_4():
-    proc = run_cli("measure", "marquardt", "--modes", "8", "--alpha", "3",
+    # 200000 * 40 + 1 photon counts at cutoff 40 exceed MAX_JOINT_DIM
+    proc = run_cli("measure", "marquardt", "--modes", "200000", "--alpha", "1",
                    "--numeric-check")
     assert proc.returncode == 4
     assert "MAX_JOINT_DIM" in proc.stderr

@@ -12,10 +12,12 @@ from dense_reference import (
     apply_split_network,
     apply_two_mode,
     beamsplitter_kernel,
+    build_state,
     coherent_mixer_kernel,
     projector,
     split_network_slabs,
     tensor,
+    total_photon_pmf,
     trace_norm,
     vacuum_mixer_reference,
 )
@@ -34,7 +36,6 @@ from catsize.fock import (
     MAX_JOINT_DIM,
     FockVector,
     apply_single_mode,
-    build_state,
     cat_split_thetas,
     coherent_vector,
     default_cutoff,
@@ -44,7 +45,6 @@ from catsize.fock import (
     kitten_vectors,
     mode_ops,
     split_network_overlaps,
-    total_photon_pmf,
 )
 from catsize.verify import network_gap
 

@@ -6,7 +6,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from dense_reference import projector, tensor, trace_norm
+from dense_reference import (
+    build_state,
+    projector,
+    rqfi_joint_variance,
+    tensor,
+    total_photon_pmf,
+    trace_norm,
+)
 
 from catsize.closed_forms import (
     CatFamily,
@@ -19,13 +26,7 @@ from catsize.closed_forms import (
     rqfi_bound_bounded,
 )
 from catsize.errors import DomainError, ResolutionError
-from catsize.fock import (
-    MAX_JOINT_DIM,
-    build_state,
-    coherent_vector,
-    default_cutoff,
-    mode_ops,
-)
+from catsize.fock import coherent_vector, default_cutoff, mode_ops
 from catsize.measures import (
     RQFI_VARIANCE_TOL,
     Method,
@@ -38,6 +39,10 @@ from catsize.measures import (
     mode_loss_size,
     rqfi_size,
     wigner_empirical_size,
+    _branch_pair,
+    _convolved_pmf,
+    _mode_pmf,
+    _rqfi_oracle,
     _trace_norm_check,
 )
 from catsize.phase_space import extract_features, wigner_grid
@@ -304,38 +309,46 @@ def test_rqfi_oracle_runs_wherever_the_joint_vector_fits(state, family):
     oracle = res.diagnostics["oracle"]
     assert oracle["status"] == "ok"
     assert oracle["generator"] == res.diagnostics["achieving_generator"]
-    assert (oracle["cutoff"] + 1) ** state.modes <= MAX_JOINT_DIM
+    assert oracle["cutoff"] <= 160
     assert oracle["difference"] <= 1e-7
 
 
-def test_rqfi_oracle_holds_three_joint_vectors():
-    # at four modes and alpha = 1.5 the cutoff is 43 and one joint vector is
-    # 44**4 amplitudes (60.0 MB): the state, the sum over modes and one
-    # single-mode product; the tensordot route copied the state for every
-    # middle mode and peaked at four
-    rqfi_size(omega(4, 1.5), QN)
-    tracemalloc.start()
-    try:
-        oracle = rqfi_size(omega(4, 1.5), QN, oracle=True).diagnostics["oracle"]
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert oracle["cutoff"] == 43
-    assert peak / (16 * 44**4) < 3.2
+def _achieving_generator(state, family):
+    label = rqfi_size(state, family).diagnostics["achieving_generator"]
+    (gen,) = [gen for gen in _branch_pair(state)[1] if gen.label == label]
+    return gen
+
+
+def test_rqfi_oracle_peak_memory_does_not_grow_with_modes():
+    # the branch tables are B x B at every mode count; the joint-vector
+    # oracle held three 44**4-amplitude vectors (180 MB) at four modes
+    peaks = []
+    for modes in (4, 1000):
+        state = omega(modes, 1.5)
+        gen = _achieving_generator(state, QN)
+        _rqfi_oracle(state, gen, 0.0)
+        tracemalloc.start()
+        try:
+            oracle = _rqfi_oracle(state, gen, 0.0)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert oracle["cutoff"] == 43
+    assert peaks[1] <= peaks[0] < 16 * 44**2 * 8
 
 
 @pytest.mark.parametrize(
     "state, family, pinned",
     [
-        (omega(4, 1.5), QN, "0x1.27ffffb6694b8p+6"),
-        (hcs(3, 1.0), "spin-sandwich", "0x1.8ae15bebcb989p+3"),
-        (omega(3, 0.7), "bounded-local", "0x1.f9585b8af578cp+2"),
+        (omega(4, 1.5), QN, "0x1.27ffffb669448p+6"),
+        (hcs(3, 1.0), "spin-sandwich", "0x1.8ae15bebcb987p+3"),
+        (omega(3, 0.7), "bounded-local", "0x1.f9585b8af577cp+2"),
     ],
 )
 def test_rqfi_oracle_variance_is_pinned_bitwise(state, family, pinned):
-    # each single-mode product is one matmul on the same operands in the
-    # same layout, and IEEE addition commutes, so the sum over modes must
-    # not move a bit whichever applier forms it
+    # the branch tables are elementwise products reduced by numpy sums; the
+    # joint-vector oracle's pins moved with OpenBLAS's summation order in its
+    # zgemm and zdotc, which depends on the thread count
     oracle = rqfi_size(state, family, oracle=True).diagnostics["oracle"]
     assert oracle["numeric_variance"].hex() == pinned
 
@@ -343,10 +356,9 @@ def test_rqfi_oracle_variance_is_pinned_bitwise(state, family, pinned):
 def test_rqfi_oracle_reports_unaffordable_budgets():
     res = rqfi_size(omega(5, 1.0), QN, oracle=True)
     oracle = res.diagnostics["oracle"]
-    assert oracle["status"] == "skipped"
-    assert oracle["reason"] == "budget 4194304 allows cutoff 20 < required 29"
-    # below four modes the d^3 generator work, not the vector, sets the budget
-    for modes in (1, 2):
+    assert oracle["status"] == "ok" and oracle["cutoff"] == 37
+    # the d^3 generator work sets the budget at every mode count
+    for modes in (1, 2, 5, 1000):
         for alpha, floor in ((8.5, 161), (45.0, 2405)):
             low = rqfi_size(omega(modes, alpha), QN, oracle=True).diagnostics["oracle"]
             assert low["reason"] == (
@@ -382,6 +394,34 @@ def test_rqfi_oracle_rows_pass_at_tiny_amplitudes(make, label, modes, alpha):
     assert row["name"] == "variance-closed-vs-fock"
     assert row["tolerance"] == RQFI_VARIANCE_TOL
     assert row["status"] == "pass", row
+
+
+_EVERY_LABEL = [(omega, label) for label in _CAPPED_LABELS] + [
+    (hcs, label) for label in _CAPPED_LABELS + ("spin-sandwich",)
+]
+
+
+@pytest.mark.parametrize("make, label", _EVERY_LABEL)
+def test_rqfi_branch_oracle_matches_the_joint_vector(make, label):
+    # at four modes the joint vector fits MAX_JOINT_DIM only at small cutoffs
+    cases = [(modes, alpha) for modes in (1, 2, 3) for alpha in (0.3, 0.8, 1.5, 2.5)]
+    for modes, alpha in cases + [(4, 0.3)]:
+        state = make(modes, alpha)
+        oracle = rqfi_size(state, label, oracle=True).diagnostics["oracle"]
+        joint = rqfi_joint_variance(state, _achieving_generator(state, label), oracle["cutoff"])
+        assert oracle["numeric_variance"] == pytest.approx(joint, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("make, label", _EVERY_LABEL)
+def test_rqfi_oracle_rows_pass_at_every_mode_count(make, label):
+    alphas = (1e-8, 1e-3, 0.05, 0.3, 1.0, 2.0, 4.0, 8.0, 1.3j, 0.7 + 0.7j)
+    for modes in (1, 2, 3, 4, 5, 20, 100, 1000, 10**4, 10**6):
+        for alpha in alphas:
+            (row,) = rqfi_size(make(modes, alpha), label, oracle=True).checks
+            assert row["status"] == "pass", (modes, alpha, row)
+            # the joint-vector oracle printed its rows at four modes and fewer
+            if modes <= 4:
+                assert row["tolerance"] == RQFI_VARIANCE_TOL
 
 
 def _numeric_quadrature_variances(spec: CatStateSpec, phases) -> np.ndarray:
@@ -451,6 +491,23 @@ def test_marquardt_numeric_route_agrees():
     assert numeric["branch_max_abs_diff"] <= 1e-10
     assert numeric["mean_abs_error"] <= 1e-8
     assert numeric["branch_mean"] == pytest.approx(res.value, abs=1e-8)
+
+
+@pytest.mark.parametrize("modes", [5, 20, 100])
+def test_marquardt_numeric_check_passes_past_four_modes(modes):
+    checks = marquardt_size(omega(modes, 1.0), numeric_check=True).checks
+    assert [row["status"] for row in checks] == ["pass", "pass"]
+
+
+@pytest.mark.parametrize("modes", [1, 2, 3, 4])
+def test_convolved_pmf_matches_the_joint_vector(modes):
+    for alpha in (0.3, 0.8):
+        cutoff = default_cutoff(2.0 * alpha)
+        for beta in (alpha, 2.0 * alpha):
+            spec = CatStateSpec(family=CatFamily.PRODUCT_COHERENT, modes=modes, alpha=beta)
+            dense = total_photon_pmf(build_state(spec, cutoff=cutoff))
+            pmf = _convolved_pmf(_mode_pmf(beta, cutoff), modes)
+            assert np.abs(pmf - dense).max() <= 1e-15
 
 
 def test_marquardt_requires_two_branch_family():

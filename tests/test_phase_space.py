@@ -7,10 +7,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from dense_reference import build_state
 
 from catsize.closed_forms import CatFamily, CatStateSpec, abs2
 from catsize.errors import DomainError, ResolutionError, SizingError, TruncationError
-from catsize.fock import MAX_JOINT_DIM, build_state, coherent_vector
+from catsize.fock import MAX_JOINT_DIM, coherent_vector
 from catsize.phase_space import (
     _CSV_BLOCK_ROWS,
     CONVENTION,
