@@ -18,6 +18,7 @@ from __future__ import annotations
 import cmath
 import enum
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -607,6 +608,8 @@ def _rqfi_oracle(state: CatStateSpec, gen: ModeGenerator, closed: float) -> dict
     power, the two ratios carry about 2 N eps each and <G>^2 <= M doubles
     one, about 6 N eps M in all.  It passes 1e-7 only where N M > 5.6e7
     (100 modes at |alpha| = 8); at N <= 4, M < 1e5 at every admitted |alpha|.
+    From 8 N eps >= 1 (N >= 5.6e14) the bound reaches M itself, no digit of
+    the variance is left to compare and the check is skipped.
     """
     floor = default_cutoff(state.alpha)
     afford = int(MAX_JOINT_DIM ** (1.0 / 3.0)) - 1
@@ -614,6 +617,14 @@ def _rqfi_oracle(state: CatStateSpec, gen: ModeGenerator, closed: float) -> dict
         return {
             "status": "skipped",
             "reason": f"budget {MAX_JOINT_DIM} allows cutoff {afford} < required {floor}",
+        }
+    n = float(state.modes)
+    rounding = 8.0 * n * sys.float_info.epsilon  # the bound's share of <G^2>
+    if rounding >= 1.0:
+        return {
+            "status": "skipped",
+            "reason": f"rounding bound 8 N eps <G^2> = {rounding:.3g} <G^2> "
+                      f">= <G^2> at N = {state.modes}",
         }
     cutoff = min(floor + 8, afford)
     vecs = np.stack(family_branches(state, cutoff)[0], axis=1)
@@ -629,7 +640,6 @@ def _rqfi_oracle(state: CatStateSpec, gen: ModeGenerator, closed: float) -> dict
     gram = (bras * vecs[:, None, :]).sum(axis=0)
     first = (bras * moved[:, None, :]).sum(axis=0)
     second = (moved.conj()[:, :, None] * moved[:, None, :]).sum(axis=0)
-    n = float(state.modes)
     norm_sq = (gram ** state.modes).sum()
     others = gram ** (state.modes - 1)  # the overlaps of the other N - 1 modes
     terms = n * second * others
@@ -645,7 +655,7 @@ def _rqfi_oracle(state: CatStateSpec, gen: ModeGenerator, closed: float) -> dict
         "closed_variance": closed,
         "numeric_variance": numeric,
         "difference": abs(closed - numeric),
-        "tolerance": max(RQFI_VARIANCE_TOL, 8.0 * n * np.finfo(float).eps * abs(e2)),
+        "tolerance": max(RQFI_VARIANCE_TOL, rounding * abs(e2)),
     }
 
 

@@ -8,12 +8,10 @@ Tolerances are stated inline; nothing here is loosened to make a run green.
 import itertools
 import json
 import math
-import re
-import subprocess
-import sys
 
 import numpy as np
 import pytest
+from cli_runner import spawn_cli, strip_timing
 from dense_reference import build_state, projector, tensor, total_photon_pmf, trace_norm
 
 from catsize.closed_forms import (
@@ -419,15 +417,10 @@ def test_criterion_12_fixed_seed_envelopes_are_reproducible():
     for args in CLI_COMMANDS:
         outputs = []
         for _ in range(2):
-            proc = subprocess.run(
-                [sys.executable, "-m", "catsize.cli", *args],
-                capture_output=True,
-                text=True,
-            )
+            # two interpreters, so that nothing shared within one can mask drift
+            proc = spawn_cli(*args)
             assert proc.returncode == 0, (args, proc.stderr)
-            outputs.append(
-                re.sub(r'"timing_ms": \d+', '"timing_ms": 0', proc.stdout)
-            )
+            outputs.append(strip_timing(proc.stdout))
             json.loads(proc.stdout)
         assert outputs[0] == outputs[1], f"envelope drift for {' '.join(args)}"
     print(f"criterion 12: PASS - {len(CLI_COMMANDS)} commands byte-stable")

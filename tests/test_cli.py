@@ -1,7 +1,11 @@
-"""End-to-end tests of the command-line surface via subprocess.
+"""Tests of the command-line surface, run in process through ``run_cli``.
 
-Every command is exercised the way a user would run it, and the JSON
-envelope on stdout is checked against the schema shipped in the package.
+Every envelope is checked against the schema shipped in the package.  A new
+interpreter starts only where the process is under test: the hard exit that
+ends it (``test_process_and_in_process_main_agree``, codes 0-4), its
+descriptor 1 (the three exit-5 tests), the interpreter's own exit on a crash,
+a fresh import (no scipy), and the stderr of the clean extreme-|alpha| runs,
+where the test's warning filters would catch a warning in process.
 """
 
 import dataclasses
@@ -13,13 +17,12 @@ import re
 import subprocess
 import sys
 import tracemalloc
-from pathlib import Path
 
 import jsonschema
 import pytest
+from cli_runner import CLI, SCHEMA, run_cli, spawn_cli, strip_timing
 
-import catsize
-from catsize.cli import _dumps, main
+from catsize.cli import _dumps
 from catsize.closed_forms import CatFamily, CatStateSpec
 from catsize.errors import DomainError
 from catsize.measures import (
@@ -42,24 +45,9 @@ from catsize.simulate import (
     simulate_mode_loss,
 )
 
-SCHEMA_PATH = Path(catsize.__file__).parent / "data" / "envelope.schema.json"
-
-
-def run_cli(*args):
-    return subprocess.run(
-        [sys.executable, "-m", "catsize.cli", *args],
-        capture_output=True,
-        text=True,
-    )
-
-
 def envelope(proc):
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
-
-
-def strip_timing(text):
-    return re.sub(r'"timing_ms": \d+', '"timing_ms": 0', text)
 
 
 # ---------------------------------------------------------------------------
@@ -79,9 +67,8 @@ def strip_timing(text):
     ids=["marquardt", "branch-dist", "collapse", "wigner", "verify"],
 )
 def test_envelope_validates_against_schema(args):
-    schema = json.loads(SCHEMA_PATH.read_text())
     env = envelope(run_cli(*args))
-    jsonschema.validate(env, schema)
+    jsonschema.validate(env, SCHEMA)
     assert env["command"] == "catsize " + " ".join(args)
 
 
@@ -168,12 +155,12 @@ def _hcs(modes, alpha):
          "rqfi-hcs-tiny", "marquardt-numeric", "marquardt", "distill", "mode-loss",
          "wigner-empirical"],
 )
-def test_measure_prints_exactly_the_result_checks(argv, measure, capsys):
+def test_measure_prints_exactly_the_result_checks(argv, measure):
     # every row is built by the measure's route; the command adds none
-    assert main(["measure", *argv.split()]) == 0
-    out, err = capsys.readouterr()
-    assert err == ""
-    assert json.loads(out)["checks"] == json.loads(_dumps(measure().checks))
+    proc = run_cli("measure", *argv.split())
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert json.loads(proc.stdout)["checks"] == json.loads(_dumps(measure().checks))
 
 
 def test_marquardt_numeric_check_entries():
@@ -285,12 +272,12 @@ def _collapse(problem, alpha):
     ],
     ids=["distill", "mode-loss", *(problem.value for problem in CollapseProblem)],
 )
-def test_simulate_prints_exactly_the_shared_rows(argv, rows, closed_key, capsys):
+def test_simulate_prints_exactly_the_shared_rows(argv, rows, closed_key):
     # simulate builds every row; the command only prints them
-    assert main(["simulate", *argv.split()]) == 0
-    out, err = capsys.readouterr()
-    assert err == ""
-    env, shared = json.loads(out), rows()
+    proc = run_cli("simulate", *argv.split())
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    env, shared = json.loads(proc.stdout), rows()
     assert env["checks"] == json.loads(_dumps(shared))
     if closed_key is not None:
         assert env["results"][closed_key] == shared[0]["expected"]
@@ -316,12 +303,12 @@ def test_distill_envelope_stats_and_check():
 @pytest.mark.parametrize(
     "alpha, value", [("1e-9", 5e-18), ("1e-100", 5e-200), ("1e-160", 5e-320)]
 )
-def test_distill_at_tiny_alpha_exits_0(alpha, value, capsys):
+def test_distill_at_tiny_alpha_exits_0(alpha, value):
     # exp(-2|alpha|^2) rounds to 1 here; the success probability is N |alpha|^2
-    assert main(["measure", "distill", "--modes", "5", "--alpha", alpha]) == 0
-    out, err = capsys.readouterr()
-    assert err == ""
-    assert json.loads(out)["results"]["measure"]["value"] == pytest.approx(value, rel=1e-12)
+    proc = run_cli("measure", "distill", "--modes", "5", "--alpha", alpha)
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert json.loads(proc.stdout)["results"]["measure"]["value"] == pytest.approx(value, rel=1e-12)
 
 
 def test_collapse_cat_vs_mixed_is_exact():
@@ -349,6 +336,7 @@ def test_collapse_cat_vs_mixed_is_exact():
     ids=["distill", "mode-loss", "collapse", "verify"],
 )
 def test_repeat_runs_identical_minus_timing(args):
+    # both runs share one process, so nothing may carry from the first
     first = run_cli(*args)
     second = run_cli(*args)
     assert first.returncode == 0
@@ -374,20 +362,20 @@ def test_csv_export_single_mode(tmp_path):
     assert env["results"]["out"] == str(out)
 
 
-def test_features_export_in_process_holds_one_block(tmp_path, capsys):
+def test_features_export_in_process_holds_one_block(tmp_path):
     # the largest export of the benchmark's command mix, 227 x 227 rows with
     # features: grid evaluation, about 3.4 MB, must stay its largest stage;
     # a block of 2**15 rows of text traced 7.2 MB
     out = tmp_path / "features.csv"
     tracemalloc.start()
     try:
-        code = main(["wigner", "--state", "even-cat", "--alpha", "2.5",
-                     "--grid=-4.5:4.5:227", "--features", "--out", str(out)])
+        proc = run_cli("wigner", "--state", "even-cat", "--alpha", "2.5",
+                       "--grid=-4.5:4.5:227", "--features", "--out", str(out))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert code == 0
-    assert capsys.readouterr().err == ""
+    assert proc.returncode == 0
+    assert proc.stderr == ""
     assert peak < 5_000_000
     state = CatStateSpec(family=CatFamily.EVEN_CAT, modes=1, alpha=2.5)
     expected = io.StringIO()
@@ -427,7 +415,7 @@ def test_json_export_two_mode_payload(tmp_path):
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_non_finite_grid_export_exits_3_and_writes_no_file(fmt, tmp_path, monkeypatch, capsys):
+def test_non_finite_grid_export_exits_3_and_writes_no_file(fmt, tmp_path, monkeypatch):
     # no closed form yields a NaN on a finite grid any more, so one is planted
     # in the grid; the CSV path used to write those rows before the envelope
     # refused them
@@ -439,13 +427,12 @@ def test_non_finite_grid_export_exits_3_and_writes_no_file(fmt, tmp_path, monkey
 
     monkeypatch.setattr("catsize.cli.wigner_grid", nan_grid)
     out = tmp_path / f"w.{fmt}"
-    code = main(["wigner", "--state", "even-cat", "--alpha", "1", "--grid=-2:2:5",
-                 "--format", fmt, "--out", str(out)])
-    stdout, err = capsys.readouterr()
-    assert code == 3
-    assert stdout == ""
-    assert err.splitlines()[-1].startswith("error: ")
-    assert "Traceback" not in err
+    proc = run_cli("wigner", "--state", "even-cat", "--alpha", "1", "--grid=-2:2:5",
+                   "--format", fmt, "--out", str(out))
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines()[-1].startswith("error: ")
+    assert "Traceback" not in proc.stderr
     assert not out.exists()
 
 
@@ -454,15 +441,14 @@ def test_non_finite_grid_export_exits_3_and_writes_no_file(fmt, tmp_path, monkey
     [("even-cat", 2 / math.pi), ("odd-cat", -2 / math.pi), ("coherent", 0.0),
      ("omega", 4 / math.pi**2), ("hcs2", 4 / math.pi**2)],
 )
-def test_far_grid_reads_exact_zeros_off_the_origin(state, origin, capsys):
+def test_far_grid_reads_exact_zeros_off_the_origin(state, origin):
     # at |gamma| >= 5e299 every Gaussian has underflowed and the fringe phase
     # overflows; 0 * cos(inf) used to be NaN there, and the run exited 3
-    code = main(["wigner", "--state", state, "--alpha", "1e10",
-                 "--grid=-1e300:1e300:5", "--format", "json"])
-    out, err = capsys.readouterr()
-    assert code == 0
-    assert err == ""
-    values = json.loads(out)["results"]["grid"]["values"]
+    proc = run_cli("wigner", "--state", state, "--alpha", "1e10",
+                   "--grid=-1e300:1e300:5", "--format", "json")
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    values = json.loads(proc.stdout)["results"]["grid"]["values"]
     assert values[12] == pytest.approx(origin, rel=1e-15)
     assert values[:12] + values[13:] == [0.0] * 24
 
@@ -531,11 +517,10 @@ def test_invalid_flags_exit_2(args):
     ids=["alpha", "alpha-inf", "alpha-imag", "slice", "grid", "grid-overflow",
          "delta", "measure-lambda", "simulate-lambda"],
 )
-def test_non_finite_flag_values_exit_2(args, capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(list(args))
-    assert exc.value.code == 2
-    assert "expected a finite number" in capsys.readouterr().err
+def test_non_finite_flag_values_exit_2(args):
+    proc = run_cli(*args)
+    assert proc.returncode == 2
+    assert "expected a finite number" in proc.stderr
 
 
 @pytest.mark.parametrize(
@@ -570,20 +555,20 @@ def test_seed_outside_key_range_exits_2(command, seed):
     assert "Traceback" not in proc.stderr
 
 
-def test_largest_seed_is_accepted(capsys):
-    code = main(["simulate", "distill", "--modes", "3", "--alpha", "1",
-                 "--trials", "10", "--seed", str(2**64 - 1)])
-    assert code == 0
-    assert json.loads(capsys.readouterr().out)["inputs"]["seed"] == 2**64 - 1
+def test_largest_seed_is_accepted():
+    proc = run_cli("simulate", "distill", "--modes", "3", "--alpha", "1",
+                   "--trials", "10", "--seed", str(2**64 - 1))
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["inputs"]["seed"] == 2**64 - 1
 
 
-def test_failed_check_exits_1_outside_verify(capsys):
+def test_failed_check_exits_1_outside_verify():
     # ten trials at alpha = 30 all lose a mode, so the arithmetic mean misses
-    code = main(["simulate", "mode-loss", "--modes", "6", "--alpha", "30",
-                 "--lambda", "0.25", "--trials", "10", "--seed", "1"])
-    checks = json.loads(capsys.readouterr().out)["checks"]
+    proc = run_cli("simulate", "mode-loss", "--modes", "6", "--alpha", "30",
+                   "--lambda", "0.25", "--trials", "10", "--seed", "1")
+    checks = json.loads(proc.stdout)["checks"]
     assert "fail" in [c["status"] for c in checks]
-    assert code == 1
+    assert proc.returncode == 1
 
 
 def test_delta_outside_interval_exits_3_naming_it():
@@ -628,14 +613,13 @@ def test_overflowing_statistics_exit_3_without_traceback(alpha):
     ],
     ids=["distill", "marquardt", "mode-loss", "rqfi", "branch-dist-real"],
 )
-def test_non_finite_result_exits_3_with_empty_stdout(args, capsys):
+def test_non_finite_result_exits_3_with_empty_stdout(args):
     # |alpha|^2 = 1e308 is finite, but the results overflow to NaN or
     # infinity (or, for rqfi, every generator variance is NaN)
-    code = main(list(args))
-    out, err = capsys.readouterr()
-    assert code == 3
-    assert out == ""
-    assert err.startswith("error: ")
+    proc = run_cli(*args)
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ")
 
 
 @pytest.mark.parametrize(
@@ -678,8 +662,8 @@ def test_non_finite_result_exits_3_with_empty_stdout(args, capsys):
 def test_extreme_alpha_prints_no_numpy_warning(args, code, needle):
     # the overflowing intermediates are expected and their results handled,
     # and a degenerate odd branch is refused, so stderr holds nothing or the
-    # one error line
-    proc = run_cli(*args)
+    # one error line; a clean run is spawned, whose stderr no filter can hide
+    proc = (spawn_cli if code == 0 else run_cli)(*args)
     assert proc.returncode == code
     if code == 0:
         assert proc.stderr == ""
@@ -707,13 +691,12 @@ def test_non_finite_value_is_refused_by_the_serializer():
     ],
     ids=["wigner-grid", "empirical-1e6", "empirical-1e154"],
 )
-def test_oversized_grid_exits_4_before_allocating(args, capsys):
-    code = main(list(args))
-    out, err = capsys.readouterr()
-    assert code == 4
-    assert out == ""
-    assert err.startswith("error: grid of ")
-    assert "exceeds MAX_JOINT_DIM" in err
+def test_oversized_grid_exits_4_before_allocating(args):
+    proc = run_cli(*args)
+    assert proc.returncode == 4
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: grid of ")
+    assert "exceeds MAX_JOINT_DIM" in proc.stderr
 
 
 def test_coarse_feature_grid_exits_3():
@@ -731,14 +714,13 @@ def test_oversized_numeric_check_exits_4():
     assert "MAX_JOINT_DIM" in proc.stderr
 
 
-def test_overflowing_numeric_check_exits_4(capsys):
+def test_overflowing_numeric_check_exits_4():
     # the displaced branch 2 alpha has a squared modulus beyond the float range
-    code = main(["measure", "marquardt", "--modes", "1", "--alpha", "1e154",
-                 "--numeric-check"])
-    out, err = capsys.readouterr()
-    assert code == 4
-    assert out == ""
-    assert err == "error: no finite cutoff holds |alpha| = 2e+154\n"
+    proc = run_cli("measure", "marquardt", "--modes", "1", "--alpha", "1e154",
+                   "--numeric-check")
+    assert proc.returncode == 4
+    assert proc.stdout == ""
+    assert proc.stderr == "error: no finite cutoff holds |alpha| = 2e+154\n"
 
 
 def test_unwritable_output_exits_5(tmp_path):
@@ -748,13 +730,8 @@ def test_unwritable_output_exits_5(tmp_path):
 
 
 def test_closed_stdout_exits_5_without_traceback():
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "catsize.cli", "measure", "distill",
-         "--modes", "5", "--alpha", "0.8"],
-        stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE,
-        text=True,
-    )
+    proc = subprocess.Popen([*CLI, "measure", "distill", "--modes", "5", "--alpha", "0.8"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
     proc.stdout.close()  # the reader leaves before the envelope is written
     stderr = proc.stderr.read()
     assert proc.wait() == 5
@@ -770,20 +747,17 @@ def _assert_io_failure(proc):
 
 
 def test_full_stdout_exits_5_without_traceback():
-    argv = [sys.executable, "-m", "catsize.cli", "measure", "distill",
-            "--modes", "5", "--alpha", "0.8"]
     with open("/dev/full", "w") as full:
-        proc = subprocess.run(argv, stdout=full, stderr=subprocess.PIPE, text=True)
+        proc = spawn_cli("measure", "distill", "--modes", "5", "--alpha", "0.8",
+                         stdout=full)
     _assert_io_failure(proc)
     assert "No space left on device" in proc.stderr
 
 
 def test_stdout_closed_at_start_exits_5_without_traceback():
     # with descriptor 1 closed before the interpreter starts, sys.stdout is None
-    argv = [sys.executable, "-m", "catsize.cli", "measure", "distill",
-            "--modes", "5", "--alpha", "0.8"]
-    proc = subprocess.run(argv, stderr=subprocess.PIPE, text=True,
-                          preexec_fn=lambda: os.close(1))
+    proc = spawn_cli("measure", "distill", "--modes", "5", "--alpha", "0.8",
+                     preexec_fn=lambda: os.close(1))
     _assert_io_failure(proc)
     assert proc.stderr == "error: stdout is closed\n"
 
@@ -807,26 +781,26 @@ def test_stdout_closed_at_start_exits_5_without_traceback():
         (("verify", "--suite", "fast", "--seed", "0"), None, 0),
         (("measure", "branch-dist", "--modes", "two", "--alpha", "1", "--delta", "0.01"),
          None, 2),
+        (("measure", "branch-dist", "--modes", "2", "--alpha", "1", "--delta", "0.2"),
+         None, 3),
+        (("wigner", "--state", "even-cat", "--alpha", "1", "--grid=-4:4:100000"), None, 4),
     ],
-    ids=["branch-dist", "failed-row", "csv-export", "json-export", "verify", "usage"],
+    ids=["branch-dist", "failed-row", "csv-export", "json-export", "verify", "usage",
+         "domain", "sizing"],
 )
-def test_process_and_in_process_main_agree(args, out_name, code, tmp_path, capsys):
+def test_process_and_in_process_main_agree(args, out_name, code, tmp_path):
     # the process ends with os._exit once main returns; nothing it wrote
     # may be lost, and the exit code must be main's
     out = tmp_path / out_name if out_name else None
     argv = [*args, "--out", str(out)] if out else list(args)
-    proc = run_cli(*argv)
+    proc = spawn_cli(*argv)
     written = out.read_bytes() if out else None
     if out:
         out.unlink()
-    try:
-        got = main(argv)
-    except SystemExit as exc:  # argparse's usage error
-        got = exc.code
-    captured = capsys.readouterr()
-    assert (proc.returncode, got) == (code, code)
-    assert strip_timing(proc.stdout) == strip_timing(captured.out)
-    assert proc.stderr == captured.err
+    captured = run_cli(*argv)
+    assert (proc.returncode, captured.returncode) == (code, code)
+    assert strip_timing(proc.stdout) == strip_timing(captured.stdout)
+    assert proc.stderr == captured.stderr
     if code == 1:
         assert proc.stderr == "failed: arithmetic-mean-vs-closed-form\n"
     if out:

@@ -9,18 +9,11 @@ at most 200 trials, 3 rqfi modes and 41 x 41 grid points.
 """
 
 import json
-from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
-
-import catsize
-from catsize.cli import main
-
-SCHEMA = json.loads(
-    (Path(catsize.__file__).parent / "data" / "envelope.schema.json").read_text()
-)
+from cli_runner import SCHEMA, run_cli
 
 # each drawn value is unparseable or non-finite with probability 0.08
 BAD = ("nan", "inf", "-inf", "abc", "", "1e400", "2.5", "-1")
@@ -105,18 +98,15 @@ def _reject_constant(token):
 @pytest.mark.parametrize(
     "argv", DRAWS, ids=[f"{i}-{a[0] if a[0] == 'wigner' else a[1]}" for i, a in enumerate(DRAWS)]
 )
-def test_cli_contract_holds_for_drawn_inputs(argv, capsys):
-    try:
-        code = main(argv)
-    except SystemExit as exc:  # argparse refuses the command line
-        code = exc.code
-    out, err = capsys.readouterr()
-    assert code in range(6), (argv, code, err)
-    assert "Traceback" not in err, (argv, err)
+def test_cli_contract_holds_for_drawn_inputs(argv):
+    proc = run_cli(*argv)
+    code = proc.returncode
+    assert code in range(6), (argv, code, proc.stderr)
+    assert "Traceback" not in proc.stderr, (argv, proc.stderr)
     if code in (0, 1):
-        env = json.loads(out, parse_constant=_reject_constant)
+        env = json.loads(proc.stdout, parse_constant=_reject_constant)
         jsonschema.validate(env, SCHEMA)
         failed = any(row["status"] == "fail" for row in env["checks"])
         assert (code == 1) == failed, (argv, code, env["checks"])
     else:
-        assert out == "", (argv, code)
+        assert proc.stdout == "", (argv, code)

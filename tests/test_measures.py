@@ -424,6 +424,26 @@ def test_rqfi_oracle_rows_pass_at_every_mode_count(make, label):
                 assert row["tolerance"] == RQFI_VARIANCE_TOL
 
 
+@pytest.mark.parametrize(
+    "modes, reason",
+    [(10**15, "1.78 <G^2> >= <G^2> at N = 1000000000000000"),
+     (10**20, "1.78e+05 <G^2> >= <G^2> at N = 100000000000000000000")],
+)
+def test_rqfi_oracle_skips_where_the_rounding_bound_reaches_the_variance(modes, reason):
+    # 8 N eps >= 1: the row passed with a tolerance above the variance itself
+    (row,) = rqfi_size(omega(modes, 1.0), QN, oracle=True).checks
+    assert row["status"] == "skipped"
+    assert row["observed"] == "rounding bound 8 N eps <G^2> = " + reason
+
+
+def test_rqfi_oracle_keeps_the_derived_tolerance_below_the_skip():
+    (row,) = rqfi_size(omega(10**11, 1.0), QN, oracle=True).checks
+    assert row["status"] == "pass"
+    assert row["observed"] == row["expected"] == 2.0000000000050004e22
+    assert row["tolerance"] == 3.5527136788093834e18
+    assert type(row["tolerance"]) is float
+
+
 def _numeric_quadrature_variances(spec: CatStateSpec, phases) -> np.ndarray:
     """Variance of sum_i x_i(phi) on the truncated state, from plain arrays."""
     cutoff = default_cutoff(math.sqrt(spec.modes) * abs(spec.alpha)) + 10
