@@ -139,6 +139,16 @@ def _slice_flag(text: str) -> complex:
     return _complex_flag(text[len("gamma2="):])
 
 
+# ``wigner --state`` names, in their choice order, with the family and mode count
+_WIGNER_STATES = {
+    "even-cat": (CatFamily.EVEN_CAT, 1),
+    "odd-cat": (CatFamily.ODD_CAT, 1),
+    "omega": (CatFamily.OMEGA, 2),
+    "hcs2": (CatFamily.HCS, 2),
+    "coherent": (CatFamily.PRODUCT_COHERENT, 1),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="catsize",
@@ -193,11 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     wig = sub.add_parser("wigner", help="phase-space grid export")
-    wig.add_argument(
-        "--state",
-        choices=("even-cat", "odd-cat", "omega", "hcs2", "coherent"),
-        required=True,
-    )
+    wig.add_argument("--state", choices=tuple(_WIGNER_STATES), required=True)
     wig.add_argument("--alpha", type=_complex_flag, required=True)
     wig.add_argument("--slice", type=_slice_flag, default=None)
     wig.add_argument("--grid", type=_grid_flag, required=True)
@@ -316,22 +322,12 @@ def _run_simulate(args) -> tuple[dict, dict, list]:
     return inputs, results, checks
 
 
-_WIGNER_FAMILIES = {
-    "even-cat": CatFamily.EVEN_CAT,
-    "odd-cat": CatFamily.ODD_CAT,
-    "coherent": CatFamily.PRODUCT_COHERENT,
-    "omega": CatFamily.OMEGA,
-    "hcs2": CatFamily.HCS,
-}
-
-
 def _run_wigner(args) -> tuple[dict, dict, list]:
     lo, hi, steps = args.grid
     line = grid_line(lo, hi, steps)
-    single = args.state in ("even-cat", "odd-cat", "coherent")
-    if single and args.slice is not None:
+    family, modes = _WIGNER_STATES[args.state]
+    if modes == 1 and args.slice is not None:
         raise _UsageError("--slice applies to two-mode states only")
-    family, modes = _WIGNER_FAMILIES[args.state], 1 if single else 2
     state = CatStateSpec(family=family, modes=modes, alpha=args.alpha)
     grid = wigner_grid(state, plane_axes(modes, line, args.slice))
     results = {

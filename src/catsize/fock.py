@@ -1,9 +1,19 @@
 """Truncated Fock-space numerics used to cross-check the closed forms.
 
-Everything lives on a joint basis of ``modes`` oscillators truncated at a
-shared per-mode photon cutoff.  The displacement is the exponential of its
-truncated Hermitian generator, a phase-rotated quadrature, taken from the
-eigendecomposition of that real symmetric tridiagonal matrix (``displace``).
+Every mode is truncated at a shared photon cutoff, so a single-mode vector
+is a plain (d,) complex array and a single-mode operator a plain (d, d)
+array, d = cutoff + 1 (``coherent_vector``, ``kitten_vectors``,
+``mode_ops``, ``displacement_op``).  The displacement is the exponential of
+its truncated Hermitian generator, a phase-rotated quadrature, taken from
+the eigendecomposition of that real symmetric tridiagonal matrix
+(``displace``, which applies it to a block of columns for many amplitudes
+at once).
+
+Every family's state is a scaled sum of products of single-mode branch
+vectors, c sum_b v_b^(x N), and ``family_branches`` returns those branches
+as one (d, B) array of columns.  The measures' numeric routes and the
+branch Wigner route read that block at any mode count, and no operator on
+more than one mode is ever built.
 
 The only two-mode unitary the package applies is the coherent mixer of the
 splitting network, and every mixer there meets a mode still in vacuum: the
@@ -11,19 +21,16 @@ mixer on (q - 1, q) sends |n, 0> to sum_a T[a, n - a] |a, n - a>.  It sends
 |u>|0> to |u cos(theta)>|u sin(theta)>, so T is the closed form
 T[a, b] = sqrt(C(a + b, a)) cos(theta)^a sin(theta)^b (``_vacuum_mixer``,
 O(d^2) per mixer, nothing cached).  The network's overlap with a product
-target and its norm are then transfer chains, one (d, d) step per mixer
-(``split_network_overlaps``), and its d^m output is never built.
+target and its norm are then transfer chains over a (d,) head, one (d, d)
+step per mixer (``split_network_overlaps``), and its d^m output is never
+built.
 
-States are ``FockVector``s of at most MAX_JOINT_DIM amplitudes, and
-single-mode operators are plain (d, d) arrays (``mode_ops``,
-``displacement_op``); no operator on more than one mode is ever built.
-``displace`` applies the displacement to a block of columns for many
-amplitudes at once, and every family's state is a scaled sum of products of
-single-mode branch vectors (``family_branches``), which the measures'
-numeric routes and the branch Wigner route read at any mode count.  The
-joint vector those products sum to, its total-photon pmf, the general
-two-mode applier, the network output and the Kronecker product of vectors
-live in the tests (``tests/dense_reference.py``).
+``FockVector`` is only the joint vector of at most MAX_JOINT_DIM amplitudes
+that ``apply_single_mode`` and ``phase_space.wigner_numeric`` take.  Every
+size is checked against that budget by ``check_size`` before allocating.
+The joint vector a family's branches sum to, its total-photon pmf, the
+general two-mode applier, the network output and the Kronecker product of
+vectors live in the tests (``tests/dense_reference.py``).
 """
 
 from __future__ import annotations
@@ -56,7 +63,8 @@ class FockVector:
     def __post_init__(self):
         if self.cutoff < 0 or self.modes < 1:
             raise DomainError("cutoff must be >= 0 and modes >= 1")
-        dim = _check_joint_dim((self.cutoff + 1) ** self.modes)
+        dim = (self.cutoff + 1) ** self.modes
+        check_size(dim, f"joint dimension {dim}")
         amps = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
         if amps.size != dim:
             raise DomainError(f"expected {dim} amplitudes, got {amps.size}")
@@ -83,8 +91,9 @@ def default_cutoff(alpha) -> int:
     return math.ceil(levels)
 
 
-def coherent_vector(alpha, cutoff: int) -> FockVector:
-    """Truncated coherent state, built by the stable amplitude recursion.
+def coherent_vector(alpha, cutoff: int) -> np.ndarray:
+    """Truncated coherent state as a (cutoff + 1,) array, built by the
+    stable amplitude recursion.
 
     Raises TruncationError when the amplitude mass beyond the cutoff exceeds
     1e-9 (``_TAIL_TOL``).
@@ -102,20 +111,16 @@ def coherent_vector(alpha, cutoff: int) -> FockVector:
             tail_mass=tail,
             cutoff=cutoff,
         )
-    return FockVector(cutoff=cutoff, modes=1, amplitudes=amps)
+    return amps
 
 
-def kitten_vectors(alpha, cutoff: int):
-    """Normalized even and odd single-mode superpositions (|a> +- |-a>)/A."""
+def kitten_vectors(alpha, cutoff: int) -> tuple[np.ndarray, np.ndarray]:
+    """Normalized even and odd single-mode superpositions (|a> +- |-a>)/A,
+    as (cutoff + 1,) arrays."""
     plus = coherent_vector(alpha, cutoff)
     minus = coherent_vector(-alpha, cutoff)
     a_plus, a_minus = hcs_norms(alpha)
-    even = (plus.amplitudes + minus.amplitudes) / a_plus
-    odd = (plus.amplitudes - minus.amplitudes) / a_minus
-    return (
-        FockVector(cutoff=cutoff, modes=1, amplitudes=even),
-        FockVector(cutoff=cutoff, modes=1, amplitudes=odd),
-    )
+    return (plus + minus) / a_plus, (plus - minus) / a_minus
 
 
 def mode_ops(cutoff: int) -> np.ndarray:
@@ -229,38 +234,34 @@ def cat_split_thetas(modes: int) -> list[float]:
     return thetas
 
 
-def split_network_overlaps(
-    head: FockVector, modes: int, leaves
-) -> tuple[np.ndarray, float]:
+def split_network_overlaps(head, modes: int, leaves) -> tuple[np.ndarray, float]:
     """Overlaps <leaf|^(x modes) |out> with each (d,) leaf, and ||out||^2,
-    where ``out`` is ``head`` and ``modes`` - 1 vacua through the mixers.
+    where ``out`` is the (d,) ``head`` and ``modes`` - 1 vacua through the
+    mixers, d = len(head).
 
     The mixer on (q - 1, q) sends |n, 0> to sum_a T_q[a, n - a] |a, n - a>,
     so out[a_0 .. a_{m-1}] = head[r_0] T_1[a_0, r_1] ... T_{m-1}[a_{m-2}, r_{m-1}]
     with r_q = a_q + ... + a_{m-1}.  Both sums over it are contracted right
-    to left over r_q, one (d, d) step per mixer (d = cutoff + 1):
+    to left over r_q, one (d, d) step per mixer:
     c[n] <- sum_a conj(leaf[a]) T_q[a, n - a] c[n - a] from c = conj(leaf),
     w[n] <- sum_a |T_q[a, n - a]|^2 w[n - a] from w = 1; then the overlap is
     head . c and the norm |head|^2 . w.  O(m d^2), where out has d^m
     amplitudes.  Each mixer needs d^2 <= MAX_JOINT_DIM, checked first.
     """
-    if head.modes != 1:
-        raise DomainError(f"the network head must be one mode, got {head.modes}")
-    d = head.cutoff + 1
+    d = len(head)
     bras = [np.conj(np.asarray(leaf, dtype=complex)) for leaf in leaves]
     if any(bra.shape != (d,) for bra in bras):
-        raise DomainError(f"every leaf must hold cutoff + 1 = {d} amplitudes")
-    _check_joint_dim(d * d)
+        raise DomainError(f"every leaf must hold len(head) = {d} amplitudes")
+    check_size(d * d, f"joint dimension {d * d}")
     rows = np.arange(d)[:, None]
     shift = np.arange(d) - rows  # n - a; a negative one wraps and is masked
     overlaps, weight = list(bras), np.ones(d)
     for theta in reversed(cat_split_thetas(modes)):
-        mixer = _vacuum_mixer(theta, head.cutoff)
+        mixer = _vacuum_mixer(theta, d - 1)
         by_count = np.where(shift >= 0, mixer[rows, shift], 0)  # T[a, n - a]
         overlaps = [bra @ (by_count * _toeplitz(c)) for bra, c in zip(bras, overlaps)]
         weight = (np.abs(by_count) ** 2 * _toeplitz(weight)).sum(axis=0)
-    amps = head.amplitudes
-    return np.array([amps @ c for c in overlaps]), float(np.abs(amps) ** 2 @ weight)
+    return np.array([head @ c for c in overlaps]), float(np.abs(head) ** 2 @ weight)
 
 
 def _toeplitz(carry: np.ndarray) -> np.ndarray:
@@ -286,11 +287,9 @@ def apply_single_mode(kernel: np.ndarray, state: FockVector, mode: int) -> FockV
     return FockVector(cutoff=state.cutoff, modes=state.modes, amplitudes=out.reshape(-1))
 
 
-def family_branches(
-    spec: CatStateSpec, cutoff: int
-) -> tuple[list[np.ndarray], float, float]:
-    """Single-mode branch vectors v_b and the factors of the state
-    (times / over) * sum_b v_b^(x modes), each (d,) at ``cutoff``.
+def family_branches(spec: CatStateSpec, cutoff: int) -> tuple[np.ndarray, float, float]:
+    """Single-mode branch vectors v_b as the columns of a (d, B) array, and
+    the factors of the state (times / over) * sum_b v_b^(x modes), at ``cutoff``.
 
     The kittens are one branch, the even or odd superposition itself;
     product-coherent is one coherent branch; Omega is |alpha>, |-alpha>
@@ -301,25 +300,24 @@ def family_branches(
     family = spec.family
     if family in (CatFamily.EVEN_CAT, CatFamily.ODD_CAT):
         even, odd = kitten_vectors(alpha, cutoff)
-        return [(even if family is CatFamily.EVEN_CAT else odd).amplitudes], 1.0, 1.0
+        return (even if family is CatFamily.EVEN_CAT else odd)[:, None], 1.0, 1.0
     if family is CatFamily.PRODUCT_COHERENT:
-        return [coherent_vector(alpha, cutoff).amplitudes], 1.0, 1.0
+        return coherent_vector(alpha, cutoff)[:, None], 1.0, 1.0
     if family is CatFamily.OMEGA:
         plus = coherent_vector(alpha, cutoff)
         minus = coherent_vector(-alpha, cutoff)
-        return [plus.amplitudes, minus.amplitudes], omega_norm(spec.modes, alpha), 1.0
+        return np.stack([plus, minus], axis=1), omega_norm(spec.modes, alpha), 1.0
     if family is CatFamily.HCS:
-        even, odd = kitten_vectors(alpha, cutoff)
-        return [even.amplitudes, odd.amplitudes], 1.0, math.sqrt(2.0)
+        return np.stack(kitten_vectors(alpha, cutoff), axis=1), 1.0, math.sqrt(2.0)
     raise DomainError(f"unknown family {family}")
 
 
-def _check_joint_dim(dim: int) -> int:
-    if dim > MAX_JOINT_DIM:
-        raise SizingError(
-            f"joint dimension {dim} exceeds MAX_JOINT_DIM = {MAX_JOINT_DIM}"
-        )
-    return dim
+def check_size(count: int, what: str) -> int:
+    """``count``, or SizingError "``what`` exceeds MAX_JOINT_DIM" where it
+    is larger than that budget."""
+    if count > MAX_JOINT_DIM:
+        raise SizingError(f"{what} exceeds MAX_JOINT_DIM = {MAX_JOINT_DIM}")
+    return count
 
 
 def _check_mode_index(mode: int, modes: int):

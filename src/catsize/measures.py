@@ -49,9 +49,10 @@ from .closed_forms import (
     n_eff_real,
     rdm_particle_trace,
 )
-from .errors import DomainError, ResolutionError, SizingError
+from .errors import DomainError, ResolutionError
 from .fock import (
     MAX_JOINT_DIM,
+    check_size,
     coherent_vector,
     default_cutoff,
     family_branches,
@@ -175,8 +176,8 @@ def _pseudo_sigma_z_builder(alpha):
 
     def build(cutoff: int) -> np.ndarray:
         even, odd = kitten_vectors(alpha, cutoff)
-        xi_p = (even.amplitudes + odd.amplitudes) / math.sqrt(2.0)
-        xi_m = (even.amplitudes - odd.amplitudes) / math.sqrt(2.0)
+        xi_p = (even + odd) / math.sqrt(2.0)
+        xi_m = (even - odd) / math.sqrt(2.0)
         return np.outer(xi_p, xi_p.conj()) - np.outer(xi_m, xi_m.conj())
 
     return build
@@ -201,8 +202,7 @@ def _kitten_builder(alpha, axis: str):
     truncated even and odd kittens."""
 
     def build(cutoff: int) -> np.ndarray:
-        even, odd = kitten_vectors(alpha, cutoff)
-        e, o = even.amplitudes, odd.amplitudes
+        e, o = kitten_vectors(alpha, cutoff)
         if axis == "z":
             return np.outer(e, e.conj()) - np.outer(o, o.conj())
         return np.outer(e, o.conj()) + np.outer(o, e.conj())
@@ -479,7 +479,7 @@ def _trace_norm_check(alpha, n_check: int, cutoff: int) -> dict:
     """
     plus = coherent_vector(alpha, cutoff)
     minus = coherent_vector(-alpha, cutoff)
-    gap = (plus.amplitudes - minus.amplitudes) / plus.norm()
+    gap = (plus - minus) / np.linalg.norm(plus)
     one_minus_g1 = 0.5 * float(np.vdot(gap, gap).real)
     # g_1 rounds to 0 or below only where g_1^n underflows anyway
     g = math.exp(n_check * math.log1p(-one_minus_g1)) if one_minus_g1 < 1.0 else 0.0
@@ -627,7 +627,7 @@ def _rqfi_oracle(state: CatStateSpec, gen: ModeGenerator, closed: float) -> dict
                       f">= <G^2> at N = {state.modes}",
         }
     cutoff = min(floor + 8, afford)
-    vecs = np.stack(family_branches(state, cutoff)[0], axis=1)
+    vecs = family_branches(state, cutoff)[0]
     mat = gen.builder(cutoff)
     if gen.kind is GeneratorKind.BOUNDED_LOCAL:
         top = float(np.linalg.norm(mat, 2))
@@ -699,11 +699,7 @@ def marquardt_size(state: CatStateSpec, numeric_check: bool = False) -> MeasureR
         shifted = complex(state.alpha) * 2.0
         cutoff = default_cutoff(shifted)
         counts = state.modes * cutoff + 1
-        if counts > MAX_JOINT_DIM:
-            raise SizingError(
-                f"total-photon pmf of {counts} counts exceeds "
-                f"MAX_JOINT_DIM = {MAX_JOINT_DIM}"
-            )
+        check_size(counts, f"total-photon pmf of {counts} counts")
         gaps = []
         for beta in (shifted, state.alpha):
             pmf = _convolved_pmf(_mode_pmf(beta, cutoff), state.modes)
@@ -731,7 +727,7 @@ def marquardt_size(state: CatStateSpec, numeric_check: bool = False) -> MeasureR
 
 def _mode_pmf(beta, cutoff: int) -> np.ndarray:
     """Normalized photon pmf |<n|beta>|^2 of one truncated mode."""
-    pmf = np.abs(coherent_vector(beta, cutoff).amplitudes) ** 2
+    pmf = np.abs(coherent_vector(beta, cutoff)) ** 2
     return pmf / pmf.sum()
 
 

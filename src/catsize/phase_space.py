@@ -29,11 +29,11 @@ from typing import TextIO
 import numpy as np
 
 from .closed_forms import CatFamily, CatStateSpec, abs2, branch_overlap, hcs_norms
-from .errors import DomainError, ResolutionError, SizingError, TruncationError
+from .errors import DomainError, ResolutionError, TruncationError
 from .fock import (
-    MAX_JOINT_DIM,
     FockVector,
     apply_single_mode,
+    check_size,
     default_cutoff,
     displace,
     displacement_op,
@@ -263,12 +263,9 @@ def wigner_branches(state: CatStateSpec, points) -> np.ndarray:
         )
     k = points.shape[1]
     cutoff = wigner_cutoff(state.alpha, points)
-    columns = np.stack(family_branches(state, cutoff)[0], axis=-1)  # (d, B)
+    columns = family_branches(state, cutoff)[0]  # (d, B)
     size = len(points) * columns.size
-    if size > MAX_JOINT_DIM:
-        raise SizingError(
-            f"{size} displaced amplitudes exceed MAX_JOINT_DIM = {MAX_JOINT_DIM}"
-        )
+    check_size(size, f"{size} displaced amplitudes")
     top = min(3, cutoff + 1)
     # per mode, the (P, B, B) norm, parity and top-level sums; every
     # undisplaced mode shares one set, so mode k checks the tail for them all
@@ -386,16 +383,11 @@ def grid_line(lo: float, hi: float, steps: int) -> np.ndarray:
     as ``np.linspace`` gives it.  Refuses with SizingError, before
     allocating the line, when that grid would exceed MAX_JOINT_DIM points.
     """
-    _check_grid_points(steps * steps)
+    check_size(steps * steps, f"grid of {steps * steps} points")
     line = np.linspace(lo, hi, steps)
     if steps % 2 and lo == -hi:
         line[steps // 2] = 0.0
     return line
-
-
-def _check_grid_points(points: int) -> None:
-    if points > MAX_JOINT_DIM:
-        raise SizingError(f"grid of {points} points exceeds MAX_JOINT_DIM = {MAX_JOINT_DIM}")
 
 
 def _axis_array(value) -> np.ndarray:
@@ -434,7 +426,8 @@ def wigner_grid(state: CatStateSpec, axes) -> WignerGrid:
     if missing:
         raise DomainError(f"missing grid axes: {', '.join(missing)}")
     arrays = [_axis_array(axes[n]) for n in names]
-    _check_grid_points(math.prod(a.size for a in arrays))
+    points = math.prod(a.size for a in arrays)
+    check_size(points, f"grid of {points} points")
     # sparse axes: wigner_closed broadcasts them to the grid only once
     mesh = np.meshgrid(*arrays, indexing="ij", sparse=True)
     values = wigner_closed(state, *(r + 1j * i for r, i in zip(mesh[::2], mesh[1::2])))

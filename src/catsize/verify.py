@@ -167,9 +167,9 @@ def network_gap(m: int, branches) -> float:
     is scale-free, so neither side is normalized.
     """
     cutoff = default_cutoff(math.sqrt(m) * max(abs(b) for b in branches))
-    head = sum(coherent_vector(math.sqrt(m) * b, cutoff).amplitudes for b in branches)
-    leaves = [coherent_vector(b, cutoff).amplitudes for b in branches]
-    overlaps, out_norm2 = split_network_overlaps(FockVector(cutoff, 1, head), m, leaves)
+    head = sum(coherent_vector(math.sqrt(m) * b, cutoff) for b in branches)
+    leaves = [coherent_vector(b, cutoff) for b in branches]
+    overlaps, out_norm2 = split_network_overlaps(head, m, leaves)
     target_norm2 = float(sum(np.vdot(u, v) ** m for u in leaves for v in leaves).real)
     return 1.0 - abs2(complex(overlaps.sum())) / (target_norm2 * out_norm2)
 

@@ -1,44 +1,40 @@
 """Reference routes for the tests: projectors, the trace norm, Kronecker
 products of vectors, a family's joint state vector with its total-photon pmf
-and the joint-vector rqfi variance, the splitting-network output (in corner
-slabs and as one vector) and the general two-mode applier.
+and the joint-vector rqfi variance, the splitting-network output as one
+vector and the general two-mode applier.
 
 The package builds no operator on more than one mode and no family's joint
 vector; these plain arrays are the full-matrix route its compressed oracles
-are checked against.  Its numeric routes read single-mode branch vectors
-(``fock.family_branches``); ``build_state`` sums their Kronecker powers into
-the (cutoff + 1)^modes vector, which ``total_photon_pmf`` and
-``rqfi_joint_variance`` then read as a whole.  The
-package never builds the splitting network output: it contracts the overlap
-and the norm as transfer chains over the mixers (``fock.split_network_overlaps``).
-``split_network_slabs`` builds that output, slab by slab, and ``tensor``
-and ``apply_split_network`` build targets and output as whole vectors.  The
-package's splitting network only ever mixes a mode with one in vacuum; the
-number-conserving two-mode unitaries below (every photon-number block, any
-input, any mode pair) are the general route that network is checked against.
+are checked against.  Its numeric routes read the (d, B) block of
+single-mode branch vectors (``fock.family_branches``); ``build_state`` sums
+the Kronecker powers of its columns into the (cutoff + 1)^modes vector,
+which ``total_photon_pmf`` and ``rqfi_joint_variance`` then read as a
+whole.  The package never builds the splitting network output: it
+contracts the overlap and the norm as transfer chains over the mixers
+(``fock.split_network_overlaps``).  ``tensor`` and ``apply_split_network``
+build targets and output as whole vectors.  The package's splitting network
+only ever mixes a mode with one in vacuum; the number-conserving two-mode
+unitaries below (every photon-number block, any input, any mode pair) are
+the general route that network is checked against.
 """
 
 import functools
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from catsize.closed_forms import CatStateSpec
-from catsize.errors import DomainError, SizingError
+from catsize.errors import DomainError
 from catsize.fock import (
-    MAX_JOINT_DIM,
     FockVector,
     apply_single_mode,
     cat_split_thetas,
+    check_size,
     default_cutoff,
     family_branches,
 )
-
-#: Largest slab of the splitting network output, in amplitudes (1 MB, cache-sized).
-_SLAB_DIM = 1 << 16
 
 
 def projector(amplitudes) -> np.ndarray:
@@ -52,22 +48,18 @@ def trace_norm(mat: np.ndarray) -> float:
     return float(np.sum(np.abs(np.linalg.eigvalsh(mat))))
 
 
-def tensor(*parts: FockVector) -> FockVector:
-    """Kronecker product of FockVectors with equal cutoffs."""
+def tensor(*parts) -> FockVector:
+    """Kronecker product of single-mode (d,) arrays of one length, as the
+    joint FockVector of ``len(parts)`` modes."""
     if not parts:
         raise DomainError("tensor needs at least one argument")
-    if not all(isinstance(p, FockVector) for p in parts):
-        raise DomainError("tensor arguments must be FockVectors")
-    cutoffs = {p.cutoff for p in parts}
-    if len(cutoffs) != 1:
-        raise DomainError(f"tensor requires a shared cutoff, got {sorted(cutoffs)}")
-    modes = sum(p.modes for p in parts)
+    shapes = {p.shape for p in parts}
+    if len(shapes) != 1 or parts[0].ndim != 1:
+        raise DomainError(f"tensor requires (d,) arrays of one length, got {sorted(shapes)}")
+    d = len(parts[0])
     # refuse before the kron products allocate the full vector
-    dim = (parts[0].cutoff + 1) ** modes
-    if dim > MAX_JOINT_DIM:
-        raise SizingError(f"joint dimension {dim} exceeds MAX_JOINT_DIM = {MAX_JOINT_DIM}")
-    amps = functools.reduce(np.kron, [p.amplitudes for p in parts])
-    return FockVector(cutoff=parts[0].cutoff, modes=modes, amplitudes=amps)
+    check_size(d ** len(parts), f"joint dimension {d ** len(parts)}")
+    return FockVector(cutoff=d - 1, modes=len(parts), amplitudes=functools.reduce(np.kron, parts))
 
 
 def build_state(spec: CatStateSpec, cutoff: int | None = None) -> FockVector:
@@ -82,8 +74,7 @@ def build_state(spec: CatStateSpec, cutoff: int | None = None) -> FockVector:
         cutoff = default_cutoff(spec.alpha)
     # refuse before assembly; the kron products allocate the full vector
     dim = (cutoff + 1) ** spec.modes
-    if dim > MAX_JOINT_DIM:
-        raise SizingError(f"joint dimension {dim} exceeds MAX_JOINT_DIM = {MAX_JOINT_DIM}")
+    check_size(dim, f"joint dimension {dim}")
     return FockVector(cutoff=cutoff, modes=spec.modes, amplitudes=_assemble(spec, cutoff))
 
 
@@ -92,10 +83,10 @@ def _kron_power(v: np.ndarray, n: int) -> np.ndarray:
 
 
 def _assemble(spec: CatStateSpec, cutoff: int) -> np.ndarray:
-    branches, times, over = family_branches(spec, cutoff)
-    # in place: _kron_power(v, 1) is v itself, which only this call holds
-    amps = _kron_power(branches[0], spec.modes)
-    for v in branches[1:]:
+    columns, times, over = family_branches(spec, cutoff)
+    # in place: _kron_power(v, 1) is a view of columns, which only this call holds
+    amps = _kron_power(columns[:, 0], spec.modes)
+    for v in columns.T[1:]:
         amps += _kron_power(v, spec.modes)
     amps *= times
     amps /= over
@@ -127,48 +118,6 @@ def rqfi_joint_variance(state: CatStateSpec, gen, cutoff: int) -> float:
     return e2 - e1 * e1
 
 
-def split_network_slabs(head: FockVector, modes: int) -> Iterator[np.ndarray]:
-    """Feed ``head`` and ``modes`` - 1 vacuum modes through the even-splitting
-    mixer chain over the adjacent mode pairs, and yield the output in corner
-    slabs.
-
-    Each slab is the nonzero corner of a block of consecutive mode-0 rows of
-    the output tensor, in row order: the block of ``rows`` rows that starts
-    at row s is yielded as out[s : s + rows, :e, ..., :e] with e = d - s and
-    d = cutoff + 1.  Every mixer conserves photon number and the head holds
-    at most ``cutoff`` photons, so every amplitude outside the corner is
-    exactly zero.  The mixer on modes (q - 1, q) always meets mode q in
-    vacuum, so it appends that mode and splits the last one onto it
-    (``_split_off_vacuum``).  Mixer 1 runs once on the head; no later mixer
-    touches mode 0, so each block of its rows is split on its own, with the
-    (e, e) corner of each later mixer.  A block has the rows of at most
-    ``_SLAB_DIM`` amplitudes of the full tensor, or one row where a row alone
-    is larger.  The head and the final size (against MAX_JOINT_DIM) are
-    checked when this is called, before the first buffer is allocated.
-    """
-    if head.modes != 1:
-        raise DomainError(f"the network head must be one mode, got {head.modes}")
-    d = head.cutoff + 1
-    if d**modes > MAX_JOINT_DIM:
-        raise SizingError(f"joint dimension {d**modes} exceeds MAX_JOINT_DIM = {MAX_JOINT_DIM}")
-    thetas = cat_split_thetas(modes)
-    return _network_slabs(head, thetas, max(1, _SLAB_DIM // d ** (modes - 1)))
-
-
-def _network_slabs(
-    head: FockVector, thetas: list[float], rows: int
-) -> Iterator[np.ndarray]:
-    d = head.cutoff + 1
-    mixers = [vacuum_mixer_reference(theta, head.cutoff) for theta in thetas]
-    pair = functools.reduce(_split_off_vacuum, mixers[:1], head.amplitudes)
-    for start in range(0, d, rows):
-        e = d - start
-        corner = pair[_corner(start, rows, e, pair.ndim)]
-        yield functools.reduce(
-            _split_off_vacuum, [mixer[:e, :e] for mixer in mixers[1:]], corner
-        )
-
-
 def vacuum_mixer_reference(theta: float, cutoff: int) -> np.ndarray:
     """The (d, d) amplitudes T[a, n - a] from |n, 0> to |a, n - a> of
     ``coherent_mixer_kernel``: column n of its block n, zero where a + b > cutoff."""
@@ -179,11 +128,6 @@ def vacuum_mixer_reference(theta: float, cutoff: int) -> np.ndarray:
         a = np.arange(n + 1)
         mixer[a, n - a] = blocks[n][:, n]
     return mixer
-
-
-def _corner(start: int, rows: int, e: int, modes: int) -> tuple:
-    """Index of the rows start .. start + rows - 1, cut to :e on the other modes."""
-    return (slice(start, start + rows),) + (slice(e),) * (modes - 1)
 
 
 def _split_off_vacuum(state: np.ndarray, mixer: np.ndarray) -> np.ndarray:
@@ -199,21 +143,24 @@ def _split_off_vacuum(state: np.ndarray, mixer: np.ndarray) -> np.ndarray:
     return mixer * sliding_window_view(padded, e, axis=-1)
 
 
-def apply_split_network(head: FockVector, modes: int) -> FockVector:
-    """The whole output of ``split_network_slabs`` as one FockVector.
+def apply_split_network(head, modes: int) -> FockVector:
+    """Feed the (d,) ``head`` and ``modes`` - 1 vacuum modes through the
+    even-splitting mixer chain over the adjacent mode pairs, as one joint
+    FockVector at cutoff d - 1.
 
-    Each corner slab is copied into one zeroed output buffer allocated after
-    the network's own checks, so one joint vector and one slab are alive at
-    a time.
+    The mixer on modes (q - 1, q) always meets mode q in vacuum, so it
+    appends that mode and splits the last one onto it (``_split_off_vacuum``).
+    The final size is checked against MAX_JOINT_DIM before any buffer is
+    allocated.
     """
-    slabs = split_network_slabs(head, modes)
-    d = head.cutoff + 1
-    out = np.zeros((d,) * modes, dtype=complex)
-    start = 0
-    for slab in slabs:
-        out[_corner(start, len(slab), d - start, modes)] = slab
-        start += len(slab)
-    return FockVector(head.cutoff, modes, out.reshape(-1))
+    head = np.asarray(head, dtype=complex)
+    if head.ndim != 1:
+        raise DomainError(f"the network head must be one (d,) mode, got shape {head.shape}")
+    d = len(head)
+    check_size(d**modes, f"joint dimension {d**modes}")
+    mixers = [vacuum_mixer_reference(theta, d - 1) for theta in cat_split_thetas(modes)]
+    out = functools.reduce(_split_off_vacuum, mixers, head)
+    return FockVector(d - 1, modes, out.reshape(-1))
 
 
 @dataclass(frozen=True)
@@ -248,11 +195,7 @@ def beamsplitter_kernel(theta: float, cutoff: int) -> TwoModeKernel:
     """
     d = cutoff + 1
     entries = d * (2 * d * d + 1) // 3
-    if entries > MAX_JOINT_DIM:
-        raise SizingError(
-            f"two-mode kernel of {entries} entries exceeds "
-            f"MAX_JOINT_DIM = {MAX_JOINT_DIM}"
-        )
+    check_size(entries, f"two-mode kernel of {entries} entries")
     ks, eigenpairs = _block_eigh(cutoff)
     blocks = tuple(
         (vecs * np.exp(1j * theta * vals)) @ vecs.T for vals, vecs in eigenpairs

@@ -76,7 +76,7 @@ def test_criterion_01_integer_size_matches_trace_norm_scan():
         delta = float(np.exp(rng.uniform(np.log(lo * 1.1), np.log(hi * 0.9))))
         plus = coherent_vector(alpha, default_cutoff(alpha))
         minus = coherent_vector(-alpha, default_cutoff(alpha))
-        g1 = complex(np.vdot(plus.amplitudes, minus.amplitudes))
+        g1 = complex(np.vdot(plus, minus))
         brute = None
         for n in range(1, modes + 3):
             if _pure_pair_failure(n, g1) <= delta:
@@ -95,7 +95,7 @@ def test_criterion_01_integer_size_matches_trace_norm_scan():
         cutoff = default_cutoff(alpha)
         plus = coherent_vector(alpha, cutoff)
         minus = coherent_vector(-alpha, cutoff)
-        g1 = complex(np.vdot(plus.amplitudes, minus.amplitudes))
+        g1 = complex(np.vdot(plus, minus))
         diff = projector(tensor(plus, plus).amplitudes) - projector(
             tensor(minus, minus).amplitudes
         )
@@ -112,7 +112,7 @@ def test_criterion_02_pure_state_trace_norm_identity():
         cutoff = default_cutoff(alpha)
         plus = coherent_vector(alpha, cutoff)
         minus = coherent_vector(-alpha, cutoff)
-        numeric = trace_norm(projector(plus.amplitudes) - projector(minus.amplitudes))
+        numeric = trace_norm(projector(plus) - projector(minus))
         closed = 2.0 * math.sqrt(-math.expm1(-4.0 * alpha**2))
         assert abs(numeric - closed) <= 1e-10, f"alpha={alpha}"
     print("criterion 02: PASS - trace norms within 1e-10 at alpha 0.5, 1, 2")

@@ -5,7 +5,6 @@ import functools
 import math
 import tracemalloc
 
-import dense_reference
 import numpy as np
 import pytest
 from dense_reference import (
@@ -15,7 +14,6 @@ from dense_reference import (
     build_state,
     coherent_mixer_kernel,
     projector,
-    split_network_slabs,
     tensor,
     total_photon_pmf,
     trace_norm,
@@ -49,10 +47,10 @@ from catsize.fock import (
 from catsize.verify import network_gap
 
 
-def vacuum(cutoff: int) -> FockVector:
+def vacuum(cutoff: int) -> np.ndarray:
     amp = np.zeros(cutoff + 1, dtype=complex)
     amp[0] = 1.0
-    return FockVector(cutoff=cutoff, modes=1, amplitudes=amp)
+    return amp
 
 
 def fidelity(lhs: FockVector, rhs: FockVector) -> float:
@@ -67,11 +65,12 @@ def fidelity(lhs: FockVector, rhs: FockVector) -> float:
 def test_coherent_vector_amplitudes():
     alpha = 0.7 - 0.4j
     vec = coherent_vector(alpha, 30)
-    assert vec.norm() == pytest.approx(1.0, abs=1e-9)
+    assert vec.shape == (31,)
+    assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-9)
     amp = math.exp(-abs2(alpha) / 2)
     expected = amp
     for n in range(5):
-        assert vec.amplitudes[n] == pytest.approx(complex(expected), abs=1e-12)
+        assert vec[n] == pytest.approx(complex(expected), abs=1e-12)
         expected = expected * alpha / math.sqrt(n + 1)
 
 
@@ -110,8 +109,8 @@ def test_displacement_generates_coherent_state():
     disp = displacement_op(alpha, cutoff)
     assert isinstance(disp, np.ndarray) and disp.shape == (cutoff + 1, cutoff + 1)
     target = coherent_vector(alpha, cutoff)
-    moved = disp @ vacuum(cutoff).amplitudes
-    assert np.abs(moved - target.amplitudes).max() < 1e-10
+    moved = disp @ vacuum(cutoff)
+    assert np.abs(moved - target).max() < 1e-10
     unitary = disp @ disp.conj().T
     assert np.abs(unitary[:30, :30] - np.eye(30)).max() < 1e-9
 
@@ -153,12 +152,24 @@ def test_displace_applies_each_displacement_to_every_column():
 
 
 def test_family_branches_sum_to_the_built_state():
-    # build_state is the scaled sum of the branch products, bit for bit
-    cases = [(CatFamily.ODD_CAT, 1), (CatFamily.OMEGA, 3), (CatFamily.HCS, 2)]
-    for family, modes in cases:
-        spec = CatStateSpec(family=family, modes=modes, alpha=0.8 + 0.3j)
-        branches, times, over = family_branches(spec, 20)
-        amps = sum(functools.reduce(np.kron, [v] * modes) for v in branches)
+    # the (d, B) columns are the single-mode vectors themselves, and
+    # build_state is the scaled sum of their products, bit for bit
+    alpha = 0.8 + 0.3j
+    even, odd = kitten_vectors(alpha, 20)
+    cases = [
+        (CatFamily.EVEN_CAT, 1, [even]),
+        (CatFamily.ODD_CAT, 1, [odd]),
+        (CatFamily.PRODUCT_COHERENT, 2, [coherent_vector(alpha, 20)]),
+        (CatFamily.OMEGA, 3, [coherent_vector(alpha, 20), coherent_vector(-alpha, 20)]),
+        (CatFamily.HCS, 2, [even, odd]),
+    ]
+    for family, modes, expected in cases:
+        spec = CatStateSpec(family=family, modes=modes, alpha=alpha)
+        columns, times, over = family_branches(spec, 20)
+        assert columns.shape == (21, len(expected))
+        stacked = np.stack(expected, axis=1)
+        assert np.array_equal(columns.view(np.float64), stacked.view(np.float64))
+        amps = sum(functools.reduce(np.kron, [v] * modes) for v in columns.T)
         amps = amps * times / over
         assert np.array_equal(amps, build_state(spec, cutoff=20).amplitudes)
 
@@ -298,12 +309,12 @@ def test_zero_columns_are_skipped_without_changing_the_result(kind, mode_i, mode
     assert np.abs(out - expected).max() < 1e-12
 
 
-def head_vacuum_chain(head: FockVector, modes: int) -> FockVector:
+def head_vacuum_chain(head: np.ndarray, modes: int) -> FockVector:
     """The network the grown one replaced: the full head x vacuum product,
     then every mixer on all modes."""
-    state = tensor(head, *([vacuum(head.cutoff)] * (modes - 1)))
+    state = tensor(head, *([vacuum(len(head) - 1)] * (modes - 1)))
     for q, theta in enumerate(cat_split_thetas(modes), start=1):
-        kernel = coherent_mixer_kernel(theta, head.cutoff)
+        kernel = coherent_mixer_kernel(theta, state.cutoff)
         state = zeros_output_applier(kernel, state, q - 1, q)
     return state
 
@@ -355,64 +366,50 @@ def test_grown_network_matches_the_head_vacuum_chain(modes, cutoff):
     # rounding there is not bitwise one multiply: allow a few ulps of each
     # length-d dot product, the bound the zero-column test uses
     rng = np.random.default_rng(modes * 100 + cutoff)
-    head = FockVector(cutoff, 1, rng.normal(size=cutoff + 1) + 1j * rng.normal(size=cutoff + 1))
+    head = rng.normal(size=cutoff + 1) + 1j * rng.normal(size=cutoff + 1)
     out = apply_split_network(head, modes)
     assert out.modes == modes
     ref = head_vacuum_chain(head, modes).amplitudes
-    scale = np.abs(head.amplitudes).max()
+    scale = np.abs(head).max()
     assert np.abs(out.amplitudes - ref).max() <= 8 * (cutoff + 1) * np.finfo(float).eps * scale
 
 
-@pytest.mark.parametrize(
-    "modes, cutoff, slab_dim",
-    [(3, 9, 3 * 10**2), (4, 9, 4 * 10**3), (5, 6, 2 * 7**4), (4, 9, 1)],
-)
-def test_slabs_match_the_one_buffer_network(modes, cutoff, slab_dim, monkeypatch):
-    # blocks of 3, 4 and 2 mode-0 rows, and one row where a row outgrows the
-    # slab; the block at row s is yielded as its corner [:, :e, ..., :e] with
-    # e = d - s, and the one-buffer output is exactly zero outside every
-    # corner, since the head holds at most `cutoff` photons and every mixer
-    # conserves them
+@pytest.mark.parametrize("modes, cutoff", [(2, 44), (3, 9), (4, 9), (5, 6)])
+def test_network_output_fills_exactly_the_photon_number_simplex(modes, cutoff):
+    # the head holds at most `cutoff` photons and every mixer conserves them:
+    # amplitudes with more photons in total are exact zeros, and for a head
+    # with no zero amplitude every one inside the simplex is nonzero
     rng = np.random.default_rng(modes * 100 + cutoff)
-    head = FockVector(cutoff, 1, rng.normal(size=cutoff + 1) + 1j * rng.normal(size=cutoff + 1))
-    monkeypatch.setattr(dense_reference, "_SLAB_DIM", slab_dim)
-    d = cutoff + 1
-    rows = max(1, slab_dim // d ** (modes - 1))
-    slabs = list(split_network_slabs(head, modes))
-    assert [len(slab) for slab in slabs[:-1]] == [rows] * (len(slabs) - 1)
-    assert sum(len(slab) for slab in slabs) == d
-    starts = range(0, d, rows)
-    assert [slab.shape[1:] for slab in slabs] == [(d - s,) * (modes - 1) for s in starts]
-    assert sum(slab.size for slab in slabs) == sum(
-        len(slab) * (d - s) ** (modes - 1) for slab, s in zip(slabs, starts)
-    )
-    corners = [
-        (slice(s, s + len(slab)),) + (slice(d - s),) * (modes - 1)
-        for slab, s in zip(slabs, starts)
-    ]
-    ref = head_vacuum_chain(head, modes).as_tensor()
-    scale = np.abs(ref).max()
-    outside = np.ones(ref.shape, dtype=bool)
-    for slab, corner in zip(slabs, corners):
-        assert np.abs(slab - ref[corner]).max() <= 4 * np.finfo(float).eps * scale
-        outside[corner] = False
-    assert not ref[outside].any()
-    # each kept amplitude is one product however the rows are cut, so the
-    # corners equal the one-buffer output bitwise
-    monkeypatch.setattr(dense_reference, "_SLAB_DIM", MAX_JOINT_DIM)
+    head = rng.normal(size=cutoff + 1) + 1j * rng.normal(size=cutoff + 1)
     out = apply_split_network(head, modes).as_tensor()
-    for slab, corner in zip(slabs, corners):
-        assert np.array_equal(out[corner].view(np.float64), slab.view(np.float64))
-    assert not out[outside].any()
+    totals = sum(np.indices(out.shape))
+    assert not out[totals > cutoff].any()
+    assert np.count_nonzero(out) == math.comb(cutoff + modes, modes)
 
 
-def test_corner_slabs_compute_the_photon_number_simplex():
-    # at m = 4 and d = 45 each slab is one mode-0 row, cut to its (45 - s)**3
-    # corner: sum k**3 for k <= 45 amplitudes instead of 45**4
-    head = coherent_vector(3.0, 44)
-    sizes = [slab.size for slab in split_network_slabs(head, 4)]
-    assert sizes == [k**3 for k in range(45, 0, -1)]
-    assert sum(sizes) == 1_071_225 < 45**4
+def test_network_amplitude_is_one_product_of_the_head_and_mixers():
+    # out[a, b, c] = T2[b, c] * (T1[a, b + c] * head[a + b + c]) inside the
+    # simplex and +0 outside it, bit for bit (both products taken by numpy's
+    # array multiply, whose rounding can differ from its scalar one)
+    cutoff = 6
+    rng = np.random.default_rng(7)
+    head = rng.normal(size=cutoff + 1) + 1j * rng.normal(size=cutoff + 1)
+    first, second = (vacuum_mixer_reference(t, cutoff) for t in cat_split_thetas(3))
+    out = apply_split_network(head, 3).as_tensor()
+    a, b, c = np.indices(out.shape)
+    keep = a + b + c <= cutoff
+    a, b, c = a[keep], b[keep], c[keep]
+    expected = np.zeros_like(out)
+    expected[keep] = second[b, c] * (first[a, b + c] * head[a + b + c])
+    assert np.array_equal(out.view(np.float64), expected.view(np.float64))
+
+
+def test_split_network_of_one_mode_is_its_head():
+    # one mode has no mixer: the output is the head itself
+    head = coherent_vector(0.6 - 0.2j, 12)
+    out = apply_split_network(head, 1)
+    assert (out.cutoff, out.modes) == (12, 1)
+    assert np.array_equal(out.amplitudes.view(np.float64), head.view(np.float64))
 
 
 def fsum_fidelity(lhs: FockVector, rhs: FockVector) -> float:
@@ -436,8 +433,8 @@ def test_contracted_overlap_matches_the_dense_target(m, signs):
     alpha = 0.4 + 0.3j
     branches = [sign * alpha for sign in signs]
     cutoff = default_cutoff(math.sqrt(m) * alpha)
-    head = sum(coherent_vector(math.sqrt(m) * b, cutoff).amplitudes for b in branches)
-    out = apply_split_network(FockVector(cutoff, 1, head), m)
+    head = sum(coherent_vector(math.sqrt(m) * b, cutoff) for b in branches)
+    out = apply_split_network(head, m)
     target = sum(tensor(*([coherent_vector(b, cutoff)] * m)).amplitudes for b in branches)
     dense_gap = 1.0 - fsum_fidelity(out, FockVector(cutoff, m, target))
     assert abs(network_gap(m, branches) - dense_gap) <= tolerance
@@ -449,13 +446,13 @@ def test_chain_matches_the_dense_output(modes, cutoff):
     # same products T * head * bra as the gathered output, in another order
     rng = np.random.default_rng(modes * 100 + cutoff)
     d = cutoff + 1
-    head = FockVector(cutoff, 1, rng.normal(size=d) + 1j * rng.normal(size=d))
+    head = rng.normal(size=d) + 1j * rng.normal(size=d)
     leaves = [rng.normal(size=d) + 1j * rng.normal(size=d) for _ in range(3)]
     overlaps, norm2 = split_network_overlaps(head, modes, leaves)
     out = apply_split_network(head, modes)
     assert norm2 == pytest.approx(out.norm() ** 2, rel=1e-13)
     for leaf, overlap in zip(leaves, overlaps):
-        bra = tensor(*[FockVector(cutoff, 1, leaf)] * modes).amplitudes
+        bra = tensor(*[leaf] * modes).amplitudes
         dense = complex(np.vdot(bra, out.amplitudes))
         scale = math.sqrt(norm2) * np.linalg.norm(leaf) ** modes
         assert abs(overlap - dense) <= 1e-13 * scale
@@ -470,8 +467,9 @@ def test_network_gap_reaches_modes_no_joint_vector_holds(m):
 
 
 def test_chain_takes_a_one_mode_head_and_full_leaves():
+    # a two-mode head's 25 amplitudes read as d = 25, which leaves of 5 miss
     with pytest.raises(DomainError):
-        split_network_overlaps(tensor(vacuum(4), vacuum(4)), 3, [np.ones(5)])
+        split_network_overlaps(tensor(vacuum(4), vacuum(4)).amplitudes, 3, [np.ones(5)])
     with pytest.raises(DomainError):
         split_network_overlaps(vacuum(4), 3, [np.ones(4)])
     with pytest.raises(SizingError):
@@ -496,8 +494,7 @@ def test_split_network_keeps_two_joint_vectors_alive():
 
 def test_split_network_holds_one_joint_vector():
     # it now holds none: neither the 45**4 output (65.6 MB), the head x vacuum
-    # input nor the |alpha>^4 target is built, and the output is read in
-    # slabs of at most 2**16 amplitudes (1 MB)
+    # input nor the |alpha>^4 target is built
     assert coherent_network_peak() < 24_000_000
 
 
@@ -510,15 +507,7 @@ def test_split_network_holds_one_cache_sized_slab():
 
 def test_split_network_takes_a_one_mode_head():
     with pytest.raises(DomainError):
-        apply_split_network(tensor(vacuum(4), vacuum(4)), 3)
-
-
-def test_split_network_slabs_check_when_called():
-    # both refusals come from the call itself, before the first slab is asked for
-    with pytest.raises(DomainError):
-        split_network_slabs(tensor(vacuum(4), vacuum(4)), 3)
-    head = coherent_vector(1.0, 64)
-    assert traced_peak(lambda: split_network_slabs(head, 4)) < 5_000_000
+        apply_split_network(tensor(vacuum(4), vacuum(4)).as_tensor(), 3)
 
 
 def test_block_index_ranges_are_cached_read_only():
@@ -539,13 +528,13 @@ def test_two_mode_kernel_stores_cubic_entries():
 def test_kitten_vectors_are_orthonormal_ladder():
     alpha = 1.2
     even, odd = kitten_vectors(alpha, 40)
-    assert even.norm() == pytest.approx(1.0, abs=1e-10)
-    assert odd.norm() == pytest.approx(1.0, abs=1e-10)
-    assert abs(np.vdot(even.amplitudes, odd.amplitudes)) < 1e-12
+    assert np.linalg.norm(even) == pytest.approx(1.0, abs=1e-10)
+    assert np.linalg.norm(odd) == pytest.approx(1.0, abs=1e-10)
+    assert abs(np.vdot(even, odd)) < 1e-12
     t = math.sqrt(math.tanh(abs2(alpha)))
     a = mode_ops(40)
-    assert np.abs(a @ even.amplitudes - alpha * t * odd.amplitudes).max() < 1e-12
-    assert np.abs(a @ odd.amplitudes - (alpha / t) * even.amplitudes).max() < 1e-12
+    assert np.abs(a @ even - alpha * t * odd).max() < 1e-12
+    assert np.abs(a @ odd - (alpha / t) * even).max() < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -557,11 +546,11 @@ def test_tensor_joins_vectors_and_refuses_operators():
     b = coherent_vector(-0.3, 12)
     joint = tensor(a, b)
     assert joint.modes == 2
-    assert np.array_equal(joint.as_tensor(), np.outer(a.amplitudes, b.amplitudes))
+    assert np.array_equal(joint.as_tensor(), np.outer(a, b))
     with pytest.raises(DomainError):
-        tensor(projector(a.amplitudes), projector(b.amplitudes))
+        tensor(projector(a), projector(b))
     with pytest.raises(DomainError):
-        tensor(a, b.amplitudes)
+        tensor(a, coherent_vector(-0.3, 13))
 
 
 def traced_peak(call) -> int:
@@ -590,7 +579,7 @@ def test_split_network_refuses_size_before_allocating():
 def test_trace_norm_of_known_difference():
     plus = coherent_vector(1.0, 30)
     minus = coherent_vector(-1.0, 30)
-    diff = projector(plus.amplitudes) - projector(minus.amplitudes)
+    diff = projector(plus) - projector(minus)
     w = branch_overlap(1.0)
     assert trace_norm(diff) == pytest.approx(2 * math.sqrt(1 - w * w), rel=1e-10)
 
@@ -693,9 +682,9 @@ def test_split_network_carries_superposition():
     modes, alpha = 3, 0.8
     cutoff = default_cutoff(math.sqrt(modes) * alpha)
     root = math.sqrt(modes) * alpha
-    plus = coherent_vector(root, cutoff).amplitudes
-    minus = coherent_vector(-root, cutoff).amplitudes
-    head = FockVector(cutoff, 1, (plus + minus) * omega_norm(modes, alpha))
+    plus = coherent_vector(root, cutoff)
+    minus = coherent_vector(-root, cutoff)
+    head = (plus + minus) * omega_norm(modes, alpha)
     omega = CatStateSpec(family=CatFamily.OMEGA, modes=modes, alpha=alpha)
     target = build_state(omega, cutoff=cutoff)
     assert fidelity(apply_split_network(head, modes), target) >= 1.0 - 1e-8

@@ -7,7 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from dense_reference import build_state
+from dense_reference import build_state, tensor
 
 from catsize.closed_forms import CatFamily, CatStateSpec, abs2
 from catsize.errors import DomainError, ResolutionError, SizingError, TruncationError
@@ -408,7 +408,7 @@ def test_numeric_matches_closed_form_hidden_pair():
 
 
 def test_numeric_guards_cutoff_headroom(monkeypatch):
-    vec = coherent_vector(1.0, 12)
+    vec = tensor(coherent_vector(1.0, 12))
     with pytest.raises(TruncationError) as numeric:
         wigner_numeric(vec, [3.0 + 3.0j])
     # the branch route refuses the same point through the same guard; its
@@ -422,7 +422,7 @@ def test_numeric_guards_cutoff_headroom(monkeypatch):
 
 
 def test_numeric_coordinate_count_is_checked():
-    vec = coherent_vector(0.5, 10)
+    vec = tensor(coherent_vector(0.5, 10))
     with pytest.raises(DomainError):
         wigner_numeric(vec, [0.1, 0.2])
     with pytest.raises(DomainError):
