@@ -41,12 +41,10 @@ from .errors import (
     TruncationError,
 )
 from .fock import (
-    FockVector,
     cat_split_thetas,
     coherent_vector,
     default_cutoff,
     displace,
-    displacement_op,
     family_branches,
     kitten_vectors,
     mode_ops,
@@ -72,7 +70,6 @@ from .phase_space import (
     wigner_branches,
     wigner_closed,
     wigner_grid,
-    wigner_numeric,
     write_grid_csv,
 )
 from .simulate import (

@@ -49,8 +49,7 @@ class CatStateSpec:
     alpha: complex
 
     def __post_init__(self):
-        if self.modes < 1:
-            raise DomainError(f"modes must be >= 1, got {self.modes}")
+        check_modes(self.modes)
         if self.family in (CatFamily.ODD_CAT, CatFamily.HCS):
             hcs_norms(self.alpha)  # refuses where the odd branch degenerates
         if self.family in _SINGLE_MODE_FAMILIES and self.modes != 1:
@@ -70,7 +69,13 @@ class MeasureParams:
         if self.delta is not None:
             _check_delta(self.delta)
         if self.lam is not None:
-            _check_lam(self.lam)
+            check_lam(self.lam)
+
+
+def check_modes(modes: int):
+    """DomainError where the mode count ``modes`` is below 1."""
+    if modes < 1:
+        raise DomainError(f"modes must be >= 1, got {modes}")
 
 
 def check_row(name: str, observed, expected, tolerance: float | None) -> dict:
@@ -167,9 +172,7 @@ def n_eff_real(delta: float, alpha) -> float:
     for a finite |alpha|^2 above a quarter of the float range.
     """
     _check_delta(delta)
-    a = abs2(alpha)
-    if a == 0.0:
-        raise DomainError("branch distinguishability is undefined at alpha = 0")
+    a = _check_distinguishable(abs2(alpha))
     return math.log(4.0 * delta * (1.0 - delta)) / -4.0 / a
 
 
@@ -227,15 +230,20 @@ def cat_size_C_approx(delta: float, modes: int, alpha) -> float:
     vacuum modes) get bitwise-equal sizes.  Valid for any delta in (0, 1/2).
     """
     _check_delta(delta)
-    s = modes * abs2(alpha)
-    if s == 0.0:
-        raise DomainError("branch distinguishability is undefined at alpha = 0")
+    s = _check_distinguishable(modes * abs2(alpha))
     return -4.0 * s / math.log(4.0 * delta * (1.0 - delta))
 
 
 def _check_delta(delta: float):
     if not 0.0 < delta < 0.5:
         raise DomainError(f"delta must lie in (0, 1/2), got {delta}")
+
+
+def _check_distinguishable(intensity: float) -> float:
+    """``intensity``, the |alpha|^2 a distinguishability divides by, unless it is 0."""
+    if intensity == 0.0:
+        raise DomainError("branch distinguishability is undefined at alpha = 0")
+    return intensity
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +363,7 @@ def mode_loss_offdiag(modes: int, alpha, lam: float) -> float:
     log) of the per-trial amplitude.  The arithmetic expectation is
     mode_loss_offdiag_mean and is strictly larger for 0 < lam < 1.
     """
-    _check_lam(lam)
+    check_lam(lam)
     a = abs2(alpha)
     return math.exp(-2.0 * modes * lam * a) / (2.0 + 2.0 * math.exp(-2.0 * modes * a))
 
@@ -365,7 +373,7 @@ def mode_loss_offdiag_mean(modes: int, alpha, lam: float) -> float:
 
     Averages e^{-2ka} over the binomial count k of lost modes.
     """
-    _check_lam(lam)
+    check_lam(lam)
     a = abs2(alpha)
     base = (1.0 - lam) + lam * math.exp(-2.0 * a)
     return base ** modes / (2.0 + 2.0 * math.exp(-2.0 * modes * a))
@@ -373,7 +381,7 @@ def mode_loss_offdiag_mean(modes: int, alpha, lam: float) -> float:
 
 def ghz_mode_loss_offdiag(modes: int, lam: float) -> float:
     """Reference value (1/2)(1 - lam)^N: any lost mode kills the coherence outright."""
-    _check_lam(lam)
+    check_lam(lam)
     return 0.5 * (1.0 - lam) ** modes
 
 
@@ -382,6 +390,7 @@ def equivalent_ghz_size(modes: int, alpha) -> float:
     return 2.0 * modes * abs2(alpha)
 
 
-def _check_lam(lam: float):
+def check_lam(lam: float):
+    """DomainError where the loss rate ``lam`` lies outside [0, 1]."""
     if not 0.0 <= lam <= 1.0:
         raise DomainError(f"lambda must lie in [0, 1], got {lam}")

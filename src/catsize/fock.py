@@ -25,12 +25,14 @@ target and its norm are then transfer chains over a (d,) head, one (d, d)
 step per mixer (``split_network_overlaps``), and its d^m output is never
 built.
 
-``FockVector`` is only the joint vector of at most MAX_JOINT_DIM amplitudes
-that ``apply_single_mode`` and ``phase_space.wigner_numeric`` take.  Every
-size is checked against that budget by ``check_size`` before allocating.
-The joint vector a family's branches sum to, its total-photon pmf, the
-general two-mode applier, the network output and the Kronecker product of
-vectors live in the tests (``tests/dense_reference.py``).
+``FockVector``, a joint vector of at most MAX_JOINT_DIM amplitudes, and
+``apply_single_mode`` serve no route of the package: with
+``displacement_op`` they are the dense reference that the tests hold the
+branch routes against, through ``phase_space.wigner_numeric``.  Every size
+is checked against that budget by ``check_size`` before allocating.  The
+joint vector a family's branches sum to, its total-photon pmf, the general
+two-mode applier, the network output and the Kronecker product of vectors
+live in the tests (``tests/dense_reference.py``).
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .closed_forms import CatFamily, CatStateSpec, abs2, hcs_norms, omega_norm
+from .closed_forms import CatFamily, CatStateSpec, abs2, check_modes, hcs_norms, omega_norm
 from .errors import DomainError, SizingError, TruncationError
 
 #: Largest joint dimension for state vectors ((cutoff+1)**modes).
@@ -223,8 +225,7 @@ def cat_split_thetas(modes: int) -> list[float]:
     theta_q = f^(M-1-q)(pi/4) with f(x) = atan(1/cos(x)), for q = 1 .. M-1,
     in the order the mixers are applied (pair (q, q+1) gets theta_q).
     """
-    if modes < 1:
-        raise DomainError(f"modes must be >= 1, got {modes}")
+    check_modes(modes)
     thetas = []
     for q in range(1, modes):
         t = math.pi / 4.0

@@ -813,14 +813,14 @@ def mode_loss_size(state: CatStateSpec, lam: float) -> MeasureResult:
     )
 
 
-def wigner_empirical_size(state: CatStateSpec, steps: int | None = None) -> MeasureResult:
+def wigner_empirical_size(state: CatStateSpec) -> MeasureResult:
     """Squared distance between the detected phase-space branch lobes.
 
     Scans a slice wide enough for both lobes on the documented default
     window; two-mode states are sliced through the real-real plane where the
     branch lobes sit.  The lobes are the significant positive maxima of that
-    slice, and the separation is the widest pair of them, measured over all
-    phase-space coordinates.  Interference troughs are never lobes, and
+    slice, and the separation is the widest pair of them, measured over every
+    coordinate of phase space.  Interference troughs are never lobes, and
     fringe maxima nearer the origin never form the widest pair.  Along the
     branch axis the lobes are pulled inward by the interference ridge and
     merge into it below ``sqrt(N)|alpha| ~= 1.314``; there no two positive
@@ -835,9 +835,8 @@ def wigner_empirical_size(state: CatStateSpec, steps: int | None = None) -> Meas
             "empirical peak detection covers the single-mode even state and "
             "the two-branch state with at most 2 modes"
         )
-    lo, hi, default_steps = default_feature_window(state.alpha)
-    count = steps if steps is not None else default_steps
-    line = grid_line(lo, hi, count)
+    lo, hi, steps = default_feature_window(state.alpha)
+    line = grid_line(lo, hi, steps)
     grid = wigner_grid(state, plane_axes(state.modes, line))
     features = extract_features(grid)
     sep = widest_separation([
@@ -857,8 +856,8 @@ def wigner_empirical_size(state: CatStateSpec, steps: int | None = None) -> Meas
         "reference_separation": 2.0 * math.sqrt(state.modes) * mod,
         "fringe_wavelength": features.fringe_wavelength,
         "fringe_axis": features.fringe_axis,
-        "grid_step": float(line[1] - line[0]) if count > 1 else 0.0,
-        "window": (lo, hi, count),
+        "grid_step": float(line[1] - line[0]),
+        "window": (lo, hi, steps),
         "n_peaks": len(features.peak_values),
     }
     if mod > 0:

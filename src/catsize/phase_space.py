@@ -9,13 +9,15 @@ closed-form Wigner function: for every family, given coordinates for the
 first k of a state's N modes, it returns the Wigner function of those k
 modes' reduced state from Gaussians exp(-2|gamma -+ alpha|^2), the envelope
 exp(-2|gamma|^2) and fringe phases 4 Im(conj(alpha) gamma), where each
-traced mode scales the interference terms by its branch overlap.  Two
-numeric routes read off the parity sum of the displaced truncated state,
-reduced states included: ``wigner_numeric`` displaces any joint Fock
-vector, one point at a time, and ``wigner_branches`` displaces only the
-single-mode branch vectors of a family's state, all points at once, with no
-joint vector built.  Both refuse a displaced vector that reaches its cutoff
-through one headroom guard.  ``wigner_gap`` is the one closed-vs-numeric gap.
+traced mode scales the interference terms by its branch overlap.  The
+numeric route ``wigner_branches`` reads off the parity sum of the displaced
+truncated state, reduced states included, by displacing only the
+single-mode branch vectors of a family's state (the vacuum is
+product-coherent at alpha = 0), all points at once.  ``wigner_numeric``
+displaces a joint Fock vector one point at a time: it is the tests' dense
+reference, and no route of the package calls it.  Both refuse a displaced
+vector that reaches its cutoff through one headroom guard.  ``wigner_gap``
+is the one closed-vs-numeric gap.
 """
 
 from __future__ import annotations
@@ -164,11 +166,7 @@ def wigner_closed(state: CatStateSpec, *gammas):
     coordinate array per kept mode (a grid passes sparse axes): the one
     place that maps a family, mode count and k to its closed form.  Refuses
     k outside [1, ``state.modes``]."""
-    k = len(gammas)
-    if not 1 <= k <= state.modes:
-        raise DomainError(
-            f"expected 1 to {state.modes} phase-space coordinates, got {k}"
-        )
+    _check_coordinates(len(gammas), state.modes)
     fam, alpha = state.family, state.alpha
     if fam is CatFamily.PRODUCT_COHERENT:
         return math.prod((2.0 / math.pi) * _gauss(g, alpha) for g in gammas)
@@ -212,14 +210,10 @@ def wigner_numeric(vec: FockVector, gammas) -> float:
     operator is no longer unitary; the guard requires the displaced vector to
     keep its top three Fock levels on every mode below 1e-6 of the total mass
     (``_HEADROOM_TOL``).  The parity sum of probabilities is real by
-    construction.  This is the route for joint vectors with no branch form;
-    a family's state takes ``wigner_branches``, which builds no joint vector.
+    construction.  The tests' joint-vector reference for ``wigner_branches``.
     """
     points = [complex(g) for g in np.atleast_1d(np.asarray(gammas, dtype=complex))]
-    if not 1 <= len(points) <= vec.modes:
-        raise DomainError(
-            f"state has {vec.modes} modes but {len(points)} coordinates were given"
-        )
+    _check_coordinates(len(points), vec.modes)
     d = vec.cutoff + 1
     work = vec
     for mode, gamma in enumerate(points):
@@ -256,12 +250,9 @@ def wigner_branches(state: CatStateSpec, points) -> np.ndarray:
     with SizingError first.  O(P B d^2 + d^3) for P points and B branches.
     """
     points = np.asarray(points, dtype=complex)
-    if points.ndim != 2 or not 1 <= points.shape[1] <= state.modes or not points.size:
-        raise DomainError(
-            f"points must be a nonempty (P, k) array with 1 <= k <= {state.modes} "
-            f"coordinates, got shape {points.shape}"
-        )
-    k = points.shape[1]
+    if points.ndim != 2 or not len(points):
+        raise DomainError(f"points must be a nonempty (P, k) array, got shape {points.shape}")
+    k = _check_coordinates(points.shape[1], state.modes)
     cutoff = wigner_cutoff(state.alpha, points)
     columns = family_branches(state, cutoff)[0]  # (d, B)
     size = len(points) * columns.size
@@ -280,6 +271,13 @@ def wigner_branches(state: CatStateSpec, points) -> np.ndarray:
     _check_headroom(total, np.stack(mass, axis=-1), top, cutoff)
     parity = _branch_sum([f[1] for f in shifted] + grams[k:])
     return (2.0 / math.pi) ** k * parity / total
+
+
+def _check_coordinates(k: int, modes: int) -> int:
+    """``k``, or DomainError unless 1 <= k <= ``modes``."""
+    if not 1 <= k <= modes:
+        raise DomainError(f"expected 1 to {modes} phase-space coordinates, got {k}")
+    return k
 
 
 def _check_headroom(total: np.ndarray, mass: np.ndarray, top: int, cutoff: int) -> None:

@@ -35,6 +35,8 @@ import numpy as np
 from .closed_forms import (
     abs2,
     branch_overlap,
+    check_lam,
+    check_modes,
     check_row,
     distill_expected_n,
     hcs_norms,
@@ -193,24 +195,16 @@ def sampling_row(name: str, observed: float, expected: float, std_error: float) 
 # distillation POVM
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DistillationPOVM:
-    """Per-mode two-outcome measurement that splits the branches apart.
+def build_distillation_povm(alpha) -> tuple[np.ndarray, np.ndarray]:
+    """The effects (E1, E2) of the per-mode two-outcome measurement that
+    splits the branches apart.
 
     Coordinates are in the orthonormal frame {e1, e2} with e1 = |alpha> and
     e2 proportional to |-alpha> - w|alpha>.  E1 swaps the branches onto the
     orthonormal pair (up to a scale k s, k fixed by making E2 rank one); E2
     maps both branches to the same vector, postponing the split.
     """
-
-    E1: np.ndarray
-    E2: np.ndarray
-
-
-def build_distillation_povm(alpha) -> DistillationPOVM:
-    """Solve for the scale k that makes the complementary effect rank one."""
-    if alpha == 0:
-        raise DomainError("the branch span degenerates at alpha = 0")
+    _check_span(alpha)
     w = branch_overlap(alpha)
     s = math.sqrt(1.0 - w * w)
     # |phi_-> is the vector in the span orthogonal to |-alpha>.
@@ -225,7 +219,7 @@ def build_distillation_povm(alpha) -> DistillationPOVM:
     vals, vecs = np.linalg.eigh(residual)
     chi = vecs[:, -1]
     effect_2 = math.sqrt(max(float(vals[-1]), 0.0)) * np.outer(chi, chi)
-    return DistillationPOVM(E1=effect_1, E2=effect_2)
+    return effect_1, effect_2
 
 
 def distillation_outcome_distribution(modes: int, alpha) -> np.ndarray:
@@ -235,8 +229,7 @@ def distillation_outcome_distribution(modes: int, alpha) -> np.ndarray:
     before any split the split probability at a step with ``rem`` unmeasured
     modes is (1 - w)/(1 + w^rem); afterwards it is 1 - w independently.
     """
-    if modes < 1:
-        raise DomainError(f"modes must be >= 1, got {modes}")
+    check_modes(modes)
     w = branch_overlap(alpha)
     # unsplit[j] = probability of no split in the first j modes
     probs = np.zeros(modes + 1)
@@ -267,12 +260,9 @@ def simulate_distillation(modes: int, alpha, trials: int, seed: int) -> Trajecto
     probabilities depend only on whether a split has happened yet and on the
     number of unmeasured modes; that is what each trajectory tracks.
     """
-    _check_trials(trials)
-    check_seed(seed)
-    if modes < 1:
-        raise DomainError(f"modes must be >= 1, got {modes}")
-    if alpha == 0:
-        raise DomainError("the branch span degenerates at alpha = 0")
+    _check_run(trials, seed)
+    check_modes(modes)
+    _check_span(alpha)
     w = branch_overlap(alpha)
     p_after = 1.0 - w
     counts: dict[int, int] = {}
@@ -329,12 +319,9 @@ def simulate_mode_loss(
     mean and a paired reference sharing the same loss draws (coherence 1/2
     iff no mode is lost) are reported under ``extra``.
     """
-    _check_trials(trials)
-    check_seed(seed)
-    if modes < 1:
-        raise DomainError(f"modes must be >= 1, got {modes}")
-    if not 0.0 <= lam <= 1.0:
-        raise DomainError(f"lambda must lie in [0, 1], got {lam}")
+    _check_run(trials, seed)
+    check_modes(modes)
+    check_lam(lam)
     a = abs2(alpha)
     big_w = math.exp(-2.0 * modes * a)
     log_norm = math.log(2.0 + 2.0 * big_w)
@@ -419,8 +406,7 @@ def simulate_branch_collapse(
     trajectories is under ``extra``) and the headline mean is the final
     |alpha> frequency among them.
     """
-    _check_trials(trials)
-    check_seed(seed)
+    _check_run(trials, seed)
     problem = CollapseProblem(problem)
     w, ket_a, ket_ma, psi_plus, psi_minus = _span_frame(alpha)
     rho_cat = np.outer(psi_plus, psi_plus)
@@ -523,9 +509,18 @@ def collapse_rows(stats: TrajectoryStats, problem: CollapseProblem) -> list[dict
     return [sampling_row(name, stats.mean, stats.extra[key], stats.std_error)]
 
 
-def _check_trials(trials: int):
+def _check_run(trials: int, seed: int):
+    """The simulators' run guard: DomainError unless trials >= 1, then
+    unless ``check_seed`` accepts the seed."""
     if trials < 1:
         raise DomainError(f"trials must be >= 1, got {trials}")
+    check_seed(seed)
+
+
+def _check_span(alpha):
+    """DomainError at alpha = 0, where |alpha> and |-alpha> coincide."""
+    if alpha == 0:
+        raise DomainError("the branch span degenerates at alpha = 0")
 
 
 def check_seed(seed: int) -> int:

@@ -8,9 +8,9 @@ module is read only through its public result: the row that module builds
 and each closed-vs-numeric Wigner row's gap, the fringe-suppression row
 and the reduced-state rows included, is ``phase_space.wigner_gap`` of its
 state and points (coordinates for the first k <= N modes), whose numeric
-side displaces the state's single-mode branch vectors (``wigner_branches``);
-only the vacuum row, whose vector has no family, calls the joint-vector
-route ``wigner_numeric`` itself, and only the parity-symmetry row reads
+side displaces the state's single-mode branch vectors (``wigner_branches``).
+The vacuum row reads ``wigner_branches`` too, on the product-coherent state
+at alpha = 0, against the exact 2/pi; only the parity-symmetry row reads
 ``wigner_closed`` alone.
 The fast suite is the in-order prefix of the full suite.  Declaration order
 is part of the contract: the random checks draw in that order from one
@@ -45,9 +45,9 @@ from .closed_forms import (
     rqfi_bound_quadrature,
 )
 from .errors import DomainError
-from .fock import FockVector, coherent_vector, default_cutoff, split_network_overlaps
+from .fock import coherent_vector, default_cutoff, split_network_overlaps
 from .measures import branch_dist_size, branch_dist_size_real, marquardt_size, rqfi_size
-from .phase_space import wigner_closed, wigner_gap, wigner_numeric
+from .phase_space import wigner_branches, wigner_closed, wigner_gap
 from .simulate import (
     CollapseProblem,
     build_distillation_povm,
@@ -224,18 +224,18 @@ def _helstrom_monotone(rng, seed):
 
 @_check("povm-completeness")
 def _povm_complete(rng, seed):
-    povm = build_distillation_povm(0.9)
-    closure = povm.E1.T @ povm.E1 + povm.E2.T @ povm.E2
+    e1, e2 = build_distillation_povm(0.9)
+    closure = e1.T @ e1 + e2.T @ e2
     return float(np.abs(closure - np.eye(2)).max()), 1e-12
 
 
 @_check("povm-effect2-form")
 def _povm_effect_form(rng, seed):
     w = branch_overlap(0.9)
-    povm = build_distillation_povm(0.9)
+    _, e2 = build_distillation_povm(0.9)
     chi = np.array([math.sqrt((1 + w) / 2), math.sqrt((1 - w) / 2)])
     explicit = math.sqrt(2 * w / (1 + w)) * np.outer(chi, chi)
-    return float(np.abs(povm.E2 - explicit).max()), 1e-12
+    return float(np.abs(e2 - explicit).max()), 1e-12
 
 
 @_check("povm-branch-probability")
@@ -243,10 +243,10 @@ def _povm_branch_prob(rng, seed):
     alpha = 0.9
     w = branch_overlap(alpha)
     s = math.sqrt(1 - w * w)
-    povm = build_distillation_povm(alpha)
+    e1, _ = build_distillation_povm(alpha)
     worst = 0.0
     for branch in (np.array([1.0, 0.0]), np.array([w, s])):
-        prob = float(np.linalg.norm(povm.E1 @ branch) ** 2)
+        prob = float(np.linalg.norm(e1 @ branch) ** 2)
         worst = max(worst, abs(prob - (1.0 - w)))
     return worst, 1e-12
 
@@ -336,10 +336,9 @@ _check("wigner-hcs2-closed-vs-numeric")(_drawn_wigner_gap(CatFamily.HCS, 2, 1.5,
 
 @_check("wigner-vacuum-origin")
 def _wigner_vacuum(rng, seed):
-    vacuum = np.zeros(8, dtype=complex)
-    vacuum[0] = 1.0
-    vec = FockVector(cutoff=7, modes=1, amplitudes=vacuum)
-    return abs(wigner_numeric(vec, [0.0]) - 2.0 / math.pi), 1e-9
+    vacuum = CatStateSpec(family=CatFamily.PRODUCT_COHERENT, modes=1, alpha=0.0)
+    (value,) = wigner_branches(vacuum, [[0.0]])
+    return abs(float(value) - 2.0 / math.pi), 1e-9
 
 
 @_check("wigner-parity-symmetry")

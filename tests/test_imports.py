@@ -1,4 +1,5 @@
-"""No module imports a name it never uses.
+"""No module imports a name it never uses, and no route of the package
+reaches the joint-vector reference.
 
 No linter ships with the project, so this AST scan runs as part of the test
 suite.  It covers the package, the tests and the benchmark harness; the
@@ -9,6 +10,8 @@ import ast
 from pathlib import Path
 
 import pytest
+
+import catsize
 
 ROOT = Path(__file__).resolve().parent.parent
 SCANNED = ("src/catsize", "tests", "bench")
@@ -72,3 +75,26 @@ def test_scan_flags_an_unused_name_and_keeps_used_ones():
         "    return os.path.join(trace_norm(x), Fraction(1))\n"
     )
     assert unused_imports(source) == [(4, "density")]
+
+
+#: The dense joint-vector route: the tests' reference for the branch routes.
+JOINT_ROUTE = {"FockVector", "apply_single_mode", "displacement_op", "wigner_numeric"}
+
+
+def test_only_fock_and_phase_space_name_the_joint_route():
+    """No other module of the package imports the joint-vector route or
+    reaches it as an attribute, and the package does not re-export it."""
+    found = []
+    for path in sorted((ROOT / "src/catsize").rglob("*.py")):
+        if path.name in ("fock.py", "phase_space.py"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                names = {alias.name for alias in node.names}
+            elif isinstance(node, ast.Attribute):
+                names = {node.attr}
+            else:
+                continue
+            found += [(path.name, node.lineno, name) for name in sorted(names & JOINT_ROUTE)]
+    assert not found, found
+    assert not JOINT_ROUTE & set(catsize.__all__)

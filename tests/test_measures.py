@@ -616,20 +616,6 @@ def test_wigner_empirical_joint_two_branch():
     assert d["fringe_wavelength"] is None
 
 
-def test_wigner_empirical_steps_override():
-    spec = CatStateSpec(family=CatFamily.EVEN_CAT, modes=1, alpha=2.0)
-    res = wigner_empirical_size(spec, steps=161)
-    assert res.diagnostics["window"] == (-4.0, 4.0, 161)
-    assert res.diagnostics["grid_step"] == pytest.approx(0.05, rel=1e-12)
-    assert res.value == pytest.approx(16.0, abs=1e-6)
-
-
-def test_wigner_empirical_coarse_grid_is_refused():
-    spec = CatStateSpec(family=CatFamily.EVEN_CAT, modes=1, alpha=2.0)
-    with pytest.raises(ResolutionError):
-        wigner_empirical_size(spec, steps=41)
-
-
 def test_wigner_empirical_single_peak_is_refused():
     spec = CatStateSpec(family=CatFamily.EVEN_CAT, modes=1, alpha=0.0)
     with pytest.raises(ResolutionError, match="fewer than two"):

@@ -190,18 +190,18 @@ def test_mode_loss_memory_is_bounded(modes, trials):
 # ---------------------------------------------------------------------------
 
 def test_povm_completeness():
-    povm = build_distillation_povm(0.9)
-    closure = povm.E1.conj().T @ povm.E1 + povm.E2.conj().T @ povm.E2
+    e1, e2 = build_distillation_povm(0.9)
+    closure = e1.conj().T @ e1 + e2.conj().T @ e2
     assert np.abs(closure - np.eye(2)).max() < 1e-12
 
 
 def test_povm_second_effect_explicit_form():
     alpha = 1.3
     w = branch_overlap(alpha)
-    povm = build_distillation_povm(alpha)
+    _, e2 = build_distillation_povm(alpha)
     chi = np.array([math.sqrt((1 + w) / 2), math.sqrt((1 - w) / 2)])
     expected = math.sqrt(2 * w / (1 + w)) * np.outer(chi, chi)
-    assert np.abs(povm.E2 - expected).max() < 1e-12
+    assert np.abs(e2 - expected).max() < 1e-12
 
 
 def test_povm_splitting_probability_is_branch_independent():
@@ -209,9 +209,9 @@ def test_povm_splitting_probability_is_branch_independent():
     alpha = 0.8
     w = branch_overlap(alpha)
     s = math.sqrt(1 - w * w)
-    povm = build_distillation_povm(alpha)
+    e1, _ = build_distillation_povm(alpha)
     for branch in (np.array([1.0, 0.0]), np.array([w, s])):
-        prob = float(np.linalg.norm(povm.E1 @ branch) ** 2)
+        prob = float(np.linalg.norm(e1 @ branch) ** 2)
         assert prob == pytest.approx(1.0 - w, abs=1e-12)
 
 
