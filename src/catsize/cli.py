@@ -1,7 +1,9 @@
 """Command-line surface: measures, simulations, grid export, verification.
 
 It parses flags, dispatches to the modules and serializes their results;
-every check row comes from the module that owns its route.
+every check row comes from the module that owns its route.  Each subcommand
+is declared once, in ``build_parser``, with the runner argparse dispatches
+to; the envelope's ``inputs`` are its parsed flags, ``--out`` aside.
 
 Every command prints one JSON result envelope on stdout with sorted keys and
 round-trip floats, so identical inputs produce byte-identical output except
@@ -96,11 +98,15 @@ def _complex_flag(text: str) -> complex:
     return value
 
 
-def _positive_int(text: str) -> int:
+def _int_flag(text: str) -> int:
     try:
-        value = int(text)
+        return int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+
+
+def _positive_int(text: str) -> int:
+    value = _int_flag(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
     return value
@@ -109,11 +115,7 @@ def _positive_int(text: str) -> int:
 def _seed_flag(text: str) -> int:
     """A seed in [0, 2**64), the range of the Philox key word it becomes."""
     try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    try:
-        return check_seed(value)
+        return check_seed(_int_flag(text))
     except DomainError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
@@ -159,43 +161,49 @@ def build_parser() -> argparse.ArgumentParser:
     measure = sub.add_parser("measure", help="evaluate one size measure")
     msub = measure.add_subparsers(dest="subcommand", required=True)
 
-    def measure_parser(name: str) -> argparse.ArgumentParser:
+    def measure_parser(name: str, size) -> argparse.ArgumentParser:
         p = msub.add_parser(name)
         p.add_argument("--modes", type=_positive_int, default=1)
         p.add_argument("--alpha", type=_complex_flag, required=True)
+        p.set_defaults(run=lambda args: _run_measure(args, size))
         return p
 
-    p = measure_parser("branch-dist")
+    p = measure_parser("branch-dist", lambda s, a: branch_dist_size(s, a.delta))
     p.add_argument("--delta", type=_finite_float, required=True)
-    p = measure_parser("branch-dist-real")
+    p = measure_parser("branch-dist-real", lambda s, a: branch_dist_size_real(s, a.delta))
     p.add_argument("--delta", type=_finite_float, required=True)
-    p = measure_parser("rqfi")
+    p = measure_parser("rqfi", lambda s, a: rqfi_size(s, a.family, oracle=True))
     p.add_argument("--family", type=str, required=True)
     p.add_argument("--state", choices=("omega", "hcs"), default="omega")
-    p = measure_parser("marquardt")
+    p = measure_parser(
+        "marquardt", lambda s, a: marquardt_size(s, numeric_check=a.numeric_check)
+    )
     p.add_argument("--numeric-check", action="store_true")
-    measure_parser("distill")
-    p = measure_parser("mode-loss")
+    measure_parser("distill", lambda s, a: distillation_size(s))
+    p = measure_parser("mode-loss", lambda s, a: mode_loss_size(s, a.lam))
     p.add_argument("--lambda", dest="lam", type=_finite_float, required=True)
-    p = measure_parser("wigner-empirical")
+    p = measure_parser("wigner-empirical", lambda s, a: wigner_empirical_size(s))
     p.add_argument("--state", choices=("omega", "even-cat"), default="omega")
 
     simulate = sub.add_parser("simulate", help="Monte Carlo protocol sampling")
     ssub = simulate.add_subparsers(dest="subcommand", required=True)
 
-    def simulate_parser(name: str) -> argparse.ArgumentParser:
+    def simulate_parser(name: str, run) -> argparse.ArgumentParser:
         p = ssub.add_parser(name)
         p.add_argument("--alpha", type=_complex_flag, required=True)
         p.add_argument("--trials", type=_positive_int, default=10000)
         p.add_argument("--seed", type=_seed_flag, default=0)
+        p.set_defaults(run=run)
         return p
 
-    p = simulate_parser("distill")
+    p = simulate_parser("distill", _run_distill)
     p.add_argument("--modes", type=_positive_int, required=True)
-    p = simulate_parser("mode-loss")
+    p = simulate_parser("mode-loss", _run_mode_loss)
     p.add_argument("--modes", type=_positive_int, required=True)
-    p.add_argument("--lambda", dest="lam", type=_finite_float, required=True)
-    p = simulate_parser("collapse")
+    p.add_argument(
+        "--lambda", dest="lambda", metavar="LAM", type=_finite_float, required=True
+    )
+    p = simulate_parser("collapse", _run_collapse)
     p.add_argument(
         "--problem",
         choices=tuple(problem.value for problem in CollapseProblem),
@@ -210,10 +218,12 @@ def build_parser() -> argparse.ArgumentParser:
     wig.add_argument("--out", type=str, default=None)
     wig.add_argument("--format", choices=("csv", "json"), default="csv")
     wig.add_argument("--features", action="store_true")
+    wig.set_defaults(run=_run_wigner)
 
     ver = sub.add_parser("verify", help="cross-validation battery")
     ver.add_argument("--suite", choices=(FAST, FULL), default=FAST)
     ver.add_argument("--seed", type=_seed_flag, default=0)
+    ver.set_defaults(run=_run_verify)
 
     return parser
 
@@ -273,63 +283,38 @@ def _envelope(argv, inputs, results, checks, started) -> dict:
 # measure / simulate / wigner
 # ---------------------------------------------------------------------------
 
-def _run_measure(args) -> tuple[dict, dict, list]:
-    sub = args.subcommand
+def _run_measure(args, size) -> tuple[dict, list]:
     # every measure --state choice is a CatFamily value
     family = CatFamily(getattr(args, "state", "omega"))
-    state = CatStateSpec(family=family, modes=args.modes, alpha=args.alpha)
-    if sub == "rqfi":
-        result = rqfi_size(state, args.family, oracle=True)
-    elif sub == "wigner-empirical":
-        result = wigner_empirical_size(state)
-    elif sub == "branch-dist":
-        result = branch_dist_size(state, args.delta)
-    elif sub == "branch-dist-real":
-        result = branch_dist_size_real(state, args.delta)
-    elif sub == "marquardt":
-        result = marquardt_size(state, numeric_check=args.numeric_check)
-    elif sub == "distill":
-        result = distillation_size(state)
-    else:
-        result = mode_loss_size(state, args.lam)
-
-    inputs = {"subcommand": sub, "modes": state.modes, "alpha": state.alpha}
-    for key in ("delta", "lam", "family", "state", "numeric_check"):
-        if hasattr(args, key):
-            inputs[key] = getattr(args, key)
-    return inputs, {"measure": result}, result.checks
+    result = size(CatStateSpec(family=family, modes=args.modes, alpha=args.alpha), args)
+    return {"measure": result}, result.checks
 
 
-def _run_simulate(args) -> tuple[dict, dict, list]:
-    sub = args.subcommand
-    if sub == "distill":
-        stats = simulate_distillation(args.modes, args.alpha, args.trials, args.seed)
-        checks = distillation_rows(stats, args.modes, args.alpha)
-        results = {"stats": stats, "expected_n_closed": checks[0]["expected"]}
-        inputs = {"subcommand": sub, "modes": args.modes}
-    elif sub == "mode-loss":
-        stats = simulate_mode_loss(args.modes, args.alpha, args.lam, args.trials, args.seed)
-        checks = mode_loss_rows(stats, args.modes, args.alpha, args.lam)
-        results = {"stats": stats, "offdiag_closed": checks[0]["expected"]}
-        inputs = {"subcommand": sub, "modes": args.modes, "lambda": args.lam}
-    else:
-        problem = CollapseProblem(args.problem)
-        stats = simulate_branch_collapse(args.alpha, args.trials, args.seed, problem)
-        checks = collapse_rows(stats, problem)
-        results = {"stats": stats}
-        inputs = {"subcommand": sub, "problem": args.problem}
-    inputs.update({"alpha": args.alpha, "trials": args.trials, "seed": args.seed})
-    return inputs, results, checks
+def _run_distill(args) -> tuple[dict, list]:
+    stats = simulate_distillation(args.modes, args.alpha, args.trials, args.seed)
+    checks = distillation_rows(stats, args.modes, args.alpha)
+    return {"stats": stats, "expected_n_closed": checks[0]["expected"]}, checks
 
 
-def _run_wigner(args) -> tuple[dict, dict, list]:
-    lo, hi, steps = args.grid
-    line = grid_line(lo, hi, steps)
+def _run_mode_loss(args) -> tuple[dict, list]:
+    lam = vars(args)["lambda"]
+    stats = simulate_mode_loss(args.modes, args.alpha, lam, args.trials, args.seed)
+    checks = mode_loss_rows(stats, args.modes, args.alpha, lam)
+    return {"stats": stats, "offdiag_closed": checks[0]["expected"]}, checks
+
+
+def _run_collapse(args) -> tuple[dict, list]:
+    problem = CollapseProblem(args.problem)
+    stats = simulate_branch_collapse(args.alpha, args.trials, args.seed, problem)
+    return {"stats": stats}, collapse_rows(stats, problem)
+
+
+def _run_wigner(args) -> tuple[dict, list]:
     family, modes = _WIGNER_STATES[args.state]
     if modes == 1 and args.slice is not None:
         raise _UsageError("--slice applies to two-mode states only")
     state = CatStateSpec(family=family, modes=modes, alpha=args.alpha)
-    grid = wigner_grid(state, plane_axes(modes, line, args.slice))
+    grid = wigner_grid(state, plane_axes(modes, grid_line(*args.grid), args.slice))
     results = {
         "state": grid.state,
         "convention": grid.convention,
@@ -360,28 +345,20 @@ def _run_wigner(args) -> tuple[dict, dict, list]:
         results["out"] = args.out
     else:
         results["grid"] = grid_to_json(grid)
-    inputs = {
-        "state": args.state,
-        "alpha": args.alpha,
-        "grid": [lo, hi, steps],
-        "slice": args.slice,
-        "format": args.format,
-        "features": args.features,
-    }
-    return inputs, results, []
+    return results, []
 
 
 # ---------------------------------------------------------------------------
 # verification battery
 # ---------------------------------------------------------------------------
 
-def _run_verify(args) -> tuple[dict, dict, list]:
+def _run_verify(args) -> tuple[dict, list]:
     checks = run_verify(args.suite, args.seed)
     counts = {
         status: sum(1 for c in checks if c["status"] == status)
         for status in ("pass", "fail", "skipped")
     }
-    return {"suite": args.suite, "seed": args.seed}, {"summary": counts}, checks
+    return {"summary": counts}, checks
 
 
 # ---------------------------------------------------------------------------
@@ -418,18 +395,12 @@ def _merge_negative_values(argv: list) -> list:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    parser = build_parser()
-    args = parser.parse_args(_merge_negative_values(argv))
+    args = build_parser().parse_args(_merge_negative_values(argv))
     started = time.monotonic()
+    # --out is reported as results.out
+    inputs = {k: v for k, v in vars(args).items() if k not in ("command", "run", "out")}
     try:
-        if args.command == "measure":
-            inputs, results, checks = _run_measure(args)
-        elif args.command == "simulate":
-            inputs, results, checks = _run_simulate(args)
-        elif args.command == "wigner":
-            inputs, results, checks = _run_wigner(args)
-        else:
-            inputs, results, checks = _run_verify(args)
+        results, checks = args.run(args)
         envelope = _envelope(argv, inputs, results, checks, started)
         text = _dumps(envelope)
     except _UsageError as exc:

@@ -93,6 +93,59 @@ def test_negative_alpha_token_parses():
     assert env["command"].endswith("--alpha -2 --grid -4:4:81")
 
 
+_ALPHA = [0.8, 0.0]
+
+
+@pytest.mark.parametrize(
+    "args, inputs",
+    [
+        (("measure", "branch-dist", "--modes", "10", "--alpha", "0.5", "--delta", "0.01"),
+         {"subcommand": "branch-dist", "modes": 10, "alpha": [0.5, 0.0], "delta": 0.01}),
+        (("measure", "branch-dist-real", "--modes", "4", "--alpha", "0.7", "--delta", "0.01"),
+         {"subcommand": "branch-dist-real", "modes": 4, "alpha": [0.7, 0.0], "delta": 0.01}),
+        (("measure", "rqfi", "--modes", "2", "--alpha", "0.8", "--family", "number"),
+         {"subcommand": "rqfi", "modes": 2, "alpha": _ALPHA, "family": "number",
+          "state": "omega"}),
+        (("measure", "marquardt", "--alpha", "0.8"),
+         {"subcommand": "marquardt", "modes": 1, "alpha": _ALPHA, "numeric_check": False}),
+        (("measure", "distill", "--modes", "3", "--alpha", "0.8,0.1"),
+         {"subcommand": "distill", "modes": 3, "alpha": [0.8, 0.1]}),
+        (("measure", "mode-loss", "--modes", "6", "--alpha", "0.8", "--lambda", "0.25"),
+         {"subcommand": "mode-loss", "modes": 6, "alpha": _ALPHA, "lam": 0.25}),
+        (("measure", "wigner-empirical", "--alpha", "2", "--state", "even-cat"),
+         {"subcommand": "wigner-empirical", "modes": 1, "alpha": [2.0, 0.0],
+          "state": "even-cat"}),
+        (("simulate", "distill", "--modes", "3", "--alpha", "0.8", "--trials", "200"),
+         {"subcommand": "distill", "modes": 3, "alpha": _ALPHA, "trials": 200, "seed": 0}),
+        (("simulate", "mode-loss", "--modes", "6", "--alpha", "0.8", "--lambda", "0.25",
+          "--trials", "200", "--seed", "7"),
+         {"subcommand": "mode-loss", "modes": 6, "alpha": _ALPHA, "lambda": 0.25,
+          "trials": 200, "seed": 7}),
+        (("simulate", "collapse", "--problem", "cat-vs-mixed", "--alpha", "0.8",
+          "--trials", "200", "--seed", "7"),
+         {"subcommand": "collapse", "problem": "cat-vs-mixed", "alpha": _ALPHA,
+          "trials": 200, "seed": 7}),
+        (("wigner", "--state", "hcs2", "--alpha", "1", "--slice", "gamma2=0.5,-0.25",
+          "--grid", "-2:2:5", "--format", "json", "--out"),
+         {"state": "hcs2", "alpha": [1.0, 0.0], "slice": [0.5, -0.25],
+          "grid": [-2.0, 2.0, 5], "format": "json", "features": False}),
+        (("verify", "--seed", "3"), {"suite": "fast", "seed": 3}),
+    ],
+    ids=["measure-branch-dist", "measure-branch-dist-real", "measure-rqfi",
+         "measure-marquardt", "measure-distill", "measure-mode-loss",
+         "measure-wigner-empirical", "simulate-distill", "simulate-mode-loss",
+         "simulate-collapse", "wigner", "verify"],
+)
+def test_envelope_inputs_are_the_parsed_flags(args, inputs, tmp_path):
+    out = tmp_path / "w.json"
+    if args[-1] == "--out":
+        args += (str(out),)
+    env = envelope(run_cli(*args))
+    assert env["inputs"] == inputs
+    assert not {"command", "run", "out"} & set(env["inputs"])
+    assert env["results"].get("out") == (str(out) if "--out" in args else None)
+
+
 def test_cli_import_loads_no_scipy():
     # scipy costs several tenths of a second per CLI start; numpy is the only runtime dependency
     probe = "import sys, catsize.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
