@@ -9,7 +9,8 @@ Every command prints one JSON result envelope on stdout with sorted keys and
 round-trip floats, so identical inputs produce byte-identical output except
 for the timing field.  Exit codes: 0 success, 1 a failed check row in any
 command, 2 invalid flags (including a non-finite number, an amplitude
-whose squared modulus overflows, or a seed outside [0, 2**64)), 3 domain
+whose squared modulus overflows, a seed outside [0, 2**64), or an unknown
+generator kind), 3 domain
 error (including a result that overflows to a NaN or an infinity, which
 strict JSON cannot encode and a CSV export refuses), 4 sizing or
 truncation error, 5 I/O failure (an unwritable output file or a closed
@@ -34,12 +35,13 @@ import time
 import numpy as np
 
 from . import __version__
-from .closed_forms import CatFamily, CatStateSpec
+from .closed_forms import CatFamily, CatStateSpec, GeneratorKind
 from .errors import DomainError, SizingError, TruncationError
 from .measures import (
     branch_dist_size,
     branch_dist_size_real,
     distillation_size,
+    generator_kinds,
     marquardt_size,
     mode_loss_size,
     rqfi_size,
@@ -120,6 +122,16 @@ def _seed_flag(text: str) -> int:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def _family_flag(text: str) -> str:
+    """Generator kinds joined by '+', each a GeneratorKind value; the text
+    is kept as typed."""
+    try:
+        generator_kinds(text)
+    except DomainError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return text
+
+
 def _grid_flag(text: str) -> tuple[float, float, int]:
     parts = text.split(":")
     if len(parts) == 3:
@@ -173,7 +185,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = measure_parser("branch-dist-real", lambda s, a: branch_dist_size_real(s, a.delta))
     p.add_argument("--delta", type=_finite_float, required=True)
     p = measure_parser("rqfi", lambda s, a: rqfi_size(s, a.family, oracle=True))
-    p.add_argument("--family", type=str, required=True)
+    kinds = ", ".join(kind.value for kind in GeneratorKind)
+    p.add_argument(
+        "--family", type=_family_flag, required=True,
+        help=f"generator kinds joined by '+', from: {kinds}",
+    )
     p.add_argument("--state", choices=("omega", "hcs"), default="omega")
     p = measure_parser(
         "marquardt", lambda s, a: marquardt_size(s, numeric_check=a.numeric_check)

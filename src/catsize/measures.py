@@ -2,15 +2,17 @@
 
 Each measure returns a MeasureResult tagging the value with its parameters
 and provenance.  Variances of mode-summed generators over two-branch
-superpositions are evaluated exactly through the Gram reduction: a state
-c1 |u>^N + c2 |v>^N needs only the 2x2 tables <x|A|y>, <x|A^2|y> and the
-overlap g = <u|v>, with the mode count entering through powers of g.  The
-truncated Fock oracles re-derive the same numbers from truncated
-single-mode vectors at every mode count: the branch-dist oracle from the
-Gram matrix of |+-alpha>, whose n-th power is that of the n-mode branches,
-so it checks n_eff itself; the rqfi oracle from the branch tables of the
-achieving generator; the Marquardt check from one mode's photon pmf,
-convolved N times.  None builds a joint vector or a multi-mode operator.
+superpositions are evaluated exactly through the Gram reduction
+``_gram_moments``: a state c1 |u>^N + c2 |v>^N needs only the 2x2 tables
+<x|A|y>, <x|A^2|y> and the overlap g = <u|v>, with the mode count entering
+through powers of g.  The truncated Fock oracles re-derive the same numbers
+from truncated single-mode vectors at every mode count: the branch-dist
+oracle from the Gram matrix of |+-alpha>, whose n-th power is that of the
+n-mode branches, so it checks n_eff itself; the rqfi oracle from the branch
+tables of the achieving generator, through the same reduction, so it checks
+the tables and not the N-power sum; the Marquardt check from one mode's
+photon pmf, convolved N times.  None builds a joint vector or a multi-mode
+operator.
 """
 
 from __future__ import annotations
@@ -113,24 +115,51 @@ class MeasureResult:
 
 @dataclass(frozen=True)
 class ModeGenerator:
-    """One per-mode generator with its exact 2x2 bracket tables.
+    """One per-mode generator with its exact bracket tables over a branch pair.
 
-    The a_* entries are <x|A|y> and the a2_* entries <x|A^2|y> over the
-    branch pair; var_u, var_v are the single-mode variances on each branch.
-    ``builder`` produces the truncated matrix for the Fock oracle.
+    ``a`` holds <x|A|y> and ``a2`` holds <x|A^2|y> as (uu, uv, vv), the
+    upper triangle of each Hermitian 2x2 table; var_u, var_v are the
+    single-mode variances on each branch.  ``builder`` produces the
+    truncated matrix for the Fock oracle.
     """
 
     label: str
     kind: GeneratorKind
-    a_uu: complex
-    a_uv: complex
-    a_vv: complex
-    a2_uu: complex
-    a2_uv: complex
-    a2_vv: complex
+    a: tuple[complex, complex, complex]
+    a2: tuple[complex, complex, complex]
     var_u: float
     var_v: float
     builder: Callable[[int], np.ndarray]
+
+
+def _hermitian(uu, uv, vv) -> np.ndarray:
+    return np.array([[uu, uv], [complex(uv).conjugate(), vv]])
+
+
+def _gram_moments(gram, first, second, weights, modes: int) -> tuple[complex, complex]:
+    """<G> and <G^2> for the mode sum G of one generator g over the weighted
+    branch sum sum_xy w_xy <v_x|^(x N) ... |v_y>^(x N), N = ``modes``.
+
+    From the B x B tables S = <v_x|v_y> (``gram``), A = <v_x|g|v_y>
+    (``first``) and A2 = <v_x|g^2|v_y> (``second``):
+
+        <G>   = sum w N A S^(N-1) / sum w S^N
+        <G^2> = sum w [N A2 S^(N-1) + N (N-1) A^2 S^(N-2)] / sum w S^N,
+
+    the second term from N >= 2.  The tables are summed in row-major order
+    and N (N-1) stays an exact integer.  Overflowing tables give infinite or
+    NaN moments.
+    """
+    norm_sq = e1 = e2 = 0.0 + 0j
+    for xy in np.ndindex(gram.shape):
+        weight, s, a = weights[xy], gram[xy], first[xy]
+        norm_sq += weight * s ** modes
+        e1 += weight * modes * a * s ** (modes - 1)
+        term = modes * second[xy] * s ** (modes - 1)
+        if modes >= 2:
+            term += modes * (modes - 1) * a ** 2 * s ** (modes - 2)
+        e2 += weight * term
+    return e1 / norm_sq, e2 / norm_sq
 
 
 def _two_branch_variance(
@@ -138,33 +167,15 @@ def _two_branch_variance(
 ) -> float:
     """Variance of the mode sum of ``gen`` over c1 |u>^N + c2 |v>^N, where
     g = <u|v> is the branch overlap."""
-    n = modes
-    g = complex(g)
-    gram = np.array([[1.0 + 0j, g], [g.conjugate(), 1.0 + 0j]])
-    first = np.array(
-        [[gen.a_uu, gen.a_uv], [complex(gen.a_uv).conjugate(), gen.a_vv]]
-    )
-    second = np.array(
-        [[gen.a2_uu, gen.a2_uv], [complex(gen.a2_uv).conjugate(), gen.a2_vv]]
-    )
     coeff = np.array([c1, c2])
-    norm_sq = 0.0 + 0j
-    e1 = 0.0 + 0j
-    e2 = 0.0 + 0j
+    weights = np.outer(coeff.conj(), coeff)
     # overflowing bracket tables give a NaN variance, which the caller refuses
     with np.errstate(over="ignore", invalid="ignore"):
-        for x in range(2):
-            for y in range(2):
-                weight = coeff[x].conjugate() * coeff[y]
-                gxy = gram[x, y]
-                norm_sq += weight * gxy ** n
-                e1 += weight * n * first[x, y] * gxy ** (n - 1)
-                term = n * second[x, y] * gxy ** (n - 1)
-                if n >= 2:
-                    term += n * (n - 1) * first[x, y] ** 2 * gxy ** (n - 2)
-                e2 += weight * term
-        mean = e1 / norm_sq
-        return float((e2 / norm_sq).real - (mean.real ** 2 - mean.imag ** 2))
+        mean, square = _gram_moments(
+            _hermitian(1.0, g, 1.0), _hermitian(*gen.a), _hermitian(*gen.a2),
+            weights, modes,
+        )
+        return float(square.real - (mean.real ** 2 - mean.imag ** 2))
 
 
 # ---------------------------------------------------------------------------
@@ -245,16 +256,13 @@ def _coherent_pair_generators(alpha) -> list[ModeGenerator]:
         rot = alpha * cmath.exp(-1j * phi)
         mean_u = math.sqrt(2.0) * rot.real
         sq = 2.0 * (rot * rot).real
+        x2 = (sq + 2.0 * a + 1.0) / 2.0
         quadratures.append(
             ModeGenerator(
                 label=label,
                 kind=GeneratorKind.QUADRATURE,
-                a_uu=mean_u,
-                a_uv=-1j * math.sqrt(2.0) * w * rot.imag,
-                a_vv=-mean_u,
-                a2_uu=(sq + 2.0 * a + 1.0) / 2.0,
-                a2_uv=w * (sq - 2.0 * a + 1.0) / 2.0,
-                a2_vv=(sq + 2.0 * a + 1.0) / 2.0,
+                a=(mean_u, -1j * math.sqrt(2.0) * w * rot.imag, -mean_u),
+                a2=(x2, w * (sq - 2.0 * a + 1.0) / 2.0, x2),
                 var_u=0.5,
                 var_v=0.5,
                 builder=_quadrature_builder(phi),
@@ -264,12 +272,8 @@ def _coherent_pair_generators(alpha) -> list[ModeGenerator]:
         ModeGenerator(
             label="pseudo-sigma-z",
             kind=GeneratorKind.BOUNDED_LOCAL,
-            a_uu=s,
-            a_uv=0.0,
-            a_vv=-s,
-            a2_uu=1.0,
-            a2_uv=w,
-            a2_vv=1.0,
+            a=(s, 0.0, -s),
+            a2=(1.0, w, 1.0),
             var_u=1.0 - s * s,
             var_v=1.0 - s * s,
             builder=_pseudo_sigma_z_builder(alpha),
@@ -278,12 +282,8 @@ def _coherent_pair_generators(alpha) -> list[ModeGenerator]:
         ModeGenerator(
             label="number",
             kind=GeneratorKind.NUMBER,
-            a_uu=a,
-            a_uv=-a * w,
-            a_vv=a,
-            a2_uu=a * a + a,
-            a2_uv=(a * a - a) * w,
-            a2_vv=a * a + a,
+            a=(a, -a * w, a),
+            a2=(a * a + a, (a * a - a) * w, a * a + a),
             var_u=a,
             var_v=a,
             builder=_number_builder,
@@ -313,12 +313,8 @@ def _kitten_pair_generators(alpha) -> list[ModeGenerator]:
             ModeGenerator(
                 label=label,
                 kind=GeneratorKind.QUADRATURE,
-                a_uu=0.0,
-                a_uv=cross,
-                a_vv=0.0,
-                a2_uu=x2_uu,
-                a2_uv=0.0,
-                a2_vv=x2_vv,
+                a=(0.0, cross, 0.0),
+                a2=(x2_uu, 0.0, x2_vv),
                 var_u=x2_uu,
                 var_v=x2_vv,
                 builder=_quadrature_builder(phi),
@@ -328,12 +324,8 @@ def _kitten_pair_generators(alpha) -> list[ModeGenerator]:
         ModeGenerator(
             label="kitten-sigma-z",
             kind=GeneratorKind.BOUNDED_LOCAL,
-            a_uu=1.0,
-            a_uv=0.0,
-            a_vv=-1.0,
-            a2_uu=1.0,
-            a2_uv=0.0,
-            a2_vv=1.0,
+            a=(1.0, 0.0, -1.0),
+            a2=(1.0, 0.0, 1.0),
             var_u=0.0,
             var_v=0.0,
             builder=_kitten_builder(alpha, "z"),
@@ -342,12 +334,8 @@ def _kitten_pair_generators(alpha) -> list[ModeGenerator]:
         ModeGenerator(
             label="number",
             kind=GeneratorKind.NUMBER,
-            a_uu=n_u,
-            a_uv=0.0,
-            a_vv=n_v,
-            a2_uu=a * a + n_u,
-            a2_uv=0.0,
-            a2_vv=a * a + n_v,
+            a=(n_u, 0.0, n_v),
+            a2=(a * a + n_u, 0.0, a * a + n_v),
             var_u=a * a + n_u - n_u * n_u,
             var_v=a * a + n_v - n_v * n_v,
             builder=_number_builder,
@@ -355,12 +343,8 @@ def _kitten_pair_generators(alpha) -> list[ModeGenerator]:
         ModeGenerator(
             label="sandwich-z",
             kind=GeneratorKind.SPIN_SANDWICH,
-            a_uu=-n_u,
-            a_uv=0.0,
-            a_vv=n_v,
-            a2_uu=a * a + n_u,
-            a2_uv=0.0,
-            a2_vv=a * a + n_v,
+            a=(-n_u, 0.0, n_v),
+            a2=(a * a + n_u, 0.0, a * a + n_v),
             var_u=a * a + n_u - n_u * n_u,
             var_v=a * a + n_v - n_v * n_v,
             builder=_sandwich_builder(alpha, "z"),
@@ -368,12 +352,8 @@ def _kitten_pair_generators(alpha) -> list[ModeGenerator]:
         ModeGenerator(
             label="sandwich-x",
             kind=GeneratorKind.SPIN_SANDWICH,
-            a_uu=0.0,
-            a_uv=a,
-            a_vv=0.0,
-            a2_uu=n_u * (n_u + 1.0),
-            a2_uv=0.0,
-            a2_vv=n_v * (n_v + 1.0),
+            a=(0.0, a, 0.0),
+            a2=(n_u * (n_u + 1.0), 0.0, n_v * (n_v + 1.0)),
             var_u=n_u * (n_u + 1.0),
             var_v=n_v * (n_v + 1.0),
             builder=_sandwich_builder(alpha, "x"),
@@ -400,13 +380,9 @@ def _branch_pair(state: CatStateSpec) -> tuple[float, list[ModeGenerator]]:
     return branch_overlap(alpha), _coherent_pair_generators(alpha)
 
 
-def _generator_kinds(label: str) -> tuple[GeneratorKind, ...]:
-    """Parse 'quadrature', 'quadrature+number', ... into kinds in GeneratorKind order.
-
-    The sandwich generators are normalized differently from the three capped
-    kinds (their single-branch information grows with |alpha|), so they do
-    not combine with the others in one maximization.
-    """
+def generator_kinds(label: str) -> tuple[GeneratorKind, ...]:
+    """Parse 'quadrature', 'quadrature+number', ... into kinds in
+    GeneratorKind order; an unknown part is a DomainError."""
     kinds = set()
     for part in label.split("+"):
         part = part.strip()
@@ -417,11 +393,6 @@ def _generator_kinds(label: str) -> tuple[GeneratorKind, ...]:
             raise DomainError(
                 f"unknown generator kind {part!r}; expected one of {allowed}"
             ) from None
-    if GeneratorKind.SPIN_SANDWICH in kinds and len(kinds) > 1:
-        raise DomainError(
-            "sandwich generators use a branch-variance denominator and "
-            "cannot be mixed with the capped families"
-        )
     return tuple(k for k in GeneratorKind if k in kinds)
 
 
@@ -540,11 +511,18 @@ def rqfi_size(state: CatStateSpec, family: str, oracle: bool = False) -> Measure
     achieving variance from truncated branch vectors (``_rqfi_oracle``), or
     reports why the generator's matrix does not fit.
     """
-    kinds = _generator_kinds(family)
+    kinds = generator_kinds(family)
+    sandwich = GeneratorKind.SPIN_SANDWICH in kinds
+    # the sandwich generators are normalized differently from the three
+    # capped kinds (their single-branch information grows with |alpha|)
+    if sandwich and len(kinds) > 1:
+        raise DomainError(
+            "sandwich generators use a branch-variance denominator and "
+            "cannot be mixed with the capped families"
+        )
     _require_family(state, _RQFI_FAMILIES)
     # both branch pairs degenerate where the odd branch |alpha> - |-alpha> does
     hcs_norms(state.alpha)
-    sandwich = kinds == (GeneratorKind.SPIN_SANDWICH,)
     if sandwich and state.family is not CatFamily.HCS:
         raise DomainError(
             "sandwich generators act on the kitten pair; only the hidden "
@@ -562,22 +540,18 @@ def rqfi_size(state: CatStateSpec, family: str, oracle: bool = False) -> Measure
     if achieving is None:
         # every variance is NaN: the bracket tables overflowed
         raise DomainError("no generator variance is finite; reduce |alpha|")
-    if sandwich:
-        denominator = 0.5 * max(gen.var_u for gen in gens) + 0.5 * max(
-            gen.var_v for gen in gens
-        )
-    else:
-        denominator = 1.0
+    maxima = {
+        "u": max(gen.var_u for gen in gens),
+        "v": max(gen.var_v for gen in gens),
+    }
+    denominator = 0.5 * maxima["u"] + 0.5 * maxima["v"] if sandwich else 1.0
     value = best_var / (state.modes * denominator)
     diagnostics = {
         "family": "+".join(k.value for k in kinds),
         "achieving_generator": achieving.label,
         "variance": best_var,
         "denominator": denominator,
-        "branch_variance_maxima": {
-            "u": max(gen.var_u for gen in gens),
-            "v": max(gen.var_v for gen in gens),
-        },
+        "branch_variance_maxima": maxima,
     }
     if oracle:
         diagnostics["oracle"] = _rqfi_oracle(state, achieving, best_var)
@@ -597,9 +571,9 @@ def _rqfi_oracle(state: CatStateSpec, gen: ModeGenerator, closed: float) -> dict
     The state is c sum_b v_b^(x N) (``family_branches``); with GV = mat @ V
     for the (d, B) branch vectors V, the B x B tables S = <v_b|v_c>,
     A = <v_b|g|v_c> and A2 = <g v_b|g v_c>, formed by elementwise products
-    and numpy sums (no BLAS dot, whose order follows the thread count), give
-    <G> = sum N A S^(N-1) / sum S^N and <G^2> = sum [N A2 S^(N-1)
-    + N (N-1) A^2 S^(N-2)] / sum S^N (the second term from N >= 2); c cancels.
+    and numpy sums (no BLAS dot, whose order follows the thread count), go
+    through the closed route's N-power sum ``_gram_moments`` with unit
+    weights; c cancels.
     The d^3 work of building and norm-checking the generator must fit
     MAX_JOINT_DIM, so d <= 161 at every N; the check is skipped where that
     leaves less than the state's default cutoff.  The row's tolerance is
@@ -640,13 +614,8 @@ def _rqfi_oracle(state: CatStateSpec, gen: ModeGenerator, closed: float) -> dict
     gram = (bras * vecs[:, None, :]).sum(axis=0)
     first = (bras * moved[:, None, :]).sum(axis=0)
     second = (moved.conj()[:, :, None] * moved[:, None, :]).sum(axis=0)
-    norm_sq = (gram ** state.modes).sum()
-    others = gram ** (state.modes - 1)  # the overlaps of the other N - 1 modes
-    terms = n * second * others
-    if state.modes >= 2:
-        terms += n * (n - 1.0) * first ** 2 * gram ** (state.modes - 2)
-    e1 = float(((n * first * others).sum() / norm_sq).real)
-    e2 = float((terms.sum() / norm_sq).real)
+    mean, square = _gram_moments(gram, first, second, np.ones(gram.shape), state.modes)
+    e1, e2 = float(mean.real), float(square.real)
     numeric = e2 - e1 * e1
     return {
         "status": "ok",

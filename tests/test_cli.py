@@ -543,12 +543,37 @@ def test_verify_fast_all_pass():
         ("wigner", "--state", "even-cat", "--alpha", "2",
          "--slice", "gamma2=0", "--grid", "-4:4:81"),
         ("measure", "branch-dist", "--modes", "2", "--alpha", "1"),
+        ("measure", "rqfi", "--modes", "2", "--alpha", "1", "--family", "bogus"),
     ],
     ids=["zero-trials", "bad-alpha", "bad-grid", "slice-on-single-mode",
-         "missing-delta"],
+         "missing-delta", "bogus-family"],
 )
 def test_invalid_flags_exit_2(args):
     assert run_cli(*args).returncode == 2
+
+
+def test_rqfi_family_is_a_usage_flag():
+    bogus = run_cli("measure", "rqfi", "--modes", "2", "--alpha", "1",
+                    "--family", "quadrature+bogus")
+    assert bogus.returncode == 2 and bogus.stdout == ""
+    assert bogus.stderr.startswith("usage: catsize measure rqfi")
+    assert "argument --family: unknown generator kind 'bogus'" in bogus.stderr
+    menu = " ".join(run_cli("measure", "rqfi", "--help").stdout.split())
+    assert "from: bounded-local, quadrature, number, spin-sandwich" in menu
+    # the flag keeps its text; the measure reports the kinds in canonical order
+    env = envelope(run_cli("measure", "rqfi", "--modes", "2", "--alpha", "1",
+                           "--family", "number+quadrature"))
+    assert env["inputs"]["family"] == "number+quadrature"
+    assert env["results"]["measure"]["diagnostics"]["family"] == "quadrature+number"
+    # the sandwich kind mixes with no other: rqfi_size refuses that as a
+    # domain error, as library callers see it
+    mixed = run_cli("measure", "rqfi", "--state", "hcs", "--modes", "2", "--alpha", "1",
+                    "--family", "spin-sandwich+number")
+    assert mixed.returncode == 3 and mixed.stdout == ""
+    assert mixed.stderr == (
+        "error: sandwich generators use a branch-variance denominator and "
+        "cannot be mixed with the capped families\n"
+    )
 
 
 @pytest.mark.parametrize(

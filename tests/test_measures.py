@@ -26,7 +26,7 @@ from catsize.closed_forms import (
     rqfi_bound_bounded,
 )
 from catsize.errors import DomainError, ResolutionError
-from catsize.fock import coherent_vector, default_cutoff, mode_ops
+from catsize.fock import coherent_vector, default_cutoff, kitten_vectors, mode_ops
 from catsize.measures import (
     RQFI_VARIANCE_TOL,
     Method,
@@ -42,8 +42,10 @@ from catsize.measures import (
     _branch_pair,
     _convolved_pmf,
     _mode_pmf,
+    _principal_quadratures,
     _rqfi_oracle,
     _trace_norm_check,
+    _two_branch_variance,
 )
 from catsize.phase_space import extract_features, wigner_grid
 
@@ -442,6 +444,46 @@ def test_rqfi_oracle_keeps_the_derived_tolerance_below_the_skip():
     assert row["observed"] == row["expected"] == 2.0000000000050004e22
     assert row["tolerance"] == 3.5527136788093834e18
     assert type(row["tolerance"]) is float
+
+
+def _collective_moments(beta) -> tuple[complex, complex, float, float]:
+    """<a>, <a^2>, <n> and <n^2> of the truncated even kitten at ``beta``,
+    by index shifts of its amplitudes, with no (d, d) matrix."""
+    psi = kitten_vectors(beta, default_cutoff(beta) + 8)[0]
+    n = np.arange(psi.size, dtype=float)
+    prob = (psi.conj() * psi).real
+    norm = prob.sum()
+    a1 = np.sum(psi[:-1].conj() * np.sqrt(n[1:]) * psi[1:]) / norm
+    a2 = np.sum(psi[:-2].conj() * np.sqrt(n[1:-1] * n[2:]) * psi[2:]) / norm
+    return complex(a1), complex(a2), float(n @ prob / norm), float(n * n @ prob / norm)
+
+
+# relative: the truncation at default_cutoff + 8 leaves a tail far below it,
+# and the cancellation in <n^2> - <n>^2 magnifies the sums' rounding by up to
+# N |alpha|^2 <= 1024; the worst gap is 2.4e-13
+COLLECTIVE_REL = 1e-11
+
+
+@pytest.mark.parametrize("modes", [5, 20, 1000])
+def test_rqfi_gram_sum_matches_the_collective_mode(modes):
+    # a passive network maps Omega onto the even cat at sqrt(N) alpha in one
+    # mode and vacua in the rest: Var(sum n_i) = Var(n) and
+    # Var(sum x_phi,i) = N Var(x_phi) there, with no N-th power of any table
+    for alpha in (0.3, 1.0, 0.7 + 0.7j, -0.5j):
+        beta = math.sqrt(modes) * alpha
+        assert abs(beta) <= 32  # coherent_vector refuses near 38.1 at this cutoff
+        a1, a2, n1, n2 = _collective_moments(beta)
+        want = {"number": n2 - n1 * n1}
+        for label, phi in _principal_quadratures(complex(alpha)):
+            x1 = math.sqrt(2.0) * (cmath.exp(-1j * phi) * a1).real
+            x2 = (cmath.exp(-2j * phi) * a2).real + n1 + 0.5
+            want[label] = modes * (x2 - x1 * x1)
+        g, table = _branch_pair(omega(modes, alpha))
+        gens = {gen.label: gen for gen in table}
+        for label, variance in want.items():
+            got = _two_branch_variance(gens[label], modes, g, 1.0, 1.0)
+            assert got == pytest.approx(variance, rel=COLLECTIVE_REL, abs=0.0), (
+                alpha, label)
 
 
 def _numeric_quadrature_variances(spec: CatStateSpec, phases) -> np.ndarray:
