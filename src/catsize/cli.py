@@ -5,6 +5,18 @@ every check row comes from the module that owns its route.  Each subcommand
 is declared once, in ``build_parser``, with the runner argparse dispatches
 to; the envelope's ``inputs`` are its parsed flags, ``--out`` aside.
 
+A command executes only the layers it calls.  Building the parser reads
+``closed_forms`` and ``errors`` alone; a ``--seed`` or ``--family`` value
+is checked by ``simulate`` or ``measures``, which the commands taking it
+load anyway.  ``fock``, ``measures``, ``phase_space`` and ``simulate`` are
+the package's lazily loaded modules (``importlib.util.LazyLoader``), held
+here as module objects whose functions are looked up at call time, as
+``measures.rqfi_size(...)``.  LazyLoader keeps each of them in
+``sys.modules`` from the start, so code that rebinds a layer's functions
+there (a tracer, a test's monkeypatch) is seen by every command.
+``verify`` loads every layer and binds their functions by name, so it is
+imported inside its runner, only by a verify command.
+
 Every command prints one JSON result envelope on stdout with sorted keys and
 round-trip floats, so identical inputs produce byte-identical output except
 for the timing field.  Exit codes: 0 success, 1 a failed check row in any
@@ -34,38 +46,9 @@ import time
 
 import numpy as np
 
-from . import __version__
-from .closed_forms import CatFamily, CatStateSpec, GeneratorKind
+from . import __version__, measures, phase_space, simulate
+from .closed_forms import FAST, FULL, CatFamily, CatStateSpec, CollapseProblem, GeneratorKind
 from .errors import DomainError, SizingError, TruncationError
-from .measures import (
-    branch_dist_size,
-    branch_dist_size_real,
-    distillation_size,
-    generator_kinds,
-    marquardt_size,
-    mode_loss_size,
-    rqfi_size,
-    wigner_empirical_size,
-)
-from .phase_space import (
-    extract_features,
-    grid_line,
-    grid_to_json,
-    plane_axes,
-    wigner_grid,
-    write_grid_csv,
-)
-from .simulate import (
-    CollapseProblem,
-    check_seed,
-    collapse_rows,
-    distillation_rows,
-    mode_loss_rows,
-    simulate_branch_collapse,
-    simulate_distillation,
-    simulate_mode_loss,
-)
-from .verify import FAST, FULL, run as run_verify
 
 
 class _UsageError(Exception):
@@ -117,7 +100,7 @@ def _positive_int(text: str) -> int:
 def _seed_flag(text: str) -> int:
     """A seed in [0, 2**64), the range of the Philox key word it becomes."""
     try:
-        return check_seed(_int_flag(text))
+        return simulate.check_seed(_int_flag(text))
     except DomainError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
@@ -126,7 +109,7 @@ def _family_flag(text: str) -> str:
     """Generator kinds joined by '+', each a GeneratorKind value; the text
     is kept as typed."""
     try:
-        generator_kinds(text)
+        measures.generator_kinds(text)
     except DomainError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
     return text
@@ -180,11 +163,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(run=lambda args: _run_measure(args, size))
         return p
 
-    p = measure_parser("branch-dist", lambda s, a: branch_dist_size(s, a.delta))
+    p = measure_parser("branch-dist", lambda s, a: measures.branch_dist_size(s, a.delta))
     p.add_argument("--delta", type=_finite_float, required=True)
-    p = measure_parser("branch-dist-real", lambda s, a: branch_dist_size_real(s, a.delta))
+    p = measure_parser(
+        "branch-dist-real", lambda s, a: measures.branch_dist_size_real(s, a.delta)
+    )
     p.add_argument("--delta", type=_finite_float, required=True)
-    p = measure_parser("rqfi", lambda s, a: rqfi_size(s, a.family, oracle=True))
+    p = measure_parser("rqfi", lambda s, a: measures.rqfi_size(s, a.family, oracle=True))
     kinds = ", ".join(kind.value for kind in GeneratorKind)
     p.add_argument(
         "--family", type=_family_flag, required=True,
@@ -192,17 +177,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--state", choices=("omega", "hcs"), default="omega")
     p = measure_parser(
-        "marquardt", lambda s, a: marquardt_size(s, numeric_check=a.numeric_check)
+        "marquardt", lambda s, a: measures.marquardt_size(s, numeric_check=a.numeric_check)
     )
     p.add_argument("--numeric-check", action="store_true")
-    measure_parser("distill", lambda s, a: distillation_size(s))
-    p = measure_parser("mode-loss", lambda s, a: mode_loss_size(s, a.lam))
+    measure_parser("distill", lambda s, a: measures.distillation_size(s))
+    p = measure_parser("mode-loss", lambda s, a: measures.mode_loss_size(s, a.lam))
     p.add_argument("--lambda", dest="lam", type=_finite_float, required=True)
-    p = measure_parser("wigner-empirical", lambda s, a: wigner_empirical_size(s))
+    p = measure_parser("wigner-empirical", lambda s, a: measures.wigner_empirical_size(s))
     p.add_argument("--state", choices=("omega", "even-cat"), default="omega")
 
-    simulate = sub.add_parser("simulate", help="Monte Carlo protocol sampling")
-    ssub = simulate.add_subparsers(dest="subcommand", required=True)
+    sim = sub.add_parser("simulate", help="Monte Carlo protocol sampling")
+    ssub = sim.add_subparsers(dest="subcommand", required=True)
 
     def simulate_parser(name: str, run) -> argparse.ArgumentParser:
         p = ssub.add_parser(name)
@@ -307,22 +292,22 @@ def _run_measure(args, size) -> tuple[dict, list]:
 
 
 def _run_distill(args) -> tuple[dict, list]:
-    stats = simulate_distillation(args.modes, args.alpha, args.trials, args.seed)
-    checks = distillation_rows(stats, args.modes, args.alpha)
+    stats = simulate.simulate_distillation(args.modes, args.alpha, args.trials, args.seed)
+    checks = simulate.distillation_rows(stats, args.modes, args.alpha)
     return {"stats": stats, "expected_n_closed": checks[0]["expected"]}, checks
 
 
 def _run_mode_loss(args) -> tuple[dict, list]:
     lam = vars(args)["lambda"]
-    stats = simulate_mode_loss(args.modes, args.alpha, lam, args.trials, args.seed)
-    checks = mode_loss_rows(stats, args.modes, args.alpha, lam)
+    stats = simulate.simulate_mode_loss(args.modes, args.alpha, lam, args.trials, args.seed)
+    checks = simulate.mode_loss_rows(stats, args.modes, args.alpha, lam)
     return {"stats": stats, "offdiag_closed": checks[0]["expected"]}, checks
 
 
 def _run_collapse(args) -> tuple[dict, list]:
     problem = CollapseProblem(args.problem)
-    stats = simulate_branch_collapse(args.alpha, args.trials, args.seed, problem)
-    return {"stats": stats}, collapse_rows(stats, problem)
+    stats = simulate.simulate_branch_collapse(args.alpha, args.trials, args.seed, problem)
+    return {"stats": stats}, simulate.collapse_rows(stats, problem)
 
 
 def _run_wigner(args) -> tuple[dict, list]:
@@ -330,7 +315,8 @@ def _run_wigner(args) -> tuple[dict, list]:
     if modes == 1 and args.slice is not None:
         raise _UsageError("--slice applies to two-mode states only")
     state = CatStateSpec(family=family, modes=modes, alpha=args.alpha)
-    grid = wigner_grid(state, plane_axes(modes, grid_line(*args.grid), args.slice))
+    axes = phase_space.plane_axes(modes, phase_space.grid_line(*args.grid), args.slice)
+    grid = phase_space.wigner_grid(state, axes)
     results = {
         "state": grid.state,
         "convention": grid.convention,
@@ -342,7 +328,7 @@ def _run_wigner(args) -> tuple[dict, list]:
         },
     }
     if args.features:
-        results["features"] = extract_features(grid)
+        results["features"] = phase_space.extract_features(grid)
     if args.out:
         # refused before the file is opened, in either format
         if not np.isfinite(grid.values).all():
@@ -352,15 +338,15 @@ def _run_wigner(args) -> tuple[dict, list]:
             )
         if args.format == "csv":
             with open(args.out, "w", encoding="ascii") as handle:
-                write_grid_csv(grid, handle)
+                phase_space.write_grid_csv(grid, handle)
         else:
             # serialized first, so a refused payload opens no file
-            payload = _dumps(grid_to_json(grid)) + "\n"
+            payload = _dumps(phase_space.grid_to_json(grid)) + "\n"
             with open(args.out, "w", encoding="ascii") as handle:
                 handle.write(payload)
         results["out"] = args.out
     else:
-        results["grid"] = grid_to_json(grid)
+        results["grid"] = phase_space.grid_to_json(grid)
     return results, []
 
 
@@ -369,7 +355,9 @@ def _run_wigner(args) -> tuple[dict, list]:
 # ---------------------------------------------------------------------------
 
 def _run_verify(args) -> tuple[dict, list]:
-    checks = run_verify(args.suite, args.seed)
+    from . import verify  # loads every layer, so only a verify command imports it
+
+    checks = verify.run(args.suite, args.seed)
     counts = {
         status: sum(1 for c in checks if c["status"] == status)
         for status in ("pass", "fail", "skipped")

@@ -37,6 +37,19 @@ class GeneratorKind(enum.Enum):
     SPIN_SANDWICH = "spin-sandwich"
 
 
+class CollapseProblem(enum.Enum):
+    """Hypothesis pairs of the branch-collapse discrimination."""
+
+    BRANCH_VS_BRANCH = "branch-vs-branch"
+    CAT_VS_MIXED = "cat-vs-mixed"
+    CAT_VS_BRANCH = "cat-vs-branch"
+
+
+# The verification battery's suites, fast the in-order prefix of full; named
+# here so that the command line lists them without loading the battery.
+FAST, FULL = "fast", "full"
+
+
 _SINGLE_MODE_FAMILIES = (CatFamily.EVEN_CAT, CatFamily.ODD_CAT)
 
 

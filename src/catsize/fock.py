@@ -98,11 +98,21 @@ def coherent_vector(alpha, cutoff: int) -> np.ndarray:
     stable amplitude recursion.
 
     Raises TruncationError when the amplitude mass beyond the cutoff exceeds
-    1e-9 (``_TAIL_TOL``).
+    1e-9 (``_TAIL_TOL``), and when the vacuum amplitude exp(-|alpha|^2/2)
+    underflows to 0 (from |alpha| ~ 38.6), so that no amplitude survives at
+    any cutoff.
     """
     alpha = complex(alpha)
     amps = np.zeros(cutoff + 1, dtype=complex)
     amps[0] = math.exp(-0.5 * abs2(alpha))
+    if amps[0] == 0.0:
+        raise TruncationError(
+            f"coherent state |alpha| = {abs(alpha):g} is out of range: its vacuum "
+            "amplitude exp(-|alpha|^2/2) underflows to 0, so no truncated "
+            "amplitude survives",
+            tail_mass=1.0,
+            cutoff=cutoff,
+        )
     for n in range(cutoff):
         amps[n + 1] = amps[n] * alpha / math.sqrt(n + 1.0)
     tail = max(0.0, 1.0 - float(np.vdot(amps, amps).real))

@@ -26,13 +26,13 @@ to roughly 500 draws per trajectory and slower beyond: ``simulate mode-loss
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .closed_forms import (
+    CollapseProblem,
     abs2,
     branch_overlap,
     check_lam,
@@ -375,12 +375,6 @@ def mode_loss_rows(stats: TrajectoryStats, modes: int, alpha, lam: float) -> lis
 # ---------------------------------------------------------------------------
 # branch collapse
 # ---------------------------------------------------------------------------
-
-class CollapseProblem(enum.Enum):
-    BRANCH_VS_BRANCH = "branch-vs-branch"
-    CAT_VS_MIXED = "cat-vs-mixed"
-    CAT_VS_BRANCH = "cat-vs-branch"
-
 
 def _span_frame(alpha):
     a_plus, a_minus = hcs_norms(alpha)

@@ -28,8 +28,11 @@ from typing import Callable
 import numpy as np
 
 from .closed_forms import (
+    FAST,
+    FULL,
     CatFamily,
     CatStateSpec,
+    CollapseProblem,
     GeneratorKind,
     abs2,
     branch_overlap,
@@ -49,7 +52,6 @@ from .fock import coherent_vector, default_cutoff, split_network_overlaps
 from .measures import branch_dist_size, branch_dist_size_real, marquardt_size, rqfi_size
 from .phase_space import wigner_branches, wigner_closed, wigner_gap
 from .simulate import (
-    CollapseProblem,
     build_distillation_povm,
     check_seed,
     collapse_rows,
@@ -61,8 +63,6 @@ from .simulate import (
     simulate_distillation,
     simulate_mode_loss,
 )
-
-FAST, FULL = "fast", "full"
 
 #: First Philox stream of the battery's draws, and of its spare draws; no
 #: simulator trajectory index reaches either.

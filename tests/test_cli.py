@@ -260,7 +260,7 @@ def test_rqfi_three_modes_carries_oracle_check():
     ids=["two-modes", "one-mode", "sandwich"],
 )
 def test_rqfi_large_alpha_skips_oracle(argv, floor):
-    # exp(-|alpha|^2 / 2) underflows from |alpha| ~ 38.3, so no truncated
+    # exp(-|alpha|^2 / 2) underflows from |alpha| ~ 38.6, so no truncated
     # amplitudes could be built; the budget skips the row long before that
     env = envelope(run_cli("measure", "rqfi", *argv))
     (check,) = env["checks"]
@@ -478,7 +478,7 @@ def test_non_finite_grid_export_exits_3_and_writes_no_file(fmt, tmp_path, monkey
         values[0, 0] = math.nan
         return dataclasses.replace(grid, values=values)
 
-    monkeypatch.setattr("catsize.cli.wigner_grid", nan_grid)
+    monkeypatch.setattr("catsize.phase_space.wigner_grid", nan_grid)
     out = tmp_path / f"w.{fmt}"
     proc = run_cli("wigner", "--state", "even-cat", "--alpha", "1", "--grid=-2:2:5",
                    "--format", fmt, "--out", str(out))
@@ -799,6 +799,19 @@ def test_overflowing_numeric_check_exits_4():
     assert proc.returncode == 4
     assert proc.stdout == ""
     assert proc.stderr == "error: no finite cutoff holds |alpha| = 2e+154\n"
+
+
+def test_underflowing_numeric_check_names_the_underflow():
+    # the displaced branch 2 alpha = 39 is past |alpha| ~ 38.6, where the
+    # coherent vacuum amplitude underflows; cutoff 1853 would be ample
+    proc = run_cli("measure", "marquardt", "--modes", "1", "--alpha", "19.5",
+                   "--numeric-check")
+    assert proc.returncode == 4
+    assert proc.stdout == ""
+    assert proc.stderr == (
+        "error: coherent state |alpha| = 39 is out of range: its vacuum amplitude "
+        "exp(-|alpha|^2/2) underflows to 0, so no truncated amplitude survives\n"
+    )
 
 
 def test_unwritable_output_exits_5(tmp_path):

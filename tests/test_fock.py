@@ -81,6 +81,15 @@ def test_coherent_vector_truncation_error():
     assert err.value.cutoff == 5
 
 
+def test_coherent_vector_names_the_underflow():
+    # exp(-|alpha|^2 / 2) is 0 from |alpha| ~ 38.6, so the vector is empty at
+    # any cutoff; the tail guard used to report that as tail mass 1 beyond an
+    # ample cutoff
+    with pytest.raises(TruncationError, match=r"\|alpha\| = 39 .* underflows to 0") as err:
+        coherent_vector(39.0, default_cutoff(39.0))
+    assert (err.value.tail_mass, err.value.cutoff) == (1.0, default_cutoff(39.0))
+
+
 def test_default_cutoff_grows_with_amplitude():
     assert default_cutoff(0.0) == 20
     assert default_cutoff(1.0) == math.ceil(1 + 8 + 20)

@@ -1,5 +1,6 @@
-"""No module imports a name it never uses, and no route of the package
-reaches the joint-vector reference.
+"""No module imports a name it never uses, no route of the package
+reaches the joint-vector reference, and a command executes only the
+modules it calls.
 
 No linter ships with the project, so this AST scan runs as part of the test
 suite.  It covers the package, the tests and the benchmark harness; the
@@ -7,6 +8,8 @@ package ``__init__`` is skipped, because its imports are re-exports.
 """
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -98,3 +101,52 @@ def test_only_fock_and_phase_space_name_the_joint_route():
             found += [(path.name, node.lineno, name) for name in sorted(names & JOINT_ROUTE)]
     assert not found, found
     assert not JOINT_ROUTE & set(catsize.__all__)
+
+
+#: Runs cli.main on argv and prints the catsize modules that were executed;
+#: a lazily loaded layer is a ModuleType subclass until its first access.
+EXECUTED_PROBE = """
+import contextlib, io, sys, types
+from catsize import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(sys.argv[1:])
+executed = [n for n, m in sys.modules.items() if n.split(".")[0] == "catsize"
+            and type(m) is types.ModuleType]
+print(code, *sorted(executed))
+"""
+
+BASE = ["catsize", "catsize.cli", "catsize.closed_forms", "catsize.errors"]
+BRANCH_LAYERS = ["catsize.fock", "catsize.phase_space"]
+
+
+@pytest.mark.parametrize(
+    "argv, layers",
+    [
+        (["simulate", "distill", "--modes", "3", "--alpha", "0.8", "--trials", "100",
+          "--seed", "1"], ["catsize.simulate"]),
+        (["wigner", "--state", "even-cat", "--alpha", "1", "--grid=-2:2:5"], BRANCH_LAYERS),
+        (["measure", "rqfi", "--modes", "2", "--alpha", "1", "--family", "quadrature"],
+         ["catsize.measures", *BRANCH_LAYERS]),
+        (["verify", "--suite", "fast", "--seed", "0"],
+         ["catsize.measures", "catsize.simulate", "catsize.verify", *BRANCH_LAYERS]),
+    ],
+    ids=["simulate", "wigner", "measure", "verify"],
+)
+def test_a_command_executes_only_the_modules_it_calls(argv, layers):
+    proc = subprocess.run(
+        [sys.executable, "-c", EXECUTED_PROBE, *argv], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", *sorted(BASE + layers)]
+
+
+def test_import_catsize_loads_no_numpy_and_resolves_every_export():
+    probe = (
+        "import sys, catsize\n"
+        "assert 'numpy' not in sys.modules, 'numpy'\n"
+        "for name in catsize.__all__:\n"
+        "    getattr(catsize, name)\n"
+        "assert set(catsize.__all__) <= set(dir(catsize))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
