@@ -9,15 +9,18 @@ closed-form Wigner function: for every family, given coordinates for the
 first k of a state's N modes, it returns the Wigner function of those k
 modes' reduced state from Gaussians exp(-2|gamma -+ alpha|^2), the envelope
 exp(-2|gamma|^2) and fringe phases 4 Im(conj(alpha) gamma), where each
-traced mode scales the interference terms by its branch overlap.  The
-numeric route ``wigner_branches`` reads off the parity sum of the displaced
-truncated state, reduced states included, by displacing only the
+traced mode scales the interference terms by its branch overlap; the even
+cat is Omega at one mode, and the kitten terms serve the odd cat and HCS.
+The numeric route ``wigner_branches`` reads off the parity sum of the
+displaced truncated state, reduced states included, by displacing only the
 single-mode branch vectors of a family's state (the vacuum is
-product-coherent at alpha = 0), all points at once.  ``wigner_numeric``
-displaces a joint Fock vector one point at a time: it is the tests' dense
-reference, and no route of the package calls it.  Both refuse a displaced
-vector that reaches its cutoff through one headroom guard.  ``wigner_gap``
-is the one closed-vs-numeric gap.
+product-coherent at alpha = 0), all points at once, at the cutoff
+``wigner_cutoff`` picks, which counts at least one photon per branch for
+the families that hold the odd kitten.  ``wigner_numeric`` displaces a
+joint Fock vector one point at a time: it is the tests' dense reference,
+and no route of the package calls it.  Both refuse a displaced vector that
+reaches its cutoff through one headroom guard.  ``wigner_gap`` is the one
+closed-vs-numeric gap.
 """
 
 from __future__ import annotations
@@ -80,11 +83,11 @@ def _fringe_phase(gamma, alpha, env):
     return np.where(env == 0.0, 0.0, theta)
 
 
-def _kitten_terms(gamma, alpha, parity: int | None = None):
+def _kitten_terms(gamma, alpha):
     """Kitten pieces at ``gamma`` from the Gaussians gp, gm, env about alpha,
-    -alpha, 0 and the fringe phase theta: with ``parity`` +-1 the numerator
-    gp + gm +- 2 env cos(theta) of the kitten |alpha> +- |-alpha>; with None
-    the (even, odd, gp - gm, env sin(theta)) of the hidden pair.
+    -alpha, 0 and the fringe phase theta: the numerators gp + gm +-
+    2 env cos(theta) of the even and odd kittens |alpha> +- |-alpha>, then
+    gp - gm and env sin(theta), as (even, odd, gp - gm, env sin(theta)).
 
     gp, gm = env w e^{+-u} with u = 4 Re(conj(alpha) gamma).  Where |u| <=
     _SMALL_U the odd numerator is 2 env [2 sinh^2(u/2) + 2 sin^2(theta/2) +
@@ -95,9 +98,6 @@ def _kitten_terms(gamma, alpha, parity: int | None = None):
     gp, gm, env = _gauss(g, alpha), _gauss(g, -alpha), _gauss(g, 0.0)
     theta = _fringe_phase(g, alpha, env)
     cross = 2.0 * env * np.cos(theta)
-    even = None if parity == -1 else gp + gm + cross
-    if parity == 1:
-        return even
     with np.errstate(over="ignore", invalid="ignore"):
         u = 4.0 * (np.conjugate(alpha) * g).real
     near = np.abs(u) <= _SMALL_U
@@ -107,29 +107,27 @@ def _kitten_terms(gamma, alpha, parity: int | None = None):
         2.0 * np.sinh(u / 2.0) ** 2 + 2.0 * np.sin(theta[near] / 2.0) ** 2
         + math.expm1(-2.0 * a) * np.cosh(u)
     )
-    if parity == -1:
-        return odd
     diff = np.asarray(gp - gm)
     diff[near] = e * math.exp(-2.0 * a) * np.sinh(u)
-    return even, odd, diff, env * np.sin(theta)
+    return gp + gm + cross, odd, diff, env * np.sin(theta)
 
 
-def _omega_form(g, alpha, modes: int):
-    """Omega on ``modes`` modes, reduced to the first k of them, at the
-    points ``g`` with one coordinate per kept mode in the last axis (k).
+def _omega_form(gammas, alpha, modes: int):
+    """Omega on ``modes`` modes, reduced to the first k = len(gammas) of
+    them, at one coordinate array per kept mode; at one mode it is the even
+    cat.
 
     Each traced mode multiplies the cross term by its branch overlap, so the
     kept modes' cross term carries w^(modes - k) over the full norm 2 + 2 w^modes.
     """
-    k = g.shape[-1]
+    k = len(gammas)
     w = branch_overlap(alpha)
     norm_sq = 2.0 + 2.0 * w ** modes
-    plus = np.prod(_gauss(g, alpha), axis=-1)
-    minus = np.prod(_gauss(g, -alpha), axis=-1)
-    env = _gauss(g, 0.0)
-    cross = 2.0 * w ** (modes - k) * np.prod(env, axis=-1) * np.cos(
-        np.sum(_fringe_phase(g, alpha, env), axis=-1)
-    )
+    plus = math.prod(_gauss(g, alpha) for g in gammas)
+    minus = math.prod(_gauss(g, -alpha) for g in gammas)
+    envs = [_gauss(g, 0.0) for g in gammas]
+    theta = sum(_fringe_phase(g, alpha, env) for g, env in zip(gammas, envs))
+    cross = 2.0 * w ** (modes - k) * math.prod(envs) * np.cos(theta)
     return (2.0 / math.pi) ** k * (plus + minus + cross) / norm_sq
 
 
@@ -170,34 +168,37 @@ def wigner_closed(state: CatStateSpec, *gammas):
     fam, alpha = state.family, state.alpha
     if fam is CatFamily.PRODUCT_COHERENT:
         return math.prod((2.0 / math.pi) * _gauss(g, alpha) for g in gammas)
-    if fam is CatFamily.OMEGA:
-        g = np.asarray(np.stack(np.broadcast_arrays(*gammas), axis=-1), dtype=complex)
-        return _omega_form(g, alpha, state.modes)
+    if fam in (CatFamily.OMEGA, CatFamily.EVEN_CAT):
+        return _omega_form(gammas, alpha, state.modes)
     if fam is CatFamily.HCS:
         return _hcs_form(gammas, alpha, state.modes)
     # the odd norm A_minus^2 = -2 expm1(-2|alpha|^2) keeps its digits where w nears 1
-    even = fam is CatFamily.EVEN_CAT
-    norm_sq = 2.0 + 2.0 * branch_overlap(alpha) if even else hcs_norms(alpha)[1] ** 2
-    return (2.0 / math.pi) * _kitten_terms(gammas[0], alpha, 1 if even else -1) / norm_sq
+    return (2.0 / math.pi) * _kitten_terms(gammas[0], alpha)[1] / hcs_norms(alpha)[1] ** 2
 
 
 # ---------------------------------------------------------------------------
 # numeric route
 # ---------------------------------------------------------------------------
 
-def wigner_cutoff(peak, gammas) -> int:
-    """Cutoff for the numeric Wigner routes of a state whose branches reach
-    per-mode amplitude ``peak``, at the coordinates ``gammas`` (any shape).
+def wigner_cutoff(state: CatStateSpec, gammas) -> int:
+    """Cutoff for the numeric Wigner routes of ``state`` at the coordinates
+    ``gammas`` (any shape).
 
-    Displacing by -gamma moves a branch to amplitude at most
-    r = |peak| + max|gamma|, whose photon count is Poisson with mean r^2 and
+    Displacing by -gamma moves a coherent branch to amplitude at most
+    r = |alpha| + max|gamma|, whose photon count is Poisson with mean r^2 and
     standard deviation r.  For r from 0.5 to 12, ceil(r^2 + 5r + 6) is zero
     to three levels above the smallest cutoff at which that law leaves less
-    than the headroom guard's 1e-6 in the top three levels.  The result never
-    drops below default_cutoff(peak), which the undisplaced state needs.
+    than the headroom guard's 1e-6 in the top three levels.  The odd kitten
+    holds a coth a >= 1 photons on average (a = |alpha|^2), and is |1> as
+    alpha -> 0, so for the families that hold it, the odd cat and HCS, r
+    counts max(|alpha|, 1) in place of |alpha|.  The result never drops
+    below default_cutoff(alpha), which the undisplaced state needs.
     """
-    r = abs(complex(peak)) + float(np.abs(np.asarray(gammas, dtype=complex)).max())
-    return max(default_cutoff(peak), math.ceil(r * r + 5.0 * r + 6.0))
+    peak = abs(complex(state.alpha))
+    if state.family in (CatFamily.ODD_CAT, CatFamily.HCS):
+        peak = max(peak, 1.0)
+    r = peak + float(np.abs(np.asarray(gammas, dtype=complex)).max())
+    return max(default_cutoff(state.alpha), math.ceil(r * r + 5.0 * r + 6.0))
 
 
 def wigner_numeric(vec: FockVector, gammas) -> float:
@@ -237,7 +238,7 @@ def wigner_branches(state: CatStateSpec, points) -> np.ndarray:
     ``points`` is a (P, k) array-like: each point holds coordinates for the
     first k <= ``state.modes`` modes, and its value is that of those modes'
     reduced state, as ``wigner_numeric`` gives it on the family's joint
-    vector at the cutoff ``wigner_cutoff`` picks from the amplitude and the
+    vector at the cutoff ``wigner_cutoff`` picks from the state and the
     points.  The state is c sum_b v_b^(x N) (``family_branches``), so each
     sum over the displaced joint vector is a sum over branch pairs
     (b, c) of one single-mode factor per mode, multiplied together:
@@ -253,7 +254,7 @@ def wigner_branches(state: CatStateSpec, points) -> np.ndarray:
     if points.ndim != 2 or not len(points):
         raise DomainError(f"points must be a nonempty (P, k) array, got shape {points.shape}")
     k = _check_coordinates(points.shape[1], state.modes)
-    cutoff = wigner_cutoff(state.alpha, points)
+    cutoff = wigner_cutoff(state, points)
     columns = family_branches(state, cutoff)[0]  # (d, B)
     size = len(points) * columns.size
     check_size(size, f"{size} displaced amplitudes")
@@ -325,7 +326,7 @@ def wigner_gap(state: CatStateSpec, points) -> float:
     Each point holds one coordinate per mode.  The closed form comes from
     ``wigner_closed``, the numeric value from ``wigner_branches``, each once
     over the whole point array, at the cutoff ``wigner_cutoff`` picks from
-    the state's amplitude and the points.
+    the state and the points.
     """
     points = np.asarray(list(points), dtype=complex)
     numeric = wigner_branches(state, points)
@@ -493,28 +494,24 @@ def extract_features(grid: WignerGrid) -> PhaseSpaceFeatures:
     is_min = np.all([interior < nb for nb in neighbors], axis=0)
     keep = (is_max | is_min) & (np.abs(interior) >= _SIGNIFICANCE * peak)
     rows, cols = np.nonzero(keep)
-
-    locations = []
-    values = []
-    coords = []
-    for r, c in zip(rows, cols):
-        u = float(ax_u.values[r + 1])
-        v = float(ax_v.values[c + 1])
-        coords.append((u, v))
-        values.append(float(interior[r, c]))
-        locations.append(_point_location(grid, varying, u, v))
-    order = np.argsort([-abs(x) for x in values], kind="stable")
-    locations = tuple(locations[i] for i in order)
-    values = tuple(values[i] for i in order)
-    coords = [coords[i] for i in order]
+    values = interior[rows, cols]
+    order = np.argsort(-np.abs(values), kind="stable")
+    # each axis read at the kept points, a singleton axis at its one value:
+    # (n, 2M) floats whose complex view keeps a -0.0 coordinate's sign
+    at = dict(zip(varying, (rows[order] + 1, cols[order] + 1)))
+    coords = np.stack(
+        [np.broadcast_to(ax.values[at.get(i, 0)], order.shape)
+         for i, ax in enumerate(grid.axes)],
+        axis=-1,
+    )
 
     fringe_axis, wavelength = _fringe_profile(plane, ax_u, ax_v)
     return PhaseSpaceFeatures(
-        peak_locations=locations,
-        peak_values=values,
+        peak_locations=tuple(map(tuple, coords.view(complex).tolist())),
+        peak_values=tuple(values[order].tolist()),
         fringe_wavelength=wavelength,
         fringe_axis=fringe_axis,
-        peak_separation=widest_separation(coords),
+        peak_separation=widest_separation(coords[:, varying]),
     )
 
 
@@ -525,21 +522,6 @@ def widest_separation(points) -> float | None:
     pts = np.asarray(points, dtype=float)
     deltas = pts[:, None, :] - pts[None, :, :]
     return float(np.sqrt((deltas ** 2).sum(axis=-1)).max())
-
-
-def _point_location(grid: WignerGrid, varying, u, v):
-    """Per-mode complex coordinates of one grid point, singletons filled in."""
-    full = []
-    for i, ax in enumerate(grid.axes):
-        if i == varying[0]:
-            full.append(u)
-        elif i == varying[1]:
-            full.append(v)
-        else:
-            full.append(float(ax.values[0]))
-    return tuple(
-        complex(full[2 * m], full[2 * m + 1]) for m in range(len(full) // 2)
-    )
 
 
 def _fringe_profile(plane, ax_u, ax_v):
@@ -553,18 +535,15 @@ def _fringe_profile(plane, ax_u, ax_v):
         cut_index = int(np.argmin(np.abs(ax_v.values)))
         profile = plane[:, cut_index]
     profile = profile - profile.mean()
-    crossings = []
-    for i in range(len(profile) - 1):
-        y0, y1 = profile[i], profile[i + 1]
-        if y0 == 0.0:
-            crossings.append(float(line_vals[i]))
-        elif y0 * y1 < 0.0:
-            frac = y0 / (y0 - y1)
-            crossings.append(float(line_vals[i] + frac * (line_vals[i + 1] - line_vals[i])))
+    y0, y1 = profile[:-1], profile[1:]
+    # a sample at zero is a crossing; a sign change is interpolated linearly
+    hit = (y0 == 0.0) | (y0 * y1 < 0.0)
+    y0, y1 = y0[hit], y1[hit]
+    step = np.diff(line_vals)[hit]
+    crossings = line_vals[:-1][hit] + y0 / np.where(y0 == 0.0, 1.0, y0 - y1) * step
     if len(crossings) < 4:
         return axis_name, None
-    spacing = np.diff(np.asarray(crossings))
-    return axis_name, 2.0 * float(spacing.mean())
+    return axis_name, 2.0 * float(np.diff(crossings).mean())
 
 
 # ---------------------------------------------------------------------------

@@ -376,17 +376,6 @@ def mode_loss_rows(stats: TrajectoryStats, modes: int, alpha, lam: float) -> lis
 # branch collapse
 # ---------------------------------------------------------------------------
 
-def _span_frame(alpha):
-    a_plus, a_minus = hcs_norms(alpha)
-    w = branch_overlap(alpha)
-    s = math.sqrt(1.0 - w * w)
-    ket_a = np.array([1.0, 0.0])
-    ket_ma = np.array([w, s])
-    psi_plus = (ket_a + ket_ma) / a_plus
-    psi_minus = (ket_a - ket_ma) / a_minus
-    return w, ket_a, ket_ma, psi_plus, psi_minus
-
-
 def simulate_branch_collapse(
     alpha, trials: int, seed: int, problem: CollapseProblem
 ) -> TrajectoryStats:
@@ -402,7 +391,12 @@ def simulate_branch_collapse(
     """
     _check_run(trials, seed)
     problem = CollapseProblem(problem)
-    w, ket_a, ket_ma, psi_plus, psi_minus = _span_frame(alpha)
+    a_plus, a_minus = hcs_norms(alpha)
+    w = branch_overlap(alpha)
+    ket_a = np.array([1.0, 0.0])
+    ket_ma = np.array([w, math.sqrt(1.0 - w * w)])
+    psi_plus = (ket_a + ket_ma) / a_plus
+    psi_minus = (ket_a - ket_ma) / a_minus
     rho_cat = np.outer(psi_plus, psi_plus)
     rho_a = np.outer(ket_a, ket_a)
     rho_ma = np.outer(ket_ma, ket_ma)
@@ -415,8 +409,7 @@ def simulate_branch_collapse(
     else:
         delta = rho_cat - rho_a
         labels = ("cat", "branch")
-    vals, vecs = np.linalg.eigh(delta)
-    vec_minus, vec_plus = vecs[:, 0], vecs[:, 1]
+    vec_minus, vec_plus = np.linalg.eigh(delta)[1].T
     p_plus = float(np.dot(vec_plus, psi_plus) ** 2)
 
     if problem is not CollapseProblem.CAT_VS_BRANCH:

@@ -108,13 +108,17 @@ def test_omega_reference_points():
 
 
 def test_omega_single_mode_reduces_to_even_cat():
+    # the even cat is Omega at one mode, bit for bit, from tiny to large
+    # |alpha| at every phase, on random points and on a sparse grid
     rng = np.random.default_rng(71)
-    pts = rng.normal(size=12) + 1j * rng.normal(size=12)
-    for alpha in (0.7, 1.6):
+    pts = 2.0 * (rng.normal(size=64) + 1j * rng.normal(size=64))
+    line = grid_line(-4.0, 4.0, 81)
+    sparse = line[:, None] + 1j * line[None, :]
+    for mag in np.logspace(-8, math.log10(3.0), 25):
+        alpha = complex(mag * np.exp(2j * math.pi * rng.uniform()))
         omega = CatStateSpec(family=CatFamily.OMEGA, modes=1, alpha=alpha)
-        lhs = wigner_closed(omega, pts)
-        rhs = wigner_closed(kitten(alpha), pts)
-        np.testing.assert_allclose(lhs, rhs, rtol=0, atol=1e-14)
+        for gamma in (pts, sparse):
+            assert np.array_equal(wigner_closed(omega, gamma), wigner_closed(kitten(alpha), gamma))
 
 
 def test_omega_coordinate_count_is_checked():
@@ -350,6 +354,20 @@ def test_gap_of_the_odd_cat_at_tiny_alpha():
     assert wigner_gap(state, [(g,) for g in REF_GAMMAS]) <= 1e-9
 
 
+@pytest.mark.parametrize("family, modes", [(CatFamily.ODD_CAT, 1), (CatFamily.HCS, 1),
+                                           (CatFamily.HCS, 2)])
+def test_gap_of_the_odd_kitten_families_at_tiny_alpha_on_a_grid(family, modes):
+    # the odd kitten is |1> as alpha -> 0: a cutoff sized for a coherent
+    # branch of amplitude 1e-8 leaves its displaced tail above the guard
+    state = CatStateSpec(family=family, modes=modes, alpha=1e-8)
+    line = grid_line(-4.0, 4.0, 41)
+    x, y = np.meshgrid(line, line, indexing="ij")
+    points = (x + 1j * y).reshape(-1, 1)
+    if modes == 2:
+        points = np.stack([x.ravel(), y.ravel()], axis=1)  # the (re1, re2) plane
+    assert wigner_gap(state, points) <= 1e-10
+
+
 @pytest.mark.parametrize("alpha,parity", [(1.0, 1), (2.0, 1), (1.0, -1)])
 def test_single_mode_magnitude_bound(alpha, parity):
     lo, hi, n = default_feature_window(alpha)
@@ -413,7 +431,7 @@ def test_numeric_guards_cutoff_headroom(monkeypatch):
         wigner_numeric(vec, [3.0 + 3.0j])
     # the branch route refuses the same point through the same guard; its
     # displacement rounds differently, so the mass agrees to rounding only
-    monkeypatch.setattr("catsize.phase_space.wigner_cutoff", lambda peak, gammas: 12)
+    monkeypatch.setattr("catsize.phase_space.wigner_cutoff", lambda state, gammas: 12)
     with pytest.raises(TruncationError) as branch:
         wigner_branches(coherent(1.0), [[3.0 + 3.0j]])
     assert str(branch.value) == str(numeric.value)
@@ -478,7 +496,7 @@ def test_branch_route_matches_the_joint_vector(family, modes, alpha, k):
     state = CatStateSpec(family=family, modes=modes, alpha=alpha)
     rng = np.random.default_rng(410 + 10 * modes + k)
     points = rng.normal(size=(8, k)) + 1j * rng.normal(size=(8, k))
-    vec = build_state(state, cutoff=wigner_cutoff(alpha, points))
+    vec = build_state(state, cutoff=wigner_cutoff(state, points))
     want = [wigner_numeric(vec, point) for point in points]
     got = wigner_branches(state, points)
     assert got.shape == (8,)
@@ -487,7 +505,7 @@ def test_branch_route_matches_the_joint_vector(family, modes, alpha, k):
 
 def test_branch_route_guards_cutoff_headroom(monkeypatch):
     # the point test_numeric_guards_cutoff_headroom refuses, after one that passes
-    monkeypatch.setattr("catsize.phase_space.wigner_cutoff", lambda peak, gammas: 12)
+    monkeypatch.setattr("catsize.phase_space.wigner_cutoff", lambda state, gammas: 12)
     state = CatStateSpec(family=CatFamily.PRODUCT_COHERENT, modes=1, alpha=1.0)
     with pytest.raises(TruncationError, match="on mode 0: top-3 mass"):
         wigner_branches(state, [[0.0], [3.0 + 3.0j]])
@@ -501,7 +519,7 @@ def test_branch_route_guards_the_undisplaced_modes(monkeypatch, modes, point, mo
     # the undisplaced |1.5> keeps 4e-11 in its top levels, so a guard of
     # 1e-12 trips on the first undisplaced mode only, in both routes
     monkeypatch.setattr("catsize.phase_space._HEADROOM_TOL", 1e-12)
-    monkeypatch.setattr("catsize.phase_space.wigner_cutoff", lambda peak, gammas: 20)
+    monkeypatch.setattr("catsize.phase_space.wigner_cutoff", lambda state, gammas: 20)
     state = CatStateSpec(family=CatFamily.PRODUCT_COHERENT, modes=modes, alpha=1.5)
     match = f"on mode {mode}: "
     with pytest.raises(TruncationError, match=match):
@@ -771,6 +789,71 @@ def test_features_of_joint_two_branch_plane():
     assert feats.peak_separation < 2.0 * math.sqrt(2.0)
     # the real-real plane has no sign fringes, hence no wavelength
     assert feats.fringe_wavelength is None
+
+
+def _features_reference(grid):
+    """extract_features point by point: the locations, values and widest
+    separation of the significant strict extrema of the plane, then the
+    fringe wavelength from the zero crossings of its central cut."""
+    varying = [i for i, ax in enumerate(grid.axes) if ax.values.size > 1]
+    plane = grid.values[tuple(slice(None) if i in varying else 0 for i in range(len(grid.axes)))]
+    peak = float(np.abs(plane).max())
+    found = []
+    for r in range(1, plane.shape[0] - 1):
+        for c in range(1, plane.shape[1] - 1):
+            w = plane[r, c]
+            around = [plane[r + du, c + dv] for du in (-1, 0, 1) for dv in (-1, 0, 1) if du or dv]
+            if not (all(w > x for x in around) or all(w < x for x in around)):
+                continue
+            if abs(w) < 0.25 * peak:
+                continue
+            coords = [float(ax.values[0]) for ax in grid.axes]
+            coords[varying[0]] = float(grid.axes[varying[0]].values[r])
+            coords[varying[1]] = float(grid.axes[varying[1]].values[c])
+            location = tuple(complex(coords[m], coords[m + 1]) for m in range(0, len(coords), 2))
+            found.append((float(w), location, (coords[varying[0]], coords[varying[1]])))
+    found.sort(key=lambda f: -abs(f[0]))
+    spans = [math.sqrt((a[0] - b[0]) * (a[0] - b[0]) + (a[1] - b[1]) * (a[1] - b[1]))
+             for _, _, a in found for _, _, b in found]
+    u, v = (grid.axes[i] for i in varying)
+    if v.name.startswith("im") or not u.name.startswith("im"):
+        line, profile = v.values, plane[int(np.argmin(np.abs(u.values))), :]
+    else:
+        line, profile = u.values, plane[:, int(np.argmin(np.abs(v.values)))]
+    profile = profile - profile.mean()
+    crossings = []
+    for i in range(len(profile) - 1):
+        y0, y1 = profile[i], profile[i + 1]
+        if y0 == 0.0:
+            crossings.append(float(line[i]))
+        elif y0 * y1 < 0.0:
+            crossings.append(float(line[i] + y0 / (y0 - y1) * (line[i + 1] - line[i])))
+    wavelength = 2.0 * float(np.diff(crossings).mean()) if len(crossings) >= 4 else None
+    return (tuple(f[1] for f in found), tuple(f[0] for f in found),
+            max(spans) if len(found) > 1 else None, wavelength)
+
+
+@pytest.mark.parametrize("state, gamma2", [
+    (even_cat(2.0), None),
+    (even_cat(1.0, modes=2), None),
+    (hcs2(1.5), complex(-0.0, -0.0)),
+])
+def test_features_match_a_per_point_reference(state, gamma2):
+    line = grid_line(*default_feature_window(abs(state.alpha) + 0.5))
+    grid = wigner_grid(state, plane_axes(state.modes, line, gamma2))
+    feats = extract_features(grid)
+    locations, values, separation, wavelength = _features_reference(grid)
+    assert len(values) >= 3
+    assert feats.peak_locations == locations
+    assert feats.peak_values == values
+    assert feats.peak_separation == separation
+    assert feats.fringe_wavelength == wavelength
+    # the real-real plane has no fringes; the other two planes have
+    assert (wavelength is None) == (state.modes == 2 and gamma2 is None)
+    if gamma2 is not None:
+        # the slice's -0.0 second-mode coordinates keep their sign
+        assert all(math.copysign(1.0, part) == -1.0
+                   for loc in feats.peak_locations for part in (loc[1].real, loc[1].imag))
 
 
 # ---------------------------------------------------------------------------
